@@ -15,18 +15,16 @@ from l2x import datasets as ds
 def main():
     n = 5000
     for kind in ("xor", "orange_skin", "nonlinear_additive", "switch"):
-        samples = ds.generate(kind, n, rng=0)
-        x, p, y, truths = ds.as_arrays(samples)
-        truth_sets = sorted(set(truths))
+        data = ds.generate(kind, n, rng=0)
+        x, p, y, truth = ds.as_arrays(data)
+        truth_sets, counts = np.unique(truth, axis=0, return_counts=True)
         print(f"{kind}: k={ds.k_for(kind)}, label mean {y.mean():.3f}, "
               f"P(y=1|x) range [{p.min():.3f}, {p.max():.3f}]")
-        for t in truth_sets:
-            share = sum(1 for u in truths if u == t) / n
-            print(f"  truth {t} ({share:.0%} of samples)")
+        for t, count in zip(truth_sets, counts):
+            print(f"  truth {tuple(t.tolist())} ({count / n:.0%} of samples)")
 
     # the exact conditional probability is available for scoring oracles
-    samples = ds.generate("xor", 5, rng=1)
-    x, p, _, _ = ds.as_arrays(samples)
+    x, p, _, _ = ds.as_arrays(ds.generate("xor", 5, rng=1))
     print()
     print("xor: P(y=1|x) depends only on the product of features 0 and 1")
     for i in range(5):

@@ -20,7 +20,7 @@ def main():
     x_tr, _, y_tr, _ = ds.as_arrays(ds.generate("xor", 20_000, substream(seed, "data", 0)))
     x_va, _, y_va, truths = ds.as_arrays(ds.generate("xor", 2_000, substream(seed, "data", 1)))
 
-    cfg = TrainConfig(k=k, epochs=8, train_size=len(x_tr), seed=seed)
+    cfg = TrainConfig(k=k, epochs=8, seed=seed)
     clf, clf_report = train_classifier(
         x_tr, y_tr, cfg, hidden=(64, 64, 64), x_val=x_va, y_val=y_va
     )

@@ -8,7 +8,7 @@ generators, and exact information-theoretic oracles for validating the
 whole stack on small discrete distributions.
 """
 
-from .datasets import as_arrays, canonical_kind, generate, k_for, read_csv, write_csv
+from .datasets import Dataset, as_arrays, canonical_kind, generate, k_for, read_csv, write_csv
 from .errors import CsvFormatError, ModelFormatError, NumericError
 from .explain import (
     Explanation,
@@ -41,6 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CsvFormatError",
+    "Dataset",
     "DiscreteJoint",
     "Explanation",
     "ModelFormatError",

@@ -219,14 +219,20 @@ def relu(a: Tensor) -> Tensor:
     return _node(a.data * mask, "relu", (a,), lambda g: (g * mask,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
+# plain-array kernels, shared with the untaped paths; not ops, so not in __all__
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic of a plain array, without overflow at either tail."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    a = _as_tensor(a)
+    out = sigmoid_array(a.data)
     return _node(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -264,15 +270,19 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, "add_bias", (a, b), lambda g: (g, g.sum(axis=0)))
 
 
+def softmax_array(z: np.ndarray) -> np.ndarray:
+    """Softmax of a plain array over the last axis, computed with max-subtraction."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(a: Tensor, temperature: float = 1.0) -> Tensor:
     """Temperature softmax over the last axis, computed with max-subtraction."""
     a = _as_tensor(a)
     if not temperature > 0.0:
         raise ValueError(f"softmax: temperature must be positive, got {temperature}")
-    z = a.data / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = softmax_array(a.data / temperature)
     inv_t = 1.0 / temperature
 
     def vjp(g: np.ndarray):

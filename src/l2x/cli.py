@@ -11,19 +11,16 @@ Exit codes are a stable scripting contract:
 * 4  IO problems (missing or malformed input files, unwritable output)
 
 Flags may also come from a plain ``key=value`` file via --config; values
-given on the command line win.  --threads falls back to the L2X_THREADS
-environment variable, then to 1.
+given on the command line win.  Checkpoints are loaded for the role the
+command needs; a checkpoint of another kind is a malformed input (4).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .datasets import D, as_arrays, canonical_kind, generate, read_csv, write_csv
 from .datasets import DEFAULT_SIN_COEFF
@@ -118,8 +115,6 @@ def _resolve(args: argparse.Namespace, cmd: _Command) -> None:
     for dest in cmd.required:
         if values.get(dest) is None:
             cmd.error(f"--{dest.replace('_', '-')} is required")
-    if values.get("threads") is None:
-        values["threads"] = int(os.environ.get("L2X_THREADS", "1"))
 
 
 def _kind(args, cmd: _Command) -> str:
@@ -130,14 +125,14 @@ def _kind(args, cmd: _Command) -> str:
 
 
 def _default_k(truths, override) -> int:
-    return len(truths[0]) if override is None else override
+    return truths.shape[1] if override is None else override
 
 
 def cmd_generate(args, cmd: _Command) -> int:
     kind = _kind(args, cmd)
-    samples = generate(kind, args.n, substream(args.seed, "data", 0), sin_coeff=args.sin_coeff)
-    write_csv(samples, args.out)
-    balance = float(np.mean([s.y for s in samples]))
+    data = generate(kind, args.n, substream(args.seed, "data", 0), sin_coeff=args.sin_coeff)
+    write_csv(data, args.out)
+    balance = float(data.y.mean())
     print(f"wrote {args.n} {kind} samples to {args.out} (mean label {balance:.4f})")
     return 0
 
@@ -150,16 +145,13 @@ def _train_config(args, k: int) -> TrainConfig:
         temperature=getattr(args, "temperature", None) or 0.1,
         batch_size=args.batch_size,
         epochs=args.epochs,
-        train_size=max(1, args.n_hint),
         seed=args.seed,
         warmup_epochs=2 if warmup is None else warmup,
     )
 
 
 def cmd_train_model(args, cmd: _Command) -> int:
-    samples = read_csv(args.data)
-    x, _, y, _ = as_arrays(samples)
-    args.n_hint = len(samples)
+    x, _, y, _ = as_arrays(read_csv(args.data))
     cfg = _train_config(args, k=1)
     if args.epochs == 0:
         print("warning: --epochs 0 emits an untrained checkpoint", file=sys.stderr)
@@ -178,11 +170,9 @@ def cmd_train_model(args, cmd: _Command) -> int:
 
 
 def cmd_train_explainer(args, cmd: _Command) -> int:
-    samples = read_csv(args.data)
-    x, _, _, truths = as_arrays(samples)
-    classifier = load_model(args.model)
+    x, _, _, truths = as_arrays(read_csv(args.data))
+    classifier = load_model(args.model, kind="classifier")
     k = _default_k(truths, args.k)
-    args.n_hint = len(samples)
     cfg = _train_config(args, k=k)
     if args.epochs == 0:
         print("warning: --epochs 0 emits untrained checkpoints", file=sys.stderr)
@@ -201,8 +191,7 @@ def cmd_train_explainer(args, cmd: _Command) -> int:
 
 
 def cmd_explain(args, cmd: _Command) -> int:
-    samples = read_csv(args.data)
-    x, _, _, truths = as_arrays(samples)
+    x, _, _, truths = as_arrays(read_csv(args.data))
     k = _default_k(truths, args.k)
     method = args.method
     if method not in (*METHODS, "taylor-abs"):
@@ -211,15 +200,13 @@ def cmd_explain(args, cmd: _Command) -> int:
     if method == "l2x":
         if args.explainer is None:
             cmd.error("method 'l2x' needs --explainer")
-        explainer = load_model(args.explainer)
+        explainer = load_model(args.explainer, kind="explainer")
     else:
         if args.model is None:
             cmd.error(f"method {method!r} needs --model")
-        classifier = load_model(args.model)
+        classifier = load_model(args.model, kind="classifier")
     explanations = explain_dataset(
-        method, x, k,
-        explainer=explainer, classifier=classifier,
-        threads=args.threads, absolute=args.abs,
+        method, x, k, explainer=explainer, classifier=classifier, absolute=args.abs
     )
     write_jsonl(explanations, args.out)
     print(f"wrote {len(explanations)} {method} explanations to {args.out}")
@@ -227,10 +214,9 @@ def cmd_explain(args, cmd: _Command) -> int:
 
 
 def cmd_evaluate(args, cmd: _Command) -> int:
-    samples = read_csv(args.data)
-    x, _, _, truths = as_arrays(samples)
+    x, _, _, truths = as_arrays(read_csv(args.data))
     label = args.dataset_label or Path(args.data).stem
-    classifier = load_model(args.model) if args.model is not None else None
+    classifier = load_model(args.model, kind="classifier") if args.model is not None else None
 
     by_method: dict[str, list] = {}
     for path in args.explanations:
@@ -270,13 +256,14 @@ def cmd_benchmark(args, cmd: _Command) -> int:
         learning_rate=args.learning_rate,
         batch_size=args.batch_size,
         epochs=args.epochs,
+        warmup_epochs=args.warmup_epochs,
         sin_coeff=args.sin_coeff,
         methods=args.methods,
         classifier_hidden=args.classifier_hidden,
         explainer_hidden=args.explainer_hidden,
         variational_hidden=args.variational_hidden,
     )
-    summary = run_benchmark(config, args.out_dir, threads=args.threads, reuse=not args.all)
+    summary = run_benchmark(config, args.out_dir, reuse=not args.all)
     median = summary["median_ranks"]["l2x"]["median"] if "l2x" in summary["median_ranks"] else None
     print(
         f"{kind}: l2x summary median rank {median} "
@@ -349,7 +336,6 @@ def build_parser():
     c.flag("--model", help="classifier checkpoint (gradient baselines)")
     c.flag("--k", type=int)
     c.flag("--out", required=True)
-    c.flag("--threads", type=int)
     c.switch("--abs", help="rank taylor scores by magnitude")
 
     c = command("evaluate", cmd_evaluate, "score explanations against ground truth")
@@ -379,7 +365,6 @@ def build_parser():
     c.flag("--classifier-hidden", type=_int_tuple, default=(200, 200, 200))
     c.flag("--explainer-hidden", type=_int_tuple, default=(200, 200))
     c.flag("--variational-hidden", type=_int_tuple, default=(200, 200, 200))
-    c.flag("--threads", type=int)
 
     c = command("oracle", cmd_oracle, "run the exact-information self-checks")
     c.flag("--joints", type=int, default=100)

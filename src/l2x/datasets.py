@@ -4,7 +4,8 @@ Each generator draws d=10 features, computes an exact conditional
 probability P(Y=1|x) from a logit over a small subset of the features,
 and samples the label.  The indices that enter the logit are recorded
 per sample as the ground-truth feature set, so explanation quality can
-be scored exactly.
+be scored exactly.  A dataset is held as columns: one array per field,
+with the truth sets as an (n, t) index array.
 
 Kinds (feature indices are 0-based throughout, matching the x0..x9 CSV
 columns):
@@ -27,17 +28,20 @@ regression: P(Y=1|x) = sigmoid(logit), P(Y=0|x) proportional to 1.
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import sigmoid_array
 from .errors import CsvFormatError
 
 __all__ = [
     "D",
     "N_CLASSES",
     "KINDS",
-    "LabeledSample",
+    "Dataset",
     "canonical_kind",
     "truth_for",
     "k_for",
@@ -67,18 +71,23 @@ DEFAULT_SIN_COEFF = -100.0
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """One draw: features, exact P(Y=1|x), sampled label, true features.
+class Dataset:
+    """n draws as columns: features, exact P(Y=1|x), label, true features.
 
-    ``component`` is +1 or -1 for switch samples (which mixture x0 came
-    from) and 0 otherwise.
+    ``x`` is (n, d) float64, ``p`` (n,) float64, ``y`` (n,) int.
+    ``component`` is +1 or -1 for switch rows (which mixture x0 came from)
+    and 0 otherwise.  ``truth`` is (n, t) int: row i holds the true
+    features of draw i in ascending order.
     """
 
     x: np.ndarray
-    p: float
-    y: int
-    truth: tuple[int, ...]
-    component: int = 0
+    p: np.ndarray
+    y: np.ndarray
+    component: np.ndarray
+    truth: np.ndarray
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
 
 def canonical_kind(kind: str) -> str:
@@ -101,15 +110,6 @@ def truth_for(kind: str, component: int = 0) -> tuple[int, ...]:
 def k_for(kind: str) -> int:
     """Number of true features; the conventional subset size for the kind."""
     return _K[canonical_kind(kind)]
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 def _orange_logit(block: np.ndarray) -> np.ndarray:
@@ -145,7 +145,7 @@ def generate(
     n: int,
     rng: np.random.Generator | int,
     sin_coeff: float = DEFAULT_SIN_COEFF,
-) -> list[LabeledSample]:
+) -> Dataset:
     """Draw n labeled samples of the given kind."""
     kind = canonical_kind(kind)
     if n < 1:
@@ -160,15 +160,14 @@ def generate(
     x = rng.standard_normal((n, D))
     if kind == "switch":
         x[:, 0] += 3.0 * component
-    p = _sigmoid(_logits(kind, x, component, sin_coeff))
+    p = sigmoid_array(_logits(kind, x, component, sin_coeff))
     y = (rng.uniform(size=n) < p).astype(int)
 
-    samples = []
-    for i in range(n):
-        c = int(component[i])
-        truth = truth_for(kind, c) if kind == "switch" else _TRUTH[kind]
-        samples.append(LabeledSample(x=x[i], p=float(p[i]), y=int(y[i]), truth=truth, component=c))
-    return samples
+    if kind == "switch":
+        truth = np.where(component[:, None] == 1, truth_for(kind, 1), truth_for(kind, -1))
+    else:
+        truth = np.tile(truth_for(kind), (n, 1))
+    return Dataset(x=x, p=p, y=y, component=component, truth=truth)
 
 
 def exact_probability(
@@ -188,45 +187,47 @@ def exact_probability(
         comp = np.array([component])
     else:
         comp = np.zeros(1, dtype=int)
-    return float(_sigmoid(_logits(kind, x[None, :], comp, sin_coeff))[0])
+    return float(sigmoid_array(_logits(kind, x[None, :], comp, sin_coeff))[0])
 
 
-def as_arrays(samples: list[LabeledSample]):
-    """Stack samples into (X, p, y) arrays plus the list of truth sets."""
-    x = np.stack([s.x for s in samples])
-    p = np.array([s.p for s in samples])
-    y = np.array([s.y for s in samples], dtype=int)
-    truths = [s.truth for s in samples]
-    return x, p, y, truths
+def as_arrays(data: Dataset):
+    """The (x, p, y, truth) columns of a dataset, without copying."""
+    return data.x, data.p, data.y, data.truth
 
 
 _HEADER = [f"x{i}" for i in range(D)] + ["p", "y", "truth"]
 
 
-def write_csv(samples: list[LabeledSample], path) -> None:
-    """Write samples with full-precision floats (repr round-trips exactly)."""
+def write_csv(data: Dataset, path) -> None:
+    """Write a dataset with full-precision floats (repr round-trips exactly)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
-        for s in samples:
-            row = [repr(float(v)) for v in s.x]
-            row.append(repr(float(s.p)))
-            row.append(str(int(s.y)))
-            row.append("|".join(str(i) for i in s.truth))
-            writer.writerow(row)
+        for x, p, y, truth in zip(data.x, data.p.tolist(), data.y.tolist(), data.truth.tolist()):
+            writer.writerow([*map(repr, x.tolist()), repr(p), str(y), "|".join(map(str, truth))])
 
 
-def _component_from_truth(truth: tuple[int, ...]) -> int:
+def _parse_truth(text: str) -> tuple[tuple[int, ...], int]:
+    """Truth column to (indices, switch component)."""
+    truth = tuple(int(i) for i in text.split("|")) if text else ()
     if truth == _TRUTH[("switch", 1)]:
-        return 1
+        return truth, 1
     if truth == _TRUTH[("switch", -1)]:
-        return -1
-    return 0
+        return truth, -1
+    return truth, 0
 
 
-def read_csv(path) -> list[LabeledSample]:
-    """Inverse of :func:`write_csv`; raises with a line number on bad rows."""
-    samples = []
+def read_csv(path) -> Dataset:
+    """Inverse of :func:`write_csv`; raises with a line number on bad rows.
+
+    Rows go one at a time into flat typed buffers, so at most one row is
+    held as text.  Features must be finite and every truth set must have
+    the size of the first.
+    """
+    xp = array("d")  # x0..x9 then p, row after row
+    y, component, truth = array("q"), array("q"), array("q")
+    parsed: dict[str, tuple[tuple[int, ...], int]] = {}  # truth column text -> parse
+    t_size = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -240,19 +241,37 @@ def read_csv(path) -> list[LabeledSample]:
                     f"expected {len(_HEADER)} fields, got {len(row)}", line=lineno
                 )
             try:
-                x = np.array([float(v) for v in row[:D]])
-                p = float(row[D])
-                y = int(row[D + 1])
-                truth = tuple(int(i) for i in row[D + 2].split("|")) if row[D + 2] else ()
+                values = [float(v) for v in row[: D + 1]]
+                label = int(row[D + 1])
+                if row[D + 2] not in parsed:
+                    parsed[row[D + 2]] = _parse_truth(row[D + 2])
             except ValueError as e:
                 raise CsvFormatError(f"unparseable value: {e}", line=lineno) from None
-            if not 0.0 <= p <= 1.0:
-                raise CsvFormatError(f"p={p} outside [0, 1]", line=lineno)
-            if y not in (0, 1):
-                raise CsvFormatError(f"label {y} not in {{0, 1}}", line=lineno)
-            samples.append(
-                LabeledSample(x=x, p=p, y=y, truth=truth, component=_component_from_truth(truth))
-            )
-    if not samples:
+            if not all(map(math.isfinite, values[:D])):
+                raise CsvFormatError("non-finite feature value", line=lineno)
+            if not 0.0 <= values[D] <= 1.0:
+                raise CsvFormatError(f"p={values[D]} outside [0, 1]", line=lineno)
+            if label not in (0, 1):
+                raise CsvFormatError(f"label {label} not in {{0, 1}}", line=lineno)
+            indices, comp = parsed[row[D + 2]]
+            if t_size is None:
+                t_size = len(indices)
+            elif len(indices) != t_size:
+                raise CsvFormatError(
+                    f"truth set of size {len(indices)}, earlier rows have {t_size}", line=lineno
+                )
+            xp.extend(values)
+            y.append(label)
+            component.append(comp)
+            truth.extend(indices)
+    n = len(y)
+    if n == 0:
         raise CsvFormatError("file contains a header but no samples")
-    return samples
+    cols = np.frombuffer(xp, dtype=np.float64).reshape(n, D + 1)
+    return Dataset(
+        x=np.ascontiguousarray(cols[:, :D]),
+        p=cols[:, D].copy(),
+        y=np.array(y, dtype=int),
+        component=np.array(component, dtype=int),
+        truth=np.array(truth, dtype=int).reshape(n, t_size),
+    )

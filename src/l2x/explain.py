@@ -8,6 +8,9 @@ the classifier's top-class logit with respect to the input:
 * taylor ranks by the signed product input * gradient (an ``absolute``
   switch gives the unsigned variant).
 
+Every method scores a whole (n, d) batch at once; the single-row
+functions run the same kernels on a batch of one.
+
 Explanations serialize as JSON lines: {id, method, scores, selected, ns}.
 """
 
@@ -24,6 +27,8 @@ from .sampling import hard_top_k
 
 __all__ = [
     "Explanation",
+    "input_gradient",
+    "method_scores",
     "explain_l2x",
     "explain_saliency",
     "explain_taylor",
@@ -62,11 +67,55 @@ class Explanation:
         )
 
 
-def _as_row(x) -> np.ndarray:
+def input_gradient(classifier, x: np.ndarray) -> np.ndarray:
+    """Per-row gradient of the argmax class's pre-softmax logit w.r.t. the row.
+
+    One taped pass through the classifier's layers over all n rows of
+    ``x``, then one backward pass: rows never interact, so the gradient
+    of the summed top-class logits holds every row's own gradient.  Costs
+    n classifier evaluations.
+    """
+    leaf = ad.ParameterSet()
+    logits = classifier.logits_tensor(leaf.add("x", x))
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(logits.shape[0]), logits.data.argmax(axis=1)] = 1.0
+    target = ad.reduce_sum(ad.mul(logits, ad.constant(onehot)))
+    return ad.backward(target, leaf)["x"]
+
+
+def method_scores(
+    method: str, x: np.ndarray, explainer=None, classifier=None, absolute: bool = False
+) -> tuple[str, np.ndarray]:
+    """(recorded method name, (n, d) scores) for every row of ``x``.
+
+    ``absolute`` (or the method name ``taylor-abs``) ranks taylor scores
+    by magnitude and records the method as ``taylor-abs``.
+    """
+    if method == "l2x":
+        if explainer is None:
+            raise ValueError("method 'l2x' requires an explainer")
+        return "l2x", explainer.scores(x)
+    if method not in ("saliency", "taylor", "taylor-abs"):
+        raise ValueError(f"unknown method {method!r}")
+    if classifier is None:
+        raise ValueError(f"method {method!r} requires a classifier")
+    grad = input_gradient(classifier, x)
+    if method == "saliency":
+        return "saliency", np.abs(grad)
+    if absolute or method == "taylor-abs":
+        return "taylor-abs", np.abs(x * grad)
+    return "taylor", x * grad
+
+
+def _explain_row(method: str, x, k: int, sample_id: int, **models) -> Explanation:
+    """One row through the batched kernels, as a batch of one."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a single (d,) sample, got shape {x.shape}")
-    return x
+    t0 = time.perf_counter_ns()
+    name, scores = method_scores(method, x[None, :], **models)
+    selected = hard_top_k(scores[0], k)
+    return Explanation(sample_id, name, scores[0], selected, time.perf_counter_ns() - t0)
 
 
 def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
@@ -74,40 +123,12 @@ def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
 
     One explainer forward pass; the classifier is never evaluated.
     """
-    x = _as_row(x)
-    t0 = time.perf_counter_ns()
-    scores = explainer.scores(x)
-    selected = hard_top_k(scores, k)
-    wall = time.perf_counter_ns() - t0
-    return Explanation(sample_id, "l2x", scores, selected, wall)
-
-
-def _top_class_input_gradient(classifier, x: np.ndarray) -> np.ndarray:
-    """Gradient of the argmax class's pre-softmax logit w.r.t. the input."""
-    leaf = ad.ParameterSet()
-    xt = leaf.add("x", x[None, :])
-    spec = classifier.spec
-    n_layers = len(spec.layer_widths) - 1
-    h = xt
-    for i in range(n_layers):
-        z = ad.add_bias(ad.matmul(h, classifier.params[f"w{i}"]), classifier.params[f"b{i}"])
-        h = ad.relu(z) if i < n_layers - 1 else z
-    classifier.eval_count += 1
-    onehot = np.zeros((1, spec.output_width))
-    onehot[0, int(np.argmax(h.data[0]))] = 1.0
-    target = ad.reduce_sum(ad.mul(h, ad.constant(onehot)))
-    grads = ad.backward(target, leaf)
-    return grads["x"][0]
+    return _explain_row("l2x", x, k, sample_id, explainer=explainer)
 
 
 def explain_saliency(classifier, x, k: int, sample_id: int = 0) -> Explanation:
     """Rank features by the absolute input gradient of the top-class logit."""
-    x = _as_row(x)
-    t0 = time.perf_counter_ns()
-    scores = np.abs(_top_class_input_gradient(classifier, x))
-    selected = hard_top_k(scores, k)
-    wall = time.perf_counter_ns() - t0
-    return Explanation(sample_id, "saliency", scores, selected, wall)
+    return _explain_row("saliency", x, k, sample_id, classifier=classifier)
 
 
 def explain_taylor(
@@ -117,16 +138,7 @@ def explain_taylor(
 
     Scores are signed by default; ``absolute=True`` ranks by magnitude.
     """
-    x = _as_row(x)
-    t0 = time.perf_counter_ns()
-    scores = x * _top_class_input_gradient(classifier, x)
-    method = "taylor"
-    if absolute:
-        scores = np.abs(scores)
-        method = "taylor-abs"
-    selected = hard_top_k(scores, k)
-    wall = time.perf_counter_ns() - t0
-    return Explanation(sample_id, method, scores, selected, wall)
+    return _explain_row("taylor", x, k, sample_id, classifier=classifier, absolute=absolute)
 
 
 def write_jsonl(explanations, path) -> None:

@@ -9,6 +9,8 @@ of t true features yields (t+1)/2.
 Post-hoc accuracy scores fidelity to the classifier: how often does the
 classifier's prediction on the masked input (unselected features zeroed)
 agree with its prediction on the full input.
+
+Both take whole (n, .) arrays and run without a per-row loop.
 """
 
 from __future__ import annotations
@@ -30,14 +32,35 @@ __all__ = [
 
 
 def ranks_of(scores: np.ndarray) -> np.ndarray:
-    """Rank per feature, 1 = highest score; ties go to the lower index."""
+    """Rank per feature, 1 = highest score; ties go to the lower index.
+
+    Works on one (d,) score vector or row by row on an (n, d) matrix.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError(f"scores must be a vector, got shape {scores.shape}")
-    order = np.argsort(-scores, kind="stable")
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
-    ranks[order] = np.arange(1, scores.shape[0] + 1)
+    if scores.ndim not in (1, 2):
+        raise ValueError(f"scores must be a vector or a matrix, got shape {scores.shape}")
+    order = np.argsort(-scores, axis=-1, kind="stable")
+    ranks = np.empty(scores.shape, dtype=np.float64)
+    np.put_along_axis(ranks, order, np.arange(1.0, scores.shape[-1] + 1), axis=-1)
     return ranks
+
+
+def _index_rows(rows, what: str) -> np.ndarray:
+    """One index set per sample as an (n, t) int array; all sets one size."""
+    try:
+        out = np.asarray(rows, dtype=np.int64)
+    except ValueError:
+        raise ValueError(f"{what} vary in size") from None
+    if out.ndim != 2:
+        raise ValueError(f"{what} must be one index set per sample, got shape {out.shape}")
+    return out
+
+
+def _check_range(index: np.ndarray, d: int, what: str) -> None:
+    bad = np.flatnonzero(((index < 0) | (index >= d)).any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{what} {tuple(index[i].tolist())} out of range for d={d} at sample {i}")
 
 
 @dataclass(frozen=True)
@@ -50,29 +73,23 @@ class MedianRankReport:
     d: int
 
 
-def median_rank(scores_list, truths, d: int) -> MedianRankReport:
+def median_rank(scores, truths, d: int) -> MedianRankReport:
     """Score feature rankings against known true features.
 
-    ``scores_list``: one length-d score vector per sample.  ``truths``:
-    the matching ground-truth index sets, all of one size t; the optimal
-    per-sample value (t+1)/2 is reported alongside.
+    ``scores``: (n, d), one score row per sample.  ``truths``: (n, t), the
+    matching ground-truth index sets; the optimal per-sample value
+    (t+1)/2 is reported alongside.
     """
-    if len(scores_list) != len(truths):
-        raise ValueError(f"{len(scores_list)} score vectors vs {len(truths)} truth sets")
-    if len(scores_list) == 0:
+    if len(scores) != len(truths):
+        raise ValueError(f"{len(scores)} score vectors vs {len(truths)} truth sets")
+    if len(scores) == 0:
         raise ValueError("need at least one sample")
-    t_size = len(truths[0])
-    per_sample = np.empty(len(scores_list))
-    for i, (scores, truth) in enumerate(zip(scores_list, truths)):
-        truth = tuple(int(j) for j in truth)
-        if len(truth) != t_size:
-            raise ValueError(f"truth sets vary in size: {t_size} vs {len(truth)} at sample {i}")
-        if any(j < 0 or j >= d for j in truth):
-            raise ValueError(f"truth indices {truth} out of range for d={d} at sample {i}")
-        r = ranks_of(scores)
-        if r.shape[0] != d:
-            raise ValueError(f"score vector at sample {i} has length {r.shape[0]}, expected {d}")
-        per_sample[i] = float(np.median(r[list(truth)]))
+    truth = _index_rows(truths, "truth sets")
+    _check_range(truth, d, "truth indices")
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] != d:
+        raise ValueError(f"scores have shape {scores.shape}, expected ({len(truth)}, {d})")
+    per_sample = np.median(np.take_along_axis(ranks_of(scores), truth, axis=1), axis=1)
 
     q1, med, q3 = np.percentile(per_sample, [25.0, 50.0, 75.0])
     summary = {
@@ -86,7 +103,7 @@ def median_rank(scores_list, truths, d: int) -> MedianRankReport:
     return MedianRankReport(
         per_sample=per_sample,
         summary=summary,
-        optimal_median=(t_size + 1) / 2.0,
+        optimal_median=(truth.shape[1] + 1) / 2.0,
         d=d,
     )
 
@@ -104,8 +121,8 @@ class PostHocReport:
 def post_hoc_accuracy(classifier, x: np.ndarray, selections, method: str = "") -> PostHocReport:
     """Agreement of argmax predictions on masked vs full inputs.
 
-    ``selections`` holds one selected-index tuple per row of ``x``; the
-    complement of each is zeroed before the masked prediction.
+    ``selections`` is (n, k): one selected-index set per row of ``x``;
+    the complement of each is zeroed before the masked prediction.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -113,19 +130,19 @@ def post_hoc_accuracy(classifier, x: np.ndarray, selections, method: str = "") -
     n, d = x.shape
     if len(selections) != n:
         raise ValueError(f"{len(selections)} selections for {n} samples")
+    if n == 0:
+        raise ValueError("need at least one sample")
+    sel = _index_rows(selections, "selections")
+    _check_range(sel, d, "selection")
 
+    rows = np.arange(n)[:, None]
     masked = np.zeros_like(x)
-    for i, sel in enumerate(selections):
-        idx = [int(j) for j in sel]
-        if any(j < 0 or j >= d for j in idx):
-            raise ValueError(f"selection {sel} out of range for d={d} at sample {i}")
-        masked[i, idx] = x[i, idx]
+    masked[rows, sel] = x[rows, sel]
 
     full_pred = np.argmax(classifier.predict_proba(x), axis=1)
     masked_pred = np.argmax(classifier.predict_proba(masked), axis=1)
     matches = int((full_pred == masked_pred).sum())
-    k = len(selections[0]) if n else 0
-    return PostHocReport(accuracy=matches / n, n=n, k=k, method=method)
+    return PostHocReport(accuracy=matches / n, n=n, k=sel.shape[1], method=method)
 
 
 def write_ranks_csv(rows, path) -> None:

@@ -1,4 +1,4 @@
-"""The three networks and the masking transform.
+"""The three networks and their byte format.
 
 * ``Classifier`` is the black box being explained: its softmax output is
   read as a conditional distribution over classes, and it counts how
@@ -28,7 +28,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 from .errors import ModelFormatError, ModelVersionError
-from .sampling import RelaxedMask
 
 __all__ = [
     "MlpSpec",
@@ -39,7 +38,6 @@ __all__ = [
     "build_classifier",
     "build_explainer",
     "build_variational",
-    "mask_input",
     "serialize",
     "deserialize",
     "save_model",
@@ -114,12 +112,6 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
     return params
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 class Mlp:
     """Relu MLP over a :class:`ParameterSet`; subclasses fix the role."""
 
@@ -142,8 +134,8 @@ class Mlp:
                 f"{self.kind} expects input width {self.spec.input_width}, got {width}"
             )
 
-    def forward_tensor(self, x: Tensor) -> Tensor:
-        """Taped forward pass over a (batch, d) input."""
+    def logits_tensor(self, x: Tensor) -> Tensor:
+        """Taped pass through the layers over a (batch, d) input, before the head."""
         if x.data.ndim != 2:
             raise ValueError(f"expected (batch, d) input, got shape {x.shape}")
         self._check_width(x.shape[1])
@@ -152,6 +144,11 @@ class Mlp:
         for i in range(n_layers):
             z = ad.add_bias(ad.matmul(h, self.params[f"w{i}"]), self.params[f"b{i}"])
             h = ad.relu(z) if i < n_layers - 1 else z
+        return h
+
+    def forward_tensor(self, x: Tensor) -> Tensor:
+        """Taped forward pass over a (batch, d) input."""
+        h = self.logits_tensor(x)
         return ad.softmax(h) if self.spec.head == "softmax" else h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -168,7 +165,7 @@ class Mlp:
         for i in range(n_layers):
             z = h @ self.params[f"w{i}"].data + self.params[f"b{i}"].data
             h = z * (z > 0.0) if i < n_layers - 1 else z
-        out = _softmax_rows(h) if self.spec.head == "softmax" else h
+        out = ad.softmax_array(h) if self.spec.head == "softmax" else h
         return out[0] if single else out
 
 
@@ -183,9 +180,9 @@ class Classifier(Mlp):
         super().__init__(spec, params)
         self.eval_count = 0
 
-    def forward_tensor(self, x: Tensor) -> Tensor:
+    def logits_tensor(self, x: Tensor) -> Tensor:
         self.eval_count += x.shape[0]
-        return super().forward_tensor(x)
+        return super().logits_tensor(x)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         out = self.forward(x)
@@ -242,42 +239,6 @@ def build_variational(
     d: int, n_classes: int, rng: np.random.Generator, hidden: tuple[int, ...] = (200, 200, 200)
 ) -> VariationalNet:
     return VariationalNet.build(MlpSpec((d, *hidden, n_classes), head="softmax"), rng)
-
-
-def _hard_indicator(d: int, feature_set) -> np.ndarray:
-    indices = sorted(set(int(i) for i in feature_set))
-    if any(i < 0 or i >= d for i in indices):
-        raise ValueError(f"feature indices {indices} out of range for d={d}")
-    ind = np.zeros(d)
-    ind[indices] = 1.0
-    return ind
-
-
-def mask_input(x, mask):
-    """Zero out unselected features.
-
-    ``mask`` is either a hard feature set (iterable of indices: the
-    complement is zeroed) or a :class:`RelaxedMask` (elementwise product
-    with V, differentiable through the relaxation).  ``x`` may be a
-    Tensor or ndarray, a single row or a batch; the result matches.
-    """
-    is_tensor = isinstance(x, Tensor)
-    data = x.data if is_tensor else np.asarray(x, dtype=np.float64)
-    d = data.shape[-1]
-
-    if isinstance(mask, RelaxedMask):
-        if mask.V.shape[0] != d:
-            raise ValueError(f"mask width {mask.V.shape[0]} does not match input width {d}")
-        xt = x if is_tensor else ad.constant(data)
-        if data.ndim == 1:
-            return ad.mul(mask.V, xt)
-        raise ValueError("relaxed masks apply to a single row; batch via batched_relaxed_mask")
-
-    ind = _hard_indicator(d, mask)
-    if is_tensor:
-        full = ind if data.ndim == 1 else np.broadcast_to(ind, data.shape).copy()
-        return ad.mul(x, ad.constant(full))
-    return data * ind
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +318,10 @@ def save_model(net: Mlp, path) -> None:
         fh.write(serialize(net))
 
 
-def load_model(path) -> Mlp:
+def load_model(path, kind: str | None = None) -> Mlp:
+    """Read a checkpoint; with ``kind``, reject a network of any other kind."""
     with open(path, "rb") as fh:
-        return deserialize(fh.read())
+        net = deserialize(fh.read())
+    if kind is not None and net.kind != kind:
+        raise ModelFormatError(f"{path} holds a {net.kind} network; expected kind {kind!r}")
+    return net

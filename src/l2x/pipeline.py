@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import DEFAULT_SIN_COEFF, D, as_arrays, canonical_kind, generate, k_for
-from .explain import Explanation, explain_saliency, explain_taylor, write_jsonl
+from .explain import Explanation, method_scores, write_jsonl
 from .metrics import MedianRankReport, PostHocReport, median_rank, post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
 from .oracle import brute_force_best_subset, exact_conditional, jensen_gap, random_binary_joint
@@ -89,7 +88,6 @@ class RunConfig:
             temperature=self.temperature,
             batch_size=min(self.batch_size, self.n_train),
             epochs=self.epochs,
-            train_size=self.n_train,
             seed=self.seed,
             warmup_epochs=self.warmup_epochs,
         )
@@ -106,39 +104,23 @@ def explain_dataset(
 ) -> list[Explanation]:
     """Explain every row of ``x``; ids are row positions.
 
-    The learned method runs as a single batched forward pass (its
-    per-sample ns is the batch total amortized over rows); the gradient
-    baselines run per sample, fanned out over ``threads`` workers.
+    Every method scores all rows in one batched pass and selects with one
+    top-k call; each explanation's ns is the total amortized over rows.
+    ``threads`` is accepted for older callers and has no effect.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected (n, d) inputs, got shape {x.shape}")
     n = x.shape[0]
-    if method == "l2x":
-        if explainer is None:
-            raise ValueError("method 'l2x' requires an explainer")
-        t0 = time.perf_counter_ns()
-        scores = explainer.scores(x)
-        selections = [hard_top_k(row, k) for row in scores]
-        per_sample = (time.perf_counter_ns() - t0) // n
-        return [
-            Explanation(i, "l2x", scores[i], selections[i], per_sample) for i in range(n)
-        ]
-    if method in ("saliency", "taylor", "taylor-abs"):
-        if classifier is None:
-            raise ValueError(f"method {method!r} requires a classifier")
-        flag = absolute or method == "taylor-abs"
-
-        def one(i: int) -> Explanation:
-            if method == "saliency":
-                return explain_saliency(classifier, x[i], k, sample_id=i)
-            return explain_taylor(classifier, x[i], k, sample_id=i, absolute=flag)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(one, range(n)))
-        return [one(i) for i in range(n)]
-    raise ValueError(f"unknown method {method!r}")
+    if n == 0:
+        raise ValueError("need at least one sample")
+    t0 = time.perf_counter_ns()
+    name, scores = method_scores(method, x, explainer, classifier, absolute)
+    selections = hard_top_k(scores, k).tolist()
+    per_sample = (time.perf_counter_ns() - t0) // n
+    return [
+        Explanation(i, name, scores[i], tuple(sel), per_sample) for i, sel in enumerate(selections)
+    ]
 
 
 def ranks_for(explanations: list[Explanation], truths, d: int) -> MedianRankReport:
@@ -146,7 +128,7 @@ def ranks_for(explanations: list[Explanation], truths, d: int) -> MedianRankRepo
     items = sorted(explanations, key=lambda e: e.sample_id)
     if [e.sample_id for e in items] != list(range(len(truths))):
         raise ValueError("explanation ids do not cover the dataset exactly once")
-    return median_rank([e.scores for e in items], truths, d)
+    return median_rank(np.stack([e.scores for e in items]), truths, d)
 
 
 def posthoc_for(classifier, x: np.ndarray, explanations: list[Explanation]) -> PostHocReport:
@@ -167,7 +149,7 @@ def write_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def run_benchmark(config: RunConfig, out_dir, threads: int = 1, reuse: bool = False) -> dict:
+def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
     """Run the full pipeline for one dataset and write the artifact set.
 
     With ``reuse`` the three checkpoints are loaded from ``out_dir``
@@ -198,9 +180,9 @@ def run_benchmark(config: RunConfig, out_dir, threads: int = 1, reuse: bool = Fa
     }
 
     if reuse:
-        clf = load_model(out / "model.l2x")
-        explainer = load_model(out / "explainer.l2x")
-        variational = load_model(out / "variational.l2x")
+        clf = load_model(out / "model.l2x", kind="classifier")
+        explainer = load_model(out / "explainer.l2x", kind="explainer")
+        variational = load_model(out / "variational.l2x", kind="variational")
         pred = clf.predict_proba(x_va).argmax(axis=1)
         summary["classifier"] = {"val_accuracy": float((pred == y_va).mean())}
         timings["train_model_ms"] = None
@@ -241,7 +223,7 @@ def run_benchmark(config: RunConfig, out_dir, threads: int = 1, reuse: bool = Fa
         clf.reset_eval_count()
         t0 = time.perf_counter_ns()
         explanations = explain_dataset(
-            method, x_va, k, explainer=explainer, classifier=clf, threads=threads
+            method, x_va, k, explainer=explainer, classifier=clf
         )
         total_ns = time.perf_counter_ns() - t0
         summary["classifier_evals"][method] = clf.eval_count

@@ -1,7 +1,7 @@
 """Named random substreams derived from one root seed.
 
 Every stochastic stage (data generation, weight init, relaxation noise,
-shuffling, label sampling) draws from its own child of the root
+shuffling) draws from its own child of the root
 ``SeedSequence``, so adding draws to one stage never perturbs another
 and full runs are reproducible from a single integer.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-STREAMS = ("data", "init", "noise", "shuffle", "labels")
+STREAMS = ("data", "init", "noise", "shuffle")
 
 _STREAM_IDS = {name: i for i, name in enumerate(STREAMS)}
 

@@ -153,13 +153,17 @@ def batched_relaxed_mask(log_weights: Tensor, noise: np.ndarray, temperature: fl
     return ad.reduce_max(concrete, axis=1)
 
 
-def hard_top_k(scores, k: int) -> tuple[int, ...]:
-    """Indices of the k largest scores, ascending; ties go to lower indices."""
+def hard_top_k(scores, k: int):
+    """Indices of the k largest scores, ascending; ties go to lower indices.
+
+    A (d,) vector gives a tuple of ints.  An (n, d) matrix gives an (n, k)
+    int array whose row i is the selection for score row i.
+    """
     s = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ValueError(f"scores must be a vector, got shape {s.shape}")
-    if not 1 <= k <= s.shape[0]:
-        raise ValueError(f"k must satisfy 1 <= k <= {s.shape[0]}, got {k}")
+    if s.ndim not in (1, 2):
+        raise ValueError(f"scores must be a vector or a matrix, got shape {s.shape}")
+    if not 1 <= k <= s.shape[-1]:
+        raise ValueError(f"k must satisfy 1 <= k <= {s.shape[-1]}, got {k}")
     # stable sort of -scores keeps equal entries in index order
-    top = np.argsort(-s, kind="stable")[:k]
-    return tuple(sorted(int(i) for i in top))
+    top = np.sort(np.argsort(-s, axis=-1, kind="stable")[..., :k], axis=-1)
+    return tuple(top.tolist()) if s.ndim == 1 else top

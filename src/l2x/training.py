@@ -85,17 +85,15 @@ class TrainConfig:
     temperature: float = 0.1
     batch_size: int = 1000
     epochs: int = 10
-    train_size: int = 100_000
     seed: int = 0
     rmsprop_decay: float = 0.9
     rmsprop_epsilon: float = 1e-7
-    noise_draws: int = 1
     warmup_epochs: int = 2
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-        for name in ("learning_rate", "temperature", "batch_size", "train_size", "noise_draws"):
+        for name in ("learning_rate", "temperature", "batch_size"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         # zero epochs is allowed: it yields an untrained network
@@ -114,7 +112,6 @@ class ObjectiveEstimate:
 
     value: float
     batch_size: int
-    noise_seed: int | None = None
     root: Tensor = field(default=None, repr=False)  # graph root, for backward
 
     def __post_init__(self):
@@ -148,7 +145,6 @@ def l2x_objective(
     noise: np.ndarray,
     temperature: float,
     k: int,
-    noise_seed: int | None = None,
 ) -> ObjectiveEstimate:
     """Build the objective graph for one batch; higher is better, max 0.
 
@@ -171,9 +167,7 @@ def l2x_objective(
         raise ValueError(
             f"class-count mismatch: classifier emits {pm.shape[1]}, variational emits {q_width}"
         )
-    est = _frozen_objective(x, pm, explainer, variational, noise, temperature)
-    est.noise_seed = noise_seed
-    return est
+    return _frozen_objective(x, pm, explainer, variational, noise, temperature)
 
 
 def _batch_noise(rng: np.random.Generator, b: int, k: int, d: int) -> np.ndarray:
@@ -291,35 +285,19 @@ def train_l2x(
         active = variational_only if epoch < config.warmup_epochs else joint
         shuffle_rng = substream(config.seed, "shuffle", epoch)
         for idx in _shuffled_batches(n, config.batch_size, shuffle_rng):
-            noise_rng = substream(config.seed, "noise", step_index)
-            b = len(idx)
-            batch_objectives = []
-            grads = None
-            for _ in range(config.noise_draws):
-                noise = _batch_noise(noise_rng, b, config.k, d)
-                try:
-                    est = _frozen_objective(
-                        x[idx], pm_all[idx], explainer, variational, noise, config.temperature
-                    )
-                except NumericError as e:
-                    raise NumericError(f"{e} at step {step_index}") from None
-                if not np.isfinite(est.value):
-                    raise NumericError(
-                        f"objective became {est.value} at step {step_index}"
-                    )
-                draw_grads = ad.backward(est.root, active)
-                if grads is None:
-                    grads = draw_grads
-                else:
-                    for name in grads:
-                        grads[name] = grads[name] + draw_grads[name]
-                batch_objectives.append(est.value)
-            if config.noise_draws > 1:
-                for name in grads:
-                    grads[name] = grads[name] / config.noise_draws
+            noise = _batch_noise(substream(config.seed, "noise", step_index), len(idx), config.k, d)
+            try:
+                est = _frozen_objective(
+                    x[idx], pm_all[idx], explainer, variational, noise, config.temperature
+                )
+            except NumericError as e:
+                raise NumericError(f"{e} at step {step_index}") from None
+            if not np.isfinite(est.value):
+                raise NumericError(f"objective became {est.value} at step {step_index}")
+            grads = ad.backward(est.root, active)
             # ascent on the objective
             opt.step(active, {name: -g for name, g in grads.items()})
-            values.append(float(np.mean(batch_objectives)))
+            values.append(est.value)
             step_index += 1
         curve.append(EpochStat(epoch, float(np.mean(values)), (time.perf_counter() - t0) * 1e3))
 

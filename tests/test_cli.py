@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from l2x import cli
@@ -43,8 +42,8 @@ class TestGenerate:
         assert run("generate", "--dataset", "orange_skin", "--n", 50, "--seed", 3, "--out", a) == 0
         assert run("generate", "--dataset", "orange-skin", "--n", 50, "--seed", 3, "--out", b) == 0
         assert a.read_bytes() == b.read_bytes()
-        samples = read_csv(a)
-        assert len(samples) == 50 and samples[0].truth == (0, 1, 2, 3)
+        data = read_csv(a)
+        assert len(data) == 50 and data.truth[0].tolist() == [0, 1, 2, 3]
 
     def test_unknown_dataset_exits_2(self, tmp_path, capsys):
         assert run("generate", "--dataset", "mnist", "--out", tmp_path / "x.csv") == 2
@@ -80,16 +79,6 @@ class TestTrainModel:
         assert "untrained" in capsys.readouterr().err
         assert load_model(out).spec.output_width == 2
 
-    def test_nan_input_exits_3(self, workdir, tmp_path, capsys):
-        rows = (workdir / "train.csv").read_text().splitlines()
-        fields = rows[1].split(",")
-        fields[0] = "nan"
-        bad = tmp_path / "nan.csv"
-        bad.write_text(rows[0] + "\n" + ",".join(fields) + "\n" + "\n".join(rows[2:10]) + "\n")
-        assert run("train-model", "--data", bad, "--out-model", tmp_path / "m.l2x",
-                   "--epochs", 1, "--batch-size", 8, "--hidden", "8,8,8") == 3
-        assert "non-finite" in capsys.readouterr().err
-
 
 class TestExplain:
     @pytest.mark.parametrize("method", ["l2x", "saliency", "taylor", "taylor-abs"])
@@ -113,19 +102,6 @@ class TestExplain:
     def test_unknown_method_exits_2(self, workdir, tmp_path):
         assert run("explain", "--data", workdir / "valid.csv", "--method", "lime",
                    "--model", workdir / "model.l2x", "--out", tmp_path / "x.jsonl") == 2
-
-    def test_threads_env_fallback_matches_single_thread(self, workdir, tmp_path, monkeypatch):
-        single = tmp_path / "s1.jsonl"
-        assert run("explain", "--data", workdir / "valid.csv", "--method", "saliency",
-                   "--model", workdir / "model.l2x", "--out", single) == 0
-        monkeypatch.setenv("L2X_THREADS", "3")
-        multi = tmp_path / "s3.jsonl"
-        assert run("explain", "--data", workdir / "valid.csv", "--method", "saliency",
-                   "--model", workdir / "model.l2x", "--out", multi) == 0
-        a, b = read_jsonl(single), read_jsonl(multi)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.scores, y.scores)
-            assert x.selected == y.selected
 
 
 class TestEvaluate:
@@ -188,6 +164,12 @@ class TestBenchmark:
         timings = json.loads((out / "timings.json").read_text())
         assert timings["train_model_ms"] is None
 
+    def test_warmup_epochs_reach_the_run(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("benchmark", "--dataset", "xor", "--out-dir", out, "--all",
+                   "--warmup-epochs", 0, "--methods", "l2x", *BENCH_ARGS) == 0
+        assert json.loads((out / "summary.json").read_text())["warmup_epochs"] == 0
+
     def test_missing_artifacts_without_all_exits_4(self, tmp_path):
         assert run("benchmark", "--dataset", "xor", "--out-dir", tmp_path / "empty",
                    *BENCH_ARGS) == 4
@@ -242,3 +224,96 @@ class TestUsage:
 
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run("generate", "--dataset", "xor") == 2
+
+
+def _edit_csv(src: Path, dst: Path, line: int, column: int, value: str) -> Path:
+    """Copy of a dataset CSV with one field replaced (1-based line)."""
+    lines = src.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[column] = value
+    lines[line - 1] = ",".join(fields)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+def _edit_bytes(src: Path, dst: Path, edit) -> Path:
+    dst.write_bytes(edit(src.read_bytes()))
+    return dst
+
+
+def _written(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+# (id, argv builder taking (workdir, tmp_path), expected exit code)
+MALFORMED = [
+    ("nan-feature", lambda w, t: [
+        "train-model", "--data", _edit_csv(w / "train.csv", t / "bad.csv", 2, 0, "nan"),
+        "--out-model", t / "m.l2x", "--epochs", 1, "--hidden", "8,8,8"], 4),
+    ("inf-feature", lambda w, t: [
+        "explain", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 5, 3, "inf"),
+        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4),
+    ("truth-sizes-differ-explain", lambda w, t: [
+        "explain", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 4, 12, "0|1|2"),
+        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4),
+    ("truth-sizes-differ-evaluate", lambda w, t: [
+        "evaluate", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 4, 12, "0"),
+        "--explanations", w / "valid_l2x.jsonl", "--out-ranks", t / "r.csv"], 4),
+    ("explainer-given-a-classifier", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "l2x",
+        "--explainer", w / "model.l2x", "--out", t / "e.jsonl"], 4),
+    ("model-given-an-explainer", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "saliency",
+        "--model", w / "ex.l2x", "--out", t / "e.jsonl"], 4),
+    ("evaluate-model-given-a-variational", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv", "--explanations", w / "valid_l2x.jsonl",
+        "--model", w / "var.l2x", "--out-ranks", t / "r.csv"], 4),
+    ("train-explainer-model-given-an-explainer", lambda w, t: [
+        "train-explainer", "--data", w / "train.csv", "--model", w / "ex.l2x",
+        "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x", "--epochs", 1], 4),
+    ("missing-data-file", lambda w, t: [
+        "explain", "--data", t / "absent.csv", "--method", "l2x",
+        "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4),
+    ("bad-csv-header", lambda w, t: [
+        "explain", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 1, 0, "feature0"),
+        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4),
+    ("header-only-csv", lambda w, t: [
+        "explain", "--data", _edit_bytes(w / "valid.csv", t / "bad.csv", lambda b: b.split(b"\n")[0] + b"\n"),
+        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4),
+    ("bad-checkpoint-magic", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "l2x",
+        "--explainer", _edit_bytes(w / "ex.l2x", t / "bad.l2x", lambda b: b"NOPE" + b[4:]),
+        "--out", t / "e.jsonl"], 4),
+    ("truncated-checkpoint", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "saliency",
+        "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x", lambda b: b[:-50]),
+        "--out", t / "e.jsonl"], 4),
+    ("unknown-method", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "lime",
+        "--model", w / "model.l2x", "--out", t / "e.jsonl"], 2),
+    ("unknown-config-key", lambda w, t: [
+        "explain", "--config", _written(t / "bad.cfg", "bogus_key=1\n"),
+        "--data", w / "valid.csv", "--method", "l2x", "--out", t / "e.jsonl"], 2),
+    ("removed-threads-flag", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "saliency",
+        "--model", w / "model.l2x", "--threads", 2, "--out", t / "e.jsonl"], 2),
+]
+
+
+@pytest.fixture(scope="module")
+def malformed_workdir(workdir) -> Path:
+    """The shared corpus plus one valid explanation file to evaluate."""
+    if not (workdir / "valid_l2x.jsonl").exists():
+        assert run("explain", "--data", workdir / "valid.csv", "--method", "l2x",
+                   "--explainer", workdir / "ex.l2x", "--out", workdir / "valid_l2x.jsonl") == 0
+    return workdir
+
+
+@pytest.mark.parametrize("build, expected", [row[1:] for row in MALFORMED],
+                         ids=[row[0] for row in MALFORMED])
+def test_malformed_input_exit_code(malformed_workdir, tmp_path, capsys, build, expected):
+    assert run(*build(malformed_workdir, tmp_path)) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert ("bad input file" in err or "io error" in err) if expected == 4 else "usage" in err

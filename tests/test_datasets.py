@@ -97,52 +97,52 @@ class TestExactProbability:
 
 class TestGenerate:
     def test_shapes_and_ranges(self):
-        samples = ds.generate("xor", 200, 0)
-        assert len(samples) == 200
-        for s in samples[:10]:
-            assert s.x.shape == (10,)
-            assert 0.0 <= s.p <= 1.0
-            assert s.y in (0, 1)
-            assert s.truth == (0, 1)
-            assert s.component == 0
+        data = ds.generate("xor", 200, 0)
+        assert len(data) == 200
+        assert data.x.shape == (200, 10) and data.x.dtype == np.float64
+        assert data.p.shape == data.y.shape == data.component.shape == (200,)
+        assert np.all((0.0 <= data.p) & (data.p <= 1.0))
+        assert set(data.y.tolist()) <= {0, 1}
+        assert data.truth.shape == (200, 2)
+        assert np.all(data.truth == (0, 1))
+        assert np.all(data.component == 0)
 
     def test_determinism(self):
         a = ds.generate("switch", 50, 123)
         b = ds.generate("switch", 50, 123)
-        for s, t in zip(a, b):
-            np.testing.assert_array_equal(s.x, t.x)
-            assert s.p == t.p and s.y == t.y and s.truth == t.truth
+        for name in ("x", "p", "y", "component", "truth"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_stored_p_matches_exact_probability(self):
         for kind in ds.KINDS:
-            for s in ds.generate(kind, 30, 7):
-                comp = s.component if kind == "switch" else None
-                assert ds.exact_probability(kind, s.x, component=comp) == s.p
+            data = ds.generate(kind, 30, 7)
+            for x, p, comp in zip(data.x, data.p, data.component.tolist()):
+                comp = comp if kind == "switch" else None
+                assert ds.exact_probability(kind, x, component=comp) == p
 
     def test_truth_sizes(self):
         for kind, size in [("xor", 2), ("orange_skin", 4), ("nonlinear_additive", 4), ("switch", 5)]:
-            s = ds.generate(kind, 5, 1)[0]
-            assert len(s.truth) == size == ds.k_for(kind)
+            truth = ds.generate(kind, 5, 1).truth
+            assert truth.shape == (5, size) and size == ds.k_for(kind)
 
     def test_labels_consistent_with_probabilities(self):
-        samples = ds.generate("orange_skin", 100_000, 99)
-        _, p, y, _ = ds.as_arrays(samples)
+        data = ds.generate("orange_skin", 100_000, 99)
+        _, p, y, _ = ds.as_arrays(data)
         assert abs(y.mean() - p.mean()) < 0.01
 
     def test_switch_mixture_structure(self):
-        samples = ds.generate("switch", 100_000, 5)
-        comp = np.array([s.component for s in samples])
-        x0 = np.array([s.x[0] for s in samples])
+        data = ds.generate("switch", 100_000, 5)
+        comp, x0 = data.component, data.x[:, 0]
         assert abs((comp == 1).mean() - 0.5) < 0.01
         # x0 tracks its component's center
         assert abs(x0[comp == 1].mean() - 3.0) < 0.02
         assert abs(x0[comp == -1].mean() + 3.0) < 0.02
-        for s in samples[:50]:
-            assert s.truth == ((0, 1, 2, 3, 4) if s.component == 1 else (0, 5, 6, 7, 8))
+        assert np.all(data.truth[comp == 1] == (0, 1, 2, 3, 4))
+        assert np.all(data.truth[comp == -1] == (0, 5, 6, 7, 8))
 
     def test_non_switch_coordinates_standard_normal(self):
-        samples = ds.generate("xor", 100_000, 11)
-        x, _, _, _ = ds.as_arrays(samples)
+        data = ds.generate("xor", 100_000, 11)
+        x, _, _, _ = ds.as_arrays(data)
         assert abs(x.mean()) < 0.01
         assert abs(x.std() - 1.0) < 0.01
 
@@ -158,16 +158,13 @@ class TestGenerate:
 class TestCsv:
     def test_round_trip_bitwise(self, tmp_path):
         path = tmp_path / "data.csv"
-        samples = ds.generate("switch", 40, 3)
-        ds.write_csv(samples, path)
+        data = ds.generate("switch", 40, 3)
+        ds.write_csv(data, path)
         back = ds.read_csv(path)
-        assert len(back) == len(samples)
-        for s, t in zip(samples, back):
-            np.testing.assert_array_equal(s.x, t.x)
-            assert s.p == t.p
-            assert s.y == t.y
-            assert s.truth == t.truth
-            assert s.component == t.component
+        assert len(back) == len(data)
+        for name in ("x", "p", "y", "component", "truth"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(data, name))
+            assert getattr(back, name).dtype == getattr(data, name).dtype
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -211,4 +208,25 @@ class TestCsv:
         lines[1] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CsvFormatError, match=r"outside \[0, 1\].*|line 2"):
+            ds.read_csv(path)
+
+    def _corrupt(self, tmp_path, line: int, column: int, value: str):
+        path = tmp_path / "bad.csv"
+        ds.write_csv(ds.generate("xor", 4, 0), path)
+        lines = path.read_text().splitlines()
+        parts = lines[line - 1].split(",")
+        parts[column] = value
+        lines[line - 1] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected_with_line(self, tmp_path, value):
+        path = self._corrupt(tmp_path, line=3, column=4, value=value)
+        with pytest.raises(CsvFormatError, match="non-finite.*line 3"):
+            ds.read_csv(path)
+
+    def test_truth_sets_of_different_sizes_rejected_with_line(self, tmp_path):
+        path = self._corrupt(tmp_path, line=4, column=12, value="0|1|2")
+        with pytest.raises(CsvFormatError, match="truth set of size 3.*line 4"):
             ds.read_csv(path)

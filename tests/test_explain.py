@@ -8,6 +8,7 @@ import pytest
 from l2x import autodiff as ad
 from l2x import explain as ex
 from l2x.networks import Classifier, MlpSpec, build_classifier, build_explainer, init_params
+from l2x.pipeline import explain_dataset
 
 
 def linear_classifier(w):
@@ -160,6 +161,71 @@ class TestExplainTaylor:
             ):
                 assert len(e.selected) == k == len(set(e.selected))
                 assert all(0 <= i < 7 for i in e.selected)
+
+
+def row_gradient(clf, x):
+    """Top-class logit gradient of one row by hand-written backpropagation."""
+    n_layers = len(clf.spec.layer_widths) - 1
+    h, pre = x[None, :], []
+    for i in range(n_layers):
+        z = h @ clf.params[f"w{i}"].data + clf.params[f"b{i}"].data
+        pre.append(z)
+        h = z * (z > 0.0) if i < n_layers - 1 else z
+    g = np.zeros_like(h)
+    g[0, int(np.argmax(h[0]))] = 1.0
+    for i in reversed(range(n_layers)):
+        g = g @ clf.params[f"w{i}"].data.T
+        if i > 0:
+            g = g * (pre[i - 1] > 0.0)
+    return g[0]
+
+
+class TestBatchedExplanations:
+    """Every row of one batched pass against the one-row-at-a-time path."""
+
+    @pytest.mark.parametrize("width", [64, 200])
+    def test_gradient_baselines_match_per_row(self, width):
+        rng = np.random.default_rng(width)
+        clf = build_classifier(10, 2, rng, hidden=(width, width, width))
+        x = rng.normal(size=(500, 10))
+        k, tol = 4, 1e-12
+        for method, single in (("saliency", ex.explain_saliency), ("taylor", ex.explain_taylor)):
+            clf.reset_eval_count()
+            batched = explain_dataset(method, x, k, classifier=clf)
+            assert clf.eval_count == 500
+            for i, e in enumerate(batched):
+                grad = row_gradient(clf, x[i])
+                by_hand = np.abs(grad) if method == "saliency" else x[i] * grad
+                one = single(clf, x[i], k, sample_id=i)
+                assert np.abs(e.scores - by_hand).max() <= tol
+                assert np.abs(e.scores - one.scores).max() <= tol
+                if e.selected != one.selected:
+                    top = np.sort(one.scores)[::-1]
+                    assert top[k - 1] - top[k] <= tol, f"row {i} differs without a tie"
+
+    def test_l2x_matches_per_row(self):
+        rng = np.random.default_rng(12)
+        explainer = build_explainer(10, rng, hidden=(16, 16))
+        x = rng.normal(size=(300, 10))
+        for i, e in enumerate(explain_dataset("l2x", x, 3, explainer=explainer)):
+            one = ex.explain_l2x(explainer, x[i], 3, sample_id=i)
+            assert e.sample_id == i and e.selected == one.selected
+            np.testing.assert_allclose(e.scores, one.scores, rtol=0, atol=1e-12)
+
+    def test_taylor_abs_method_name(self):
+        clf = build_classifier(4, 2, np.random.default_rng(13), hidden=(5, 5, 5))
+        x = np.random.default_rng(14).normal(size=(6, 4))
+        signed = explain_dataset("taylor", x, 2, classifier=clf)
+        for unsigned in (explain_dataset("taylor-abs", x, 2, classifier=clf),
+                         explain_dataset("taylor", x, 2, classifier=clf, absolute=True)):
+            assert {e.method for e in unsigned} == {"taylor-abs"}
+            for a, b in zip(signed, unsigned):
+                np.testing.assert_array_equal(np.abs(a.scores), b.scores)
+
+    def test_zero_rows_rejected(self):
+        explainer = build_explainer(4, np.random.default_rng(15), hidden=(5, 5))
+        with pytest.raises(ValueError, match="at least one sample"):
+            explain_dataset("l2x", np.zeros((0, 4)), 2, explainer=explainer)
 
 
 class TestJsonl:

@@ -260,6 +260,10 @@ class TestRanks:
     def test_ties_to_lower_index(self):
         np.testing.assert_array_equal(mt.ranks_of(np.array([0.5, 0.5, 0.1])), [1, 2, 3])
 
+    def test_matrix_rows_match_vector_calls(self):
+        scores = np.random.default_rng(0).integers(0, 3, size=(50, 6)).astype(float)
+        np.testing.assert_array_equal(mt.ranks_of(scores), [mt.ranks_of(row) for row in scores])
+
 
 class TestMedianRank:
     def test_spec_examples(self):
@@ -292,6 +296,15 @@ class TestMedianRank:
         truths = [(0, 1)] * n
         report = mt.median_rank(scores, truths, d=d)
         assert abs(report.summary["median"] - (d + 1) / 2) <= 0.5
+
+    def test_array_input_matches_per_sample_definition(self):
+        rng = np.random.default_rng(4)
+        scores = rng.integers(0, 5, size=(300, 8)).astype(float)
+        truths = np.where(rng.uniform(size=(300, 1)) < 0.5, (0, 1, 2), (0, 5, 6))
+        report = mt.median_rank(scores, truths, d=8)
+        expected = [np.median(mt.ranks_of(s)[t]) for s, t in zip(scores, truths)]
+        np.testing.assert_array_equal(report.per_sample, expected)
+        assert report.optimal_median == 2.0
 
     def test_errors(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -339,6 +352,20 @@ class TestPostHocAccuracy:
         assert with_x0.accuracy == 1.0
         # zeroing x0 makes p exactly 0.5; argmax falls to class 0 always
         assert without_x0.accuracy < 0.8
+
+    def test_matches_per_row_masking(self):
+        from l2x.networks import build_classifier
+
+        rng = np.random.default_rng(6)
+        clf = build_classifier(5, 3, rng, hidden=(8, 8, 8))
+        x = rng.normal(size=(100, 5))
+        sel = np.sort(np.argsort(rng.uniform(size=(100, 5)), axis=1)[:, :2], axis=1)
+        masked = np.zeros_like(x)
+        for i, row in enumerate(sel):
+            masked[i, row] = x[i, row]
+        agree = (clf.predict_proba(masked).argmax(axis=1) == clf.predict_proba(x).argmax(axis=1))
+        report = mt.post_hoc_accuracy(clf, x, sel)
+        assert report.accuracy == agree.mean() and report.k == 2
 
     def test_misalignment_rejected(self):
         with pytest.raises(ValueError, match="selections"):

@@ -1,4 +1,4 @@
-"""Network wrappers, masking, and the model byte format."""
+"""Network wrappers and the model byte format."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from l2x import autodiff as ad
 from l2x import networks as nw
 from l2x.errors import ModelFormatError, ModelVersionError
-from l2x.sampling import GumbelNoise, relaxed_subset_mask
 
 
 def small_classifier(seed=0, d=4, c=3):
@@ -78,6 +77,13 @@ class TestForward:
         plain = clf.forward(x)
         np.testing.assert_array_equal(taped, plain)
 
+    def test_logits_stop_before_the_head(self):
+        clf = small_classifier(3)
+        x = np.random.default_rng(4).normal(size=(9, 4))
+        logits = clf.logits_tensor(ad.constant(x)).data
+        np.testing.assert_array_equal(ad.softmax(ad.constant(logits)).data, clf.forward(x))
+        assert clf.eval_count == 9
+
     def test_single_row_convenience(self):
         clf = small_classifier(5)
         x = np.random.default_rng(6).normal(size=4)
@@ -130,47 +136,6 @@ class TestForward:
             nw.Explainer(spec_bad, nw.init_params(spec_bad, np.random.default_rng(0)))
 
 
-class TestMaskInput:
-    def test_hard_mask_examples(self):
-        x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(nw.mask_input(x, (0, 2)), [1.0, 0.0, 3.0])
-        np.testing.assert_array_equal(nw.mask_input(x, (0, 1, 2)), x)
-        np.testing.assert_array_equal(nw.mask_input(x, ()), np.zeros(3))
-
-    def test_hard_mask_idempotent(self):
-        x = np.random.default_rng(1).normal(size=7)
-        once = nw.mask_input(x, (1, 4))
-        np.testing.assert_array_equal(nw.mask_input(once, (1, 4)), once)
-
-    def test_hard_mask_on_batch_tensor(self):
-        x = ad.constant(np.arange(6.0).reshape(2, 3))
-        out = nw.mask_input(x, (1,))
-        np.testing.assert_array_equal(out.data, [[0.0, 1.0, 0.0], [0.0, 4.0, 0.0]])
-
-    def test_out_of_range_index(self):
-        with pytest.raises(ValueError, match="out of range"):
-            nw.mask_input(np.ones(3), (3,))
-
-    def test_relaxed_mask_multiplies_and_carries_gradient(self):
-        rng = np.random.default_rng(14)
-        params = ad.ParameterSet()
-        lw = params.add("lw", rng.normal(size=5))
-        mask = relaxed_subset_mask(lw, GumbelNoise(rng.gumbel(size=(2, 5))), temperature=0.5)
-        x = np.arange(1.0, 6.0)
-        out = nw.mask_input(x, mask)
-        np.testing.assert_array_equal(out.data, mask.V.data * x)
-        ad.backward(ad.reduce_sum(out), params)
-        assert np.any(lw.grad != 0.0)
-
-    def test_relaxed_mask_width_mismatch(self):
-        rng = np.random.default_rng(15)
-        mask = relaxed_subset_mask(
-            ad.constant(np.zeros(4)), GumbelNoise(rng.gumbel(size=(2, 4))), temperature=0.5
-        )
-        with pytest.raises(ValueError, match="width"):
-            nw.mask_input(np.ones(5), mask)
-
-
 class TestSerialization:
     def test_round_trip_identity(self):
         for build, args in [
@@ -192,6 +157,13 @@ class TestSerialization:
         again = nw.load_model(path)
         x = np.random.default_rng(22).normal(size=(3, 4))
         np.testing.assert_array_equal(again.forward(x), net.forward(x))
+
+    def test_load_checks_kind(self, tmp_path):
+        path = tmp_path / "model.l2x"
+        nw.save_model(small_classifier(), path)
+        assert nw.load_model(path, kind="classifier").kind == "classifier"
+        with pytest.raises(ModelFormatError, match="holds a classifier network; expected kind 'explainer'"):
+            nw.load_model(path, kind="explainer")
 
     def test_bad_magic(self):
         blob = bytearray(nw.serialize(small_classifier()))

@@ -241,3 +241,14 @@ class TestHardTopK:
         for k in (0, 4):
             with pytest.raises(ValueError, match="k must"):
                 sp.hard_top_k(np.zeros(3), k)
+
+    def test_matrix_rows_match_vector_calls(self):
+        # small integer scores make ties common
+        scores = np.random.default_rng(33).integers(0, 4, size=(200, 7)).astype(float)
+        top = sp.hard_top_k(scores, 3)
+        assert top.shape == (200, 3)
+        assert [tuple(row) for row in top.tolist()] == [sp.hard_top_k(row, 3) for row in scores]
+
+    def test_rejects_higher_rank_scores(self):
+        with pytest.raises(ValueError, match="vector or a matrix"):
+            sp.hard_top_k(np.zeros((2, 3, 4)), 1)

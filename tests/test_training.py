@@ -82,10 +82,9 @@ class TestTrainConfig:
         assert cfg.temperature == 0.1
         assert cfg.batch_size == 1000
         assert cfg.epochs == 10
-        assert cfg.train_size == 100_000
         assert cfg.rmsprop_decay == 0.9
         assert cfg.rmsprop_epsilon == 1e-7
-        assert cfg.noise_draws == 1
+        assert cfg.warmup_epochs == 2
 
     @pytest.mark.parametrize("kwargs", [{"k": 0}, {"k": 2, "epochs": -1}, {"k": 2, "temperature": 0.0}])
     def test_validation(self, kwargs):
@@ -93,7 +92,7 @@ class TestTrainConfig:
             tr.TrainConfig(**kwargs)
 
     def test_zero_epochs_allowed_and_trains_nothing(self):
-        cfg = tr.TrainConfig(k=1, epochs=0, batch_size=4, train_size=4)
+        cfg = tr.TrainConfig(k=1, epochs=0, batch_size=4)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 3))
         clf, report = tr.train_classifier(x, (x[:, 0] > 0).astype(int), cfg, hidden=(4, 4, 4))
@@ -118,9 +117,8 @@ class TestObjective:
 
     def test_batch_size_recorded(self):
         clf, ex, var, x, noise = tiny_setup(b=3)
-        est = tr.l2x_objective(x, clf, ex, var, noise, temperature=0.5, k=2, noise_seed=11)
+        est = tr.l2x_objective(x, clf, ex, var, noise, temperature=0.5, k=2)
         assert est.batch_size == 3
-        assert est.noise_seed == 11
 
     def test_class_count_mismatch_raises(self):
         clf, ex, _, x, noise = tiny_setup(c=2)
@@ -250,13 +248,11 @@ class TestTrainClassifier:
 
 
 class TestTrainL2x:
-    def tiny_run(self, seed=0, epochs=2, noise_draws=1):
+    def tiny_run(self, seed=0, epochs=2):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(200, 6))
         clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
-        cfg = tr.TrainConfig(
-            k=2, batch_size=50, epochs=epochs, seed=seed, noise_draws=noise_draws
-        )
+        cfg = tr.TrainConfig(k=2, batch_size=50, epochs=epochs, seed=seed)
         return x, clf, tr.train_l2x(
             x, clf, cfg, explainer_hidden=(8, 8), variational_hidden=(8, 8, 8)
         )
@@ -297,7 +293,7 @@ class TestTrainL2x:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 6))
         clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
-        cfg = tr.TrainConfig(k=2, epochs=1, warmup_epochs=1, batch_size=10, train_size=20, seed=0)
+        cfg = tr.TrainConfig(k=2, epochs=1, warmup_epochs=1, batch_size=10, seed=0)
         ex, var, _ = tr.train_l2x(x, clf, cfg, explainer_hidden=(5, 5), variational_hidden=(6, 6, 6))
         from l2x.networks import build_explainer
         fresh = build_explainer(6, tr.substream(0, "init", 1), hidden=(5, 5))
@@ -308,17 +304,13 @@ class TestTrainL2x:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 6))
         clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
-        cfg = tr.TrainConfig(k=2, epochs=2, warmup_epochs=1, batch_size=10, train_size=20, seed=0)
+        cfg = tr.TrainConfig(k=2, epochs=2, warmup_epochs=1, batch_size=10, seed=0)
         ex, _, _ = tr.train_l2x(x, clf, cfg, explainer_hidden=(5, 5), variational_hidden=(6, 6, 6))
         from l2x.networks import build_explainer
         fresh = build_explainer(6, tr.substream(0, "init", 1), hidden=(5, 5))
         assert any(
             np.any(ex.params[name].data != t.data) for name, t in fresh.params.items()
         )
-
-    def test_multiple_noise_draws_supported(self):
-        _, _, (_, _, report) = self.tiny_run(noise_draws=2)
-        assert len(report.curve) == 2
 
     def test_k_larger_than_d_rejected(self):
         rng = np.random.default_rng(0)
