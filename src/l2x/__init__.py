@@ -9,7 +9,7 @@ whole stack on small discrete distributions.
 """
 
 from .datasets import Dataset, as_arrays, canonical_kind, generate, k_for, read_csv, write_csv
-from .errors import CsvFormatError, ModelFormatError, NumericError
+from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError
 from .explain import (
     Explanation,
     explain_l2x,
@@ -44,6 +44,7 @@ __all__ = [
     "Dataset",
     "DiscreteJoint",
     "Explanation",
+    "JsonlFormatError",
     "ModelFormatError",
     "NumericError",
     "RunConfig",

@@ -8,7 +8,8 @@ Exit codes are a stable scripting contract:
 * 0  success
 * 2  usage problems (bad flags, unknown dataset or method, bad config key)
 * 3  numeric failure during training or evaluation (non-finite loss)
-* 4  IO problems (missing or malformed input files, unwritable output)
+* 4  IO problems (missing or malformed input files: CSV, JSONL, checkpoints;
+     unwritable output)
 
 Flags may also come from a plain ``key=value`` file via --config; values
 given on the command line win.  Checkpoints are loaded for the role the
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from .datasets import D, as_arrays, canonical_kind, generate, read_csv, write_csv
 from .datasets import DEFAULT_SIN_COEFF
-from .errors import CsvFormatError, ModelFormatError, NumericError
+from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError, TextFormatError
 from .explain import read_jsonl, write_jsonl
 from .metrics import post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
@@ -220,7 +221,12 @@ def cmd_evaluate(args, cmd: _Command) -> int:
 
     by_method: dict[str, list] = {}
     for path in args.explanations:
-        for e in read_jsonl(path):
+        explanations = read_jsonl(path)
+        if explanations and len(explanations[0].scores) != D:
+            raise JsonlFormatError(
+                f"{path} holds scores of width {len(explanations[0].scores)}; the dataset has d={D}"
+            )
+        for e in explanations:
             by_method.setdefault(e.method, []).append(e)
     if not by_method:
         cmd.error("no explanations given")
@@ -391,7 +397,7 @@ def main(argv=None) -> int:
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
-    except (CsvFormatError, ModelFormatError) as e:
+    except (TextFormatError, ModelFormatError) as e:
         print(f"bad input file: {e}", file=sys.stderr)
         return 4
     except OSError as e:

@@ -27,15 +27,14 @@ regression: P(Y=1|x) = sigmoid(logit), P(Y=0|x) proportional to 1.
 
 from __future__ import annotations
 
-import csv
-import math
-from array import array
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 import numpy as np
 
 from .autodiff import sigmoid_array
 from .errors import CsvFormatError
+from .files import atomic_open, float_rows
 
 __all__ = [
     "D",
@@ -196,15 +195,29 @@ def as_arrays(data: Dataset):
 
 
 _HEADER = [f"x{i}" for i in range(D)] + ["p", "y", "truth"]
+_FIELDS = len(_HEADER)
+_BLOCK = 1024  # rows formatted or parsed per step; bounds the text cells held at once
+
+
+def _format_block(x, p, y, truth) -> str:
+    """CSV text of a run of rows, ``\r\n`` line ends, as ``csv.writer`` writes them."""
+    truth = list(map(tuple, truth.tolist()))
+    texts = {t: "|".join(map(str, t)) for t in set(truth)}
+    cols = (float_rows(np.column_stack((x, p)), ","), map(str, y.tolist()), map(texts.__getitem__, truth))
+    return "".join(map("{},{},{}\r\n".format, *cols))
 
 
 def write_csv(data: Dataset, path) -> None:
-    """Write a dataset with full-precision floats (repr round-trips exactly)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HEADER)
-        for x, p, y, truth in zip(data.x, data.p.tolist(), data.y.tolist(), data.truth.tolist()):
-            writer.writerow([*map(repr, x.tolist()), repr(p), str(y), "|".join(map(str, truth))])
+    """Write a dataset with full-precision floats (repr round-trips exactly).
+
+    Lines end in ``\r\n``.  Rows are formatted a block at a time, whole
+    columns per call, and the file appears only once complete.
+    """
+    with atomic_open(path) as fh:
+        fh.write(",".join(_HEADER) + "\r\n")
+        for i in range(0, len(data), _BLOCK):
+            rows = slice(i, i + _BLOCK)
+            fh.write(_format_block(data.x[rows], data.p[rows], data.y[rows], data.truth[rows]))
 
 
 def _parse_truth(text: str) -> tuple[tuple[int, ...], int]:
@@ -217,61 +230,106 @@ def _parse_truth(text: str) -> tuple[tuple[int, ...], int]:
     return truth, 0
 
 
+def _row_parse_error(line: str) -> ValueError | None:
+    """Why one well-sized line does not parse, or None; only used to locate an error."""
+    row = line.rstrip("\n").split(",")
+    try:
+        [float(v) for v in row[: D + 1]]
+        int(row[D + 1])
+        _parse_truth(row[D + 2])
+    except ValueError as e:
+        return e
+    return None
+
+
+def _parse_block(lines: list[str], first: int, t_size: int | None):
+    """Columns (xp, y, component, truth) of body lines starting at line ``first``.
+
+    Every check runs over the whole block as an array mask; the error
+    names the first bad row, and for a row that fails several checks,
+    the check the per-row reader made first.
+    """
+    n = len(lines)
+    if n == 0:
+        return None, t_size
+    commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, n)
+    wrong = np.flatnonzero(commas != _FIELDS - 1)
+    if wrong.size:
+        r = int(wrong[0])
+        _parse_block(lines[:r], first, t_size)  # an earlier row's error comes first
+        got = int(commas[r]) + 1 if lines[r].strip() else 0
+        raise CsvFormatError(f"expected {_FIELDS} fields, got {got}", line=first + r)
+
+    cells = "".join(lines).replace("\n", ",").split(",")
+    del cells[n * _FIELDS :]  # the empty cell after the last line end
+    labels, truths = cells[D + 1 :: _FIELDS], cells[D + 2 :: _FIELDS]
+    del cells[D + 2 :: _FIELDS], cells[D + 1 :: D + 2]  # leaves x0..x9, p row after row
+    try:
+        xp = np.fromiter(map(float, cells), np.float64, n * (D + 1)).reshape(n, D + 1)
+        label_of = {text: int(text) for text in set(labels)}
+        truth_of = {text: _parse_truth(text) for text in set(truths)}
+    except ValueError:
+        r, error = next((r, e) for r, e in enumerate(map(_row_parse_error, lines)) if e)
+        _parse_block(lines[:r], first, t_size)
+        raise CsvFormatError(f"unparseable value: {error}", line=first + r) from None
+
+    if t_size is None:
+        t_size = len(truth_of[truths[0]][0])
+    code = {text: v if v in (0, 1) else -1 for text, v in label_of.items()}
+    y = np.fromiter(map(code.__getitem__, labels), np.int64, n)
+    sized = {text for text, (indices, _) in truth_of.items() if len(indices) != t_size}
+    p = xp[:, D]
+    bad = np.vstack((
+        ~np.isfinite(xp[:, :D]).all(axis=1),
+        ~((p >= 0.0) & (p <= 1.0)),
+        y < 0,
+        np.fromiter(map(sized.__contains__, truths), bool, n),
+    ))
+    hits = np.flatnonzero(bad.any(axis=0))
+    if hits.size:
+        r = int(hits[0])
+        message = (
+            lambda: "non-finite feature value",
+            lambda: f"p={float(p[r])} outside [0, 1]",
+            lambda: f"label {label_of[labels[r]]} not in {{0, 1}}",
+            lambda: f"truth set of size {len(truth_of[truths[r]][0])}, earlier rows have {t_size}",
+        )[int(np.argmax(bad[:, r]))]
+        raise CsvFormatError(message(), line=first + r)
+
+    keys = list(truth_of)
+    index = dict(zip(keys, range(len(keys))))
+    row_key = np.fromiter(map(index.__getitem__, truths), np.intp, n)
+    truth = np.array([truth_of[k][0] for k in keys], dtype=np.int64).reshape(len(keys), t_size)
+    component = np.array([truth_of[k][1] for k in keys], dtype=np.int64)
+    return (xp, y, component[row_key], truth[row_key]), t_size
+
+
 def read_csv(path) -> Dataset:
     """Inverse of :func:`write_csv`; raises with a line number on bad rows.
 
-    Rows go one at a time into flat typed buffers, so at most one row is
-    held as text.  Features must be finite and every truth set must have
-    the size of the first.
+    The body is read a block of rows at a time, and each block is split
+    into cells and parsed a whole column per call, so a large file never
+    holds all its cells at once.  Lines may end in ``\r\n`` or ``\n``
+    and the last line may have none; fields are never quoted.  Features
+    must be finite, p in [0, 1], labels 0 or 1, and every truth set must
+    have the size of the first.
     """
-    xp = array("d")  # x0..x9 then p, row after row
-    y, component, truth = array("q"), array("q"), array("q")
-    parsed: dict[str, tuple[tuple[int, ...], int]] = {}  # truth column text -> parse
-    t_size = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+    blocks, t_size = [], None
+    with open(path) as fh:  # universal newlines: \r\n arrives as \n
+        header = fh.readline()
+        if not header:
             raise CsvFormatError("empty file: missing header", line=1)
+        header = header.rstrip("\n").split(",")
         if header != _HEADER:
             raise CsvFormatError(f"unexpected header {header!r}", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(_HEADER):
-                raise CsvFormatError(
-                    f"expected {len(_HEADER)} fields, got {len(row)}", line=lineno
-                )
-            try:
-                values = [float(v) for v in row[: D + 1]]
-                label = int(row[D + 1])
-                if row[D + 2] not in parsed:
-                    parsed[row[D + 2]] = _parse_truth(row[D + 2])
-            except ValueError as e:
-                raise CsvFormatError(f"unparseable value: {e}", line=lineno) from None
-            if not all(map(math.isfinite, values[:D])):
-                raise CsvFormatError("non-finite feature value", line=lineno)
-            if not 0.0 <= values[D] <= 1.0:
-                raise CsvFormatError(f"p={values[D]} outside [0, 1]", line=lineno)
-            if label not in (0, 1):
-                raise CsvFormatError(f"label {label} not in {{0, 1}}", line=lineno)
-            indices, comp = parsed[row[D + 2]]
-            if t_size is None:
-                t_size = len(indices)
-            elif len(indices) != t_size:
-                raise CsvFormatError(
-                    f"truth set of size {len(indices)}, earlier rows have {t_size}", line=lineno
-                )
-            xp.extend(values)
-            y.append(label)
-            component.append(comp)
-            truth.extend(indices)
-    n = len(y)
-    if n == 0:
+        first = 2
+        while lines := list(islice(fh, _BLOCK)):
+            block, t_size = _parse_block(lines, first, t_size)
+            blocks.append(block)
+            first += len(lines)
+    if not blocks:
         raise CsvFormatError("file contains a header but no samples")
-    cols = np.frombuffer(xp, dtype=np.float64).reshape(n, D + 1)
+    xp, y, component, truth = (np.concatenate(column) for column in zip(*blocks))
     return Dataset(
-        x=np.ascontiguousarray(cols[:, :D]),
-        p=cols[:, D].copy(),
-        y=np.array(y, dtype=int),
-        component=np.array(component, dtype=int),
-        truth=np.array(truth, dtype=int).reshape(n, t_size),
+        x=np.ascontiguousarray(xp[:, :D]), p=xp[:, D].copy(), y=y, component=component, truth=truth
     )

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-__all__ = ["NumericError", "ModelFormatError", "ModelVersionError", "CsvFormatError"]
+__all__ = [
+    "NumericError",
+    "ModelFormatError",
+    "ModelVersionError",
+    "TextFormatError",
+    "CsvFormatError",
+    "JsonlFormatError",
+]
 
 
 class NumericError(RuntimeError):
@@ -23,11 +30,19 @@ class ModelVersionError(ModelFormatError):
     """Payload is well-formed but written by an unsupported format version."""
 
 
-class CsvFormatError(ValueError):
-    """Malformed dataset CSV; ``line`` is the 1-based offending line number."""
+class TextFormatError(ValueError):
+    """Malformed line-oriented input file; ``line`` is the 1-based offending line."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"{message} (line {line})"
         super().__init__(message)
         self.line = line
+
+
+class CsvFormatError(TextFormatError):
+    """Malformed dataset CSV (or ``key=value`` config file)."""
+
+
+class JsonlFormatError(TextFormatError):
+    """Malformed explanations file: bad JSON, a missing or mistyped key, a wrong width."""

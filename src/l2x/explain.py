@@ -11,7 +11,8 @@ the classifier's top-class logit with respect to the input:
 Every method scores a whole (n, d) batch at once; the single-row
 functions run the same kernels on a batch of one.
 
-Explanations serialize as JSON lines: {id, method, scores, selected, ns}.
+Explanations serialize as JSON lines: {id, method, scores, selected, ns},
+written and read a block of records at a time, a whole column per call.
 """
 
 from __future__ import annotations
@@ -19,10 +20,14 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
 from . import autodiff as ad
+from .errors import JsonlFormatError
+from .files import atomic_open, float_rows
 from .sampling import hard_top_k
 
 __all__ = [
@@ -46,25 +51,6 @@ class Explanation:
     scores: np.ndarray
     selected: tuple[int, ...]
     wall_ns: int
-
-    def to_record(self) -> dict:
-        return {
-            "id": self.sample_id,
-            "method": self.method,
-            "scores": [float(s) for s in self.scores],
-            "selected": list(self.selected),
-            "ns": self.wall_ns,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "Explanation":
-        return cls(
-            sample_id=int(record["id"]),
-            method=record["method"],
-            scores=np.asarray(record["scores"], dtype=np.float64),
-            selected=tuple(int(i) for i in record["selected"]),
-            wall_ns=int(record["ns"]),
-        )
 
 
 def input_gradient(classifier, x: np.ndarray) -> np.ndarray:
@@ -141,17 +127,123 @@ def explain_taylor(
     return _explain_row("taylor", x, k, sample_id, classifier=classifier, absolute=absolute)
 
 
+_TYPES = {"id": int, "method": str, "scores": list, "selected": list, "ns": int}
+_JSON_TYPE = {int: "integer", str: "string", list: "array"}
+_RECORD = '{"id": %d, "method": %s, "scores": [%s], "selected": [%s], "ns": %d}\n'
+_BLOCK = 1024  # records formatted or decoded per step
+
+
+def _format_block(explanations) -> str:
+    """JSON lines of a run of explanations, as ``json.dumps`` writes each record.
+
+    The scores of the whole run are formatted in one call; rows holding
+    a non-finite score (``NaN``, ``Infinity``) are formatted again by
+    ``json.dumps``, which spells those differently from ``repr``.
+    """
+    scores = np.array([e.scores for e in explanations], dtype=np.float64)
+    if scores.ndim != 2:
+        raise ValueError(f"explanations need score vectors, got shape {scores.shape}")
+    rows = float_rows(scores)
+    for i in np.flatnonzero(~np.isfinite(scores).all(axis=1)).tolist():
+        rows[i] = json.dumps(scores[i].tolist())[1:-1]
+    method_text = {m: json.dumps(m) for m in {e.method for e in explanations}}
+    selected_text = {s: ", ".join(map(str, map(int, s))) for s in {e.selected for e in explanations}}
+    return "".join(
+        _RECORD % (e.sample_id, method_text[e.method], row, selected_text[e.selected], e.wall_ns)
+        for e, row in zip(explanations, rows)
+    )
+
+
 def write_jsonl(explanations, path) -> None:
-    with open(path, "w") as fh:
-        for e in explanations:
-            fh.write(json.dumps(e.to_record()) + "\n")
+    """One JSON object per line: ``{"id", "method", "scores", "selected", "ns"}``.
+
+    The bytes are those of ``json.dumps(record) + "\n"`` per record; all
+    explanations must have scores of one width.  The file appears only
+    once complete.
+    """
+    explanations = list(explanations)
+    if len({len(e.scores) for e in explanations}) > 1:
+        raise ValueError("explanations must have scores of one width")
+    with atomic_open(path) as fh:
+        for i in range(0, len(explanations), _BLOCK):
+            fh.write(_format_block(explanations[i : i + _BLOCK]))
+
+
+def _all(values, kind: type) -> bool:
+    """Whether every value is exactly of ``kind`` (so no bool passes for an int)."""
+    return set(map(type, values)) <= {kind}
+
+
+def _columns(lines: list[str], width: int | None) -> list:
+    """The five fields of a run of JSON lines, one column each; ValueError names the fault.
+
+    One ``json.loads`` call decodes every line, then each check runs over
+    a whole column.  ``width`` is the scores width of earlier records.
+    """
+    try:
+        records = json.loads("[" + ",".join(lines) + "]")
+    except ValueError as e:
+        raise ValueError(f"bad JSON: {e}") from None
+    if len(records) != len(lines) or not _all(records, dict):
+        raise ValueError("a line does not hold exactly one JSON object")
+    try:
+        columns = [list(map(itemgetter(key), records)) for key in _TYPES]
+    except KeyError as e:
+        raise ValueError(f"record lacks key {e}") from None
+    for (key, kind), column in zip(_TYPES.items(), columns):
+        if not _all(column, kind):
+            raise ValueError(f"{key!r} is not a JSON {_JSON_TYPE[kind]}")
+    widths = set(map(len, columns[2]))
+    if width is None:
+        width = len(columns[2][0])
+    if widths != {width}:
+        raise ValueError(f"scores width differs from the first record's {width}")
+    try:
+        scores = np.array(columns[2])
+    except ValueError:  # a nested array among the scores
+        scores = None
+    if scores is None or scores.ndim != 2 or scores.dtype.kind not in "bif":
+        raise ValueError("'scores' holds a non-number")
+    columns[2] = scores.astype(np.float64, copy=False)
+    columns[3] = list(map(tuple, columns[3]))
+    if not all(_all(sel, int) for sel in set(columns[3])):
+        raise ValueError("'selected' holds a non-integer")
+    return columns
+
+
+def _decode_block(block: list[str], first: int, width: int | None) -> list[Explanation]:
+    """Explanations of a run of lines, the first of them line ``first``; blank lines skipped.
+
+    If the run does not decode, its lines are checked one by one to name
+    the first bad one.
+    """
+    lines = [line for line in block if not line.isspace()]
+    if not lines:
+        return []
+    try:
+        columns = _columns(lines, width)
+    except ValueError as e:
+        numbers = [first + i for i, line in enumerate(block) if not line.isspace()]
+        for number, line in zip(numbers, lines):
+            try:
+                width = _columns([line], width)[2].shape[1]
+            except ValueError as error:
+                raise JsonlFormatError(str(error), line=number) from None
+        raise JsonlFormatError(str(e), line=numbers[0]) from None
+    return list(map(Explanation, *columns))
 
 
 def read_jsonl(path) -> list[Explanation]:
-    out = []
+    """Inverse of :func:`write_jsonl`, a block of lines at a time; blank lines are skipped.
+
+    A line that is not valid JSON, a record with a missing or mistyped
+    key, or scores whose width differs from the first record's raise
+    :class:`JsonlFormatError` with the line number.
+    """
+    out: list[Explanation] = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(Explanation.from_record(json.loads(line)))
+        first = 1
+        while block := list(islice(fh, _BLOCK)):
+            out += _decode_block(block, first, len(out[0].scores) if out else None)
+            first += len(block)
     return out

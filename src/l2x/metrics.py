@@ -16,9 +16,12 @@ Both take whole (n, .) arrays and run without a per-row loop.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
+
+from .files import atomic_open, float_rows
 
 __all__ = [
     "MedianRankReport",
@@ -145,13 +148,28 @@ def post_hoc_accuracy(classifier, x: np.ndarray, selections, method: str = "") -
     return PostHocReport(accuracy=matches / n, n=n, k=sel.shape[1], method=method)
 
 
+def _csv_field(text) -> str:
+    """One field as ``csv.writer`` quotes it."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text, ""))
+    return buffer.getvalue()[:-3]  # without the empty field's comma and the \r\n
+
+
 def write_ranks_csv(rows, path) -> None:
-    """Plot-ready long format: one (method, dataset, median_rank) per sample."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "dataset", "median_rank"])
-        for method, dataset, value in rows:
-            writer.writerow([method, dataset, repr(float(value))])
+    """Plot-ready long format: one (method, dataset, median_rank) per sample.
+
+    Lines end in ``\r\n``.  Each distinct method and dataset is quoted by
+    ``csv.writer`` once; the values are formatted as one column.
+    """
+    rows = list(rows)
+    methods = [method for method, _, _ in rows]
+    datasets = [dataset for _, dataset, _ in rows]
+    field = {text: _csv_field(text) for text in {*methods, *datasets}}
+    values = np.array([[value for _, _, value in rows]], dtype=np.float64)
+    values = float_rows(values)[0].split(", ") if rows else ()
+    lines = map("{},{},{}".format, map(field.__getitem__, methods), map(field.__getitem__, datasets), values)
+    with atomic_open(path) as fh:
+        fh.write("\r\n".join(["method,dataset,median_rank", *lines, ""]))
 
 
 def read_ranks_csv(path) -> list[tuple[str, str, float]]:

@@ -28,6 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 from .errors import ModelFormatError, ModelVersionError
+from .files import atomic_open
 
 __all__ = [
     "MlpSpec",
@@ -314,7 +315,7 @@ def deserialize(payload: bytes) -> Mlp:
 
 
 def save_model(net: Mlp, path) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(serialize(net))
 
 

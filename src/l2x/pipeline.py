@@ -25,6 +25,7 @@ import numpy as np
 
 from .datasets import DEFAULT_SIN_COEFF, D, as_arrays, canonical_kind, generate, k_for
 from .explain import Explanation, method_scores, write_jsonl
+from .files import atomic_open
 from .metrics import MedianRankReport, PostHocReport, median_rank, post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
 from .oracle import brute_force_best_subset, exact_conditional, jensen_gap, random_binary_joint
@@ -144,7 +145,7 @@ def posthoc_for(classifier, x: np.ndarray, explanations: list[Explanation]) -> P
 
 def write_json(payload: dict, path) -> None:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

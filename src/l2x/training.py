@@ -23,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
 from .errors import NumericError
+from .files import atomic_open
 from .networks import Classifier, Explainer, VariationalNet, build_classifier, build_explainer, build_variational
 from .rng import substream
 from .sampling import batched_relaxed_mask, gumbel_from_uniform
@@ -329,7 +330,7 @@ def _frozen_objective(
 
 
 def write_curve_csv(curve: list[EpochStat], path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("epoch,objective,wall_ms\n")
         for stat in curve:
             fh.write(f"{stat.epoch},{repr(stat.objective)},{stat.wall_ms:.3f}\n")

@@ -303,6 +303,7 @@ def test_c04_jensen_gap_nonnegative_and_tight():
     print("[C04] PASS gap nonnegative, zero only at the exact conditional (50 joints)")
 
 
+@pytest.mark.slow
 def test_c05_xor_median_rank(bench):
     b = bench("xor")
     med = b.summary["median_ranks"]["l2x"]["median"]
@@ -312,6 +313,7 @@ def test_c05_xor_median_rank(bench):
     print(f"[C05] PASS xor median rank {med} <= 2.0 (optimal 1.5, {b.wall:.0f}s)")
 
 
+@pytest.mark.slow
 def test_c06_orange_skin_median_rank(bench):
     b = bench("orange_skin")
     med = b.summary["median_ranks"]["l2x"]["median"]
@@ -321,6 +323,7 @@ def test_c06_orange_skin_median_rank(bench):
     print(f"[C06] PASS orange_skin median rank {med} <= 3.0 (optimal 2.5, {b.wall:.0f}s)")
 
 
+@pytest.mark.slow
 def test_c07_learned_selection_orders_with_gradient_baselines(bench):
     # on the two harder datasets the learned method's summary median stays
     # within +0.5 of every gradient baseline's
@@ -336,6 +339,7 @@ def test_c07_learned_selection_orders_with_gradient_baselines(bench):
               f"saliency {ranks['saliency']['median']} / taylor {ranks['taylor']['median']}")
 
 
+@pytest.mark.slow
 def test_c08_orange_skin_posthoc_fidelity(bench):
     b = bench("orange_skin")
     post = b.summary["post_hoc"]
@@ -345,6 +349,7 @@ def test_c08_orange_skin_posthoc_fidelity(bench):
           f"{gap:.4f} of ground-truth-mask reference {post['truth']}")
 
 
+@pytest.mark.slow
 def test_c09_explanation_stage_costs_no_classifier_evals(bench):
     b = bench("xor")
     explainer = load_model(b.dir_a / "explainer.l2x")
@@ -362,6 +367,7 @@ def test_c09_explanation_stage_costs_no_classifier_evals(bench):
     print(f"[C09] PASS 10^4 samples explained in {wall:.2f}s with 0 classifier evaluations")
 
 
+@pytest.mark.slow
 def test_c10_same_seed_runs_are_byte_identical(bench):
     for kind in KINDS:
         b = bench(kind)

@@ -241,25 +241,67 @@ def _edit_bytes(src: Path, dst: Path, edit) -> Path:
     return dst
 
 
+def _drop_last_score(line: str) -> str:
+    record = json.loads(line)
+    record["scores"].pop()
+    return json.dumps(record)
+
+
 def _written(path: Path, text: str) -> Path:
     path.write_text(text)
     return path
 
 
-# (id, argv builder taking (workdir, tmp_path), expected exit code)
+def _edit_lines(src: Path, dst: Path, edit) -> Path:
+    """Copy of a text file with its list of lines (no line ends) passed through ``edit``."""
+    dst.write_text("\n".join(edit(src.read_text().splitlines())) + "\n")
+    return dst
+
+
+def _replace_line(line: int, text):
+    """Edit for :func:`_edit_lines`: line ``line`` (1-based) becomes ``text(old)``."""
+    return lambda lines: [text(old) if i == line else old for i, old in enumerate(lines, start=1)]
+
+
+# (id, argv builder taking (workdir, tmp_path), expected exit code[, line named in the error])
 MALFORMED = [
     ("nan-feature", lambda w, t: [
         "train-model", "--data", _edit_csv(w / "train.csv", t / "bad.csv", 2, 0, "nan"),
-        "--out-model", t / "m.l2x", "--epochs", 1, "--hidden", "8,8,8"], 4),
+        "--out-model", t / "m.l2x", "--epochs", 1, "--hidden", "8,8,8"], 4, 2),
     ("inf-feature", lambda w, t: [
         "explain", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 5, 3, "inf"),
-        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4),
+        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4, 5),
     ("truth-sizes-differ-explain", lambda w, t: [
         "explain", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 4, 12, "0|1|2"),
-        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4),
+        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4, 4),
     ("truth-sizes-differ-evaluate", lambda w, t: [
         "evaluate", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 4, 12, "0"),
-        "--explanations", w / "valid_l2x.jsonl", "--out-ranks", t / "r.csv"], 4),
+        "--explanations", w / "valid_l2x.jsonl", "--out-ranks", t / "r.csv"], 4, 4),
+    ("blank-line-mid-csv", lambda w, t: [
+        "explain", "--data", _edit_lines(w / "valid.csv", t / "bad.csv",
+                                         lambda lines: lines[:6] + [""] + lines[6:]),
+        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4, 7),
+    ("short-csv-row", lambda w, t: [
+        "explain", "--data", _edit_lines(w / "valid.csv", t / "bad.csv",
+                                         _replace_line(9, lambda old: old.rsplit(",", 2)[0])),
+        "--method", "saliency", "--model", w / "model.l2x", "--out", t / "e.jsonl"], 4, 9),
+    ("quoted-csv-field", lambda w, t: [
+        "evaluate", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 3, 1, '"0.25"'),
+        "--explanations", w / "valid_l2x.jsonl", "--out-ranks", t / "r.csv"], 4, 3),
+    ("truncated-jsonl", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_bytes(w / "valid_l2x.jsonl", t / "bad.jsonl", lambda b: b[:-40]),
+        "--out-ranks", t / "r.csv"], 4, 80),
+    ("jsonl-missing-key", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      _replace_line(6, lambda old: old.replace('"scores"', '"s"'))),
+        "--out-ranks", t / "r.csv"], 4, 6),
+    ("jsonl-scores-wrong-width", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      lambda lines: [_drop_last_score(line) for line in lines]),
+        "--out-ranks", t / "r.csv"], 4),
     ("explainer-given-a-classifier", lambda w, t: [
         "explain", "--data", w / "valid.csv", "--method", "l2x",
         "--explainer", w / "model.l2x", "--out", t / "e.jsonl"], 4),
@@ -310,10 +352,12 @@ def malformed_workdir(workdir) -> Path:
     return workdir
 
 
-@pytest.mark.parametrize("build, expected", [row[1:] for row in MALFORMED],
-                         ids=[row[0] for row in MALFORMED])
-def test_malformed_input_exit_code(malformed_workdir, tmp_path, capsys, build, expected):
+@pytest.mark.parametrize("row", MALFORMED, ids=[row[0] for row in MALFORMED])
+def test_malformed_input_exit_code(malformed_workdir, tmp_path, capsys, row):
+    _, build, expected, *line = row
     assert run(*build(malformed_workdir, tmp_path)) == expected
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert ("bad input file" in err or "io error" in err) if expected == 4 else "usage" in err
+    if line:
+        assert f"(line {line[0]})" in err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -230,3 +232,110 @@ class TestCsv:
         path = self._corrupt(tmp_path, line=4, column=12, value="0|1|2")
         with pytest.raises(CsvFormatError, match="truth set of size 3.*line 4"):
             ds.read_csv(path)
+
+    def test_blank_line_mid_file_rejected_with_line(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        ds.write_csv(ds.generate("xor", 4, 0), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
+        with pytest.raises(CsvFormatError, match="expected 13 fields, got 0.*line 4"):
+            ds.read_csv(path)
+
+    def test_quoted_field_rejected_with_line(self, tmp_path):
+        path = self._corrupt(tmp_path, line=3, column=2, value='"0.5"')
+        with pytest.raises(CsvFormatError, match="unparseable.*line 3"):
+            ds.read_csv(path)
+
+    def test_first_bad_row_wins_whatever_the_check(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        ds.write_csv(ds.generate("xor", 6, 0), path)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        rows[2][11] = "2"  # line 3: label out of range
+        rows[3][0] = "nan"  # line 4: non-finite feature
+        rows[4][5] = "x"  # line 5: unparseable
+        rows[5] = rows[5][:4]  # line 6: short row
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        for line, message in ((3, "label 2"), (4, "non-finite"), (5, "unparseable"),
+                              (6, "expected 13 fields, got 4")):
+            with pytest.raises(CsvFormatError, match=f"{message}.*line {line}"):
+                ds.read_csv(path)
+            rows[line - 1] = path.read_text().splitlines()[1].split(",")  # mend it, try the next
+            path.write_text("".join(",".join(row) + "\n" for row in rows))
+        assert len(ds.read_csv(path)) == 6
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda parts: parts[:5], "expected 13 fields, got 5"),
+        (lambda parts: ["1e"] + parts[1:], "unparseable"),
+        (lambda parts: parts[:12] + ["0|x"], "unparseable"),
+    ])
+    def test_bad_first_row_reports_line_2(self, tmp_path, edit, message):
+        path = tmp_path / "bad.csv"
+        ds.write_csv(ds.generate("xor", 3, 0), path)
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(edit(lines[1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError, match=f"{message}.*line 2"):
+            ds.read_csv(path)
+
+    def test_errors_in_later_blocks_name_the_file_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ds, "_BLOCK", 3)
+        path = self._corrupt(tmp_path, line=5, column=10, value="1.5")
+        with pytest.raises(CsvFormatError, match=r"outside \[0, 1\].*line 5"):
+            ds.read_csv(path)
+
+
+def reference_csv(data: ds.Dataset) -> bytes:
+    """The per-row writer the column kernel replaced: csv.writer with repr floats."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow([f"x{i}" for i in range(ds.D)] + ["p", "y", "truth"])
+    for x, p, y, truth in zip(data.x, data.p.tolist(), data.y.tolist(), data.truth.tolist()):
+        writer.writerow([*map(repr, x.tolist()), repr(p), str(y), "|".join(map(str, truth))])
+    return buffer.getvalue().encode()
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-5, 1e16, 1e22, 1.0, 0.1, -2.5e-308, 1.7976931348623157e308, 123456.789]
+
+
+def edge_dataset() -> ds.Dataset:
+    x = np.array([EDGE_FLOATS, EDGE_FLOATS[::-1], np.roll(EDGE_FLOATS, 3)])
+    return ds.Dataset(
+        x=x,
+        p=np.array([5e-324, 1.0, -0.0]),
+        y=np.array([0, 1, 1]),
+        component=np.zeros(3, dtype=int),
+        truth=np.tile([0, 1], (3, 1)),
+    )
+
+
+class TestCsvColumnKernel:
+    """The whole-column writer and reader against the per-row path they replace."""
+
+    @pytest.mark.parametrize("kind", ds.KINDS)
+    def test_bytes_match_per_row_writer(self, tmp_path, monkeypatch, kind):
+        monkeypatch.setattr(ds, "_BLOCK", 64)  # several blocks and a partial last one
+        data = ds.generate(kind, 300, 11)
+        ds.write_csv(data, tmp_path / "data.csv")
+        assert (tmp_path / "data.csv").read_bytes() == reference_csv(data)
+
+    def test_edge_floats_match_and_round_trip_bitwise(self, tmp_path):
+        data = edge_dataset()
+        path = tmp_path / "edge.csv"
+        ds.write_csv(data, path)
+        assert path.read_bytes() == reference_csv(data)
+        back = ds.read_csv(path)
+        for name in ("x", "p", "y", "component", "truth"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(data, name))
+        assert np.signbit(back.x[0, 0]) and np.signbit(back.p[2])
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\n"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_line_ends_and_missing_final_newline(self, tmp_path, monkeypatch, ending, final_newline):
+        monkeypatch.setattr(ds, "_BLOCK", 4)
+        data = ds.generate("switch", 9, 5)
+        ds.write_csv(data, tmp_path / "a.csv")
+        text = ending.join((tmp_path / "a.csv").read_bytes().decode().splitlines())
+        (tmp_path / "b.csv").write_bytes((text + (ending if final_newline else "")).encode())
+        back = ds.read_csv(tmp_path / "b.csv")
+        for name in ("x", "p", "y", "component", "truth"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(data, name))

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from l2x import autodiff as ad
 from l2x import explain as ex
+from l2x.errors import JsonlFormatError
 from l2x.networks import Classifier, MlpSpec, build_classifier, build_explainer, init_params
 from l2x.pipeline import explain_dataset
 
@@ -253,3 +256,120 @@ class TestJsonl:
         record = json.loads(path.read_text().strip())
         assert list(record) == ["id", "method", "scores", "selected", "ns"]
         assert record["id"] == 9 and len(record["scores"]) == 3 and len(record["selected"]) == 2
+
+
+def reference_jsonl(explanations) -> bytes:
+    """The per-record writer the column kernel replaced: ``json.dumps`` per record."""
+    return "".join(
+        json.dumps({
+            "id": e.sample_id,
+            "method": e.method,
+            "scores": [float(s) for s in e.scores],
+            "selected": list(e.selected),
+            "ns": e.wall_ns,
+        }) + "\n"
+        for e in explanations
+    ).encode()
+
+
+EDGE_SCORES = [-0.0, 5e-324, 1e-5, 1e16, 1e22, 1.0, 0.1, -7.25e-300, 2.0**60, 1 / 3]
+
+
+def mixed_explanations():
+    """Every method in one list, plus rows with edge, NaN and infinite scores."""
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(40, 10))
+    clf = build_classifier(10, 2, rng, hidden=(6, 6))
+    explainer = build_explainer(10, rng, hidden=(6, 6))
+    items = [
+        *explain_dataset("l2x", x, 3, explainer=explainer),
+        *explain_dataset("saliency", x, 3, classifier=clf),
+        *explain_dataset("taylor", x, 3, classifier=clf),
+        *explain_dataset("taylor-abs", x, 3, classifier=clf),
+    ]
+    special = [EDGE_SCORES, [np.nan] * 10, [np.inf, -np.inf, *EDGE_SCORES[2:]]]
+    items += [ex.Explanation(900 + i, "l2x", np.array(s), (0, 1, 2), 5) for i, s in enumerate(special)]
+    return items
+
+
+class TestJsonlColumnKernel:
+    """The whole-column writer and reader against the per-record path they replace."""
+
+    def test_bytes_match_json_dumps_per_record(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ex, "_BLOCK", 16)  # several blocks and a partial last one
+        items = mixed_explanations()
+        assert {e.method for e in items} == {"l2x", "saliency", "taylor", "taylor-abs"}
+        ex.write_jsonl(items, tmp_path / "e.jsonl")
+        assert (tmp_path / "e.jsonl").read_bytes() == reference_jsonl(items)
+
+    def test_round_trip_bitwise_including_non_finite(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ex, "_BLOCK", 16)
+        items = mixed_explanations()
+        ex.write_jsonl(items, tmp_path / "e.jsonl")
+        back = ex.read_jsonl(tmp_path / "e.jsonl")
+        assert [(e.sample_id, e.method, e.selected, e.wall_ns) for e in back] == [
+            (e.sample_id, e.method, e.selected, e.wall_ns) for e in items
+        ]
+        for a, b in zip(items, back):
+            assert a.scores.tobytes() == b.scores.tobytes()
+
+    def test_empty_list_writes_empty_file(self, tmp_path):
+        ex.write_jsonl([], tmp_path / "e.jsonl")
+        assert (tmp_path / "e.jsonl").read_bytes() == b""
+        assert ex.read_jsonl(tmp_path / "e.jsonl") == []
+
+    def test_writer_rejects_scores_of_different_widths(self, tmp_path):
+        items = [ex.Explanation(0, "l2x", np.zeros(3), (0,), 1),
+                 ex.Explanation(1, "l2x", np.zeros(4), (0,), 1)]
+        with pytest.raises(ValueError, match="one width"):
+            ex.write_jsonl(items, tmp_path / "e.jsonl")
+        assert not (tmp_path / "e.jsonl").exists()
+
+    def test_blank_lines_skipped_and_crlf_accepted(self, tmp_path):
+        items = mixed_explanations()[:3]
+        ex.write_jsonl(items, tmp_path / "e.jsonl")
+        lines = (tmp_path / "e.jsonl").read_text().splitlines()
+        (tmp_path / "f.jsonl").write_bytes(("\r\n".join(["", lines[0], "  ", *lines[1:]])).encode())
+        back = ex.read_jsonl(tmp_path / "f.jsonl")
+        assert [e.sample_id for e in back] == [e.sample_id for e in items]
+
+    def _lines(self, tmp_path, n=5):
+        items = mixed_explanations()[:n]
+        ex.write_jsonl(items, tmp_path / "e.jsonl")
+        return (tmp_path / "e.jsonl").read_text().splitlines()
+
+    def _write(self, tmp_path, lines):
+        (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        return tmp_path / "bad.jsonl"
+
+    @pytest.mark.parametrize("line, edit, message", [
+        (3, lambda t: t[: len(t) // 2], "bad JSON"),
+        (2, lambda t: t.replace('"scores"', '"score"'), "lacks key 'scores'"),
+        (4, lambda t: t.replace('"id": 3', '"id": "3"'), "'id' is not a JSON integer"),
+        (1, lambda t: t.replace('"method": "l2x"', '"method": 7'), "'method' is not a JSON string"),
+        (5, lambda t: t.replace('"selected": [', '"selected": ["a", '), "'selected' holds a non-integer"),
+        (2, lambda t: t.replace('"scores": [', '"scores": [1.5, '), "width differs from the first record's 10"),
+        (2, lambda t: t + " " + t, "bad JSON"),
+        (3, lambda t: "[1, 2]", "exactly one JSON object"),
+    ])
+    def test_malformed_line_names_its_number(self, tmp_path, line, edit, message):
+        lines = self._lines(tmp_path)
+        lines[line - 1] = edit(lines[line - 1])
+        with pytest.raises(JsonlFormatError, match=f"{message}.*line {line}"):
+            ex.read_jsonl(self._write(tmp_path, lines))
+
+    @pytest.mark.parametrize("value", ["0.5", None, [1.0], {}])
+    def test_non_number_score_rejected(self, tmp_path, value):
+        lines = self._lines(tmp_path)
+        record = json.loads(lines[2])
+        record["scores"] = [value] * len(record["scores"])
+        lines[2] = json.dumps(record)
+        with pytest.raises(JsonlFormatError, match="non-number.*line 3"):
+            ex.read_jsonl(self._write(tmp_path, lines))
+
+    def test_errors_in_later_blocks_name_the_file_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ex, "_BLOCK", 3)
+        lines = self._lines(tmp_path, n=12)
+        lines[9] = lines[9][:-5]
+        with pytest.raises(JsonlFormatError, match="bad JSON.*line 11"):
+            ex.read_jsonl(self._write(tmp_path, ["", *lines]))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -383,3 +385,25 @@ class TestRanksCsv:
         mt.write_ranks_csv(rows, path)
         assert mt.read_ranks_csv(path) == rows
         assert path.read_text().splitlines()[0] == "method,dataset,median_rank"
+
+    def test_bytes_match_per_row_writer(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rows = [(m, d, float(v)) for m, d, v in zip(
+            rng.choice(["l2x", "taylor-abs", 'q"uote', "co,mma"], 200),
+            rng.choice(["xor", "orange skin", "line\nbreak"], 200),
+            rng.choice([1.5, 2.0, 3.25, 5e-324, 1e16, 0.1], 200),
+        )]
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(["method", "dataset", "median_rank"])
+        for method, dataset, value in rows:
+            writer.writerow([method, dataset, repr(float(value))])
+        path = tmp_path / "ranks.csv"
+        mt.write_ranks_csv(rows, path)
+        assert path.read_bytes() == buffer.getvalue().encode()
+        assert mt.read_ranks_csv(path) == rows
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        path = tmp_path / "ranks.csv"
+        mt.write_ranks_csv([], path)
+        assert path.read_bytes() == b"method,dataset,median_rank\r\n"
