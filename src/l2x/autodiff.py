@@ -148,15 +148,6 @@ class ParameterSet:
     def copy_values(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, t in self._params.items():
-            src = np.asarray(values[name], dtype=np.float64)
-            if src.shape != t.data.shape:
-                raise ValueError(
-                    f"parameter {name!r}: cannot load shape {src.shape} into {t.data.shape}"
-                )
-            t.data[...] = src
-
 
 # ---------------------------------------------------------------------------
 # operations

@@ -12,19 +12,24 @@ Exit codes are a stable scripting contract:
      unwritable output)
 
 Flags may also come from a plain ``key=value`` file via --config; values
-given on the command line win.  Checkpoints are loaded for the role the
-command needs; a checkpoint of another kind is a malformed input (4).
+given on the command line win.  The training settings of train-model,
+train-explainer and benchmark have no defaults here: a setting given by
+flag or config file is passed on, and one left unset takes the default of
+``TrainConfig``, ``RunConfig``, ``train_classifier`` or ``train_l2x``.  An
+invalid setting is a usage problem (2).  Checkpoints are loaded for the
+role the command needs; a checkpoint of another kind is a malformed input
+(4).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .datasets import D, as_arrays, canonical_kind, generate, read_csv, write_csv
-from .datasets import DEFAULT_SIN_COEFF
 from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError, TextFormatError
 from .explain import read_jsonl, write_jsonl
 from .metrics import post_hoc_accuracy, write_ranks_csv
@@ -69,18 +74,57 @@ class _Command:
     def flag(self, name: str, type=str, default=None, required: bool = False, help: str = ""):
         dest = name.lstrip("-").replace("-", "_")
         self.types[dest] = type
-        self.defaults[dest] = default
+        if default is not None:
+            self.defaults[dest] = default
         if required:
             self.required.append(dest)
         # all flags parse to None so config-file values can fill the gaps
         self.parser.add_argument(name, type=type, default=None, help=help, dest=dest)
 
-    def switch(self, name: str, help: str = ""):
-        # boolean toggles are command-line only
-        self.parser.add_argument(name, action="store_true", help=help)
-
     def error(self, message: str):
         self.parser.error(message)
+
+
+# The training settings, flag -> (type, help), declared without defaults so
+# that the dataclass or function each one reaches holds its only default.
+_SETTINGS = {
+    "--n-train": (int, ""),
+    "--n-valid": (int, ""),
+    "--seed": (int, ""),
+    "--k": (int, "features per explanation (default: dataset truth size)"),
+    "--epochs": (int, ""),
+    "--warmup-epochs": (int, "initial epochs that train only the variational net"),
+    "--batch-size": (int, ""),
+    "--learning-rate": (float, ""),
+    "--temperature": (float, ""),
+    "--sin-coeff": (float, ""),
+    "--methods": (_str_tuple, ""),
+    "--hidden": (_int_tuple, ""),
+    "--classifier-hidden": (_int_tuple, ""),
+    "--explainer-hidden": (_int_tuple, ""),
+    "--variational-hidden": (_int_tuple, ""),
+}
+
+
+def _settings(cmd: _Command, *names: str) -> None:
+    for name in names:
+        type, help = _SETTINGS[name]
+        cmd.flag(name, type=type, help=help)
+
+
+def _given(args, names) -> dict:
+    """The settings among ``names`` that the user gave, by flag or config file."""
+    values = vars(args)
+    return {name: values[name] for name in names if values.get(name) is not None}
+
+
+def _built(cmd: _Command, cls, args, **fixed):
+    """``cls`` built from ``fixed`` and the given settings named like its fields."""
+    names = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
+    try:
+        return cls(**fixed, **_given(args, names))
+    except ValueError as e:
+        cmd.error(str(e))
 
 
 def _read_config(path) -> list[tuple[str, str]]:
@@ -98,7 +142,7 @@ def _read_config(path) -> list[tuple[str, str]]:
 
 
 def _resolve(args: argparse.Namespace, cmd: _Command) -> None:
-    """Fill parse gaps from the config file, then from hardcoded defaults."""
+    """Fill parse gaps from the config file, then from the flags' defaults."""
     values = vars(args)
     if args.config is not None:
         for key, raw in _read_config(args.config):
@@ -131,63 +175,47 @@ def _default_k(truths, override) -> int:
 
 def cmd_generate(args, cmd: _Command) -> int:
     kind = _kind(args, cmd)
-    data = generate(kind, args.n, substream(args.seed, "data", 0), sin_coeff=args.sin_coeff)
+    data = generate(kind, args.n, substream(args.seed, "data", 0), **_given(args, ["sin_coeff"]))
     write_csv(data, args.out)
     balance = float(data.y.mean())
     print(f"wrote {args.n} {kind} samples to {args.out} (mean label {balance:.4f})")
     return 0
 
 
-def _train_config(args, k: int) -> TrainConfig:
-    warmup = getattr(args, "warmup_epochs", None)
-    return TrainConfig(
-        k=k,
-        learning_rate=args.learning_rate,
-        temperature=getattr(args, "temperature", None) or 0.1,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        seed=args.seed,
-        warmup_epochs=2 if warmup is None else warmup,
-    )
-
-
 def cmd_train_model(args, cmd: _Command) -> int:
     x, _, y, _ = as_arrays(read_csv(args.data))
-    cfg = _train_config(args, k=1)
-    if args.epochs == 0:
+    cfg = _built(cmd, TrainConfig, args, k=1)
+    if cfg.epochs == 0:
         print("warning: --epochs 0 emits an untrained checkpoint", file=sys.stderr)
     x_val = y_val = None
     if args.val_data is not None:
         x_val, _, y_val, _ = as_arrays(read_csv(args.val_data))
     clf, report = train_classifier(
-        x, y, cfg, n_classes=2, hidden=args.hidden, x_val=x_val, y_val=y_val
+        x, y, cfg, n_classes=2, x_val=x_val, y_val=y_val, **_given(args, ["hidden"])
     )
     save_model(clf, args.out_model)
     if args.out_curve is not None:
         write_curve_csv(report.curve, args.out_curve)
     note = f", val accuracy {report.val_accuracy:.4f}" if report.val_accuracy is not None else ""
-    print(f"wrote classifier to {args.out_model} ({args.epochs} epochs{note})")
+    print(f"wrote classifier to {args.out_model} ({cfg.epochs} epochs{note})")
     return 0
 
 
 def cmd_train_explainer(args, cmd: _Command) -> int:
     x, _, _, truths = as_arrays(read_csv(args.data))
     classifier = load_model(args.model, kind="classifier")
-    k = _default_k(truths, args.k)
-    cfg = _train_config(args, k=k)
-    if args.epochs == 0:
+    cfg = _built(cmd, TrainConfig, args, k=_default_k(truths, args.k))
+    if cfg.epochs == 0:
         print("warning: --epochs 0 emits untrained checkpoints", file=sys.stderr)
     explainer, variational, report = train_l2x(
-        x, classifier, cfg,
-        explainer_hidden=args.explainer_hidden,
-        variational_hidden=args.variational_hidden,
+        x, classifier, cfg, **_given(args, ["explainer_hidden", "variational_hidden"])
     )
     save_model(explainer, args.out_explainer)
     save_model(variational, args.out_variational)
     if args.out_curve is not None:
         write_curve_csv(report.curve, args.out_curve)
     last = f", final objective {report.curve[-1].objective:.6f}" if report.curve else ""
-    print(f"wrote explainer to {args.out_explainer} (k={k}{last})")
+    print(f"wrote explainer to {args.out_explainer} (k={cfg.k}{last})")
     return 0
 
 
@@ -206,9 +234,7 @@ def cmd_explain(args, cmd: _Command) -> int:
         if args.model is None:
             cmd.error(f"method {method!r} needs --model")
         classifier = load_model(args.model, kind="classifier")
-    explanations = explain_dataset(
-        method, x, k, explainer=explainer, classifier=classifier, absolute=args.abs
-    )
+    explanations = explain_dataset(method, x, k, explainer=explainer, classifier=classifier)
     write_jsonl(explanations, args.out)
     print(f"wrote {len(explanations)} {method} explanations to {args.out}")
     return 0
@@ -234,6 +260,11 @@ def cmd_evaluate(args, cmd: _Command) -> int:
     rows = []
     accuracy: dict[str, float] = {}
     for method in sorted(by_method):
+        if sorted(e.sample_id for e in by_method[method]) != list(range(len(truths))):
+            raise JsonlFormatError(
+                f"the ids of the {method} explanations do not cover "
+                f"the {len(truths)} rows of {args.data} exactly once"
+            )
         report = ranks_for(by_method[method], truths, d=D)
         rows.extend((method, label, float(r)) for r in report.per_sample)
         line = f"{method}: summary median rank {report.summary['median']:.2f}"
@@ -252,23 +283,7 @@ def cmd_evaluate(args, cmd: _Command) -> int:
 
 def cmd_benchmark(args, cmd: _Command) -> int:
     kind = _kind(args, cmd)
-    config = RunConfig(
-        dataset=kind,
-        n_train=args.n_train,
-        n_valid=args.n_valid,
-        seed=args.seed,
-        k=args.k,
-        temperature=args.temperature,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        warmup_epochs=args.warmup_epochs,
-        sin_coeff=args.sin_coeff,
-        methods=args.methods,
-        classifier_hidden=args.classifier_hidden,
-        explainer_hidden=args.explainer_hidden,
-        variational_hidden=args.variational_hidden,
-    )
+    config = _built(cmd, RunConfig, args, dataset=kind)
     summary = run_benchmark(config, args.out_dir, reuse=not args.all)
     median = summary["median_ranks"]["l2x"]["median"] if "l2x" in summary["median_ranks"] else None
     print(
@@ -304,7 +319,7 @@ def build_parser():
     c.flag("--dataset", required=True, help="xor | orange_skin | nonlinear_additive | switch")
     c.flag("--n", type=int, default=10_000)
     c.flag("--seed", type=int, default=0)
-    c.flag("--sin-coeff", type=float, default=DEFAULT_SIN_COEFF)
+    _settings(c, "--sin-coeff")
     c.flag("--out", required=True)
 
     c = command("train-model", cmd_train_model, "train the classifier to be explained")
@@ -312,11 +327,7 @@ def build_parser():
     c.flag("--val-data", help="optional CSV for validation accuracy")
     c.flag("--out-model", required=True)
     c.flag("--out-curve")
-    c.flag("--epochs", type=int, default=10)
-    c.flag("--batch-size", type=int, default=1000)
-    c.flag("--learning-rate", type=float, default=0.001)
-    c.flag("--hidden", type=_int_tuple, default=(200, 200, 200))
-    c.flag("--seed", type=int, default=0)
+    _settings(c, "--epochs", "--batch-size", "--learning-rate", "--hidden", "--seed")
 
     c = command("train-explainer", cmd_train_explainer, "train the selector against a classifier")
     c.flag("--data", required=True)
@@ -324,25 +335,16 @@ def build_parser():
     c.flag("--out-explainer", required=True)
     c.flag("--out-variational", required=True)
     c.flag("--out-curve")
-    c.flag("--k", type=int, help="features per explanation (default: dataset truth size)")
-    c.flag("--epochs", type=int, default=10)
-    c.flag("--warmup-epochs", type=int, default=2,
-           help="initial epochs that train only the variational net")
-    c.flag("--batch-size", type=int, default=1000)
-    c.flag("--learning-rate", type=float, default=0.001)
-    c.flag("--temperature", type=float, default=0.1)
-    c.flag("--explainer-hidden", type=_int_tuple, default=(200, 200))
-    c.flag("--variational-hidden", type=_int_tuple, default=(200, 200, 200))
-    c.flag("--seed", type=int, default=0)
+    _settings(c, "--k", "--epochs", "--warmup-epochs", "--batch-size", "--learning-rate",
+              "--temperature", "--explainer-hidden", "--variational-hidden", "--seed")
 
     c = command("explain", cmd_explain, "write per-sample explanations as JSON lines")
     c.flag("--data", required=True)
     c.flag("--method", required=True, help="l2x | saliency | taylor | taylor-abs")
     c.flag("--explainer", help="explainer checkpoint (l2x)")
     c.flag("--model", help="classifier checkpoint (gradient baselines)")
-    c.flag("--k", type=int)
+    _settings(c, "--k")
     c.flag("--out", required=True)
-    c.switch("--abs", help="rank taylor scores by magnitude")
 
     c = command("evaluate", cmd_evaluate, "score explanations against ground truth")
     c.flag("--data", required=True)
@@ -355,22 +357,10 @@ def build_parser():
     c = command("benchmark", cmd_benchmark, "full pipeline: train, explain, evaluate")
     c.flag("--dataset", required=True)
     c.flag("--out-dir", required=True)
-    c.switch("--all", help="train from scratch (otherwise reuse checkpoints in --out-dir)")
-    c.flag("--n-train", type=int, default=100_000)
-    c.flag("--n-valid", type=int, default=10_000)
-    c.flag("--seed", type=int, default=0)
-    c.flag("--k", type=int)
-    c.flag("--epochs", type=int, default=10)
-    c.flag("--warmup-epochs", type=int, default=2,
-           help="initial epochs that train only the variational net")
-    c.flag("--batch-size", type=int, default=1000)
-    c.flag("--learning-rate", type=float, default=0.001)
-    c.flag("--temperature", type=float, default=0.1)
-    c.flag("--sin-coeff", type=float, default=DEFAULT_SIN_COEFF)
-    c.flag("--methods", type=_str_tuple, default=METHODS)
-    c.flag("--classifier-hidden", type=_int_tuple, default=(200, 200, 200))
-    c.flag("--explainer-hidden", type=_int_tuple, default=(200, 200))
-    c.flag("--variational-hidden", type=_int_tuple, default=(200, 200, 200))
+    c.parser.add_argument("--all", action="store_true",  # a toggle: not read from --config
+                          help="train from scratch (otherwise reuse checkpoints in --out-dir)")
+    fields = (f.name for f in dataclasses.fields(RunConfig) if f.name != "dataset")
+    _settings(c, *(f"--{name}".replace("_", "-") for name in fields))
 
     c = command("oracle", cmd_oracle, "run the exact-information self-checks")
     c.flag("--joints", type=int, default=100)

@@ -28,13 +28,13 @@ regression: P(Y=1|x) = sigmoid(logit), P(Y=0|x) proportional to 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
 from .autodiff import sigmoid_array
 from .errors import CsvFormatError
-from .files import atomic_open, float_rows
+from .files import atomic_open, float_rows, parse_blocks
 
 __all__ = [
     "D",
@@ -230,35 +230,23 @@ def _parse_truth(text: str) -> tuple[tuple[int, ...], int]:
     return truth, 0
 
 
-def _row_parse_error(line: str) -> ValueError | None:
-    """Why one well-sized line does not parse, or None; only used to locate an error."""
-    row = line.rstrip("\n").split(",")
-    try:
-        [float(v) for v in row[: D + 1]]
-        int(row[D + 1])
-        _parse_truth(row[D + 2])
-    except ValueError as e:
-        return e
-    return None
+def _parse(lines: list[str], t_size: int | None):
+    """Columns (xp, y, component, truth) of a run of body lines, and the truth-set size.
 
-
-def _parse_block(lines: list[str], first: int, t_size: int | None):
-    """Columns (xp, y, component, truth) of body lines starting at line ``first``.
-
-    Every check runs over the whole block as an array mask; the error
-    names the first bad row, and for a row that fails several checks,
-    the check the per-row reader made first.
+    Each check runs over a whole column, in the order: field count,
+    unparseable value, non-finite feature, p outside [0, 1], label not 0
+    or 1, truth-set size other than ``t_size`` (that of earlier rows, or
+    of the first row when None).  The first check any row fails raises
+    ValueError; its message describes the line when the run is one line
+    long, which is how :func:`files.parse_blocks` names the first bad line.
     """
     n = len(lines)
-    if n == 0:
-        return None, t_size
     commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, n)
     wrong = np.flatnonzero(commas != _FIELDS - 1)
     if wrong.size:
         r = int(wrong[0])
-        _parse_block(lines[:r], first, t_size)  # an earlier row's error comes first
         got = int(commas[r]) + 1 if lines[r].strip() else 0
-        raise CsvFormatError(f"expected {_FIELDS} fields, got {got}", line=first + r)
+        raise ValueError(f"expected {_FIELDS} fields, got {got}")
 
     cells = "".join(lines).replace("\n", ",").split(",")
     del cells[n * _FIELDS :]  # the empty cell after the last line end
@@ -268,34 +256,25 @@ def _parse_block(lines: list[str], first: int, t_size: int | None):
         xp = np.fromiter(map(float, cells), np.float64, n * (D + 1)).reshape(n, D + 1)
         label_of = {text: int(text) for text in set(labels)}
         truth_of = {text: _parse_truth(text) for text in set(truths)}
-    except ValueError:
-        r, error = next((r, e) for r, e in enumerate(map(_row_parse_error, lines)) if e)
-        _parse_block(lines[:r], first, t_size)
-        raise CsvFormatError(f"unparseable value: {error}", line=first + r) from None
+    except ValueError as e:
+        raise ValueError(f"unparseable value: {e}") from None
 
+    if not np.isfinite(xp[:, :D]).all():
+        raise ValueError("non-finite feature value")
+    p = xp[:, D]
+    outside = np.flatnonzero(~((p >= 0.0) & (p <= 1.0)))
+    if outside.size:
+        raise ValueError(f"p={float(p[outside[0]])} outside [0, 1]")
+    bad_labels = [label for label in label_of.values() if label not in (0, 1)]
+    if bad_labels:
+        raise ValueError(f"label {bad_labels[0]} not in {{0, 1}}")
     if t_size is None:
         t_size = len(truth_of[truths[0]][0])
-    code = {text: v if v in (0, 1) else -1 for text, v in label_of.items()}
-    y = np.fromiter(map(code.__getitem__, labels), np.int64, n)
-    sized = {text for text, (indices, _) in truth_of.items() if len(indices) != t_size}
-    p = xp[:, D]
-    bad = np.vstack((
-        ~np.isfinite(xp[:, :D]).all(axis=1),
-        ~((p >= 0.0) & (p <= 1.0)),
-        y < 0,
-        np.fromiter(map(sized.__contains__, truths), bool, n),
-    ))
-    hits = np.flatnonzero(bad.any(axis=0))
-    if hits.size:
-        r = int(hits[0])
-        message = (
-            lambda: "non-finite feature value",
-            lambda: f"p={float(p[r])} outside [0, 1]",
-            lambda: f"label {label_of[labels[r]]} not in {{0, 1}}",
-            lambda: f"truth set of size {len(truth_of[truths[r]][0])}, earlier rows have {t_size}",
-        )[int(np.argmax(bad[:, r]))]
-        raise CsvFormatError(message(), line=first + r)
+    bad_sizes = [len(indices) for indices, _ in truth_of.values() if len(indices) != t_size]
+    if bad_sizes:
+        raise ValueError(f"truth set of size {bad_sizes[0]}, earlier rows have {t_size}")
 
+    y = np.fromiter(map(label_of.__getitem__, labels), np.int64, n)
     keys = list(truth_of)
     index = dict(zip(keys, range(len(keys))))
     row_key = np.fromiter(map(index.__getitem__, truths), np.intp, n)
@@ -314,7 +293,6 @@ def read_csv(path) -> Dataset:
     must be finite, p in [0, 1], labels 0 or 1, and every truth set must
     have the size of the first.
     """
-    blocks, t_size = [], None
     with open(path) as fh:  # universal newlines: \r\n arrives as \n
         header = fh.readline()
         if not header:
@@ -322,11 +300,7 @@ def read_csv(path) -> Dataset:
         header = header.rstrip("\n").split(",")
         if header != _HEADER:
             raise CsvFormatError(f"unexpected header {header!r}", line=1)
-        first = 2
-        while lines := list(islice(fh, _BLOCK)):
-            block, t_size = _parse_block(lines, first, t_size)
-            blocks.append(block)
-            first += len(lines)
+        blocks = list(parse_blocks(fh, _parse, CsvFormatError, first=2, block=_BLOCK))
     if not blocks:
         raise CsvFormatError("file contains a header but no samples")
     xp, y, component, truth = (np.concatenate(column) for column in zip(*blocks))

@@ -5,8 +5,8 @@ pass and never touches the classifier.  The two baselines differentiate
 the classifier's top-class logit with respect to the input:
 
 * saliency ranks by the absolute gradient,
-* taylor ranks by the signed product input * gradient (an ``absolute``
-  switch gives the unsigned variant).
+* taylor ranks by the signed product input * gradient, and taylor-abs by
+  its magnitude.
 
 Every method scores a whole (n, d) batch at once; the single-row
 functions run the same kernels on a batch of one.
@@ -20,14 +20,14 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import JsonlFormatError
-from .files import atomic_open, float_rows
+from .files import atomic_open, float_rows, parse_blocks
 from .sampling import hard_top_k
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Explanation:
     """One sample's importance scores and the k features they select."""
 
@@ -69,28 +69,22 @@ def input_gradient(classifier, x: np.ndarray) -> np.ndarray:
     return ad.backward(target, leaf)["x"]
 
 
-def method_scores(
-    method: str, x: np.ndarray, explainer=None, classifier=None, absolute: bool = False
-) -> tuple[str, np.ndarray]:
-    """(recorded method name, (n, d) scores) for every row of ``x``.
-
-    ``absolute`` (or the method name ``taylor-abs``) ranks taylor scores
-    by magnitude and records the method as ``taylor-abs``.
-    """
+def method_scores(method: str, x: np.ndarray, explainer=None, classifier=None) -> np.ndarray:
+    """(n, d) scores of ``method`` for every row of ``x``."""
     if method == "l2x":
         if explainer is None:
             raise ValueError("method 'l2x' requires an explainer")
-        return "l2x", explainer.scores(x)
+        return explainer.scores(x)
     if method not in ("saliency", "taylor", "taylor-abs"):
         raise ValueError(f"unknown method {method!r}")
     if classifier is None:
         raise ValueError(f"method {method!r} requires a classifier")
     grad = input_gradient(classifier, x)
     if method == "saliency":
-        return "saliency", np.abs(grad)
-    if absolute or method == "taylor-abs":
-        return "taylor-abs", np.abs(x * grad)
-    return "taylor", x * grad
+        return np.abs(grad)
+    if method == "taylor-abs":
+        return np.abs(x * grad)
+    return x * grad
 
 
 def _explain_row(method: str, x, k: int, sample_id: int, **models) -> Explanation:
@@ -99,9 +93,9 @@ def _explain_row(method: str, x, k: int, sample_id: int, **models) -> Explanatio
     if x.ndim != 1:
         raise ValueError(f"expected a single (d,) sample, got shape {x.shape}")
     t0 = time.perf_counter_ns()
-    name, scores = method_scores(method, x[None, :], **models)
-    selected = hard_top_k(scores[0], k)
-    return Explanation(sample_id, name, scores[0], selected, time.perf_counter_ns() - t0)
+    scores = method_scores(method, x[None, :], **models)[0]
+    selected = hard_top_k(scores, k)
+    return Explanation(sample_id, method, scores, selected, time.perf_counter_ns() - t0)
 
 
 def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
@@ -122,9 +116,10 @@ def explain_taylor(
 ) -> Explanation:
     """Rank features by input times gradient of the top-class logit.
 
-    Scores are signed by default; ``absolute=True`` ranks by magnitude.
+    Scores are signed by default; ``absolute=True`` ranks by magnitude
+    (method ``taylor-abs``).
     """
-    return _explain_row("taylor", x, k, sample_id, classifier=classifier, absolute=absolute)
+    return _explain_row("taylor-abs" if absolute else "taylor", x, k, sample_id, classifier=classifier)
 
 
 _TYPES = {"id": int, "method": str, "scores": list, "selected": list, "ns": int}
@@ -174,12 +169,16 @@ def _all(values, kind: type) -> bool:
     return set(map(type, values)) <= {kind}
 
 
-def _columns(lines: list[str], width: int | None) -> list:
-    """The five fields of a run of JSON lines, one column each; ValueError names the fault.
+def _decode(block: list[str], shape: tuple[int, int] | None):
+    """Explanations of a run of JSON lines (blank ones skipped) and their (width, size).
 
     One ``json.loads`` call decodes every line, then each check runs over
-    a whole column.  ``width`` is the scores width of earlier records.
+    a whole column; ValueError names the fault.  ``shape`` is the scores
+    width and selection size of earlier records, or None before the first.
     """
+    lines = [line for line in block if not line.isspace()]
+    if not lines:
+        return [], shape
     try:
         records = json.loads("[" + ",".join(lines) + "]")
     except ValueError as e:
@@ -193,10 +192,8 @@ def _columns(lines: list[str], width: int | None) -> list:
     for (key, kind), column in zip(_TYPES.items(), columns):
         if not _all(column, kind):
             raise ValueError(f"{key!r} is not a JSON {_JSON_TYPE[kind]}")
-    widths = set(map(len, columns[2]))
-    if width is None:
-        width = len(columns[2][0])
-    if widths != {width}:
+    width, size = shape or (len(columns[2][0]), len(columns[3][0]))
+    if set(map(len, columns[2])) != {width}:
         raise ValueError(f"scores width differs from the first record's {width}")
     try:
         scores = np.array(columns[2])
@@ -206,44 +203,24 @@ def _columns(lines: list[str], width: int | None) -> list:
         raise ValueError("'scores' holds a non-number")
     columns[2] = scores.astype(np.float64, copy=False)
     columns[3] = list(map(tuple, columns[3]))
-    if not all(_all(sel, int) for sel in set(columns[3])):
+    selections = set(columns[3])
+    if not all(_all(sel, int) for sel in selections):
         raise ValueError("'selected' holds a non-integer")
-    return columns
-
-
-def _decode_block(block: list[str], first: int, width: int | None) -> list[Explanation]:
-    """Explanations of a run of lines, the first of them line ``first``; blank lines skipped.
-
-    If the run does not decode, its lines are checked one by one to name
-    the first bad one.
-    """
-    lines = [line for line in block if not line.isspace()]
-    if not lines:
-        return []
-    try:
-        columns = _columns(lines, width)
-    except ValueError as e:
-        numbers = [first + i for i, line in enumerate(block) if not line.isspace()]
-        for number, line in zip(numbers, lines):
-            try:
-                width = _columns([line], width)[2].shape[1]
-            except ValueError as error:
-                raise JsonlFormatError(str(error), line=number) from None
-        raise JsonlFormatError(str(e), line=numbers[0]) from None
-    return list(map(Explanation, *columns))
+    if {len(sel) for sel in selections} != {size}:
+        raise ValueError(f"'selected' size differs from the first record's {size}")
+    if not all(0 <= i < width for sel in selections for i in sel):
+        raise ValueError(f"'selected' holds an index outside [0, {width})")
+    return list(map(Explanation, *columns)), (width, size)
 
 
 def read_jsonl(path) -> list[Explanation]:
     """Inverse of :func:`write_jsonl`, a block of lines at a time; blank lines are skipped.
 
     A line that is not valid JSON, a record with a missing or mistyped
-    key, or scores whose width differs from the first record's raise
-    :class:`JsonlFormatError` with the line number.
+    key, scores whose width differs from the first record's, or a
+    selection whose size differs from the first record's or that holds
+    an index outside the scores raise :class:`JsonlFormatError` with the
+    line number.
     """
-    out: list[Explanation] = []
     with open(path) as fh:
-        first = 1
-        while block := list(islice(fh, _BLOCK)):
-            out += _decode_block(block, first, len(out[0].scores) if out else None)
-            first += len(block)
-    return out
+        return list(chain.from_iterable(parse_blocks(fh, _decode, JsonlFormatError, block=_BLOCK)))

@@ -9,15 +9,17 @@ untouched too, though a dot-named ``.tmp`` file may stay behind.  The
 file is not fsynced, so this is no promise against power loss.
 
 :func:`float_rows` formats a whole float matrix in one call, for the CSV
-and JSONL writers.
+and JSONL writers; :func:`parse_blocks` runs the CSV and JSONL readers'
+column parsers a block of lines at a time and names the first bad line.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+from itertools import islice
 
-__all__ = ["atomic_open", "float_rows"]
+__all__ = ["atomic_open", "float_rows", "parse_blocks"]
 
 
 @contextlib.contextmanager
@@ -60,3 +62,29 @@ def float_rows(values, sep: str = ", ") -> list[str]:
     if sep != ", ":
         text = text.replace(", ", sep)
     return text.split(f"]{sep}[")
+
+
+def parse_blocks(fh, kernel, error, first: int = 1, block: int = 1024):
+    """Yield ``kernel``'s result for each run of ``block`` lines of ``fh``.
+
+    ``kernel(lines, state)`` parses a run of lines a whole column at a
+    time and returns ``(result, state)``; ``state`` (None before the
+    first line) holds what later lines are checked against.  It raises
+    ValueError on the first check any line of the run fails; the run
+    then goes through it again one line at a time, so that ``error``
+    (a ``TextFormatError`` type) names the first bad line.  The first
+    line of ``fh`` is line ``first``.
+    """
+    state = None
+    while lines := list(islice(fh, block)):
+        try:
+            result, state = kernel(lines, state)
+        except ValueError as e:
+            for number, line in enumerate(lines, start=first):
+                try:
+                    _, state = kernel([line], state)
+                except ValueError as bad:
+                    raise error(str(bad), line=number) from None
+            raise error(str(e), line=first) from None
+        yield result
+        first += len(lines)

@@ -54,13 +54,13 @@ class RunConfig:
     dataset: str
     n_train: int = 100_000
     n_valid: int = 10_000
-    seed: int = 0
+    seed: int = TrainConfig.seed
     k: int | None = None
-    temperature: float = 0.1
-    learning_rate: float = 0.001
-    batch_size: int = 1000
-    epochs: int = 10
-    warmup_epochs: int = 2
+    temperature: float = TrainConfig.temperature
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    warmup_epochs: int = TrainConfig.warmup_epochs
     sin_coeff: float = DEFAULT_SIN_COEFF
     classifier_hidden: tuple[int, ...] = (200, 200, 200)
     explainer_hidden: tuple[int, ...] = (200, 200)
@@ -101,7 +101,6 @@ def explain_dataset(
     explainer=None,
     classifier=None,
     threads: int = 1,
-    absolute: bool = False,
 ) -> list[Explanation]:
     """Explain every row of ``x``; ids are row positions.
 
@@ -116,11 +115,11 @@ def explain_dataset(
     if n == 0:
         raise ValueError("need at least one sample")
     t0 = time.perf_counter_ns()
-    name, scores = method_scores(method, x, explainer, classifier, absolute)
+    scores = method_scores(method, x, explainer, classifier)
     selections = hard_top_k(scores, k).tolist()
     per_sample = (time.perf_counter_ns() - t0) // n
     return [
-        Explanation(i, name, scores[i], tuple(sel), per_sample) for i, sel in enumerate(selections)
+        Explanation(i, method, scores[i], tuple(sel), per_sample) for i, sel in enumerate(selections)
     ]
 
 

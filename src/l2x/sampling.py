@@ -123,34 +123,26 @@ def relaxed_subset_mask(log_weights: Tensor, noise: GumbelNoise, temperature: fl
     """
     if log_weights.data.ndim != 1:
         raise ValueError(f"log_weights must be a vector, got shape {log_weights.shape}")
-    d = log_weights.shape[0]
-    if noise.values.ndim != 2 or noise.values.shape[1] != d:
-        raise ValueError(f"noise must have shape (k, {d}), got {noise.values.shape}")
-    k = noise.values.shape[0]
-    config = SamplerConfig(d=d, k=k, temperature=temperature)
-
-    tiled = ad.expand(log_weights, axis=0, reps=k)
-    concrete = ad.softmax(ad.add(tiled, ad.constant(noise.values)), temperature=temperature)
-    v = ad.reduce_max(concrete, axis=0)
+    v = batched_relaxed_mask(log_weights, noise.values, temperature)
+    config = SamplerConfig(d=log_weights.shape[0], k=noise.values.shape[0], temperature=temperature)
     return RelaxedMask(V=v, config=config)
 
 
 def batched_relaxed_mask(log_weights: Tensor, noise: np.ndarray, temperature: float) -> Tensor:
-    """Vectorized :func:`relaxed_subset_mask` for a (B, d) batch of scores.
+    """The relaxed subset mask of every score row in a (..., d) array of scores.
 
-    ``noise`` has shape (B, k, d): independent Gumbel draws per example.
-    Row b of the result equals the single-example mask built from row b's
-    scores and noise, bit for bit.
+    ``noise`` has shape (..., k, d): k independent Gumbel rows per score
+    row.  Each score row is repeated k times, perturbed by its noise,
+    softmaxed at ``temperature`` and max-reduced over the k samples, so
+    row b of a (B, d) batch equals the mask of row b alone, bit for bit.
     """
-    if log_weights.data.ndim != 2:
-        raise ValueError(f"batched scores must be (B, d), got {log_weights.shape}")
-    b, d = log_weights.shape
-    if noise.ndim != 3 or noise.shape[0] != b or noise.shape[2] != d:
-        raise ValueError(f"noise must have shape ({b}, k, {d}), got {noise.shape}")
-    k = noise.shape[1]
-    tiled = ad.expand(log_weights, axis=1, reps=k)
+    *lead, d = log_weights.shape
+    axis = len(lead)
+    if noise.ndim != axis + 2 or noise.shape[:axis] != tuple(lead) or noise.shape[-1] != d:
+        raise ValueError(f"noise must have shape {(*lead, 'k', d)}, got {noise.shape}")
+    tiled = ad.expand(log_weights, axis=axis, reps=noise.shape[axis])
     concrete = ad.softmax(ad.add(tiled, ad.constant(noise)), temperature=temperature)
-    return ad.reduce_max(concrete, axis=1)
+    return ad.reduce_max(concrete, axis=axis)
 
 
 def hard_top_k(scores, k: int):

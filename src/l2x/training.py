@@ -79,7 +79,7 @@ class RmsProp:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for both training loops; the pinned defaults match throughout."""
+    """Knobs for both training loops; ``RunConfig`` and the CLI take their defaults from here."""
 
     k: int
     learning_rate: float = 0.001
@@ -87,8 +87,6 @@ class TrainConfig:
     batch_size: int = 1000
     epochs: int = 10
     seed: int = 0
-    rmsprop_decay: float = 0.9
-    rmsprop_epsilon: float = 1e-7
     warmup_epochs: int = 2
 
     def __post_init__(self):
@@ -102,9 +100,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.warmup_epochs < 0:
             raise ValueError(f"warmup_epochs must be nonnegative, got {self.warmup_epochs}")
-
-    def optimizer(self) -> RmsProp:
-        return RmsProp(self.learning_rate, self.rmsprop_decay, self.rmsprop_epsilon)
 
 
 @dataclass
@@ -175,10 +170,23 @@ def _batch_noise(rng: np.random.Generator, b: int, k: int, d: int) -> np.ndarray
     return gumbel_from_uniform(rng.uniform(size=(b, k, d)))
 
 
-def _shuffled_batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start : start + batch_size]
+def _epochs(config: TrainConfig, n: int, step) -> list[EpochStat]:
+    """Run ``config.epochs`` epochs of shuffled mini-batches; the curve of mean objectives.
+
+    ``step(epoch, idx, step_index)`` trains on the rows ``idx`` and
+    returns the batch's objective; ``step_index`` counts steps across epochs.
+    """
+    curve: list[EpochStat] = []
+    step_index = 0
+    for epoch in range(config.epochs):
+        t0 = time.perf_counter()
+        order = substream(config.seed, "shuffle", epoch).permutation(n)
+        values = []
+        for start in range(0, n, config.batch_size):
+            values.append(step(epoch, order[start : start + config.batch_size], step_index))
+            step_index += 1
+        curve.append(EpochStat(epoch, float(np.mean(values)), (time.perf_counter() - t0) * 1e3))
+    return curve
 
 
 def train_classifier(
@@ -203,31 +211,21 @@ def train_classifier(
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), y] = 1.0
 
-    opt = config.optimizer()
-    curve: list[EpochStat] = []
-    step_index = 0
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        losses = []
-        shuffle_rng = substream(config.seed, "shuffle", epoch)
-        for idx in _shuffled_batches(n, config.batch_size, shuffle_rng):
-            probs = clf.forward_tensor(ad.constant(x[idx]))
-            if not np.all(np.isfinite(probs.data)):
-                raise NumericError(
-                    f"classifier probabilities became non-finite at step {step_index}"
-                )
-            ll = ad.mul(ad.constant(onehot[idx]), _clamped_log(probs))
-            loss = ad.neg(ad.reduce_mean(ad.reduce_sum(ll, axis=1)))
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"classifier loss became {value} at step {step_index}")
-            grads = ad.backward(loss, clf.params)
-            opt.step(clf.params, grads)
-            losses.append(value)
-            step_index += 1
-        curve.append(
-            EpochStat(epoch, float(np.mean(losses)), (time.perf_counter() - t0) * 1e3)
-        )
+    opt = RmsProp(config.learning_rate)
+
+    def step(epoch: int, idx: np.ndarray, step_index: int) -> float:
+        probs = clf.forward_tensor(ad.constant(x[idx]))
+        if not np.all(np.isfinite(probs.data)):
+            raise NumericError(f"classifier probabilities became non-finite at step {step_index}")
+        ll = ad.mul(ad.constant(onehot[idx]), _clamped_log(probs))
+        loss = ad.neg(ad.reduce_mean(ad.reduce_sum(ll, axis=1)))
+        value = loss.item()
+        if not np.isfinite(value):
+            raise NumericError(f"classifier loss became {value} at step {step_index}")
+        opt.step(clf.params, ad.backward(loss, clf.params))
+        return value
+
+    curve = _epochs(config, n, step)
 
     val_accuracy = None
     if x_val is not None and y_val is not None:
@@ -273,36 +271,28 @@ def train_l2x(
     # same prefixed names as in joint, so optimizer state carries over
     variational_only = ParameterSet()
     variational_only.merge("variational", variational.params)
-    opt = config.optimizer()
+    opt = RmsProp(config.learning_rate)
 
     # the classifier is frozen: probabilities are constants on the tape
     pm_all = classifier.predict_proba(x)
 
-    curve: list[EpochStat] = []
-    step_index = 0
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        values = []
+    def step(epoch: int, idx: np.ndarray, step_index: int) -> float:
         active = variational_only if epoch < config.warmup_epochs else joint
-        shuffle_rng = substream(config.seed, "shuffle", epoch)
-        for idx in _shuffled_batches(n, config.batch_size, shuffle_rng):
-            noise = _batch_noise(substream(config.seed, "noise", step_index), len(idx), config.k, d)
-            try:
-                est = _frozen_objective(
-                    x[idx], pm_all[idx], explainer, variational, noise, config.temperature
-                )
-            except NumericError as e:
-                raise NumericError(f"{e} at step {step_index}") from None
-            if not np.isfinite(est.value):
-                raise NumericError(f"objective became {est.value} at step {step_index}")
-            grads = ad.backward(est.root, active)
-            # ascent on the objective
-            opt.step(active, {name: -g for name, g in grads.items()})
-            values.append(est.value)
-            step_index += 1
-        curve.append(EpochStat(epoch, float(np.mean(values)), (time.perf_counter() - t0) * 1e3))
+        noise = _batch_noise(substream(config.seed, "noise", step_index), len(idx), config.k, d)
+        try:
+            est = _frozen_objective(
+                x[idx], pm_all[idx], explainer, variational, noise, config.temperature
+            )
+        except NumericError as e:
+            raise NumericError(f"{e} at step {step_index}") from None
+        if not np.isfinite(est.value):
+            raise NumericError(f"objective became {est.value} at step {step_index}")
+        grads = ad.backward(est.root, active)
+        # ascent on the objective
+        opt.step(active, {name: -g for name, g in grads.items()})
+        return est.value
 
-    return explainer, variational, TrainReport(curve=curve)
+    return explainer, variational, TrainReport(curve=_epochs(config, n, step))
 
 
 def _frozen_objective(

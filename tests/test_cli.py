@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from l2x.datasets import read_csv
 from l2x.explain import read_jsonl
 from l2x.metrics import read_ranks_csv
 from l2x.networks import load_model
+from l2x.pipeline import RunConfig
+from l2x.training import TrainConfig
 
 
 def run(*argv) -> int:
@@ -205,6 +208,94 @@ class TestConfigFile:
         assert run("generate", "--config", cfg, "--out", tmp_path / "x.csv") == 4
 
 
+# command -> (the function its settings reach, its required arguments)
+TRAINING_COMMANDS = {
+    "train-model": ("train_classifier", lambda w, t: [
+        "--data", w / "train.csv", "--out-model", t / "m.l2x"]),
+    "train-explainer": ("train_l2x", lambda w, t: [
+        "--data", w / "train.csv", "--model", w / "model.l2x",
+        "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x"]),
+    "benchmark": ("run_benchmark", lambda w, t: ["--dataset", "xor", "--out-dir", t / "run"]),
+}
+
+# (command, flag, a value other than the default, the field or keyword it sets, parsed value)
+SETTINGS = [
+    *((command, *row) for command in ("train-model", "train-explainer", "benchmark") for row in [
+        ("--seed", 9, "seed", 9),
+        ("--epochs", 3, "epochs", 3),
+        ("--batch-size", 7, "batch_size", 7),
+        ("--learning-rate", 0.25, "learning_rate", 0.25),
+    ]),
+    ("train-model", "--hidden", "4,4", "hidden", (4, 4)),
+    *((command, *row) for command in ("train-explainer", "benchmark") for row in [
+        ("--k", 3, "k", 3),
+        ("--warmup-epochs", 1, "warmup_epochs", 1),
+        ("--temperature", 0.5, "temperature", 0.5),
+        ("--explainer-hidden", "4,4", "explainer_hidden", (4, 4)),
+        ("--variational-hidden", "4,4,4", "variational_hidden", (4, 4, 4)),
+    ]),
+    ("benchmark", "--n-train", 300, "n_train", 300),
+    ("benchmark", "--n-valid", 60, "n_valid", 60),
+    ("benchmark", "--sin-coeff", 2.5, "sin_coeff", 2.5),
+    ("benchmark", "--classifier-hidden", "4,4", "classifier_hidden", (4, 4)),
+    ("benchmark", "--methods", "l2x,taylor", "methods", ("l2x", "taylor")),
+]
+
+
+class _Captured(Exception):
+    pass
+
+
+def settings_reached(monkeypatch, workdir, tmp_path, command, *extra) -> dict:
+    """The config fields and network widths ``command`` passes on; nothing is trained."""
+    target, required = TRAINING_COMMANDS[command]
+    seen = {}
+
+    def capture(*args, **kwargs):
+        config = next(a for a in args if isinstance(a, (TrainConfig, RunConfig)))
+        seen.update(dataclasses.asdict(config))
+        seen.update({name: v for name, v in kwargs.items() if name.endswith("hidden")})
+        raise _Captured
+
+    monkeypatch.setattr(cli, target, capture)
+    with pytest.raises(_Captured):
+        run(command, *required(workdir, tmp_path), *extra)
+    return seen
+
+
+class TestSettings:
+    """Each training setting is declared once and reaches exactly its own field."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, flag, value, field, parsed", SETTINGS,
+                             ids=[f"{row[0]}{row[1]}" for row in SETTINGS])
+    def test_each_setting_reaches_its_field(self, monkeypatch, workdir, tmp_path,
+                                            source, command, flag, value, field, parsed):
+        unset = settings_reached(monkeypatch, workdir, tmp_path, command)
+        if source == "flag":
+            extra = [flag, value]
+        else:
+            extra = ["--config", _written(tmp_path / "c.cfg", f"{flag[2:]}={value}\n")]
+        given = settings_reached(monkeypatch, workdir, tmp_path, command, *extra)
+        changed = {name for name in unset.keys() | given.keys()
+                   if unset.get(name) != given.get(name)}
+        assert changed == {field}
+        assert given[field] == parsed
+
+    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    def test_table_lists_every_setting_flag(self, command):
+        _, commands = cli.build_parser()
+        declared = {a.option_strings[0] for a in commands[command].parser._actions
+                    if a.option_strings and a.option_strings[0] in cli._SETTINGS}
+        assert declared == {row[1] for row in SETTINGS if row[0] == command}
+
+    def test_unset_settings_take_the_config_defaults(self, monkeypatch, workdir, tmp_path):
+        reached = lambda command: settings_reached(monkeypatch, workdir, tmp_path, command)
+        assert reached("train-model") == dataclasses.asdict(TrainConfig(k=1))
+        assert reached("train-explainer") == dataclasses.asdict(TrainConfig(k=2))
+        assert reached("benchmark") == dataclasses.asdict(RunConfig(dataset="xor"))
+
+
 class TestOracleCommand:
     def test_report_written_and_printed(self, tmp_path, capsys):
         out = tmp_path / "oracle.json"
@@ -245,6 +336,11 @@ def _drop_last_score(line: str) -> str:
     record = json.loads(line)
     record["scores"].pop()
     return json.dumps(record)
+
+
+def _with(line: str, **fields) -> str:
+    """A JSONL record with some of its fields replaced."""
+    return json.dumps({**json.loads(line), **fields})
 
 
 def _written(path: Path, text: str) -> Path:
@@ -302,6 +398,26 @@ MALFORMED = [
         "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
                                       lambda lines: [_drop_last_score(line) for line in lines]),
         "--out-ranks", t / "r.csv"], 4),
+    ("jsonl-id-past-the-rows", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      _replace_line(5, lambda old: _with(old, id=80))),
+        "--out-ranks", t / "r.csv"], 4),
+    ("jsonl-duplicated-record", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      lambda lines: lines + lines[3:4]),
+        "--model", w / "model.l2x", "--out-ranks", t / "r.csv"], 4),
+    ("jsonl-selected-sizes-differ", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      _replace_line(5, lambda old: _with(old, selected=[0, 1, 2]))),
+        "--model", w / "model.l2x", "--out-ranks", t / "r.csv"], 4, 5),
+    ("jsonl-selected-index-past-d", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      _replace_line(7, lambda old: _with(old, selected=[0, 10]))),
+        "--model", w / "model.l2x", "--out-ranks", t / "r.csv"], 4, 7),
     ("explainer-given-a-classifier", lambda w, t: [
         "explain", "--data", w / "valid.csv", "--method", "l2x",
         "--explainer", w / "model.l2x", "--out", t / "e.jsonl"], 4),
@@ -340,6 +456,12 @@ MALFORMED = [
     ("removed-threads-flag", lambda w, t: [
         "explain", "--data", w / "valid.csv", "--method", "saliency",
         "--model", w / "model.l2x", "--threads", 2, "--out", t / "e.jsonl"], 2),
+    ("removed-abs-flag", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "taylor",
+        "--model", w / "model.l2x", "--abs", "--out", t / "e.jsonl"], 2),
+    ("zero-temperature", lambda w, t: [
+        "train-explainer", "--data", w / "train.csv", "--model", w / "model.l2x",
+        "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x", "--temperature", 0], 2),
 ]
 
 

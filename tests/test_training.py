@@ -82,9 +82,9 @@ class TestTrainConfig:
         assert cfg.temperature == 0.1
         assert cfg.batch_size == 1000
         assert cfg.epochs == 10
-        assert cfg.rmsprop_decay == 0.9
-        assert cfg.rmsprop_epsilon == 1e-7
         assert cfg.warmup_epochs == 2
+        opt = tr.RmsProp(cfg.learning_rate)
+        assert (opt.decay, opt.epsilon) == (0.9, 1e-7)
 
     @pytest.mark.parametrize("kwargs", [{"k": 0}, {"k": 2, "epochs": -1}, {"k": 2, "temperature": 0.0}])
     def test_validation(self, kwargs):
