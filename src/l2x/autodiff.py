@@ -4,7 +4,9 @@ The graph is built define-by-run: every operation returns a new
 :class:`Tensor` that records its inputs and a closure computing the
 vector-Jacobian product for its backward rule.  A fresh graph is built
 per forward pass; :func:`backward` traverses it once in reverse
-topological order and deposits gradients on the leaves.
+topological order and deposits gradients on the leaves, visiting only
+the nodes that lead to the parameters asked for.  An MLP layer is one
+node, :func:`dense`, bit for bit ``relu(add_bias(matmul(h, w), b))``.
 
 Deliberate conventions:
 
@@ -39,6 +41,7 @@ __all__ = [
     "neg",
     "absolute",
     "add_bias",
+    "dense",
     "softmax",
     "reduce_sum",
     "reduce_mean",
@@ -261,6 +264,37 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, "add_bias", (a, b), lambda g: (g, g.sum(axis=0)))
 
 
+def dense_array(h: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
+    """``h @ w + b``, then the relu if ``relu``, in one buffer (relu of a negative is -0.0)."""
+    out = np.matmul(h, w)
+    out += b
+    if relu:
+        out *= out > 0.0
+    return out
+
+
+def dense(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """One MLP layer as one node: ``relu(add_bias(matmul(h, w), b))``, or no relu.
+
+    The vjp returns no gradient for an ``h`` that needed none when the
+    node was built (a network's input).
+    """
+    h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
+    if (h.data.ndim, w.data.ndim, b.data.ndim) != (2, 2, 1) or (
+        h.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]
+    ):
+        raise ValueError(f"dense: expects (m, k) @ (k, n) + (n,), got {h.shape} @ {w.shape} + {b.shape}")
+    hd, wd, need_h = h.data, w.data, h.requires_grad
+    out = dense_array(hd, wd, b.data, relu)
+
+    def vjp(g: np.ndarray):
+        if relu:
+            g = g * (out > 0.0)  # relu'(0) = 0
+        return (g @ wd.T if need_h else None), hd.T @ g, g.sum(axis=0)
+
+    return _node(out, "dense", (h, w, b), vjp)
+
+
 def softmax_array(z: np.ndarray) -> np.ndarray:
     """Softmax of a plain array over the last axis, computed with max-subtraction."""
     z = z - z.max(axis=-1, keepdims=True)
@@ -358,7 +392,8 @@ def expand(a: Tensor, axis: int, reps: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
+def _topo_order(root: Tensor, targets: set[int] | None = None) -> list[Tensor]:
+    """Nodes needing a gradient, parents first; with ``targets`` (leaf ids), those leading to one."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -374,30 +409,42 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         for p in node.parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    return order
+    if targets is None:
+        return order
+    leads = set(targets)
+    for node in order:
+        if any(id(p) in leads for p in node.parents):
+            leads.add(id(node))
+    return [node for node in order if id(node) in leads]
 
 
 def backward(root: Tensor, params: ParameterSet | None = None) -> dict[str, np.ndarray] | None:
     """Reverse-mode sweep from a scalar root.
 
-    Sets ``grad`` on every reachable leaf with ``requires_grad``.  When a
-    :class:`ParameterSet` is supplied, returns one gradient array per
-    parameter; parameters the root does not depend on get zeros.
+    Without ``params``, sets ``grad`` on every reachable leaf with
+    ``requires_grad``.  With a :class:`ParameterSet`, visits only the
+    nodes that lead to one of its parameters, sets ``grad`` on those
+    parameters, and returns one gradient array per parameter from this
+    sweep alone; parameters the root does not depend on get zeros.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
 
+    targets = None if params is None else {id(t) for _, t in params.items()}
+    order = _topo_order(root, targets)
+    needed = {id(node) for node in order}
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(_topo_order(root)):
+    leaf_grads: dict[int, np.ndarray] = {}
+    for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is None:
             if not node.parents:  # leaf
-                node.grad = g
+                node.grad = leaf_grads[id(node)] = g
             continue
         for p, pg in zip(node.parents, node._vjp(g)):
-            if not p.requires_grad:
+            if id(p) not in needed:
                 continue
             acc = grads.get(id(p))
             grads[id(p)] = pg if acc is None else acc + pg
@@ -406,13 +453,9 @@ def backward(root: Tensor, params: ParameterSet | None = None) -> dict[str, np.n
         return None
     out: dict[str, np.ndarray] = {}
     for name, t in params.items():
-        out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
+        g = leaf_grads.get(id(t))
+        out[name] = g if g is not None else np.zeros_like(t.data)
     return out
-
-
-def _reset_grads(params: ParameterSet) -> None:
-    for _, t in params.items():
-        t.grad = None
 
 
 @dataclass
@@ -452,7 +495,6 @@ def finite_diff_check(
     """
     if not step > 0.0:
         raise ValueError(f"finite_diff_check: step must be positive, got {step}")
-    _reset_grads(params)
     root = f()
     analytic = backward(root, params)
     f0 = root.item()

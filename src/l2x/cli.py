@@ -13,9 +13,10 @@ Exit codes are a stable scripting contract:
 
 Flags may also come from a plain ``key=value`` file via --config; values
 given on the command line win.  The training settings of train-model,
-train-explainer and benchmark have no defaults here: a setting given by
-flag or config file is passed on, and one left unset takes the default of
-``TrainConfig``, ``RunConfig``, ``train_classifier`` or ``train_l2x``.  An
+train-explainer and benchmark, and the settings of oracle, have no
+defaults here: a setting given by flag or config file is passed on, and
+one left unset takes the default of ``TrainConfig``, ``RunConfig``,
+``train_classifier``, ``train_l2x`` or ``run_oracle_suite``.  An
 invalid setting is a usage problem (2).  Checkpoints are loaded for the
 role the command needs; a checkpoint of another kind is a malformed input
 (4).
@@ -31,11 +32,10 @@ from pathlib import Path
 
 from .datasets import D, as_arrays, canonical_kind, generate, read_csv, write_csv
 from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError, TextFormatError
-from .explain import read_jsonl, write_jsonl
+from .explain import ALL_METHODS, check_method, read_jsonl, write_jsonl
 from .metrics import post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
 from .pipeline import (
-    METHODS,
     RunConfig,
     explain_dataset,
     posthoc_for,
@@ -103,7 +103,13 @@ _SETTINGS = {
     "--classifier-hidden": (_int_tuple, ""),
     "--explainer-hidden": (_int_tuple, ""),
     "--variational-hidden": (_int_tuple, ""),
+    "--joints": (int, "random joints to check"),
+    "--max-d": (int, "largest feature count of a joint"),
+    "--max-c": (int, "largest class count of a joint"),
 }
+
+# oracle flag -> keyword of run_oracle_suite
+_ORACLE_KEYWORDS = {"joints": "n_joints", "seed": "seed", "max_d": "max_d", "max_c": "max_c"}
 
 
 def _settings(cmd: _Command, *names: str) -> None:
@@ -223,8 +229,10 @@ def cmd_explain(args, cmd: _Command) -> int:
     x, _, _, truths = as_arrays(read_csv(args.data))
     k = _default_k(truths, args.k)
     method = args.method
-    if method not in (*METHODS, "taylor-abs"):
-        cmd.error(f"unknown method {method!r}")
+    try:
+        check_method(method)
+    except ValueError as e:
+        cmd.error(str(e))
     explainer = classifier = None
     if method == "l2x":
         if args.explainer is None:
@@ -294,7 +302,8 @@ def cmd_benchmark(args, cmd: _Command) -> int:
 
 
 def cmd_oracle(args, cmd: _Command) -> int:
-    report = run_oracle_suite(args.joints, args.seed, args.max_d, args.max_c)
+    given = _given(args, _ORACLE_KEYWORDS)
+    report = run_oracle_suite(**{_ORACLE_KEYWORDS[name]: value for name, value in given.items()})
     if args.out is not None:
         write_json(report, args.out)
     print(json.dumps(report, sort_keys=True, indent=2))
@@ -340,7 +349,7 @@ def build_parser():
 
     c = command("explain", cmd_explain, "write per-sample explanations as JSON lines")
     c.flag("--data", required=True)
-    c.flag("--method", required=True, help="l2x | saliency | taylor | taylor-abs")
+    c.flag("--method", required=True, help=" | ".join(ALL_METHODS))
     c.flag("--explainer", help="explainer checkpoint (l2x)")
     c.flag("--model", help="classifier checkpoint (gradient baselines)")
     _settings(c, "--k")
@@ -363,10 +372,7 @@ def build_parser():
     _settings(c, *(f"--{name}".replace("_", "-") for name in fields))
 
     c = command("oracle", cmd_oracle, "run the exact-information self-checks")
-    c.flag("--joints", type=int, default=100)
-    c.flag("--seed", type=int, default=0)
-    c.flag("--max-d", type=int, default=6)
-    c.flag("--max-c", type=int, default=3)
+    _settings(c, "--joints", "--seed", "--max-d", "--max-c")
     c.flag("--out", help="optional JSON report path")
 
     return parser, commands

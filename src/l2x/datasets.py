@@ -236,9 +236,10 @@ def _parse(lines: list[str], t_size: int | None):
     Each check runs over a whole column, in the order: field count,
     unparseable value, non-finite feature, p outside [0, 1], label not 0
     or 1, truth-set size other than ``t_size`` (that of earlier rows, or
-    of the first row when None).  The first check any row fails raises
-    ValueError; its message describes the line when the run is one line
-    long, which is how :func:`files.parse_blocks` names the first bad line.
+    of the first row when None), truth index outside [0, d).  The first
+    check any row fails raises ValueError; its message describes the line
+    when the run is one line long, which is how :func:`files.parse_blocks`
+    names the first bad line.
     """
     n = len(lines)
     commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, n)
@@ -273,6 +274,9 @@ def _parse(lines: list[str], t_size: int | None):
     bad_sizes = [len(indices) for indices, _ in truth_of.values() if len(indices) != t_size]
     if bad_sizes:
         raise ValueError(f"truth set of size {bad_sizes[0]}, earlier rows have {t_size}")
+    bad_indices = [i for indices, _ in truth_of.values() for i in indices if not 0 <= i < D]
+    if bad_indices:
+        raise ValueError(f"truth index {bad_indices[0]} outside [0, {D})")
 
     y = np.fromiter(map(label_of.__getitem__, labels), np.int64, n)
     keys = list(truth_of)
@@ -290,8 +294,8 @@ def read_csv(path) -> Dataset:
     into cells and parsed a whole column per call, so a large file never
     holds all its cells at once.  Lines may end in ``\r\n`` or ``\n``
     and the last line may have none; fields are never quoted.  Features
-    must be finite, p in [0, 1], labels 0 or 1, and every truth set must
-    have the size of the first.
+    must be finite, p in [0, 1], labels 0 or 1, every truth set must
+    have the size of the first, and every truth index must lie in [0, d).
     """
     with open(path) as fh:  # universal newlines: \r\n arrives as \n
         header = fh.readline()

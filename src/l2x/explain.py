@@ -31,6 +31,8 @@ from .files import atomic_open, float_rows, parse_blocks
 from .sampling import hard_top_k
 
 __all__ = [
+    "ALL_METHODS",
+    "check_method",
     "Explanation",
     "input_gradient",
     "method_scores",
@@ -40,6 +42,15 @@ __all__ = [
     "write_jsonl",
     "read_jsonl",
 ]
+
+
+ALL_METHODS = ("l2x", "saliency", "taylor", "taylor-abs")
+
+
+def check_method(method: str) -> None:
+    """Raise ValueError unless ``method`` names one of :data:`ALL_METHODS`."""
+    if method not in ALL_METHODS:
+        raise ValueError(f"unknown method {method!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,12 +82,11 @@ def input_gradient(classifier, x: np.ndarray) -> np.ndarray:
 
 def method_scores(method: str, x: np.ndarray, explainer=None, classifier=None) -> np.ndarray:
     """(n, d) scores of ``method`` for every row of ``x``."""
+    check_method(method)
     if method == "l2x":
         if explainer is None:
             raise ValueError("method 'l2x' requires an explainer")
         return explainer.scores(x)
-    if method not in ("saliency", "taylor", "taylor-abs"):
-        raise ValueError(f"unknown method {method!r}")
     if classifier is None:
         raise ValueError(f"method {method!r} requires a classifier")
     grad = input_gradient(classifier, x)

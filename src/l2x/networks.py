@@ -10,8 +10,9 @@
 
 All are plain MLPs: relu hidden layers, optional softmax head, Glorot
 uniform initialization.  Each offers two forward paths with identical
-arithmetic: a taped one for training and a plain ndarray one for
-inference.
+arithmetic, both one fused dense kernel per layer (``autodiff.dense`` on
+the tape, ``autodiff.dense_array`` on plain arrays): a taped one for
+training and a plain ndarray one for inference.
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
@@ -135,16 +136,19 @@ class Mlp:
                 f"{self.kind} expects input width {self.spec.input_width}, got {width}"
             )
 
+    def _layers(self):
+        """(weight, bias, relu?) of each layer, input to output; the last has no relu."""
+        n_layers = len(self.spec.layer_widths) - 1
+        return [(self.params[f"w{i}"], self.params[f"b{i}"], i < n_layers - 1) for i in range(n_layers)]
+
     def logits_tensor(self, x: Tensor) -> Tensor:
         """Taped pass through the layers over a (batch, d) input, before the head."""
         if x.data.ndim != 2:
             raise ValueError(f"expected (batch, d) input, got shape {x.shape}")
         self._check_width(x.shape[1])
-        n_layers = len(self.spec.layer_widths) - 1
         h = x
-        for i in range(n_layers):
-            z = ad.add_bias(ad.matmul(h, self.params[f"w{i}"]), self.params[f"b{i}"])
-            h = ad.relu(z) if i < n_layers - 1 else z
+        for w, b, relu in self._layers():
+            h = ad.dense(h, w, b, relu)
         return h
 
     def forward_tensor(self, x: Tensor) -> Tensor:
@@ -161,11 +165,9 @@ class Mlp:
         if x.ndim != 2:
             raise ValueError(f"expected (batch, d) input, got shape {x.shape}")
         self._check_width(x.shape[1])
-        n_layers = len(self.spec.layer_widths) - 1
         h = x
-        for i in range(n_layers):
-            z = h @ self.params[f"w{i}"].data + self.params[f"b{i}"].data
-            h = z * (z > 0.0) if i < n_layers - 1 else z
+        for w, b, relu in self._layers():
+            h = ad.dense_array(h, w.data, b.data, relu)
         out = ad.softmax_array(h) if self.spec.head == "softmax" else h
         return out[0] if single else out
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DEFAULT_SIN_COEFF, D, as_arrays, canonical_kind, generate, k_for
-from .explain import Explanation, method_scores, write_jsonl
+from .explain import Explanation, check_method, method_scores, write_jsonl
 from .files import atomic_open
 from .metrics import MedianRankReport, PostHocReport, median_rank, post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
@@ -44,7 +44,7 @@ __all__ = [
     "write_json",
 ]
 
-METHODS = ("l2x", "saliency", "taylor")
+METHODS = ("l2x", "saliency", "taylor")  # the default; any of explain.ALL_METHODS may be run
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for m in self.methods:
-            if m not in METHODS and m != "taylor-abs":
-                raise ValueError(f"unknown method {m!r}")
+            check_method(m)
         # delegate the remaining numeric checks
         self.train_config()
 

@@ -47,6 +47,8 @@ class RmsProp:
     """RMSprop with a per-parameter squared-gradient accumulator.
 
     acc <- rho * acc + (1 - rho) * g^2;  p <- p - lr * g / (sqrt(acc) + eps)
+
+    computed in place, through two scratch arrays per parameter, in that order of operations.
     """
 
     def __init__(self, learning_rate: float = 0.001, decay: float = 0.9, epsilon: float = 1e-7):
@@ -60,6 +62,7 @@ class RmsProp:
         self.decay = decay
         self.epsilon = epsilon
         self.acc: dict[str, np.ndarray] = {}
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: ParameterSet, grads: dict[str, np.ndarray]) -> None:
         for name, t in params.items():
@@ -70,11 +73,18 @@ class RmsProp:
                 )
             acc = self.acc.get(name)
             if acc is None:
-                acc = np.zeros_like(t.data)
-                self.acc[name] = acc
+                acc = self.acc[name] = np.zeros_like(t.data)
+                self._scratch[name] = (np.empty_like(t.data), np.empty_like(t.data))
+            update, denom = self._scratch[name]
+            np.multiply(1.0 - self.decay, g, out=update)
+            update *= g
             acc *= self.decay
-            acc += (1.0 - self.decay) * g * g
-            t.data -= self.learning_rate * g / (np.sqrt(acc) + self.epsilon)
+            acc += update
+            np.sqrt(acc, out=denom)
+            denom += self.epsilon
+            np.multiply(self.learning_rate, g, out=update)
+            update /= denom
+            t.data -= update
 
 
 @dataclass(frozen=True)

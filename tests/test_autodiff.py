@@ -180,6 +180,33 @@ class TestBackwardRules:
         ad.backward(ad.reduce_sum(ad.mul(x, x)), params)
         np.testing.assert_array_equal(x.grad, first)
 
+    def test_gradients_come_from_this_sweep_alone(self):
+        params = ad.ParameterSet()
+        a = params.add("a", [1.0, 2.0])
+        params.add("b", [3.0, 4.0])
+        ad.backward(ad.reduce_sum(ad.mul(a, params["b"])), params)
+        # b.grad still holds a from the first graph; the second does not use b
+        grads = ad.backward(ad.reduce_sum(ad.mul(a, ad.constant([1.0, 1.0]))), params)
+        np.testing.assert_array_equal(grads["b"], [0.0, 0.0])
+        np.testing.assert_array_equal(grads["a"], [1.0, 1.0])
+
+    def test_backward_visits_only_nodes_leading_to_the_parameters(self):
+        params = ad.ParameterSet()
+        w = params.add("w", [1.0, 2.0])
+        other = ad.parameter([3.0, 4.0])
+        side = ad.mul(other, other)  # requires a gradient, but leads only to `other`
+        calls = []
+        inner = side._vjp
+        side._vjp = lambda g: calls.append(g) or inner(g)
+        root = ad.reduce_sum(ad.mul(side, w))
+        grads = ad.backward(root, params)
+        assert calls == []
+        assert other.grad is None
+        np.testing.assert_array_equal(grads["w"], side.data)
+        ad.backward(root)  # without parameters every node is visited
+        assert len(calls) == 1
+        np.testing.assert_array_equal(other.grad, 2.0 * other.data * w.data)
+
     def test_backward_is_bit_deterministic(self):
         rng = np.random.default_rng(7)
         f, params = scalar_net(rng)
@@ -189,6 +216,79 @@ class TestBackwardRules:
         g2 = ad.backward(f(), params)
         for name in params.names():
             assert np.array_equal(g1[name], g2[name])
+
+
+class TestDense:
+    """The fused layer against the three ops it replaces, bit for bit."""
+
+    @staticmethod
+    def _inputs(seed):
+        rng = np.random.default_rng(seed)
+        h = rng.normal(size=(6, 5))
+        h[0] = 0.0  # row 0's pre-activations are the bias itself
+        w = rng.normal(size=(5, 4))
+        b = rng.normal(size=(4,))
+        b[1] = 0.0  # so the pre-activation at (0, 1) is an exact zero
+        return h, w, b
+
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
+    @pytest.mark.parametrize("taped_h", [True, False], ids=["taped-h", "constant-h"])
+    def test_value_and_gradients_match_unfused_ops_bitwise(self, relu, taped_h):
+        for seed in range(5):
+            h, w, b = self._inputs(seed)
+            upstream = np.random.default_rng(50 + seed).normal(size=(6, 4))
+            results = []
+            for fused in (True, False):
+                params = ad.ParameterSet()
+                hh = params.add("h", h) if taped_h else ad.constant(h)
+                ww, bb = params.add("w", w), params.add("b", b)
+                if fused:
+                    out = ad.dense(hh, ww, bb, relu)
+                else:
+                    z = ad.add_bias(ad.matmul(hh, ww), bb)
+                    out = ad.relu(z) if relu else z
+                root = ad.reduce_sum(ad.mul(out, ad.constant(upstream)))
+                results.append((out.data, ad.backward(root, params)))
+            (out, grads), (ref_out, ref_grads) = results
+            assert (ref_out == 0.0).any() and (np.signbit(ref_out) if relu else ref_out < 0).any()
+            assert out.tobytes() == ref_out.tobytes()  # the sign of every zero too
+            assert grads.keys() == ref_grads.keys() == ({"h", "w", "b"} if taped_h else {"w", "b"})
+            for name in grads:
+                assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    def test_plain_array_kernel_is_the_node_value(self):
+        h, w, b = self._inputs(1)
+        node = ad.dense(ad.constant(h), ad.parameter(w), ad.parameter(b), True)
+        assert ad.dense_array(h, w, b, True).tobytes() == node.data.tobytes()
+
+    def test_constant_input_gets_no_gradient(self):
+        h, w, b = self._inputs(2)
+        node = ad.dense(ad.constant(h), ad.parameter(w), ad.parameter(b), True)
+        g_h, g_w, g_b = node._vjp(np.ones(node.shape))
+        assert g_h is None and g_w.shape == w.shape and g_b.shape == b.shape
+
+    def test_shape_contract(self):
+        h, w, b = self._inputs(3)
+        for args in ((h, w.T, b), (h, w, b[:3]), (h[0], w, b), (h, w, b[None, :])):
+            with pytest.raises(ValueError, match="dense"):
+                ad.dense(*map(ad.constant, args), True)
+
+    def test_gradients_match_central_differences(self):
+        for seed in range(5):
+            rng = np.random.default_rng(200 + seed)
+            params = ad.ParameterSet()
+            h = params.add("h", rng.normal(size=(3, 4)))
+            w = params.add("w", rng.normal(size=(4, 5)))
+            b = params.add("b", rng.normal(size=(5,)))
+            w2, b2 = ad.constant(rng.normal(size=(5, 2))), ad.constant(rng.normal(size=(2,)))
+
+            def f():
+                y = ad.dense(ad.dense(h, w, b, True), w2, b2, False)
+                return ad.reduce_sum(ad.mul(y, y))
+
+            report = ad.finite_diff_check(f, params)
+            assert report.n_checked > 0
+            assert report.max_rel_error < 1e-5, (seed, report)
 
 
 class TestFiniteDifferenceAgreement:

@@ -209,13 +209,14 @@ class TestConfigFile:
 
 
 # command -> (the function its settings reach, its required arguments)
-TRAINING_COMMANDS = {
+SETTING_COMMANDS = {
     "train-model": ("train_classifier", lambda w, t: [
         "--data", w / "train.csv", "--out-model", t / "m.l2x"]),
     "train-explainer": ("train_l2x", lambda w, t: [
         "--data", w / "train.csv", "--model", w / "model.l2x",
         "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x"]),
     "benchmark": ("run_benchmark", lambda w, t: ["--dataset", "xor", "--out-dir", t / "run"]),
+    "oracle": ("run_oracle_suite", lambda w, t: []),
 }
 
 # (command, flag, a value other than the default, the field or keyword it sets, parsed value)
@@ -239,6 +240,10 @@ SETTINGS = [
     ("benchmark", "--sin-coeff", 2.5, "sin_coeff", 2.5),
     ("benchmark", "--classifier-hidden", "4,4", "classifier_hidden", (4, 4)),
     ("benchmark", "--methods", "l2x,taylor", "methods", ("l2x", "taylor")),
+    ("oracle", "--joints", 5, "n_joints", 5),
+    ("oracle", "--seed", 3, "seed", 3),
+    ("oracle", "--max-d", 4, "max_d", 4),
+    ("oracle", "--max-c", 2, "max_c", 2),
 ]
 
 
@@ -247,14 +252,20 @@ class _Captured(Exception):
 
 
 def settings_reached(monkeypatch, workdir, tmp_path, command, *extra) -> dict:
-    """The config fields and network widths ``command`` passes on; nothing is trained."""
-    target, required = TRAINING_COMMANDS[command]
+    """The config fields and keyword settings ``command`` passes on; nothing runs.
+
+    The training functions also take their data by keyword, so of their
+    keywords only the network widths are settings; every keyword that
+    ``oracle`` passes is one.
+    """
+    target, required = SETTING_COMMANDS[command]
     seen = {}
 
     def capture(*args, **kwargs):
-        config = next(a for a in args if isinstance(a, (TrainConfig, RunConfig)))
-        seen.update(dataclasses.asdict(config))
-        seen.update({name: v for name, v in kwargs.items() if name.endswith("hidden")})
+        for config in (a for a in args if isinstance(a, (TrainConfig, RunConfig))):
+            seen.update(dataclasses.asdict(config))
+        seen.update({name: v for name, v in kwargs.items()
+                     if name.endswith("hidden") or command == "oracle"})
         raise _Captured
 
     monkeypatch.setattr(cli, target, capture)
@@ -282,7 +293,7 @@ class TestSettings:
         assert changed == {field}
         assert given[field] == parsed
 
-    @pytest.mark.parametrize("command", TRAINING_COMMANDS)
+    @pytest.mark.parametrize("command", SETTING_COMMANDS)
     def test_table_lists_every_setting_flag(self, command):
         _, commands = cli.build_parser()
         declared = {a.option_strings[0] for a in commands[command].parser._actions
@@ -294,6 +305,18 @@ class TestSettings:
         assert reached("train-model") == dataclasses.asdict(TrainConfig(k=1))
         assert reached("train-explainer") == dataclasses.asdict(TrainConfig(k=2))
         assert reached("benchmark") == dataclasses.asdict(RunConfig(dataset="xor"))
+
+    def test_bare_oracle_calls_the_suite_with_no_arguments(self, monkeypatch):
+        calls = []
+
+        def capture(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise _Captured
+
+        monkeypatch.setattr(cli, "run_oracle_suite", capture)
+        with pytest.raises(_Captured):
+            run("oracle")
+        assert calls == [((), {})]
 
 
 class TestOracleCommand:
@@ -373,6 +396,15 @@ MALFORMED = [
     ("truth-sizes-differ-evaluate", lambda w, t: [
         "evaluate", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 4, 12, "0"),
         "--explanations", w / "valid_l2x.jsonl", "--out-ranks", t / "r.csv"], 4, 4),
+    ("truth-index-past-d", lambda w, t: [
+        "evaluate", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 2, 12, "0|12"),
+        "--explanations", w / "valid_l2x.jsonl", "--out-ranks", t / "r.csv"], 4, 2),
+    ("negative-truth-index", lambda w, t: [
+        "evaluate", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 6, 12, "-1|0"),
+        "--explanations", w / "valid_l2x.jsonl", "--out-ranks", t / "r.csv"], 4, 6),
+    ("huge-truth-index", lambda w, t: [
+        "explain", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 3, 12, "0|99999999999999999999"),
+        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4, 3),
     ("blank-line-mid-csv", lambda w, t: [
         "explain", "--data", _edit_lines(w / "valid.csv", t / "bad.csv",
                                          lambda lines: lines[:6] + [""] + lines[6:]),

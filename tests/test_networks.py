@@ -84,6 +84,20 @@ class TestForward:
         np.testing.assert_array_equal(ad.softmax(ad.constant(logits)).data, clf.forward(x))
         assert clf.eval_count == 9
 
+    @pytest.mark.parametrize("build", [
+        lambda rng: nw.build_classifier(4, 3, rng, hidden=(8, 8, 8)),
+        lambda rng: nw.build_explainer(4, rng, hidden=(8, 8)),
+        lambda rng: nw.build_variational(4, 2, rng, hidden=(8, 8, 8)),
+    ], ids=["classifier", "explainer", "variational"])
+    def test_forward_is_the_taped_pass_bit_for_bit(self, build):
+        rng = np.random.default_rng(11)
+        net = build(rng)
+        x = rng.normal(size=(20, 4))
+        x[0] = 0.0
+        logits = net.logits_tensor(ad.constant(x))
+        taped = ad.softmax(logits).data if net.spec.head == "softmax" else logits.data
+        assert net.forward(x).tobytes() == taped.tobytes()
+
     def test_single_row_convenience(self):
         clf = small_classifier(5)
         x = np.random.default_rng(6).normal(size=4)

@@ -63,6 +63,26 @@ class TestRmsProp:
         assert opt.acc["w"].shape == (3, 2)
         assert np.all(opt.acc["w"] >= 0)
 
+    def test_step_matches_the_written_formula_bitwise(self):
+        rng = np.random.default_rng(3)
+        params = ad.ParameterSet()
+        params.add("w", rng.normal(size=(4, 3)))
+        params.add("b", rng.normal(size=(3,)))
+        lr, rho, eps = 0.01, 0.9, 1e-7
+        opt = tr.RmsProp(learning_rate=lr, decay=rho, epsilon=eps)
+        ref = params.copy_values()
+        acc = {name: np.zeros_like(v) for name, v in ref.items()}
+        for _ in range(6):
+            grads = {name: rng.normal(size=v.shape) for name, v in ref.items()}
+            given = {name: g.copy() for name, g in grads.items()}
+            opt.step(params, grads)
+            for name, g in given.items():
+                acc[name] = rho * acc[name] + (1.0 - rho) * g * g
+                ref[name] = ref[name] - lr * g / (np.sqrt(acc[name]) + eps)
+                assert params[name].data.tobytes() == ref[name].tobytes(), name
+                assert opt.acc[name].tobytes() == acc[name].tobytes(), name
+                assert grads[name].tobytes() == g.tobytes(), "the gradient was modified"
+
     def test_shape_mismatch_raises(self):
         params = ad.ParameterSet()
         params.add("p", np.zeros(3))
@@ -97,6 +117,63 @@ class TestTrainConfig:
         x = rng.normal(size=(8, 3))
         clf, report = tr.train_classifier(x, (x[:, 0] > 0).astype(int), cfg, hidden=(4, 4, 4))
         assert report.curve == []
+
+
+def _graph(root) -> list:
+    """Every node of the graph under ``root``."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
+
+
+def _recorded(vjp, key, calls: set):
+    def recorded(g):
+        calls.add(key)
+        return vjp(g)
+    return recorded
+
+
+class TestWarmupBackward:
+    def test_runs_no_explainer_or_relaxation_vjp_and_matches_full_backward(self, monkeypatch):
+        clf, ex, var, x, noise = tiny_setup(seed=4, b=5)
+        made = {}
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                made[name] = fn(*args, **kwargs)
+                return made[name]
+            return wrapped
+
+        monkeypatch.setattr(ex, "forward_tensor", recording("scores", ex.forward_tensor))
+        monkeypatch.setattr(tr, "batched_relaxed_mask", recording("mask", tr.batched_relaxed_mask))
+        root = tr.l2x_objective(x, clf, ex, var, noise, temperature=0.5, k=2).root
+
+        calls: set[int] = set()  # ids of the nodes whose vjp ran
+        for node in _graph(root):
+            if node._vjp is not None:
+                node._vjp = _recorded(node._vjp, id(node), calls)
+        selector_side = {id(node) for node in _graph(made["mask"])}
+        assert {id(made["scores"]), id(made["mask"])} <= selector_side
+
+        variational_only = ad.ParameterSet()
+        variational_only.merge("variational", var.params)
+        warm = ad.backward(root, variational_only)
+        assert calls and not selector_side & calls
+
+        joint = ad.ParameterSet()
+        joint.merge("explainer", ex.params)
+        joint.merge("variational", var.params)
+        calls.clear()
+        full = ad.backward(root, joint)
+        assert selector_side & calls
+        assert warm.keys() == set(variational_only.names())
+        for name, g in warm.items():
+            assert g.tobytes() == full[name].tobytes(), name
 
 
 class TestObjective:
