@@ -12,6 +12,7 @@ from .datasets import Dataset, as_arrays, canonical_kind, generate, k_for, read_
 from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError
 from .explain import (
     Explanation,
+    Explanations,
     explain_l2x,
     explain_saliency,
     explain_taylor,
@@ -44,6 +45,7 @@ __all__ = [
     "Dataset",
     "DiscreteJoint",
     "Explanation",
+    "Explanations",
     "JsonlFormatError",
     "ModelFormatError",
     "NumericError",

@@ -30,9 +30,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .datasets import D, as_arrays, canonical_kind, generate, read_csv, write_csv
 from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError, TextFormatError
-from .explain import ALL_METHODS, check_method, read_jsonl, write_jsonl
+from .explain import ALL_METHODS, Explanations, check_method, read_jsonl, write_jsonl
 from .metrics import post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
 from .pipeline import (
@@ -253,31 +255,34 @@ def cmd_evaluate(args, cmd: _Command) -> int:
     label = args.dataset_label or Path(args.data).stem
     classifier = load_model(args.model, kind="classifier") if args.model is not None else None
 
-    by_method: dict[str, list] = {}
+    parts: dict[str, list] = {}
     for path in args.explanations:
-        explanations = read_jsonl(path)
-        if explanations and len(explanations[0].scores) != D:
-            raise JsonlFormatError(
-                f"{path} holds scores of width {len(explanations[0].scores)}; the dataset has d={D}"
-            )
-        for e in explanations:
-            by_method.setdefault(e.method, []).append(e)
-    if not by_method:
+        for method, record in read_jsonl(path).items():
+            if record.scores.shape[1] != D:
+                raise JsonlFormatError(
+                    f"{path} holds scores of width {record.scores.shape[1]}; the dataset has d={D}"
+                )
+            parts.setdefault(method, []).append(record)
+    if not parts:
         cmd.error("no explanations given")
 
     rows = []
     accuracy: dict[str, float] = {}
-    for method in sorted(by_method):
-        if sorted(e.sample_id for e in by_method[method]) != list(range(len(truths))):
+    for method in sorted(parts):
+        try:
+            record = Explanations.concatenate(parts[method])
+        except ValueError:
+            raise JsonlFormatError(f"the {method} explanations select unequal numbers of features") from None
+        if not np.array_equal(np.sort(record.ids), np.arange(len(truths))):
             raise JsonlFormatError(
                 f"the ids of the {method} explanations do not cover "
                 f"the {len(truths)} rows of {args.data} exactly once"
             )
-        report = ranks_for(by_method[method], truths, d=D)
+        report = ranks_for(record, truths, d=D)
         rows.extend((method, label, float(r)) for r in report.per_sample)
         line = f"{method}: summary median rank {report.summary['median']:.2f}"
         if classifier is not None:
-            accuracy[method] = posthoc_for(classifier, x, by_method[method]).accuracy
+            accuracy[method] = posthoc_for(classifier, x, record).accuracy
             line += f", post-hoc accuracy {accuracy[method]:.4f}"
         print(line + f" (optimal {report.optimal_median})")
     write_ranks_csv(rows, args.out_ranks)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .autodiff import sigmoid_array
 from .errors import CsvFormatError
-from .files import atomic_open, float_rows, parse_blocks
+from .files import atomic_open, float_rows, open_text, parse_blocks
 
 __all__ = [
     "D",
@@ -297,7 +297,7 @@ def read_csv(path) -> Dataset:
     must be finite, p in [0, 1], labels 0 or 1, every truth set must
     have the size of the first, and every truth index must lie in [0, d).
     """
-    with open(path) as fh:  # universal newlines: \r\n arrives as \n
+    with open_text(path) as fh:  # universal newlines: \r\n arrives as \n
         header = fh.readline()
         if not header:
             raise CsvFormatError("empty file: missing header", line=1)

@@ -11,8 +11,11 @@ the classifier's top-class logit with respect to the input:
 Every method scores a whole (n, d) batch at once; the single-row
 functions run the same kernels on a batch of one.
 
-Explanations serialize as JSON lines: {id, method, scores, selected, ns},
-written and read a block of records at a time, a whole column per call.
+One method's explanations of n rows are one :class:`Explanations`
+record of columns: ids (n,), scores (n, d), selected (n, k) and ns (n,).
+Indexing it gives an :class:`Explanation`, the view of a single row.
+Records serialize as JSON lines: {id, method, scores, selected, ns},
+written and read a block of lines at a time, a whole column per call.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import JsonlFormatError
-from .files import atomic_open, float_rows, parse_blocks
+from .files import atomic_open, float_rows, open_text, parse_blocks
 from .sampling import hard_top_k
 
 __all__ = [
     "ALL_METHODS",
     "check_method",
     "Explanation",
+    "Explanations",
     "input_gradient",
     "method_scores",
     "explain_l2x",
@@ -62,6 +66,41 @@ class Explanation:
     scores: np.ndarray
     selected: tuple[int, ...]
     wall_ns: int
+
+
+@dataclass(frozen=True, slots=True)
+class Explanations:
+    """One method's explanations of n rows as int64 and float64 columns; ``record[i]`` is a row view."""
+
+    method: str
+    ids: np.ndarray
+    scores: np.ndarray
+    selected: np.ndarray
+    ns: np.ndarray
+
+    def __post_init__(self):
+        lengths = {len(self.ids), len(self.scores), len(self.selected), len(self.ns)}
+        if self.scores.ndim != 2 or self.selected.ndim != 2 or len(lengths) > 1:
+            raise ValueError("explanations need n ids, (n, d) scores, (n, k) selections and n times")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> Explanation:
+        return Explanation(
+            int(self.ids[i]), self.method, self.scores[i], tuple(self.selected[i].tolist()), int(self.ns[i])
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @classmethod
+    def concatenate(cls, parts) -> "Explanations":
+        """The rows of several records of one method, in order; ValueError if their widths differ."""
+        if len(parts) == 1:
+            return parts[0]
+        columns = ((part.ids, part.scores, part.selected, part.ns) for part in parts)
+        return cls(parts[0].method, *map(np.concatenate, zip(*columns)))
 
 
 def input_gradient(classifier, x: np.ndarray) -> np.ndarray:
@@ -109,10 +148,7 @@ def _explain_row(method: str, x, k: int, sample_id: int, **models) -> Explanatio
 
 
 def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
-    """Score features with the trained explainer and keep the top k.
-
-    One explainer forward pass; the classifier is never evaluated.
-    """
+    """Score features with the trained explainer and keep the top k; no classifier evaluation."""
     return _explain_row("l2x", x, k, sample_id, explainer=explainer)
 
 
@@ -138,40 +174,41 @@ _RECORD = '{"id": %d, "method": %s, "scores": [%s], "selected": [%s], "ns": %d}\
 _BLOCK = 1024  # records formatted or decoded per step
 
 
-def _format_block(explanations) -> str:
-    """JSON lines of a run of explanations, as ``json.dumps`` writes each record.
+def _format_block(record: Explanations, rows: slice) -> str:
+    """JSON lines of a run of one record's rows, as ``json.dumps`` writes each record.
 
     The scores of the whole run are formatted in one call; rows holding
     a non-finite score (``NaN``, ``Infinity``) are formatted again by
-    ``json.dumps``, which spells those differently from ``repr``.
+    ``json.dumps``, which spells those differently from ``repr``.  Each
+    distinct selection is formatted once.
     """
-    scores = np.array([e.scores for e in explanations], dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError(f"explanations need score vectors, got shape {scores.shape}")
-    rows = float_rows(scores)
+    scores = np.asarray(record.scores[rows], dtype=np.float64)
+    texts = float_rows(scores)
     for i in np.flatnonzero(~np.isfinite(scores).all(axis=1)).tolist():
-        rows[i] = json.dumps(scores[i].tolist())[1:-1]
-    method_text = {m: json.dumps(m) for m in {e.method for e in explanations}}
-    selected_text = {s: ", ".join(map(str, map(int, s))) for s in {e.selected for e in explanations}}
-    return "".join(
-        _RECORD % (e.sample_id, method_text[e.method], row, selected_text[e.selected], e.wall_ns)
-        for e, row in zip(explanations, rows)
-    )
+        texts[i] = json.dumps(scores[i].tolist())[1:-1]
+    selected = list(map(tuple, record.selected[rows].tolist()))
+    selected_text = {sel: ", ".join(map(str, sel)) for sel in set(selected)}
+    method = json.dumps(record.method)
+    columns = (record.ids[rows].tolist(), texts, map(selected_text.__getitem__, selected),
+               record.ns[rows].tolist())
+    return "".join(_RECORD % (i, method, text, sel, ns) for i, text, sel, ns in zip(*columns))
 
 
 def write_jsonl(explanations, path) -> None:
     """One JSON object per line: ``{"id", "method", "scores", "selected", "ns"}``.
 
-    The bytes are those of ``json.dumps(record) + "\n"`` per record; all
-    explanations must have scores of one width.  The file appears only
-    once complete.
+    ``explanations`` is one :class:`Explanations` record or a sequence of
+    them, written in order; all must have scores of one width.  The bytes
+    are those of ``json.dumps(record) + "\n"`` per row.  The file appears
+    only once complete.
     """
-    explanations = list(explanations)
-    if len({len(e.scores) for e in explanations}) > 1:
+    records = [explanations] if isinstance(explanations, Explanations) else list(explanations)
+    if len({record.scores.shape[1] for record in records}) > 1:
         raise ValueError("explanations must have scores of one width")
     with atomic_open(path) as fh:
-        for i in range(0, len(explanations), _BLOCK):
-            fh.write(_format_block(explanations[i : i + _BLOCK]))
+        for record in records:
+            for i in range(0, len(record), _BLOCK):
+                fh.write(_format_block(record, slice(i, i + _BLOCK)))
 
 
 def _all(values, kind: type) -> bool:
@@ -179,8 +216,15 @@ def _all(values, kind: type) -> bool:
     return set(map(type, values)) <= {kind}
 
 
+def _int64(column: list, key: str) -> np.ndarray:
+    try:
+        return np.array(column, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{key!r} does not fit in a signed 64-bit integer") from None
+
+
 def _decode(block: list[str], shape: tuple[int, int] | None):
-    """Explanations of a run of JSON lines (blank ones skipped) and their (width, size).
+    """One record per method of a run of JSON lines (blank ones skipped), and their (width, size).
 
     One ``json.loads`` call decodes every line, then each check runs over
     a whole column; ValueError names the fault.  ``shape`` is the scores
@@ -196,41 +240,49 @@ def _decode(block: list[str], shape: tuple[int, int] | None):
     if len(records) != len(lines) or not _all(records, dict):
         raise ValueError("a line does not hold exactly one JSON object")
     try:
-        columns = [list(map(itemgetter(key), records)) for key in _TYPES]
+        ids, methods, scores, selected, ns = (list(map(itemgetter(key), records)) for key in _TYPES)
     except KeyError as e:
         raise ValueError(f"record lacks key {e}") from None
-    for (key, kind), column in zip(_TYPES.items(), columns):
+    for (key, kind), column in zip(_TYPES.items(), (ids, methods, scores, selected, ns)):
         if not _all(column, kind):
             raise ValueError(f"{key!r} is not a JSON {_JSON_TYPE[kind]}")
-    width, size = shape or (len(columns[2][0]), len(columns[3][0]))
-    if set(map(len, columns[2])) != {width}:
+    width, size = shape or (len(scores[0]), len(selected[0]))
+    if set(map(len, scores)) != {width}:
         raise ValueError(f"scores width differs from the first record's {width}")
     try:
-        scores = np.array(columns[2])
+        scores = np.array(scores)
     except ValueError:  # a nested array among the scores
         scores = None
     if scores is None or scores.ndim != 2 or scores.dtype.kind not in "bif":
         raise ValueError("'scores' holds a non-number")
-    columns[2] = scores.astype(np.float64, copy=False)
-    columns[3] = list(map(tuple, columns[3]))
-    selections = set(columns[3])
-    if not all(_all(sel, int) for sel in selections):
+    if not _all(chain.from_iterable(selected), int):
         raise ValueError("'selected' holds a non-integer")
+    selections = set(map(tuple, selected))
     if {len(sel) for sel in selections} != {size}:
         raise ValueError(f"'selected' size differs from the first record's {size}")
     if not all(0 <= i < width for sel in selections for i in sel):
         raise ValueError(f"'selected' holds an index outside [0, {width})")
-    return list(map(Explanation, *columns)), (width, size)
+    selected = np.array(selected, dtype=np.int64)
+    columns = (_int64(ids, "id"), scores.astype(np.float64, copy=False), selected, _int64(ns, "ns"))
+    names = {name: code for code, name in enumerate(dict.fromkeys(methods))}
+    code = np.fromiter(map(names.__getitem__, methods), np.intp, len(methods))
+    parts = [Explanations(name, *(column[code == c] for column in columns)) for name, c in names.items()]
+    return parts, (width, size)
 
 
-def read_jsonl(path) -> list[Explanation]:
-    """Inverse of :func:`write_jsonl`, a block of lines at a time; blank lines are skipped.
+def read_jsonl(path) -> dict[str, Explanations]:
+    """Inverse of :func:`write_jsonl`: one record per method, in order of first appearance.
 
-    A line that is not valid JSON, a record with a missing or mistyped
-    key, scores whose width differs from the first record's, or a
-    selection whose size differs from the first record's or that holds
-    an index outside the scores raise :class:`JsonlFormatError` with the
-    line number.
+    The file is read a block of lines at a time; blank lines are skipped.
+    A line that is not UTF-8 or not valid JSON, a record with a missing or
+    mistyped key or an id or ns outside the signed 64-bit range, scores
+    whose width differs from the first record's, or a selection whose
+    size differs from the first record's or that holds an index outside
+    the scores raise :class:`JsonlFormatError` with the line number.
     """
-    with open(path) as fh:
-        return list(chain.from_iterable(parse_blocks(fh, _decode, JsonlFormatError, block=_BLOCK)))
+    parts: dict[str, list[Explanations]] = {}
+    with open_text(path) as fh:
+        for block in parse_blocks(fh, _decode, JsonlFormatError, block=_BLOCK):
+            for part in block:
+                parts.setdefault(part.method, []).append(part)
+    return {method: Explanations.concatenate(run) for method, run in parts.items()}

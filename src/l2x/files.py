@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 from itertools import islice
 
-__all__ = ["atomic_open", "float_rows", "parse_blocks"]
+__all__ = ["atomic_open", "float_rows", "open_text", "parse_blocks"]
+
+# what ``surrogateescape`` decodes a byte that is not UTF-8 to
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 @contextlib.contextmanager
@@ -64,6 +68,11 @@ def float_rows(values, sep: str = ", ") -> list[str]:
     return text.split(f"]{sep}[")
 
 
+def open_text(path):
+    """Open a UTF-8 text input for :func:`parse_blocks`, which rejects a byte that is not UTF-8."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
 def parse_blocks(fh, kernel, error, first: int = 1, block: int = 1024):
     """Yield ``kernel``'s result for each run of ``block`` lines of ``fh``.
 
@@ -73,16 +82,23 @@ def parse_blocks(fh, kernel, error, first: int = 1, block: int = 1024):
     ValueError on the first check any line of the run fails; the run
     then goes through it again one line at a time, so that ``error``
     (a ``TextFormatError`` type) names the first bad line.  The first
-    line of ``fh`` is line ``first``.
+    line of ``fh`` is line ``first``.  A line holding a byte that is not
+    UTF-8 (see :func:`open_text`) fails before ``kernel`` sees it.
     """
+
+    def checked(lines, state):
+        if not all(map(str.isascii, lines)) and any(map(_UNDECODABLE.search, lines)):
+            raise ValueError("not UTF-8 text")
+        return kernel(lines, state)
+
     state = None
     while lines := list(islice(fh, block)):
         try:
-            result, state = kernel(lines, state)
+            result, state = checked(lines, state)
         except ValueError as e:
             for number, line in enumerate(lines, start=first):
                 try:
-                    _, state = kernel([line], state)
+                    _, state = checked([line], state)
                 except ValueError as bad:
                     raise error(str(bad), line=number) from None
             raise error(str(e), line=first) from None

@@ -22,6 +22,7 @@ raw little-endian float64 tensor payloads in header order.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -284,24 +285,24 @@ def deserialize(payload: bytes) -> Mlp:
     try:
         kind = header["kind"]
         spec = MlpSpec.from_dict(header["spec"])
-        tensor_meta = header["tensors"]
-    except (KeyError, TypeError, ValueError) as e:
+        tensors = [(meta["name"], tuple(map(int, meta["shape"]))) for meta in header["tensors"]]
+        names = [name for name, _ in tensors]
+        if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
+            raise ValueError("tensor names are not distinct strings")
+        if not all(0 <= s <= len(payload) for _, shape in tensors for s in shape):
+            raise ValueError("a tensor dimension is negative or larger than the payload")
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"malformed header: {e}", offset=12) from None
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ModelFormatError(f"unknown network kind {kind!r}", offset=12)
 
     params = ParameterSet()
     cursor = 12 + header_len
-    for meta in tensor_meta:
-        shape = tuple(int(s) for s in meta["shape"])
-        nbytes = 8 * int(np.prod(shape)) if shape else 8
-        end = cursor + nbytes
+    for name, shape in tensors:
+        end = cursor + 8 * math.prod(shape)
         if end > len(payload):
-            raise ModelFormatError(
-                f"truncated payload for tensor {meta['name']!r}", offset=len(payload)
-            )
-        arr = np.frombuffer(payload[cursor:end], dtype="<f8").reshape(shape).copy()
-        params.add(meta["name"], arr)
+            raise ModelFormatError(f"truncated payload for tensor {name!r}", offset=len(payload))
+        params.add(name, np.frombuffer(payload[cursor:end], dtype="<f8").reshape(shape).copy())
         cursor = end
     if cursor != len(payload):
         raise ModelFormatError("trailing bytes after final tensor", offset=cursor)

@@ -2,7 +2,8 @@
 
 A benchmark run generates a train/validation split, trains the classifier
 and then the selector pair against it, explains the validation set with
-every requested method, and writes the artifact set:
+every requested method (one ``Explanations`` record of columns each), and
+writes the artifact set:
 
 * ``model.l2x``, ``explainer.l2x``, ``variational.l2x`` checkpoints,
 * ``model_curve.csv``, ``l2x_curve.csv`` training curves,
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DEFAULT_SIN_COEFF, D, as_arrays, canonical_kind, generate, k_for
-from .explain import Explanation, check_method, method_scores, write_jsonl
+from .explain import Explanations, check_method, method_scores, write_jsonl
 from .files import atomic_open
 from .metrics import MedianRankReport, PostHocReport, median_rank, post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
@@ -100,11 +101,11 @@ def explain_dataset(
     explainer=None,
     classifier=None,
     threads: int = 1,
-) -> list[Explanation]:
-    """Explain every row of ``x``; ids are row positions.
+) -> Explanations:
+    """Explain every row of ``x`` as one record; ids are row positions.
 
     Every method scores all rows in one batched pass and selects with one
-    top-k call; each explanation's ns is the total amortized over rows.
+    top-k call; each row's ns is the total amortized over rows.
     ``threads`` is accepted for older callers and has no effect.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -115,30 +116,32 @@ def explain_dataset(
         raise ValueError("need at least one sample")
     t0 = time.perf_counter_ns()
     scores = method_scores(method, x, explainer, classifier)
-    selections = hard_top_k(scores, k).tolist()
+    selected = hard_top_k(scores, k)
     per_sample = (time.perf_counter_ns() - t0) // n
-    return [
-        Explanation(i, method, scores[i], tuple(sel), per_sample) for i, sel in enumerate(selections)
-    ]
+    return Explanations(method, np.arange(n, dtype=np.int64), scores, selected,
+                        np.full(n, per_sample, dtype=np.int64))
 
 
-def ranks_for(explanations: list[Explanation], truths, d: int) -> MedianRankReport:
+def _id_order(ids: np.ndarray):
+    """Index that puts ``ids`` in ascending order: every row as is when they already are."""
+    return slice(None) if (ids[1:] >= ids[:-1]).all() else np.argsort(ids, kind="stable")
+
+
+def ranks_for(explanations: Explanations, truths, d: int) -> MedianRankReport:
     """Median-rank report for one method's explanations, aligned by id."""
-    items = sorted(explanations, key=lambda e: e.sample_id)
-    if [e.sample_id for e in items] != list(range(len(truths))):
+    order = _id_order(explanations.ids)
+    if not np.array_equal(explanations.ids[order], np.arange(len(truths))):
         raise ValueError("explanation ids do not cover the dataset exactly once")
-    return median_rank(np.stack([e.scores for e in items]), truths, d)
+    return median_rank(explanations.scores[order], truths, d)
 
 
-def posthoc_for(classifier, x: np.ndarray, explanations: list[Explanation]) -> PostHocReport:
+def posthoc_for(classifier, x: np.ndarray, explanations: Explanations) -> PostHocReport:
     """Post-hoc accuracy of one method's selections against the classifier."""
-    items = sorted(explanations, key=lambda e: e.sample_id)
-    ids = [e.sample_id for e in items]
-    if not items or ids[-1] >= x.shape[0]:
+    order = _id_order(explanations.ids)
+    ids = explanations.ids[order]
+    if not len(ids) or ids[0] < 0 or ids[-1] >= x.shape[0]:
         raise ValueError("explanation ids do not match the dataset")
-    return post_hoc_accuracy(
-        classifier, x[ids], [e.selected for e in items], method=items[0].method
-    )
+    return post_hoc_accuracy(classifier, x[ids], explanations.selected[order], method=explanations.method)
 
 
 def write_json(payload: dict, path) -> None:

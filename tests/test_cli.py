@@ -93,10 +93,12 @@ class TestExplain:
         else:
             argv += ["--model", workdir / "model.l2x"]
         assert run(*argv) == 0
-        items = read_jsonl(out)
+        records = read_jsonl(out)
+        assert list(records) == [method]
+        items = records[method]
         assert len(items) == 80
-        assert [e.sample_id for e in items] == list(range(80))
-        assert all(e.method == method and len(e.selected) == 2 for e in items)
+        assert items.ids.tolist() == list(range(80))
+        assert items.selected.shape == (80, 2) and items.scores.shape == (80, 10)
 
     def test_l2x_without_explainer_exits_2(self, workdir, tmp_path):
         assert run("explain", "--data", workdir / "valid.csv", "--method", "l2x",
@@ -382,6 +384,35 @@ def _replace_line(line: int, text):
     return lambda lines: [text(old) if i == line else old for i, old in enumerate(lines, start=1)]
 
 
+def _bad_byte(line: int):
+    """Edit for :func:`_edit_bytes`: a 0xff byte, never UTF-8, inside line ``line`` (1-based)."""
+    def edit(data: bytes) -> bytes:
+        lines = data.split(b"\n")
+        lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+        return b"\n".join(lines)
+    return edit
+
+
+def _edit_header(edit):
+    """Edit for :func:`_edit_bytes`: a checkpoint whose JSON header goes through ``edit``."""
+    def apply(data: bytes) -> bytes:
+        size = int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12 : 12 + size])
+        edit(header)
+        text = json.dumps(header).encode()
+        return data[:8] + len(text).to_bytes(4, "little") + text + data[12 + size :]
+    return apply
+
+
+def _split_jsonl(src: Path, t: Path, edit_second) -> list[Path]:
+    """The first 40 lines of an explanations file, and the rest passed through ``edit_second``."""
+    lines = src.read_text().splitlines()
+    first, second = t / "first.jsonl", t / "second.jsonl"
+    first.write_text("\n".join(lines[:40]) + "\n")
+    second.write_text("\n".join(map(edit_second, lines[40:])) + "\n")
+    return [first, second]
+
+
 # (id, argv builder taking (workdir, tmp_path), expected exit code[, line named in the error])
 MALFORMED = [
     ("nan-feature", lambda w, t: [
@@ -450,6 +481,62 @@ MALFORMED = [
         "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
                                       _replace_line(7, lambda old: _with(old, selected=[0, 10]))),
         "--model", w / "model.l2x", "--out-ranks", t / "r.csv"], 4, 7),
+    ("jsonl-id-past-int64", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      _replace_line(5, lambda old: _with(old, id=99999999999999999999))),
+        "--out-ranks", t / "r.csv"], 4, 5),
+    ("jsonl-ns-past-int64", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      _replace_line(8, lambda old: _with(old, ns=99999999999999999999))),
+        "--model", w / "model.l2x", "--out-ranks", t / "r.csv"], 4, 8),
+    ("jsonl-negative-id", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      _replace_line(1, lambda old: _with(old, id=-1))),
+        "--model", w / "model.l2x", "--out-ranks", t / "r.csv"], 4),
+    ("jsonl-selected-sizes-differ-across-files", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", *_split_jsonl(w / "valid_l2x.jsonl", t, lambda old: _with(old, selected=[0, 1, 2])),
+        "--model", w / "model.l2x", "--out-ranks", t / "r.csv"], 4),
+    ("non-utf8-jsonl", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_bytes(w / "valid_l2x.jsonl", t / "bad.jsonl", _bad_byte(6)),
+        "--out-ranks", t / "r.csv"], 4, 6),
+    ("non-utf8-csv", lambda w, t: [
+        "train-model", "--data", _edit_bytes(w / "train.csv", t / "bad.csv", _bad_byte(5)),
+        "--out-model", t / "m.l2x", "--epochs", 1, "--hidden", "8,8,8"], 4, 5),
+    ("checkpoint-tensor-without-name", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "saliency",
+        "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x",
+                               _edit_header(lambda h: h["tensors"][2].pop("name"))),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-tensors-not-a-list", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "saliency",
+        "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x",
+                               _edit_header(lambda h: h.update(tensors=5))),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-shape-not-integers", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "l2x",
+        "--explainer", _edit_bytes(w / "ex.l2x", t / "bad.l2x",
+                                   _edit_header(lambda h: h["tensors"][0].update(shape=["x", 4]))),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-dimension-past-the-payload", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "l2x",
+        "--explainer", _edit_bytes(w / "ex.l2x", t / "bad.l2x",
+                                   _edit_header(lambda h: h["tensors"][0].update(shape=[0, 10**20]))),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-duplicate-tensor-name", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv", "--explanations", w / "valid_l2x.jsonl",
+        "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x",
+                               _edit_header(lambda h: h["tensors"][1].update(name="w0"))),
+        "--out-ranks", t / "r.csv"], 4),
+    ("checkpoint-kind-not-a-string", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv", "--explanations", w / "valid_l2x.jsonl",
+        "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x",
+                               _edit_header(lambda h: h.update(kind=["classifier"]))),
+        "--out-ranks", t / "r.csv"], 4),
     ("explainer-given-a-classifier", lambda w, t: [
         "explain", "--data", w / "valid.csv", "--method", "l2x",
         "--explainer", w / "model.l2x", "--out", t / "e.jsonl"], 4),

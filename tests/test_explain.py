@@ -11,7 +11,7 @@ from l2x import autodiff as ad
 from l2x import explain as ex
 from l2x.errors import JsonlFormatError
 from l2x.networks import Classifier, MlpSpec, build_classifier, build_explainer, init_params
-from l2x.pipeline import explain_dataset
+from l2x.pipeline import explain_dataset, posthoc_for, ranks_for
 
 
 def linear_classifier(w):
@@ -230,35 +230,143 @@ class TestBatchedExplanations:
             explain_dataset("l2x", np.zeros((0, 4)), 2, explainer=explainer)
 
 
+def record_of(rows) -> ex.Explanations:
+    """Row explanations of one method stacked into a record."""
+    return ex.Explanations(
+        rows[0].method,
+        np.array([e.sample_id for e in rows], dtype=np.int64),
+        np.stack([e.scores for e in rows]),
+        np.array([e.selected for e in rows], dtype=np.int64),
+        np.array([e.wall_ns for e in rows], dtype=np.int64),
+    )
+
+
+def rows_of(record: ex.Explanations, rows) -> ex.Explanations:
+    """The record restricted to ``rows`` (an index array or a slice)."""
+    return ex.Explanations(record.method, record.ids[rows], record.scores[rows],
+                           record.selected[rows], record.ns[rows])
+
+
+def assert_records_equal(a: ex.Explanations, b: ex.Explanations) -> None:
+    """Same method, and every column with the same dtype and the same bytes."""
+    assert a.method == b.method
+    for column in ("ids", "scores", "selected", "ns"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype and x.shape == y.shape, column
+        assert x.tobytes() == y.tobytes(), column
+
+
+class TestRecord:
+    """The columnar record and the row views it hands out."""
+
+    def test_columns_and_row_views(self):
+        rng = np.random.default_rng(30)
+        explainer = build_explainer(10, rng, hidden=(16, 16))
+        x = rng.normal(size=(50, 10))
+        record = explain_dataset("l2x", x, 3, explainer=explainer)
+        assert len(record) == 50
+        assert record.ids.dtype == record.selected.dtype == record.ns.dtype == np.int64
+        assert record.scores.dtype == np.float64
+        assert (record.ids.shape, record.scores.shape, record.selected.shape) == ((50,), (50, 10), (50, 3))
+        np.testing.assert_array_equal(record.ids, np.arange(50))
+        assert len(set(record.ns.tolist())) == 1
+        views = list(record)
+        assert len(views) == 50
+        for i, e in enumerate(views):
+            one = ex.explain_l2x(explainer, x[i], 3)
+            assert type(e.sample_id) is int and e.sample_id == i
+            assert type(e.selected) is tuple and all(type(j) is int for j in e.selected)
+            assert e.selected == one.selected == record[i].selected
+            assert type(e.wall_ns) is int and e.method == "l2x"
+            assert e.scores.tobytes() == record.scores[i].tobytes()
+        assert record[-1].sample_id == 49
+
+    def test_mismatched_columns_rejected(self):
+        ids, scores, sel, ns = np.arange(3), np.zeros((3, 4)), np.zeros((3, 2), np.int64), np.zeros(3, np.int64)
+        ex.Explanations("l2x", ids, scores, sel, ns)
+        for bad in ((ids[:2], scores, sel, ns), (ids, scores[0], sel, ns),
+                    (ids, scores, sel[:2], ns), (ids, scores, sel, ns[:1])):
+            with pytest.raises(ValueError, match="explanations need"):
+                ex.Explanations("l2x", *bad)
+
+    def test_frozen(self):
+        record = record_of([ex.Explanation(0, "l2x", np.ones(3), (0,), 1)])
+        with pytest.raises(AttributeError):
+            record.method = "saliency"
+
+    def test_concatenate(self):
+        record = explain_dataset("l2x", np.eye(6), 2, explainer=build_explainer(
+            6, np.random.default_rng(31), hidden=(5, 5)))
+        parts = [rows_of(record, slice(0, 2)), rows_of(record, slice(2, 3)), rows_of(record, slice(3, 6))]
+        assert_records_equal(ex.Explanations.concatenate(parts), record)
+        assert ex.Explanations.concatenate([record]) is record
+        other = rows_of(record, slice(0, 2))
+        other = ex.Explanations("l2x", other.ids, other.scores, other.selected[:, :1], other.ns)
+        with pytest.raises(ValueError):
+            ex.Explanations.concatenate([record, other])
+
+
+class TestIdAlignment:
+    """Ranks and post-hoc accuracy of a record do not depend on its row order."""
+
+    @pytest.mark.parametrize("method", ["l2x", "saliency", "taylor", "taylor-abs"])
+    def test_shuffled_ids_equal_sorted(self, method):
+        rng = np.random.default_rng(32)
+        x = rng.normal(size=(200, 10))
+        truths = np.tile(np.arange(4), (200, 1))
+        clf = build_classifier(10, 2, rng, hidden=(8, 8, 8))
+        record = explain_dataset(method, x, 4, explainer=build_explainer(10, rng, hidden=(8, 8)),
+                                 classifier=clf)
+        shuffled = rows_of(record, rng.permutation(200))
+        assert not (shuffled.ids[1:] >= shuffled.ids[:-1]).all()
+        sorted_ranks = ranks_for(record, truths, d=10)
+        shuffled_ranks = ranks_for(shuffled, truths, d=10)
+        assert shuffled_ranks.per_sample.tobytes() == sorted_ranks.per_sample.tobytes()
+        assert shuffled_ranks.summary == sorted_ranks.summary
+        assert posthoc_for(clf, x, shuffled) == posthoc_for(clf, x, record)
+
+    def test_ids_not_covering_the_rows_rejected(self):
+        rng = np.random.default_rng(33)
+        clf = build_classifier(4, 2, rng, hidden=(5, 5, 5))
+        x = rng.normal(size=(5, 4))
+        record = explain_dataset("saliency", x, 2, classifier=clf)
+        truths = np.zeros((5, 1), np.int64)
+        for ids in ([0, 1, 2, 3, 3], [0, 1, 2, 3, 5], [-1, 0, 1, 2, 3]):
+            bad = ex.Explanations("saliency", np.array(ids), record.scores, record.selected, record.ns)
+            with pytest.raises(ValueError, match="do not cover the dataset exactly once"):
+                ranks_for(bad, truths, d=4)
+        for ids in ([0, 1, 2, 3, 5], [-1, 0, 1, 2, 3]):
+            bad = ex.Explanations("saliency", np.array(ids), record.scores, record.selected, record.ns)
+            with pytest.raises(ValueError, match="do not match the dataset"):
+                posthoc_for(clf, x, bad)
+
+
 class TestJsonl:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         explainer = build_explainer(4, rng, hidden=(5, 5))
-        items = [ex.explain_l2x(explainer, rng.normal(size=4), 2, sample_id=i) for i in range(5)]
+        record = explain_dataset("l2x", rng.normal(size=(5, 4)), 2, explainer=explainer)
         path = tmp_path / "explanations.jsonl"
-        ex.write_jsonl(items, path)
+        ex.write_jsonl(record, path)
         back = ex.read_jsonl(path)
-        assert len(back) == 5
-        for a, b in zip(items, back):
-            assert a.sample_id == b.sample_id
-            assert a.method == b.method
-            assert a.selected == b.selected
+        assert list(back) == ["l2x"]
+        assert len(back["l2x"]) == 5
+        assert_records_equal(back["l2x"], record)
+        for a, b in zip(record, back["l2x"]):
+            assert (a.sample_id, a.method, a.selected, a.wall_ns) == (b.sample_id, b.method, b.selected, b.wall_ns)
             np.testing.assert_array_equal(a.scores, b.scores)
-            assert a.wall_ns == b.wall_ns
 
     def test_record_schema(self, tmp_path):
-        import json
-
         explainer = build_explainer(3, np.random.default_rng(11), hidden=(4, 4))
         path = tmp_path / "one.jsonl"
-        ex.write_jsonl([ex.explain_l2x(explainer, np.ones(3), 2, sample_id=9)], path)
+        ex.write_jsonl(record_of([ex.explain_l2x(explainer, np.ones(3), 2, sample_id=9)]), path)
         record = json.loads(path.read_text().strip())
         assert list(record) == ["id", "method", "scores", "selected", "ns"]
         assert record["id"] == 9 and len(record["scores"]) == 3 and len(record["selected"]) == 2
 
 
-def reference_jsonl(explanations) -> bytes:
-    """The per-record writer the column kernel replaced: ``json.dumps`` per record."""
+def reference_jsonl(records) -> bytes:
+    """The per-record writer the column kernel replaced: ``json.dumps`` per row."""
     return "".join(
         json.dumps({
             "id": e.sample_id,
@@ -267,75 +375,90 @@ def reference_jsonl(explanations) -> bytes:
             "selected": list(e.selected),
             "ns": e.wall_ns,
         }) + "\n"
-        for e in explanations
+        for record in records
+        for e in record
     ).encode()
 
 
 EDGE_SCORES = [-0.0, 5e-324, 1e-5, 1e16, 1e22, 1.0, 0.1, -7.25e-300, 2.0**60, 1 / 3]
 
 
-def mixed_explanations():
-    """Every method in one list, plus rows with edge, NaN and infinite scores."""
+def mixed_explanations() -> list[ex.Explanations]:
+    """A record of every method, then one more l2x record of edge, NaN and infinite scores."""
     rng = np.random.default_rng(21)
     x = rng.normal(size=(40, 10))
     clf = build_classifier(10, 2, rng, hidden=(6, 6))
     explainer = build_explainer(10, rng, hidden=(6, 6))
-    items = [
-        *explain_dataset("l2x", x, 3, explainer=explainer),
-        *explain_dataset("saliency", x, 3, classifier=clf),
-        *explain_dataset("taylor", x, 3, classifier=clf),
-        *explain_dataset("taylor-abs", x, 3, classifier=clf),
-    ]
+    records = [explain_dataset(method, x, 3, explainer=explainer, classifier=clf)
+               for method in ex.ALL_METHODS]
     special = [EDGE_SCORES, [np.nan] * 10, [np.inf, -np.inf, *EDGE_SCORES[2:]]]
-    items += [ex.Explanation(900 + i, "l2x", np.array(s), (0, 1, 2), 5) for i, s in enumerate(special)]
-    return items
+    records.append(record_of([ex.Explanation(900 + i, "l2x", np.array(s), (0, 1, 2), 5)
+                              for i, s in enumerate(special)]))
+    return records
 
 
 class TestJsonlColumnKernel:
     """The whole-column writer and reader against the per-record path they replace."""
 
+    @pytest.mark.parametrize("method", ex.ALL_METHODS)
+    def test_one_record_bytes_match_json_dumps(self, tmp_path, method):
+        record = next(r for r in mixed_explanations() if r.method == method)
+        ex.write_jsonl(record, tmp_path / "e.jsonl")
+        assert (tmp_path / "e.jsonl").read_bytes() == reference_jsonl([record])
+
+    def test_integer_scores_written_as_json_floats(self, tmp_path):
+        record = record_of([ex.Explanation(0, "l2x", np.array([3, 1, 2]), (0, 2), 7)])
+        ex.write_jsonl(record, tmp_path / "e.jsonl")
+        assert (tmp_path / "e.jsonl").read_bytes() == reference_jsonl([record])
+
     def test_bytes_match_json_dumps_per_record(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ex, "_BLOCK", 16)  # several blocks and a partial last one
-        items = mixed_explanations()
-        assert {e.method for e in items} == {"l2x", "saliency", "taylor", "taylor-abs"}
-        ex.write_jsonl(items, tmp_path / "e.jsonl")
-        assert (tmp_path / "e.jsonl").read_bytes() == reference_jsonl(items)
+        records = mixed_explanations()
+        assert {r.method for r in records} == {"l2x", "saliency", "taylor", "taylor-abs"}
+        ex.write_jsonl(records, tmp_path / "e.jsonl")
+        assert (tmp_path / "e.jsonl").read_bytes() == reference_jsonl(records)
 
     def test_round_trip_bitwise_including_non_finite(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ex, "_BLOCK", 16)
-        items = mixed_explanations()
-        ex.write_jsonl(items, tmp_path / "e.jsonl")
+        records = mixed_explanations()
+        ex.write_jsonl(records, tmp_path / "e.jsonl")
         back = ex.read_jsonl(tmp_path / "e.jsonl")
-        assert [(e.sample_id, e.method, e.selected, e.wall_ns) for e in back] == [
-            (e.sample_id, e.method, e.selected, e.wall_ns) for e in items
-        ]
-        for a, b in zip(items, back):
-            assert a.scores.tobytes() == b.scores.tobytes()
+        assert list(back) == ["l2x", "saliency", "taylor", "taylor-abs"]
+        assert_records_equal(back["l2x"], ex.Explanations.concatenate([records[0], records[-1]]))
+        for record in records[1:-1]:
+            assert_records_equal(back[record.method], record)
+
+    def test_interleaved_methods_group_in_order_of_first_appearance(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ex, "_BLOCK", 7)
+        records = mixed_explanations()[:2]
+        pieces = [rows_of(r, slice(i, i + 5)) for i in range(0, 40, 5) for r in records[::-1]]
+        ex.write_jsonl(pieces, tmp_path / "e.jsonl")
+        back = ex.read_jsonl(tmp_path / "e.jsonl")
+        assert list(back) == ["saliency", "l2x"]
+        for record in records:
+            assert_records_equal(back[record.method], record)
 
     def test_empty_list_writes_empty_file(self, tmp_path):
         ex.write_jsonl([], tmp_path / "e.jsonl")
         assert (tmp_path / "e.jsonl").read_bytes() == b""
-        assert ex.read_jsonl(tmp_path / "e.jsonl") == []
+        assert ex.read_jsonl(tmp_path / "e.jsonl") == {}
 
     def test_writer_rejects_scores_of_different_widths(self, tmp_path):
-        items = [ex.Explanation(0, "l2x", np.zeros(3), (0,), 1),
-                 ex.Explanation(1, "l2x", np.zeros(4), (0,), 1)]
+        records = [record_of([ex.Explanation(0, "l2x", np.zeros(3), (0,), 1)]),
+                   record_of([ex.Explanation(1, "l2x", np.zeros(4), (0,), 1)])]
         with pytest.raises(ValueError, match="one width"):
-            ex.write_jsonl(items, tmp_path / "e.jsonl")
+            ex.write_jsonl(records, tmp_path / "e.jsonl")
         assert not (tmp_path / "e.jsonl").exists()
 
     def test_blank_lines_skipped_and_crlf_accepted(self, tmp_path):
-        items = mixed_explanations()[:3]
-        ex.write_jsonl(items, tmp_path / "e.jsonl")
-        lines = (tmp_path / "e.jsonl").read_text().splitlines()
+        lines = self._lines(tmp_path, n=3)
         (tmp_path / "f.jsonl").write_bytes(("\r\n".join(["", lines[0], "  ", *lines[1:]])).encode())
         back = ex.read_jsonl(tmp_path / "f.jsonl")
-        assert [e.sample_id for e in back] == [e.sample_id for e in items]
+        assert back["l2x"].ids.tolist() == [0, 1, 2]
 
     def _lines(self, tmp_path, n=5):
-        items = mixed_explanations()[:n]
-        ex.write_jsonl(items, tmp_path / "e.jsonl")
-        return (tmp_path / "e.jsonl").read_text().splitlines()
+        ex.write_jsonl(mixed_explanations(), tmp_path / "e.jsonl")
+        return (tmp_path / "e.jsonl").read_text().splitlines()[:n]
 
     def _write(self, tmp_path, lines):
         (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
@@ -350,12 +473,29 @@ class TestJsonlColumnKernel:
         (2, lambda t: t.replace('"scores": [', '"scores": [1.5, '), "width differs from the first record's 10"),
         (2, lambda t: t + " " + t, "bad JSON"),
         (3, lambda t: "[1, 2]", "exactly one JSON object"),
+        (4, lambda t: t.replace('"id": 3', '"id": 99999999999999999999'), "'id' does not fit"),
+        (2, lambda t: t.replace('"id": 1', '"id": -9223372036854775809'), "'id' does not fit"),
+        (5, lambda t: t.rsplit('"ns": ', 1)[0] + '"ns": 99999999999999999999}', "'ns' does not fit"),
     ])
     def test_malformed_line_names_its_number(self, tmp_path, line, edit, message):
         lines = self._lines(tmp_path)
         lines[line - 1] = edit(lines[line - 1])
         with pytest.raises(JsonlFormatError, match=f"{message}.*line {line}"):
             ex.read_jsonl(self._write(tmp_path, lines))
+
+    def test_selection_equal_to_an_earlier_one_is_still_type_checked(self, tmp_path):
+        lines = self._lines(tmp_path, n=3)
+        first = json.loads(lines[0])["selected"]
+        lines[2] = json.dumps({**json.loads(lines[2]), "selected": [float(first[0]), *first[1:]]})
+        with pytest.raises(JsonlFormatError, match="'selected' holds a non-integer.*line 3"):
+            ex.read_jsonl(self._write(tmp_path, lines))
+
+    def test_int64_extremes_read_back(self, tmp_path):
+        lines = self._lines(tmp_path, n=2)
+        lines[0] = lines[0].replace('"id": 0', f'"id": {-2**63}')
+        lines[1] = lines[1].rsplit('"ns": ', 1)[0] + f'"ns": {2**63 - 1}}}'
+        back = ex.read_jsonl(self._write(tmp_path, lines))["l2x"]
+        assert back.ids.tolist() == [-2**63, 1] and back.ns[1] == 2**63 - 1
 
     @pytest.mark.parametrize("value", ["0.5", None, [1.0], {}])
     def test_non_number_score_rejected(self, tmp_path, value):
@@ -372,3 +512,19 @@ class TestJsonlColumnKernel:
         lines[9] = lines[9][:-5]
         with pytest.raises(JsonlFormatError, match="bad JSON.*line 11"):
             ex.read_jsonl(self._write(tmp_path, ["", *lines]))
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ex, "_BLOCK", 4)
+        lines = self._lines(tmp_path, n=10)
+        data = ("\n".join(lines) + "\n").encode()
+        at = data.index(b'"method"', data.index(b"\n", data.index(b'"id": 6')))
+        (tmp_path / "bad.jsonl").write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(JsonlFormatError, match="not UTF-8.*line 8"):
+            ex.read_jsonl(tmp_path / "bad.jsonl")
+
+    def test_utf8_method_names_read_back(self, tmp_path):
+        record = mixed_explanations()[0]
+        renamed = ex.Explanations("l2x-é", record.ids, record.scores, record.selected, record.ns)
+        path = tmp_path / "e.jsonl"
+        path.write_text(reference_jsonl([renamed]).decode().replace("\\u00e9", "é"), encoding="utf-8")
+        assert_records_equal(ex.read_jsonl(path)["l2x-é"], renamed)

@@ -9,7 +9,8 @@ import pytest
 
 from l2x import datasets as ds
 from l2x import explain as ex
-from l2x.files import atomic_open, float_rows
+from l2x.errors import CsvFormatError
+from l2x.files import atomic_open, float_rows, open_text, parse_blocks
 from l2x.networks import build_classifier, load_model, save_model
 
 
@@ -71,7 +72,8 @@ def test_csv_writer_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
 def test_jsonl_and_checkpoint_writers_are_atomic(tmp_path, monkeypatch):
     model = build_classifier(3, 2, np.random.default_rng(0), hidden=(4,))
     save_model(model, tmp_path / "m.l2x")
-    items = [ex.Explanation(0, "l2x", np.ones(3), (0,), 1)]
+    items = ex.Explanations("l2x", np.zeros(1, np.int64), np.ones((1, 3)), np.zeros((1, 1), np.int64),
+                            np.ones(1, np.int64))
     ex.write_jsonl(items, tmp_path / "e.jsonl")
     before = {name: (tmp_path / name).read_bytes() for name in ("m.l2x", "e.jsonl")}
 
@@ -95,3 +97,19 @@ def test_float_rows_match_repr(sep):
     assert float_rows(values, sep) == [sep.join(map(repr, row)) for row in values.tolist()]
     assert float_rows(np.zeros((2, 0)), sep) == ["", ""]
     assert float_rows(np.zeros((0, 3)), sep) == []
+
+
+def _lines_read(path, block: int) -> list[str]:
+    with open_text(path) as fh:
+        blocks = parse_blocks(fh, lambda lines, state: (lines, state), CsvFormatError, first=2, block=block)
+        return [line for lines in blocks for line in lines]
+
+
+@pytest.mark.parametrize("block", [1, 2, 16])
+def test_parse_blocks_names_a_line_that_is_not_utf8(tmp_path, block):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"a\nb\xc3\xa9\nc\r\nd\xffe\nf\n")
+    with pytest.raises(CsvFormatError, match="not UTF-8 text.*line 5"):
+        _lines_read(path, block)
+    path.write_bytes(b"a\nb\xc3\xa9\nc\r\nde\nf")
+    assert _lines_read(path, block) == ["a\n", "b\u00e9\n", "c\n", "de\n", "f"]
