@@ -19,6 +19,7 @@ Deliberate conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -317,63 +318,53 @@ def softmax(a: Tensor, temperature: float = 1.0) -> Tensor:
     return _node(out, "softmax", (a,), vjp)
 
 
-def _check_axis(op: str, a: Tensor, axis: int) -> int:
+def _axes(op: str, a: Tensor, axis: int | None) -> tuple[int, ...]:
+    """The axes a reduction runs over: all of them for None."""
+    if axis is None:
+        return tuple(range(a.data.ndim))
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ValueError(f"{op}: axis {axis} invalid for shape {a.shape}")
-    return axis % a.data.ndim
+    return (axis % a.data.ndim,)
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
-    if axis is None:
-        shape = a.shape
-        return _node(a.data.sum(), "sum", (a,), lambda g: (np.broadcast_to(g, shape),))
-    ax = _check_axis("sum", a, axis)
+    ax = _axes("sum", a, axis)
+    out = a.data.sum(axis=ax)
 
     def vjp(g: np.ndarray):
-        return (np.broadcast_to(np.expand_dims(g, ax), a.shape),)
+        return (np.broadcast_to(np.expand_dims(g.reshape(out.shape), ax), a.shape),)
 
-    return _node(a.data.sum(axis=ax), "sum", (a,), vjp)
+    return _node(out, "sum", (a,), vjp)
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     a = _as_tensor(a)
-    if axis is None:
-        n = a.data.size
-        shape = a.shape
-        return _node(a.data.mean(), "mean", (a,), lambda g: (np.broadcast_to(g / n, shape),))
-    ax = _check_axis("mean", a, axis)
-    n = a.shape[ax]
+    ax = _axes("mean", a, axis)
+    out = a.data.mean(axis=ax)
+    n = math.prod(a.shape[i] for i in ax)
 
     def vjp(g: np.ndarray):
-        return (np.broadcast_to(np.expand_dims(g / n, ax), a.shape),)
+        return (np.broadcast_to(np.expand_dims(g.reshape(out.shape) / n, ax), a.shape),)
 
-    return _node(a.data.mean(axis=ax), "mean", (a,), vjp)
+    return _node(out, "mean", (a,), vjp)
 
 
 def reduce_max(a: Tensor, axis: int | None = None) -> Tensor:
     """Max reduction; the gradient flows to the first (lowest-index) argmax."""
     a = _as_tensor(a)
-    if axis is None:
-        idx = int(a.data.argmax())  # first occurrence in row-major order
-        shape = a.shape
-
-        def vjp_all(g: np.ndarray):
-            out = np.zeros(shape)
-            out.flat[idx] = g.reshape(())
-            return (out,)
-
-        return _node(a.data.max(), "max", (a,), vjp_all)
-
-    ax = _check_axis("max", a, axis)
-    idx = np.expand_dims(a.data.argmax(axis=ax), ax)
+    # over all axes, the flattened input puts ties in row-major order
+    flat = a.data.reshape(-1) if axis is None else a.data
+    ax = 0 if axis is None else _axes("max", a, axis)[0]
+    idx = np.expand_dims(flat.argmax(axis=ax), ax)
+    out = flat.max(axis=ax)
 
     def vjp(g: np.ndarray):
-        out = np.zeros(a.shape)
-        np.put_along_axis(out, idx, np.expand_dims(g, ax), axis=ax)
-        return (out,)
+        grad = np.zeros(flat.shape)
+        np.put_along_axis(grad, idx, np.expand_dims(g.reshape(out.shape), ax), axis=ax)
+        return (grad.reshape(a.shape),)
 
-    return _node(a.data.max(axis=ax), "max", (a,), vjp)
+    return _node(out, "max", (a,), vjp)
 
 
 def expand(a: Tensor, axis: int, reps: int) -> Tensor:

@@ -35,6 +35,7 @@ import numpy as np
 from .datasets import D, as_arrays, canonical_kind, generate, read_csv, write_csv
 from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError, TextFormatError
 from .explain import ALL_METHODS, Explanations, check_method, read_jsonl, write_jsonl
+from .files import open_text, parse_blocks
 from .metrics import post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
 from .pipeline import (
@@ -136,17 +137,20 @@ def _built(cmd: _Command, cls, args, **fixed):
 
 
 def _read_config(path) -> list[tuple[str, str]]:
-    pairs = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CsvFormatError(f"expected key=value in {path}", line=lineno)
-            key, _, value = line.partition("=")
-            pairs.append((key.strip(), value.strip()))
-    return pairs
+    """The ``key=value`` pairs of a config file; blank lines and ``#`` comments are skipped."""
+
+    def parse(lines, state):
+        pairs = []
+        for line in map(str.strip, lines):
+            if line and not line.startswith("#"):
+                if "=" not in line:
+                    raise ValueError(f"expected key=value in {path}")
+                key, _, value = line.partition("=")
+                pairs.append((key.strip(), value.strip()))
+        return pairs, state
+
+    with open_text(path) as fh:
+        return [pair for pairs in parse_blocks(fh, parse, CsvFormatError) for pair in pairs]
 
 
 def _resolve(args: argparse.Namespace, cmd: _Command) -> None:
@@ -266,7 +270,7 @@ def cmd_evaluate(args, cmd: _Command) -> int:
     if not parts:
         cmd.error("no explanations given")
 
-    rows = []
+    ranks: dict[str, np.ndarray] = {}
     accuracy: dict[str, float] = {}
     for method in sorted(parts):
         try:
@@ -279,13 +283,13 @@ def cmd_evaluate(args, cmd: _Command) -> int:
                 f"the {len(truths)} rows of {args.data} exactly once"
             )
         report = ranks_for(record, truths, d=D)
-        rows.extend((method, label, float(r)) for r in report.per_sample)
+        ranks[method] = report.per_sample
         line = f"{method}: summary median rank {report.summary['median']:.2f}"
         if classifier is not None:
             accuracy[method] = posthoc_for(classifier, x, record).accuracy
             line += f", post-hoc accuracy {accuracy[method]:.4f}"
         print(line + f" (optimal {report.optimal_median})")
-    write_ranks_csv(rows, args.out_ranks)
+    write_ranks_csv(ranks, label, args.out_ranks)
     if args.out_posthoc is not None:
         if classifier is None:
             cmd.error("--out-posthoc needs --model")

@@ -5,7 +5,9 @@ probability P(Y=1|x) from a logit over a small subset of the features,
 and samples the label.  The indices that enter the logit are recorded
 per sample as the ground-truth feature set, so explanation quality can
 be scored exactly.  A dataset is held as columns: one array per field,
-with the truth sets as an (n, t) index array.
+with the truth sets as an (n, t) index array.  Each kind's truth sets
+are listed once, in one table; for switch, a row's truth set also tells
+which mixture component drew it.
 
 Kinds (feature indices are 0-based throughout, matching the x0..x9 CSV
 columns):
@@ -42,10 +44,8 @@ __all__ = [
     "KINDS",
     "Dataset",
     "canonical_kind",
-    "truth_for",
     "k_for",
     "generate",
-    "exact_probability",
     "as_arrays",
     "write_csv",
     "read_csv",
@@ -56,15 +56,13 @@ N_CLASSES = 2
 
 KINDS = ("xor", "orange_skin", "nonlinear_additive", "switch")
 
+# kind -> its truth sets; switch lists the +1 component's set first, the -1 component's second
 _TRUTH = {
-    "xor": (0, 1),
-    "orange_skin": (0, 1, 2, 3),
-    "nonlinear_additive": (0, 1, 2, 3),
-    ("switch", 1): (0, 1, 2, 3, 4),
-    ("switch", -1): (0, 5, 6, 7, 8),
+    "xor": ((0, 1),),
+    "orange_skin": ((0, 1, 2, 3),),
+    "nonlinear_additive": ((0, 1, 2, 3),),
+    "switch": ((0, 1, 2, 3, 4), (0, 5, 6, 7, 8)),
 }
-
-_K = {"xor": 2, "orange_skin": 4, "nonlinear_additive": 4, "switch": 5}
 
 DEFAULT_SIN_COEFF = -100.0
 
@@ -74,15 +72,13 @@ class Dataset:
     """n draws as columns: features, exact P(Y=1|x), label, true features.
 
     ``x`` is (n, d) float64, ``p`` (n,) float64, ``y`` (n,) int.
-    ``component`` is +1 or -1 for switch rows (which mixture x0 came from)
-    and 0 otherwise.  ``truth`` is (n, t) int: row i holds the true
-    features of draw i in ascending order.
+    ``truth`` is (n, t) int: row i holds the true features of draw i in
+    ascending order.
     """
 
     x: np.ndarray
     p: np.ndarray
     y: np.ndarray
-    component: np.ndarray
     truth: np.ndarray
 
     def __len__(self) -> int:
@@ -97,18 +93,9 @@ def canonical_kind(kind: str) -> str:
     return k
 
 
-def truth_for(kind: str, component: int = 0) -> tuple[int, ...]:
-    kind = canonical_kind(kind)
-    if kind == "switch":
-        if component not in (1, -1):
-            raise ValueError("switch truth requires the mixture component (+1 or -1)")
-        return _TRUTH[("switch", component)]
-    return _TRUTH[kind]
-
-
 def k_for(kind: str) -> int:
     """Number of true features; the conventional subset size for the kind."""
-    return _K[canonical_kind(kind)]
+    return len(_TRUTH[canonical_kind(kind)][0])
 
 
 def _orange_logit(block: np.ndarray) -> np.ndarray:
@@ -161,32 +148,8 @@ def generate(
         x[:, 0] += 3.0 * component
     p = sigmoid_array(_logits(kind, x, component, sin_coeff))
     y = (rng.uniform(size=n) < p).astype(int)
-
-    if kind == "switch":
-        truth = np.where(component[:, None] == 1, truth_for(kind, 1), truth_for(kind, -1))
-    else:
-        truth = np.tile(truth_for(kind), (n, 1))
-    return Dataset(x=x, p=p, y=y, component=component, truth=truth)
-
-
-def exact_probability(
-    kind: str,
-    x: np.ndarray,
-    component: int | None = None,
-    sin_coeff: float = DEFAULT_SIN_COEFF,
-) -> float:
-    """Deterministic P(Y=1|x); switch needs the generating mixture component."""
-    kind = canonical_kind(kind)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (D,):
-        raise ValueError(f"x must have shape ({D},), got {x.shape}")
-    if kind == "switch":
-        if component not in (1, -1):
-            raise ValueError("switch probability requires the mixture component (+1 or -1)")
-        comp = np.array([component])
-    else:
-        comp = np.zeros(1, dtype=int)
-    return float(sigmoid_array(_logits(kind, x[None, :], comp, sin_coeff))[0])
+    truth = np.array(_TRUTH[kind])[(component == -1).astype(int)]
+    return Dataset(x=x, p=p, y=y, truth=truth)
 
 
 def as_arrays(data: Dataset):
@@ -220,18 +183,8 @@ def write_csv(data: Dataset, path) -> None:
             fh.write(_format_block(data.x[rows], data.p[rows], data.y[rows], data.truth[rows]))
 
 
-def _parse_truth(text: str) -> tuple[tuple[int, ...], int]:
-    """Truth column to (indices, switch component)."""
-    truth = tuple(int(i) for i in text.split("|")) if text else ()
-    if truth == _TRUTH[("switch", 1)]:
-        return truth, 1
-    if truth == _TRUTH[("switch", -1)]:
-        return truth, -1
-    return truth, 0
-
-
 def _parse(lines: list[str], t_size: int | None):
-    """Columns (xp, y, component, truth) of a run of body lines, and the truth-set size.
+    """Columns (xp, y, truth) of a run of body lines, and the truth-set size.
 
     Each check runs over a whole column, in the order: field count,
     unparseable value, non-finite feature, p outside [0, 1], label not 0
@@ -256,7 +209,7 @@ def _parse(lines: list[str], t_size: int | None):
     try:
         xp = np.fromiter(map(float, cells), np.float64, n * (D + 1)).reshape(n, D + 1)
         label_of = {text: int(text) for text in set(labels)}
-        truth_of = {text: _parse_truth(text) for text in set(truths)}
+        truth_of = {text: tuple(map(int, text.split("|"))) if text else () for text in set(truths)}
     except ValueError as e:
         raise ValueError(f"unparseable value: {e}") from None
 
@@ -270,11 +223,11 @@ def _parse(lines: list[str], t_size: int | None):
     if bad_labels:
         raise ValueError(f"label {bad_labels[0]} not in {{0, 1}}")
     if t_size is None:
-        t_size = len(truth_of[truths[0]][0])
-    bad_sizes = [len(indices) for indices, _ in truth_of.values() if len(indices) != t_size]
+        t_size = len(truth_of[truths[0]])
+    bad_sizes = [len(indices) for indices in truth_of.values() if len(indices) != t_size]
     if bad_sizes:
         raise ValueError(f"truth set of size {bad_sizes[0]}, earlier rows have {t_size}")
-    bad_indices = [i for indices, _ in truth_of.values() for i in indices if not 0 <= i < D]
+    bad_indices = [i for indices in truth_of.values() for i in indices if not 0 <= i < D]
     if bad_indices:
         raise ValueError(f"truth index {bad_indices[0]} outside [0, {D})")
 
@@ -282,9 +235,8 @@ def _parse(lines: list[str], t_size: int | None):
     keys = list(truth_of)
     index = dict(zip(keys, range(len(keys))))
     row_key = np.fromiter(map(index.__getitem__, truths), np.intp, n)
-    truth = np.array([truth_of[k][0] for k in keys], dtype=np.int64).reshape(len(keys), t_size)
-    component = np.array([truth_of[k][1] for k in keys], dtype=np.int64)
-    return (xp, y, component[row_key], truth[row_key]), t_size
+    truth = np.array([truth_of[k] for k in keys], dtype=np.int64).reshape(len(keys), t_size)
+    return (xp, y, truth[row_key]), t_size
 
 
 def read_csv(path) -> Dataset:
@@ -307,7 +259,5 @@ def read_csv(path) -> Dataset:
         blocks = list(parse_blocks(fh, _parse, CsvFormatError, first=2, block=_BLOCK))
     if not blocks:
         raise CsvFormatError("file contains a header but no samples")
-    xp, y, component, truth = (np.concatenate(column) for column in zip(*blocks))
-    return Dataset(
-        x=np.ascontiguousarray(xp[:, :D]), p=xp[:, D].copy(), y=y, component=component, truth=truth
-    )
+    xp, y, truth = (np.concatenate(column) for column in zip(*blocks))
+    return Dataset(x=np.ascontiguousarray(xp[:, :D]), p=xp[:, D].copy(), y=y, truth=truth)

@@ -155,19 +155,18 @@ def _csv_field(text) -> str:
     return buffer.getvalue()[:-3]  # without the empty field's comma and the \r\n
 
 
-def write_ranks_csv(rows, path) -> None:
-    """Plot-ready long format: one (method, dataset, median_rank) per sample.
+def write_ranks_csv(ranks: dict[str, np.ndarray], dataset: str, path) -> None:
+    """Plot-ready long format: one (method, dataset, median_rank) line per sample.
 
-    Lines end in ``\r\n``.  Each distinct method and dataset is quoted by
-    ``csv.writer`` once; the values are formatted as one column.
+    ``ranks`` maps each method, in the order written, to its per-sample
+    median ranks.  Lines end in ``\r\n``.  Each method and the dataset are
+    quoted by ``csv.writer`` once; a method's values are formatted as one column.
     """
-    rows = list(rows)
-    methods = [method for method, _, _ in rows]
-    datasets = [dataset for _, dataset, _ in rows]
-    field = {text: _csv_field(text) for text in {*methods, *datasets}}
-    values = np.array([[value for _, _, value in rows]], dtype=np.float64)
-    values = float_rows(values)[0].split(", ") if rows else ()
-    lines = map("{},{},{}".format, map(field.__getitem__, methods), map(field.__getitem__, datasets), values)
+    dataset = _csv_field(dataset)
+    lines = []
+    for method, values in ranks.items():
+        prefix = f"{_csv_field(method)},{dataset},"
+        lines += map(prefix.__add__, float_rows(np.asarray(values, dtype=np.float64)[:, None]))
     with atomic_open(path) as fh:
         fh.write("\r\n".join(["method,dataset,median_rank", *lines, ""]))
 

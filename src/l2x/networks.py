@@ -16,7 +16,9 @@ training and a plain ndarray one for inference.
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
-raw little-endian float64 tensor payloads in header order.
+raw little-endian float64 tensor payloads in header order.  The header's
+tensor list must equal the architecture's ``MlpSpec.layout()``, so the
+architecture alone fixes every tensor's name, shape and position.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,24 +56,25 @@ FORMAT_VERSION = 1
 HEADS = ("softmax", "linear")
 
 
+@dataclass(frozen=True)
 class MlpSpec:
     """Architecture description: layer widths, activation, output head."""
 
-    __slots__ = ("layer_widths", "head", "activation")
+    layer_widths: tuple[int, ...]
+    head: str
+    activation: str = "relu"
 
-    def __init__(self, layer_widths, head: str, activation: str = "relu"):
-        widths = tuple(int(w) for w in layer_widths)
+    def __post_init__(self):
+        widths = tuple(int(w) for w in self.layer_widths)
         if len(widths) < 3:
             raise ValueError(f"need input, at least one hidden, and output width, got {widths}")
         if any(w < 1 for w in widths):
             raise ValueError(f"widths must be positive, got {widths}")
-        if head not in HEADS:
-            raise ValueError(f"head must be one of {HEADS}, got {head!r}")
-        if activation != "relu":
-            raise ValueError(f"only relu hidden activations are supported, got {activation!r}")
-        self.layer_widths = widths
-        self.head = head
-        self.activation = activation
+        if self.head not in HEADS:
+            raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
+        if self.activation != "relu":
+            raise ValueError(f"only relu hidden activations are supported, got {self.activation!r}")
+        object.__setattr__(self, "layer_widths", widths)
 
     @property
     def input_width(self) -> int:
@@ -80,38 +84,30 @@ class MlpSpec:
     def output_width(self) -> int:
         return self.layer_widths[-1]
 
+    def layout(self) -> list[tuple[str, tuple[int, ...]]]:
+        """(name, shape) of every parameter tensor, in the order w0, b0, w1, b1, ..."""
+        layout = []
+        for i, (fan_in, fan_out) in enumerate(zip(self.layer_widths, self.layer_widths[1:])):
+            layout += [(f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
+        return layout
+
     def to_dict(self) -> dict:
-        return {
-            "layer_widths": list(self.layer_widths),
-            "head": self.head,
-            "activation": self.activation,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
         return cls(d["layer_widths"], d["head"], d.get("activation", "relu"))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MlpSpec)
-            and self.layer_widths == other.layer_widths
-            and self.head == other.head
-            and self.activation == other.activation
-        )
-
-    def __repr__(self) -> str:
-        return f"MlpSpec({self.layer_widths}, head={self.head!r})"
-
 
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
-    """Glorot-uniform weights, zero biases, in layer order w0, b0, w1, b1, ..."""
+    """Glorot-uniform weights, zero biases, in the order of ``spec.layout()``."""
     params = ParameterSet()
-    widths = spec.layer_widths
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        params.add(f"w{i}", rng.uniform(-a, a, size=(fan_in, fan_out)))
-        params.add(f"b{i}", np.zeros(fan_out))
+    for name, shape in spec.layout():
+        if name[0] == "w":
+            a = np.sqrt(6.0 / sum(shape))
+            params.add(name, rng.uniform(-a, a, size=shape))
+        else:
+            params.add(name, np.zeros(shape))
     return params
 
 
@@ -121,9 +117,8 @@ class Mlp:
     kind = "mlp"
 
     def __init__(self, spec: MlpSpec, params: ParameterSet):
-        expected = 2 * (len(spec.layer_widths) - 1)
-        if len(params) != expected:
-            raise ValueError(f"expected {expected} parameter tensors, got {len(params)}")
+        if len(params) != len(spec.layout()):
+            raise ValueError(f"expected {len(spec.layout())} parameter tensors, got {len(params)}")
         self.spec = spec
         self.params = params
 
@@ -286,19 +281,17 @@ def deserialize(payload: bytes) -> Mlp:
         kind = header["kind"]
         spec = MlpSpec.from_dict(header["spec"])
         tensors = [(meta["name"], tuple(map(int, meta["shape"]))) for meta in header["tensors"]]
-        names = [name for name, _ in tensors]
-        if not all(isinstance(name, str) for name in names) or len(set(names)) != len(names):
-            raise ValueError("tensor names are not distinct strings")
-        if not all(0 <= s <= len(payload) for _, shape in tensors for s in shape):
-            raise ValueError("a tensor dimension is negative or larger than the payload")
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"malformed header: {e}", offset=12) from None
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ModelFormatError(f"unknown network kind {kind!r}", offset=12)
+    layout = spec.layout()
+    if tensors != layout:
+        raise ModelFormatError(f"tensor list does not match the architecture's {layout}", offset=12)
 
     params = ParameterSet()
     cursor = 12 + header_len
-    for name, shape in tensors:
+    for name, shape in layout:
         end = cursor + 8 * math.prod(shape)
         if end > len(payload):
             raise ModelFormatError(f"truncated payload for tensor {name!r}", offset=len(payload))
@@ -306,15 +299,7 @@ def deserialize(payload: bytes) -> Mlp:
         cursor = end
     if cursor != len(payload):
         raise ModelFormatError("trailing bytes after final tensor", offset=cursor)
-
-    net = _KINDS[kind](spec, params)
-    # architecture and payload must agree layer by layer
-    widths = spec.layer_widths
-    for i in range(len(widths) - 1):
-        for name, want in ((f"w{i}", (widths[i], widths[i + 1])), (f"b{i}", (widths[i + 1],))):
-            if name not in params or params[name].data.shape != want:
-                raise ModelFormatError(f"tensor {name!r} missing or not of shape {want}", offset=12)
-    return net
+    return _KINDS[kind](spec, params)
 
 
 def save_model(net: Mlp, path) -> None:

@@ -16,6 +16,7 @@ Key facts being exercised:
 * E[log P(Y|X_S)] - E[log Q(Y|X_S)] equals the average KL divergence
   from the exact conditional to Q, hence is nonnegative and zero exactly
   when Q matches the exact conditional on every positive-mass group.
+  Both expectations are one sum over the (x_S, y) outcomes with mass.
 """
 
 from __future__ import annotations
@@ -110,12 +111,13 @@ def _check_subset(d: int, S) -> tuple[int, ...]:
     return tuple(sorted(S))
 
 
-def _groups(joint: DiscreteJoint, S: tuple[int, ...]):
-    """Group atoms by their S-subvector.
+def _groups(joint: DiscreteJoint, S):
+    """Group atoms by their S-subvector, after checking S.
 
     Returns (inverse mapping atom -> group, group weights, group
     conditionals P(Y | X_S = value), group key tuples).
     """
+    S = _check_subset(joint.d, S)
     m = joint.xs.shape[0]
     if len(S) == 0:
         inv = np.zeros(m, dtype=int)
@@ -136,14 +138,12 @@ def _groups(joint: DiscreteJoint, S: tuple[int, ...]):
 
 def exact_conditional(joint: DiscreteJoint, S) -> dict[tuple, np.ndarray]:
     """P(Y | X_S = v) for every subvector value v with positive mass."""
-    S = _check_subset(joint.d, S)
     _, w, cond, keys = _groups(joint, S)
     return {key: cond[g].copy() for g, key in enumerate(keys) if w[g] > 0.0}
 
 
 def exact_mutual_information(joint: DiscreteJoint, S) -> float:
     """I(X_S; Y) = H(Y) - H(Y | X_S), in nats, by exact marginalization."""
-    S = _check_subset(joint.d, S)
     _, w, cond, _ = _groups(joint, S)
     h_y_given = sum(float(w[g]) * entropy(cond[g]) for g in range(len(w)) if w[g] > 0.0)
     return entropy(joint.py()) - h_y_given
@@ -186,20 +186,22 @@ def brute_force_best_subset(
             f"resource cap: C({d},{k}) = {n_subsets} subsets exceeds limit {max_subsets}"
         )
 
-    m = joint.xs.shape[0]
     px = joint.px
     pyx = joint.py_given_x
     support = px > 0.0
     log_py = np.where(joint.py() > 0.0, np.log(np.where(joint.py() > 0.0, joint.py(), 1.0)), 0.0)
     h_y = entropy(joint.py())
 
+    subsets = list(itertools.combinations(range(d), k))
     best_subset, best_mi = None, -np.inf
-    best_code = np.full(m, np.inf)  # per-atom minimal expected code length
-    best_code_subset: list = [None] * m
-    best_contrib = np.full(m, -np.inf)  # per-atom maximal MI contribution
-    best_contrib_subset: list = [None] * m
+    # per atom: minimal expected code length and maximal MI contribution, and the
+    # index of the first subset attaining each (-1 for zero-mass atoms)
+    best_code = np.full(len(px), np.inf)
+    best_contrib = np.full(len(px), -np.inf)
+    code_pick = np.full(len(px), -1)
+    contrib_pick = np.full(len(px), -1)
 
-    for S in itertools.combinations(range(d), k):
+    for j, S in enumerate(subsets):
         inv, w, cond, _ = _groups(joint, S)
         cond_per_atom = cond[inv]
         # log P(y | x_S); safe where the atom has mass and P(y|x) > 0
@@ -221,21 +223,19 @@ def brute_force_best_subset(
         if mi > best_mi + 1e-15 or best_subset is None:
             best_subset, best_mi = S, mi
 
-        for i in np.nonzero(support)[0]:
-            if code[i] < best_code[i] - 1e-15:
-                best_code[i] = code[i]
-                best_code_subset[i] = S
-            if contrib[i] > best_contrib[i] + 1e-15:
-                best_contrib[i] = contrib[i]
-                best_contrib_subset[i] = S
+        better = support & (code < best_code - 1e-15)
+        best_code[better], code_pick[better] = code[better], j
+        better = support & (contrib > best_contrib + 1e-15)
+        best_contrib[better], contrib_pick[better] = contrib[better], j
 
     # the two per-atom characterizations must pick the same subset
-    for i in np.nonzero(support)[0]:
-        if best_code_subset[i] != best_contrib_subset[i]:
-            raise RuntimeError(
-                f"per-x characterizations disagree at atom {i}: "
-                f"code-length picks {best_code_subset[i]}, contribution picks {best_contrib_subset[i]}"
-            )
+    disagree = np.flatnonzero(code_pick != contrib_pick)
+    if disagree.size:
+        i = int(disagree[0])
+        raise RuntimeError(
+            f"per-x characterizations disagree at atom {i}: "
+            f"code-length picks {subsets[code_pick[i]]}, contribution picks {subsets[contrib_pick[i]]}"
+        )
 
     rule_value = float((px[support] * best_contrib[support]).sum())
     if rule_value < best_mi - 1e-10:
@@ -245,16 +245,22 @@ def brute_force_best_subset(
     return BruteForceResult(
         best_subset=tuple(best_subset),
         best_mi=best_mi,
-        per_x_subsets=[best_code_subset[i] if support[i] else None for i in range(m)],
+        per_x_subsets=[subsets[j] if j >= 0 else None for j in code_pick.tolist()],
         rule_value=rule_value,
     )
 
 
-def _validate_q(joint: DiscreteJoint, keys, w, q: dict) -> np.ndarray:
-    rows = np.zeros((len(keys), joint.n_classes))
-    for g, key in enumerate(keys):
-        if w[g] <= 0.0:
-            continue
+def _outcome_terms(joint: DiscreteJoint, S, q: dict):
+    """Joint mass, exact P(y | x_S) and Q(y | x_S) of every (x_S, y) with positive mass.
+
+    ``q`` must hold, for each positive-mass subvector value, a row of one
+    probability per class on the simplex.  The three arrays are flat, in
+    group-then-class order.
+    """
+    _, w, cond, keys = _groups(joint, S)
+    q_rows = np.zeros_like(cond)
+    for g in np.flatnonzero(w > 0.0):
+        key = keys[g]
         if key not in q:
             raise ValueError(f"q missing conditional for subvector {key}")
         row = np.asarray(q[key], dtype=np.float64)
@@ -262,8 +268,9 @@ def _validate_q(joint: DiscreteJoint, keys, w, q: dict) -> np.ndarray:
             raise ValueError(f"q[{key}] must have {joint.n_classes} entries, got {row.shape}")
         if np.any(row < 0) or abs(row.sum() - 1.0) > 1e-9:
             raise ValueError(f"q[{key}] must lie on the simplex within 1e-9")
-        rows[g] = row
-    return rows
+        q_rows[g] = row
+    on = cond > 0.0  # a group without mass has an all-zero conditional
+    return (w[:, None] * cond)[on], cond[on], q_rows[on]
 
 
 def jensen_gap(joint: DiscreteJoint, S, q: dict) -> float:
@@ -273,36 +280,16 @@ def jensen_gap(joint: DiscreteJoint, S, q: dict) -> float:
     probability row.  A zero Q-probability on an outcome with positive
     joint mass makes the gap +inf.
     """
-    S = _check_subset(joint.d, S)
-    inv, w, cond, keys = _groups(joint, S)
-    q_rows = _validate_q(joint, keys, w, q)
-
-    gap = 0.0
-    pos_groups = np.nonzero(w > 0.0)[0]
-    for g in pos_groups:
-        p = cond[g]
-        qr = q_rows[g]
-        for y in range(joint.n_classes):
-            if p[y] <= 0.0:
-                continue
-            if qr[y] <= 0.0:
-                return float("inf")
-            gap += float(w[g]) * float(p[y]) * (np.log(p[y]) - np.log(qr[y]))
-    return gap
+    mass, p, q_on = _outcome_terms(joint, S, q)
+    if np.any(q_on <= 0.0):
+        return float("inf")
+    # term by term, so that Q equal to the exact conditional gives exactly 0
+    return float((mass * (np.log(p) - np.log(q_on))).sum())
 
 
 def expected_log_likelihood(joint: DiscreteJoint, S, q: dict) -> float:
     """E over the joint of log Q(Y | X_S); -inf if Q is zero on mass."""
-    S = _check_subset(joint.d, S)
-    inv, w, cond, keys = _groups(joint, S)
-    q_rows = _validate_q(joint, keys, w, q)
-    total = 0.0
-    for g in np.nonzero(w > 0.0)[0]:
-        p = cond[g]
-        for y in range(joint.n_classes):
-            if p[y] <= 0.0:
-                continue
-            if q_rows[g][y] <= 0.0:
-                return float("-inf")
-            total += float(w[g]) * float(p[y]) * np.log(q_rows[g][y])
-    return total
+    mass, _, q_on = _outcome_terms(joint, S, q)
+    if np.any(q_on <= 0.0):
+        return float("-inf")
+    return float((mass * np.log(q_on)).sum())

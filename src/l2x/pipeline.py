@@ -217,7 +217,7 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
             l2x_report.curve[-1].objective if l2x_report.curve else None
         )
 
-    rank_rows: list = []
+    ranks: dict = {}
     summary["median_ranks"] = {}
     summary["classifier_evals"] = {}
     post_hoc: dict = {}
@@ -238,14 +238,14 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
         report = ranks_for(explanations, truths, d=D)
         summary["median_ranks"][method] = report.summary
         summary["optimal_median"] = report.optimal_median
-        rank_rows.extend((method, kind, float(r)) for r in report.per_sample)
+        ranks[method] = report.per_sample
         post_hoc[method] = posthoc_for(clf, x_va, explanations).accuracy
 
     # reference: masking down to the generator's true features
     post_hoc["truth"] = post_hoc_accuracy(clf, x_va, truths, method="truth").accuracy
     summary["post_hoc"] = post_hoc
 
-    write_ranks_csv(rank_rows, out / "ranks.csv")
+    write_ranks_csv(ranks, kind, out / "ranks.csv")
     write_json({"dataset": kind, "k": k, "accuracy": post_hoc}, out / "posthoc.json")
     write_json(summary, out / "summary.json")
     write_json(timings, out / "timings.json")

@@ -5,7 +5,8 @@ vectors sharing one set of log-weights; their elementwise maximum V is a
 soft k-hot mask that multiplies the input.  Because softmax is
 shift-invariant, raw explainer scores act directly as unnormalized
 log-weights.  Low temperatures sharpen V toward an exact k-hot vector;
-the training default is 0.1 and is never annealed.
+the training default is 0.1 and is never annealed.  k, the number of
+noise rows, must lie in [1, d]; the softmax rejects a temperature <= 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 __all__ = [
-    "SamplerConfig",
     "GumbelNoise",
     "RelaxedMask",
     "sample_gumbel",
@@ -32,23 +32,6 @@ __all__ = [
 # Uniform draws are clamped away from {0, 1} so -log(-log u) stays finite.
 _U_LO = 1e-12
 _U_HI = 1.0 - 1e-12
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Subset size, feature count, and relaxation temperature."""
-
-    d: int
-    k: int
-    temperature: float = 0.1
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be positive, got {self.d}")
-        if not 1 <= self.k <= self.d:
-            raise ValueError(f"k must satisfy 1 <= k <= d={self.d}, got {self.k}")
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +60,6 @@ class RelaxedMask:
     """
 
     V: Tensor
-    config: SamplerConfig
 
     def __post_init__(self):
         v = self.V.data
@@ -123,9 +105,10 @@ def relaxed_subset_mask(log_weights: Tensor, noise: GumbelNoise, temperature: fl
     """
     if log_weights.data.ndim != 1:
         raise ValueError(f"log_weights must be a vector, got shape {log_weights.shape}")
-    v = batched_relaxed_mask(log_weights, noise.values, temperature)
-    config = SamplerConfig(d=log_weights.shape[0], k=noise.values.shape[0], temperature=temperature)
-    return RelaxedMask(V=v, config=config)
+    (d,), k = log_weights.shape, noise.values.shape[0]
+    if not 1 <= k <= d:
+        raise ValueError(f"k must satisfy 1 <= k <= d={d}, got {k}")
+    return RelaxedMask(V=batched_relaxed_mask(log_weights, noise.values, temperature))
 
 
 def batched_relaxed_mask(log_weights: Tensor, noise: np.ndarray, temperature: float) -> Tensor:

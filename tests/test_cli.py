@@ -368,8 +368,8 @@ def _with(line: str, **fields) -> str:
     return json.dumps({**json.loads(line), **fields})
 
 
-def _written(path: Path, text: str) -> Path:
-    path.write_text(text)
+def _written(path: Path, text) -> Path:
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     return path
 
 
@@ -532,6 +532,16 @@ MALFORMED = [
         "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x",
                                _edit_header(lambda h: h["tensors"][1].update(name="w0"))),
         "--out-ranks", t / "r.csv"], 4),
+    ("checkpoint-extra-tensor", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "saliency",
+        "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x", lambda b: _edit_header(
+            lambda h: h["tensors"].append({"name": "w9", "shape": [2]}))(b) + bytes(16)),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-tensors-reordered", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "saliency",
+        "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x",
+                               _edit_header(lambda h: h["tensors"].insert(0, h["tensors"].pop(1)))),
+        "--out", t / "e.jsonl"], 4),
     ("checkpoint-kind-not-a-string", lambda w, t: [
         "evaluate", "--data", w / "valid.csv", "--explanations", w / "valid_l2x.jsonl",
         "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x",
@@ -569,6 +579,9 @@ MALFORMED = [
     ("unknown-method", lambda w, t: [
         "explain", "--data", w / "valid.csv", "--method", "lime",
         "--model", w / "model.l2x", "--out", t / "e.jsonl"], 2),
+    ("non-utf8-config", lambda w, t: [
+        "generate", "--dataset", "xor", "--config", _written(t / "bad.cfg", b"n=5\xff\n"),
+        "--out", t / "x.csv"], 4, 1),
     ("unknown-config-key", lambda w, t: [
         "explain", "--config", _written(t / "bad.cfg", "bogus_key=1\n"),
         "--data", w / "valid.csv", "--method", "l2x", "--out", t / "e.jsonl"], 2),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -13,19 +14,19 @@ from l2x import datasets as ds
 from l2x.errors import CsvFormatError
 
 
-def straight_line_probability(kind, x, component=0):
+def straight_line_probability(kind, x, component=0, sin_coeff=ds.DEFAULT_SIN_COEFF):
     """Independent reimplementation of the four logits, scalar arithmetic only."""
     if kind == "xor":
         logit = x[0] * x[1]
     elif kind == "orange_skin":
         logit = x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] ** 2 - 4.0
     elif kind == "nonlinear_additive":
-        logit = -100.0 * math.sin(2.0 * x[0]) + 2.0 * abs(x[1]) + x[2] + math.exp(-x[3])
+        logit = sin_coeff * math.sin(2.0 * x[0]) + 2.0 * abs(x[1]) + x[2] + math.exp(-x[3])
     elif kind == "switch":
         if component == 1:
             logit = x[1] ** 2 + x[2] ** 2 + x[3] ** 2 + x[4] ** 2 - 4.0
         else:
-            logit = -100.0 * math.sin(2.0 * x[5]) + 2.0 * abs(x[6]) + x[7] + math.exp(-x[8])
+            logit = sin_coeff * math.sin(2.0 * x[5]) + 2.0 * abs(x[6]) + x[7] + math.exp(-x[8])
     else:
         raise AssertionError(kind)
     if logit >= 0:
@@ -33,17 +34,21 @@ def straight_line_probability(kind, x, component=0):
     return math.exp(logit) / (1.0 + math.exp(logit))
 
 
+def switch_component(truth):
+    """+1 for switch rows whose truth set is x0..x4 (x0 drawn around +3), -1 otherwise."""
+    return np.where(truth[:, 1] == 1, 1, -1)
+
+
 class TestExactProbability:
+    """Hand-picked points pin the reference; ``generate``'s stored p must match it."""
+
     def test_xor_zero_logit(self):
-        x = np.zeros(10)
-        assert ds.exact_probability("xor", x) == 0.5
+        assert straight_line_probability("xor", np.zeros(10)) == 0.5
 
     def test_xor_known_point(self):
         x = np.zeros(10)
         x[0] = x[1] = 2.0  # logit 4
-        np.testing.assert_allclose(
-            ds.exact_probability("xor", x), 0.9820137900379085, atol=1e-15
-        )
+        np.testing.assert_allclose(straight_line_probability("xor", x), 0.9820137900379085, atol=1e-15)
 
     def test_xor_odd_symmetry(self):
         rng = np.random.default_rng(0)
@@ -51,50 +56,37 @@ class TestExactProbability:
             x = rng.normal(size=10)
             x_neg = x.copy()
             x_neg[0] = -x_neg[0]
-            total = ds.exact_probability("xor", x) + ds.exact_probability("xor", x_neg)
+            total = straight_line_probability("xor", x) + straight_line_probability("xor", x_neg)
             np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_orange_skin_zero_logit_sphere(self):
         x = np.zeros(10)
         x[0:4] = 1.0  # squared norm 4
-        assert ds.exact_probability("orange_skin", x) == 0.5
+        assert straight_line_probability("orange_skin", x) == 0.5
 
     def test_additive_at_origin(self):
         # logit = 0 + 0 + 0 + exp(0) = 1
-        p = ds.exact_probability("nonlinear_additive", np.zeros(10))
+        p = straight_line_probability("nonlinear_additive", np.zeros(10))
         np.testing.assert_allclose(p, 0.7310585786300049, atol=1e-15)
 
     def test_sin_coefficient_override(self):
         x = np.zeros(10)
         x[0] = 0.5
-        default = ds.exact_probability("nonlinear_additive", x)
-        mild = ds.exact_probability("nonlinear_additive", x, sin_coeff=-1.0)
+        default = straight_line_probability("nonlinear_additive", x)
+        mild = straight_line_probability("nonlinear_additive", x, sin_coeff=-1.0)
         assert default != mild
         # logit with coeff -1: -sin(1) + 0 + 0 + exp(0)
         expected = 1.0 / (1.0 + math.exp(-(-math.sin(1.0) + 1.0)))
         np.testing.assert_allclose(mild, expected, atol=1e-15)
 
     def test_cross_check_against_straight_line_reimplementation(self):
-        rng = np.random.default_rng(42)
-        worst = 0.0
-        for _ in range(1000):
-            x = rng.normal(size=10)
-            kind = ds.KINDS[rng.integers(len(ds.KINDS))]
-            comp = int(rng.choice([1, -1])) if kind == "switch" else 0
-            mine = ds.exact_probability(kind, x, component=comp if kind == "switch" else None)
-            ref = straight_line_probability(kind, x, comp)
-            worst = max(worst, abs(mine - ref))
-        assert worst < 1e-12
-
-    def test_switch_requires_component(self):
-        with pytest.raises(ValueError, match="component"):
-            ds.exact_probability("switch", np.zeros(10))
-
-    def test_rejects_unknown_kind_and_bad_shape(self):
-        with pytest.raises(ValueError, match="unknown dataset kind"):
-            ds.exact_probability("parity", np.zeros(10))
-        with pytest.raises(ValueError, match="shape"):
-            ds.exact_probability("xor", np.zeros(9))
+        for kind, sin_coeff in itertools.product(ds.KINDS, (ds.DEFAULT_SIN_COEFF, -1.0)):
+            data = ds.generate(kind, 400, 42, sin_coeff=sin_coeff)
+            component = switch_component(data.truth) if kind == "switch" else np.zeros(len(data))
+            if kind == "switch":
+                assert set(component.tolist()) == {1, -1}
+            ref = [straight_line_probability(kind, x, c, sin_coeff) for x, c in zip(data.x, component)]
+            np.testing.assert_allclose(data.p, ref, rtol=0, atol=1e-12)
 
 
 class TestGenerate:
@@ -102,25 +94,17 @@ class TestGenerate:
         data = ds.generate("xor", 200, 0)
         assert len(data) == 200
         assert data.x.shape == (200, 10) and data.x.dtype == np.float64
-        assert data.p.shape == data.y.shape == data.component.shape == (200,)
+        assert data.p.shape == data.y.shape == (200,)
         assert np.all((0.0 <= data.p) & (data.p <= 1.0))
         assert set(data.y.tolist()) <= {0, 1}
         assert data.truth.shape == (200, 2)
         assert np.all(data.truth == (0, 1))
-        assert np.all(data.component == 0)
 
     def test_determinism(self):
         a = ds.generate("switch", 50, 123)
         b = ds.generate("switch", 50, 123)
-        for name in ("x", "p", "y", "component", "truth"):
+        for name in ("x", "p", "y", "truth"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-
-    def test_stored_p_matches_exact_probability(self):
-        for kind in ds.KINDS:
-            data = ds.generate(kind, 30, 7)
-            for x, p, comp in zip(data.x, data.p, data.component.tolist()):
-                comp = comp if kind == "switch" else None
-                assert ds.exact_probability(kind, x, component=comp) == p
 
     def test_truth_sizes(self):
         for kind, size in [("xor", 2), ("orange_skin", 4), ("nonlinear_additive", 4), ("switch", 5)]:
@@ -134,7 +118,7 @@ class TestGenerate:
 
     def test_switch_mixture_structure(self):
         data = ds.generate("switch", 100_000, 5)
-        comp, x0 = data.component, data.x[:, 0]
+        comp, x0 = switch_component(data.truth), data.x[:, 0]
         assert abs((comp == 1).mean() - 0.5) < 0.01
         # x0 tracks its component's center
         assert abs(x0[comp == 1].mean() - 3.0) < 0.02
@@ -151,6 +135,8 @@ class TestGenerate:
     def test_kind_aliases(self):
         assert ds.canonical_kind("orange-skin") == "orange_skin"
         assert ds.canonical_kind("Nonlinear-Additive") == "nonlinear_additive"
+        with pytest.raises(ValueError, match="unknown dataset kind"):
+            ds.generate("parity", 5, 0)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError, match="n must"):
@@ -164,7 +150,7 @@ class TestCsv:
         ds.write_csv(data, path)
         back = ds.read_csv(path)
         assert len(back) == len(data)
-        for name in ("x", "p", "y", "component", "truth"):
+        for name in ("x", "p", "y", "truth"):
             np.testing.assert_array_equal(getattr(back, name), getattr(data, name))
             assert getattr(back, name).dtype == getattr(data, name).dtype
 
@@ -303,7 +289,6 @@ def edge_dataset() -> ds.Dataset:
         x=x,
         p=np.array([5e-324, 1.0, -0.0]),
         y=np.array([0, 1, 1]),
-        component=np.zeros(3, dtype=int),
         truth=np.tile([0, 1], (3, 1)),
     )
 
@@ -324,7 +309,7 @@ class TestCsvColumnKernel:
         ds.write_csv(data, path)
         assert path.read_bytes() == reference_csv(data)
         back = ds.read_csv(path)
-        for name in ("x", "p", "y", "component", "truth"):
+        for name in ("x", "p", "y", "truth"):
             np.testing.assert_array_equal(getattr(back, name), getattr(data, name))
         assert np.signbit(back.x[0, 0]) and np.signbit(back.p[2])
 
@@ -337,5 +322,5 @@ class TestCsvColumnKernel:
         text = ending.join((tmp_path / "a.csv").read_bytes().decode().splitlines())
         (tmp_path / "b.csv").write_bytes((text + (ending if final_newline else "")).encode())
         back = ds.read_csv(tmp_path / "b.csv")
-        for name in ("x", "p", "y", "component", "truth"):
+        for name in ("x", "p", "y", "truth"):
             np.testing.assert_array_equal(getattr(back, name), getattr(data, name))

@@ -53,6 +53,30 @@ def rule_value(joint: oc.DiscreteJoint, rule) -> float:
     return total
 
 
+def group_conditionals(joint: oc.DiscreteJoint, S) -> dict:
+    """P(X_S = v) and P(Y | X_S = v) per subvector value v with mass, by a plain loop over atoms."""
+    mass: dict = {}
+    for i in range(joint.xs.shape[0]):
+        v = tuple(joint.xs[i, list(S)].tolist())
+        p_v, p_vy = mass.get(v, (0.0, np.zeros(joint.n_classes)))
+        mass[v] = (p_v + joint.px[i], p_vy + joint.px[i] * joint.py_given_x[i])
+    return {v: (p_v, p_vy / p_v) for v, (p_v, p_vy) in mass.items() if p_v > 0.0}
+
+
+def double_loop_gap_and_ell(joint: oc.DiscreteJoint, S, q: dict) -> tuple[float, float]:
+    """Jensen gap and E[log Q(Y|X_S)] by a per-group, per-class double loop."""
+    gap = ell = 0.0
+    for v, (p_v, cond) in group_conditionals(joint, S).items():
+        for y in range(joint.n_classes):
+            if cond[y] <= 0.0:
+                continue
+            if q[v][y] <= 0.0:
+                return math.inf, -math.inf
+            gap += p_v * cond[y] * (math.log(cond[y]) - math.log(q[v][y]))
+            ell += p_v * cond[y] * math.log(q[v][y])
+    return gap, ell
+
+
 def small_joint(seed=0, d=3, c=2):
     return oc.random_binary_joint(np.random.default_rng(seed), d, c)
 
@@ -177,6 +201,20 @@ class TestBruteForce:
                 found_strict = True
         assert found_strict
 
+    def test_per_x_subsets_are_the_per_atom_argmin(self):
+        for seed in range(10):
+            j = small_joint(seed + 30, d=4, c=3)
+            subsets = list(itertools.combinations(range(4), 2))
+            conds = [group_conditionals(j, S) for S in subsets]
+            res = oc.brute_force_best_subset(j, 2)
+            for i in range(len(j.px)):
+                codes = [
+                    -sum(j.py_given_x[i, y] * math.log(cond[tuple(j.xs[i, list(S)].tolist())][1][y])
+                         for y in range(3) if j.py_given_x[i, y] > 0.0)
+                    for S, cond in zip(subsets, conds)
+                ]
+                assert res.per_x_subsets[i] == subsets[int(np.argmin(codes))]
+
     def test_resource_cap(self):
         j = small_joint(0, d=6, c=2)
         with pytest.raises(ValueError, match="resource cap"):
@@ -242,6 +280,27 @@ class TestJensenGap:
         )
         q = {(0.0,): np.array([1.0, 0.0]), (1.0,): np.array([0.5, 0.5])}
         assert oc.jensen_gap(j, (0,), q) == float("inf")
+
+    def test_kernels_match_a_double_loop(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            d, c = int(rng.integers(1, 5)), int(rng.integers(2, 4))
+            j = oc.random_binary_joint(rng, d, c)
+            S = tuple(sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist()))
+            q = {v: rng.dirichlet(np.ones(c)) for v in group_conditionals(j, S)}
+            gap, ell = double_loop_gap_and_ell(j, S, q)
+            assert abs(oc.jensen_gap(j, S, q) - gap) <= 1e-12
+            assert abs(oc.expected_log_likelihood(j, S, q) - ell) <= 1e-12
+        # a zero of Q on an outcome with mass, and a Q missing a subvector value
+        v = next(iter(q))
+        q[v] = np.eye(c)[int(np.argmin(group_conditionals(j, S)[v][1]))]
+        assert double_loop_gap_and_ell(j, S, q) == (math.inf, -math.inf)
+        assert oc.jensen_gap(j, S, q) == math.inf
+        assert oc.expected_log_likelihood(j, S, q) == -math.inf
+        del q[v]
+        for kernel in (oc.jensen_gap, oc.expected_log_likelihood):
+            with pytest.raises(ValueError, match="missing"):
+                kernel(j, S, q)
 
     def test_invalid_q_rejected(self):
         j = small_joint(2)
@@ -380,30 +439,30 @@ class TestPostHocAccuracy:
 
 class TestRanksCsv:
     def test_round_trip(self, tmp_path):
-        rows = [("l2x", "xor", 1.5), ("saliency", "xor", 3.0)]
         path = tmp_path / "ranks.csv"
-        mt.write_ranks_csv(rows, path)
-        assert mt.read_ranks_csv(path) == rows
+        mt.write_ranks_csv({"l2x": np.array([1.5]), "saliency": np.array([3.0])}, "xor", path)
+        assert mt.read_ranks_csv(path) == [("l2x", "xor", 1.5), ("saliency", "xor", 3.0)]
         assert path.read_text().splitlines()[0] == "method,dataset,median_rank"
 
     def test_bytes_match_per_row_writer(self, tmp_path):
         rng = np.random.default_rng(4)
-        rows = [(m, d, float(v)) for m, d, v in zip(
-            rng.choice(["l2x", "taylor-abs", 'q"uote', "co,mma"], 200),
-            rng.choice(["xor", "orange skin", "line\nbreak"], 200),
-            rng.choice([1.5, 2.0, 3.25, 5e-324, 1e16, 0.1], 200),
-        )]
-        buffer = io.StringIO(newline="")
-        writer = csv.writer(buffer)
-        writer.writerow(["method", "dataset", "median_rank"])
-        for method, dataset, value in rows:
-            writer.writerow([method, dataset, repr(float(value))])
+        ranks = {method: rng.choice([1.5, 2.0, 3.25, 5e-324, 1e16, 0.1], size)
+                 for method, size in (("taylor-abs", 200), ('q"uote', 3), ("co,mma", 1), ("l2x", 50))}
         path = tmp_path / "ranks.csv"
-        mt.write_ranks_csv(rows, path)
-        assert path.read_bytes() == buffer.getvalue().encode()
-        assert mt.read_ranks_csv(path) == rows
+        for dataset in ("xor", "orange skin", "line\nbreak", 'q"uote'):
+            buffer = io.StringIO(newline="")
+            writer = csv.writer(buffer)
+            writer.writerow(["method", "dataset", "median_rank"])
+            rows = [(method, dataset, float(value)) for method, values in ranks.items() for value in values]
+            for method, _, value in rows:
+                writer.writerow([method, dataset, repr(value)])
+            mt.write_ranks_csv(ranks, dataset, path)
+            assert path.read_bytes() == buffer.getvalue().encode()
+            assert mt.read_ranks_csv(path) == rows
 
     def test_no_rows_writes_the_header(self, tmp_path):
         path = tmp_path / "ranks.csv"
-        mt.write_ranks_csv([], path)
+        mt.write_ranks_csv({}, "xor", path)
+        assert path.read_bytes() == b"method,dataset,median_rank\r\n"
+        mt.write_ranks_csv({"l2x": np.array([])}, "xor", path)
         assert path.read_bytes() == b"method,dataset,median_rank\r\n"

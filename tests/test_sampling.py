@@ -44,17 +44,6 @@ class TestGumbelNoise:
             sp.sample_gumbel(0, 0, 3)
 
 
-class TestSamplerConfig:
-    def test_valid(self):
-        cfg = sp.SamplerConfig(d=10, k=4)
-        assert cfg.temperature == 0.1
-
-    @pytest.mark.parametrize("d,k,t", [(0, 1, 0.1), (5, 0, 0.1), (5, 6, 0.1), (5, 2, 0.0), (5, 2, -1.0)])
-    def test_invalid(self, d, k, t):
-        with pytest.raises(ValueError):
-            sp.SamplerConfig(d=d, k=k, temperature=t)
-
-
 class TestConcreteVector:
     def test_uniform_under_equal_weights_and_zero_noise(self):
         lw = ad.constant(np.zeros(4))
@@ -151,6 +140,11 @@ class TestRelaxedSubsetMask:
             ad.constant(np.zeros(d)), sp.GumbelNoise(noise_vals), temperature=1e-4
         )
         assert np.all(mask.V.data > 0.999)
+
+    @pytest.mark.parametrize("d,k", [(0, 1), (5, 0), (5, 6)])
+    def test_k_outside_1_to_d_rejected(self, d, k):
+        with pytest.raises(ValueError, match="k must"):
+            sp.relaxed_subset_mask(ad.constant(np.zeros(d)), sp.GumbelNoise(np.zeros((k, d))), temperature=0.1)
 
     def test_row_count_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape"):
