@@ -80,13 +80,27 @@ class TestExactProbability:
         np.testing.assert_allclose(mild, expected, atol=1e-15)
 
     def test_cross_check_against_straight_line_reimplementation(self):
-        for kind, sin_coeff in itertools.product(ds.KINDS, (ds.DEFAULT_SIN_COEFF, -1.0)):
+        # the default coefficient is checked in TestGenerate::test_stored_p_matches_exact_probability
+        for kind, sin_coeff in itertools.product(ds.KINDS, (-1.0,)):
             data = ds.generate(kind, 400, 42, sin_coeff=sin_coeff)
             component = switch_component(data.truth) if kind == "switch" else np.zeros(len(data))
             if kind == "switch":
                 assert set(component.tolist()) == {1, -1}
             ref = [straight_line_probability(kind, x, c, sin_coeff) for x, c in zip(data.x, component)]
             np.testing.assert_allclose(data.p, ref, rtol=0, atol=1e-12)
+
+    def test_rejects_unknown_kind_and_bad_shape(self, tmp_path):
+        for call in (ds.generate, ds.k_for):
+            with pytest.raises(ValueError, match="unknown dataset kind"):
+                call("parity", *((5, 0) if call is ds.generate else ()))
+        # a stored row with nine features instead of ten
+        path = tmp_path / "short.csv"
+        ds.write_csv(ds.generate("xor", 2, 0), path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CsvFormatError, match=r"expected 13 fields, got 12 \(line 2\)"):
+            ds.read_csv(path)
 
 
 class TestGenerate:
@@ -105,6 +119,13 @@ class TestGenerate:
         b = ds.generate("switch", 50, 123)
         for name in ("x", "p", "y", "truth"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_stored_p_matches_exact_probability(self):
+        for kind in ds.KINDS:
+            data = ds.generate(kind, 30, 7)
+            component = switch_component(data.truth) if kind == "switch" else np.zeros(len(data))
+            for x, p, c in zip(data.x, data.p, component):
+                np.testing.assert_allclose(p, straight_line_probability(kind, x, c), rtol=0, atol=1e-12)
 
     def test_truth_sizes(self):
         for kind, size in [("xor", 2), ("orange_skin", 4), ("nonlinear_additive", 4), ("switch", 5)]:
@@ -135,8 +156,6 @@ class TestGenerate:
     def test_kind_aliases(self):
         assert ds.canonical_kind("orange-skin") == "orange_skin"
         assert ds.canonical_kind("Nonlinear-Additive") == "nonlinear_additive"
-        with pytest.raises(ValueError, match="unknown dataset kind"):
-            ds.generate("parity", 5, 0)
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError, match="n must"):
