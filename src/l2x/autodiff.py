@@ -4,8 +4,8 @@ The graph is built define-by-run: every operation returns a new
 :class:`Tensor` that records its inputs and a closure computing the
 vector-Jacobian product for its backward rule.  A fresh graph is built
 per forward pass; :func:`backward` traverses it once in reverse
-topological order and deposits gradients on the leaves, visiting only
-the nodes that lead to the parameters asked for.  An MLP layer is one
+topological order, visiting only the nodes that lead to the parameters
+asked for, and returns one gradient per parameter.  An MLP layer is one
 node, :func:`dense`, bit for bit ``relu(add_bias(matmul(h, w), b))``.
 
 Deliberate conventions:
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class Tensor:
     rule needs.
     """
 
-    __slots__ = ("data", "op", "parents", "requires_grad", "grad", "_vjp")
+    __slots__ = ("data", "op", "parents", "requires_grad", "_vjp")
 
     def __init__(
         self,
@@ -76,7 +76,6 @@ class Tensor:
         self.op = op
         self.parents = parents
         self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
         self._vjp = vjp
 
     @property
@@ -98,7 +97,7 @@ def constant(data) -> Tensor:
 
 
 def parameter(data) -> Tensor:
-    """Leaf that accumulates a gradient during :func:`backward`."""
+    """Leaf that :func:`backward` can return a gradient for."""
     return Tensor(data, requires_grad=True)
 
 
@@ -106,51 +105,29 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-class ParameterSet:
-    """Named, insertion-ordered collection of trainable tensors.
+class ParameterSet(dict):
+    """Named trainable tensors: a ``dict`` of name -> :class:`Tensor`.
 
-    Iteration order is the insertion order, which makes optimizer state
-    and gradient dictionaries reproducible across runs.
+    Insertion order makes optimizer state and gradient dictionaries
+    reproducible across runs.
     """
 
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-
     def add(self, name: str, data) -> Tensor:
-        if name in self._params:
+        if name in self:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = parameter(data)
-        self._params[name] = t
+        t = self[name] = parameter(data)
         return t
 
     def merge(self, prefix: str, other: "ParameterSet") -> None:
         """Adopt another set's tensors (shared by reference) under ``prefix.name``."""
         for name, t in other.items():
             full = f"{prefix}.{name}"
-            if full in self._params:
+            if full in self:
                 raise ValueError(f"duplicate parameter name {full!r}")
-            self._params[full] = t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
+            self[full] = t
 
     def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self) -> Iterator[tuple[str, Tensor]]:
-        return iter(self._params.items())
-
-    def __iter__(self) -> Iterator[tuple[str, Tensor]]:
-        return iter(self._params.items())
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self._params.items()}
+        return list(self)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +360,8 @@ def expand(a: Tensor, axis: int, reps: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _topo_order(root: Tensor, targets: set[int] | None = None) -> list[Tensor]:
-    """Nodes needing a gradient, parents first; with ``targets`` (leaf ids), those leading to one."""
+def _topo_order(root: Tensor, targets: set[int]) -> list[Tensor]:
+    """Nodes on a path from a leaf in ``targets`` (ids) to ``root``, parents first."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -400,8 +377,6 @@ def _topo_order(root: Tensor, targets: set[int] | None = None) -> list[Tensor]:
         for p in node.parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    if targets is None:
-        return order
     leads = set(targets)
     for node in order:
         if any(id(p) in leads for p in node.parents):
@@ -409,44 +384,31 @@ def _topo_order(root: Tensor, targets: set[int] | None = None) -> list[Tensor]:
     return [node for node in order if id(node) in leads]
 
 
-def backward(root: Tensor, params: ParameterSet | None = None) -> dict[str, np.ndarray] | None:
-    """Reverse-mode sweep from a scalar root.
+def backward(root: Tensor, params: ParameterSet) -> dict[str, np.ndarray]:
+    """Gradient of a scalar root with respect to each of ``params``, by name.
 
-    Without ``params``, sets ``grad`` on every reachable leaf with
-    ``requires_grad``.  With a :class:`ParameterSet`, visits only the
-    nodes that lead to one of its parameters, sets ``grad`` on those
-    parameters, and returns one gradient array per parameter from this
-    sweep alone; parameters the root does not depend on get zeros.
+    One reverse sweep visits only the nodes that lead to one of the
+    parameters; a parameter the root does not depend on gets zeros.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
 
-    targets = None if params is None else {id(t) for _, t in params.items()}
-    order = _topo_order(root, targets)
+    order = _topo_order(root, {id(t) for t in params.values()})
     needed = {id(node) for node in order}
+    # a leaf's gradient stays here; every other node's is dropped once used
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    leaf_grads: dict[int, np.ndarray] = {}
     for node in reversed(order):
+        if node._vjp is None:
+            continue
         g = grads.pop(id(node), None)
         if g is None:
-            continue
-        if node._vjp is None:
-            if not node.parents:  # leaf
-                node.grad = leaf_grads[id(node)] = g
             continue
         for p, pg in zip(node.parents, node._vjp(g)):
             if id(p) not in needed:
                 continue
             acc = grads.get(id(p))
             grads[id(p)] = pg if acc is None else acc + pg
-
-    if params is None:
-        return None
-    out: dict[str, np.ndarray] = {}
-    for name, t in params.items():
-        g = leaf_grads.get(id(t))
-        out[name] = g if g is not None else np.zeros_like(t.data)
-    return out
+    return {name: grads[id(t)] if id(t) in grads else np.zeros_like(t.data) for name, t in params.items()}
 
 
 @dataclass

@@ -203,7 +203,7 @@ def cmd_train_model(args, cmd: _Command) -> int:
     if args.val_data is not None:
         x_val, _, y_val, _ = as_arrays(read_csv(args.val_data))
     clf, report = train_classifier(
-        x, y, cfg, n_classes=2, x_val=x_val, y_val=y_val, **_given(args, ["hidden"])
+        x, y, cfg, x_val=x_val, y_val=y_val, **_given(args, ["hidden"])
     )
     save_model(clf, args.out_model)
     if args.out_curve is not None:
@@ -277,12 +277,13 @@ def cmd_evaluate(args, cmd: _Command) -> int:
             record = Explanations.concatenate(parts[method])
         except ValueError:
             raise JsonlFormatError(f"the {method} explanations select unequal numbers of features") from None
-        if not np.array_equal(np.sort(record.ids), np.arange(len(truths))):
+        try:
+            report = ranks_for(record, truths, d=D)
+        except ValueError:  # widths and truths are checked above, so the ids miss or repeat rows
             raise JsonlFormatError(
                 f"the ids of the {method} explanations do not cover "
                 f"the {len(truths)} rows of {args.data} exactly once"
-            )
-        report = ranks_for(record, truths, d=D)
+            ) from None
         ranks[method] = report.per_sample
         line = f"{method}: summary median rank {report.summary['median']:.2f}"
         if classifier is not None:

@@ -10,9 +10,9 @@
 
 All are plain MLPs: relu hidden layers, optional softmax head, Glorot
 uniform initialization.  Each offers two forward paths with identical
-arithmetic, both one fused dense kernel per layer (``autodiff.dense`` on
-the tape, ``autodiff.dense_array`` on plain arrays): a taped one for
-training and a plain ndarray one for inference.
+arithmetic through one layer loop, one fused dense kernel per layer
+(``autodiff.dense`` on the tape, ``autodiff.dense_array`` on plain
+arrays): a taped one for training and a plain ndarray one for inference.
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
@@ -54,15 +54,15 @@ MAGIC = b"L2XM"
 FORMAT_VERSION = 1
 
 HEADS = ("softmax", "linear")
+ACTIVATION = "relu"  # of every hidden layer; recorded in the checkpoint header
 
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture description: layer widths, activation, output head."""
+    """Architecture description: layer widths and output head."""
 
     layer_widths: tuple[int, ...]
     head: str
-    activation: str = "relu"
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.layer_widths)
@@ -72,8 +72,6 @@ class MlpSpec:
             raise ValueError(f"widths must be positive, got {widths}")
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
-        if self.activation != "relu":
-            raise ValueError(f"only relu hidden activations are supported, got {self.activation!r}")
         object.__setattr__(self, "layer_widths", widths)
 
     @property
@@ -92,11 +90,13 @@ class MlpSpec:
         return layout
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "activation": ACTIVATION}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
-        return cls(d["layer_widths"], d["head"], d.get("activation", "relu"))
+        if d.get("activation", ACTIVATION) != ACTIVATION:
+            raise ValueError(f"only {ACTIVATION} hidden activations are supported, got {d['activation']!r}")
+        return cls(d["layer_widths"], d["head"])
 
 
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
@@ -126,26 +126,21 @@ class Mlp:
     def build(cls, spec: MlpSpec, rng: np.random.Generator):
         return cls(spec, init_params(spec, rng))
 
-    def _check_width(self, width: int) -> None:
-        if width != self.spec.input_width:
-            raise ValueError(
-                f"{self.kind} expects input width {self.spec.input_width}, got {width}"
-            )
-
-    def _layers(self):
-        """(weight, bias, relu?) of each layer, input to output; the last has no relu."""
+    def _layers(self, x, layer):
+        """``h = layer(h, w, b, relu)`` through every layer of a (batch, d) input; the last has no relu."""
+        if len(x.shape) != 2:
+            raise ValueError(f"expected (batch, d) input, got shape {x.shape}")
+        if x.shape[1] != self.spec.input_width:
+            raise ValueError(f"{self.kind} expects input width {self.spec.input_width}, got {x.shape[1]}")
         n_layers = len(self.spec.layer_widths) - 1
-        return [(self.params[f"w{i}"], self.params[f"b{i}"], i < n_layers - 1) for i in range(n_layers)]
+        h = x
+        for i in range(n_layers):
+            h = layer(h, self.params[f"w{i}"], self.params[f"b{i}"], i < n_layers - 1)
+        return h
 
     def logits_tensor(self, x: Tensor) -> Tensor:
         """Taped pass through the layers over a (batch, d) input, before the head."""
-        if x.data.ndim != 2:
-            raise ValueError(f"expected (batch, d) input, got shape {x.shape}")
-        self._check_width(x.shape[1])
-        h = x
-        for w, b, relu in self._layers():
-            h = ad.dense(h, w, b, relu)
-        return h
+        return self._layers(x, ad.dense)
 
     def forward_tensor(self, x: Tensor) -> Tensor:
         """Taped forward pass over a (batch, d) input."""
@@ -156,14 +151,8 @@ class Mlp:
         """Tape-free forward pass; accepts (batch, d) or a single (d,) row."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.ndim != 2:
-            raise ValueError(f"expected (batch, d) input, got shape {x.shape}")
-        self._check_width(x.shape[1])
-        h = x
-        for w, b, relu in self._layers():
-            h = ad.dense_array(h, w.data, b.data, relu)
+        h = self._layers(x[None, :] if single else x,
+                         lambda h, w, b, relu: ad.dense_array(h, w.data, b.data, relu))
         out = ad.softmax_array(h) if self.spec.head == "softmax" else h
         return out[0] if single else out
 
@@ -179,14 +168,13 @@ class Classifier(Mlp):
         super().__init__(spec, params)
         self.eval_count = 0
 
-    def logits_tensor(self, x: Tensor) -> Tensor:
+    def _layers(self, x, layer):
+        h = super()._layers(x, layer)
         self.eval_count += x.shape[0]
-        return super().logits_tensor(x)
+        return h
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        out = self.forward(x)
-        self.eval_count += 1 if out.ndim == 1 else out.shape[0]
-        return out
+        return self.forward(x)
 
     def reset_eval_count(self) -> None:
         self.eval_count = 0

@@ -142,11 +142,15 @@ def exact_conditional(joint: DiscreteJoint, S) -> dict[tuple, np.ndarray]:
     return {key: cond[g].copy() for g, key in enumerate(keys) if w[g] > 0.0}
 
 
+def _conditional_entropy(w: np.ndarray, cond: np.ndarray) -> float:
+    """H(Y | X_S) in nats, from the group weights and conditionals of :func:`_groups`."""
+    return sum(float(w[g]) * entropy(cond[g]) for g in range(len(w)) if w[g] > 0.0)
+
+
 def exact_mutual_information(joint: DiscreteJoint, S) -> float:
     """I(X_S; Y) = H(Y) - H(Y | X_S), in nats, by exact marginalization."""
     _, w, cond, _ = _groups(joint, S)
-    h_y_given = sum(float(w[g]) * entropy(cond[g]) for g in range(len(w)) if w[g] > 0.0)
-    return entropy(joint.py()) - h_y_given
+    return entropy(joint.py()) - _conditional_entropy(w, cond)
 
 
 @dataclass
@@ -213,9 +217,7 @@ def brute_force_best_subset(
 
         # I(X_S;Y) two ways: entropy difference vs px-weighted contribution
         mi = float((px[support] * contrib[support]).sum())
-        mi_entropy = h_y - sum(
-            float(w[g]) * entropy(cond[g]) for g in range(len(w)) if w[g] > 0.0
-        )
+        mi_entropy = h_y - _conditional_entropy(w, cond)
         if abs(mi - mi_entropy) > 1e-10:
             raise RuntimeError(
                 f"MI routes disagree for S={S}: contribution {mi} vs entropy {mi_entropy}"

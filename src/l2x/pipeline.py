@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,20 +48,17 @@ __all__ = [
 METHODS = ("l2x", "saliency", "taylor")  # the default; any of explain.ALL_METHODS may be run
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Benchmark parameters; validated before any work starts."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(TrainConfig):
+    """Benchmark parameters: the training settings, the data, the widths and the methods.
+
+    Validated before any work starts; ``k`` defaults to the dataset's truth size.
+    """
 
     dataset: str
+    k: int | None = None
     n_train: int = 100_000
     n_valid: int = 10_000
-    seed: int = TrainConfig.seed
-    k: int | None = None
-    temperature: float = TrainConfig.temperature
-    learning_rate: float = TrainConfig.learning_rate
-    batch_size: int = TrainConfig.batch_size
-    epochs: int = TrainConfig.epochs
-    warmup_epochs: int = TrainConfig.warmup_epochs
     sin_coeff: float = DEFAULT_SIN_COEFF
     classifier_hidden: tuple[int, ...] = (200, 200, 200)
     explainer_hidden: tuple[int, ...] = (200, 200)
@@ -79,19 +76,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for m in self.methods:
             check_method(m)
-        # delegate the remaining numeric checks
-        self.train_config()
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            k=self.k,
-            learning_rate=self.learning_rate,
-            temperature=self.temperature,
-            batch_size=min(self.batch_size, self.n_train),
-            epochs=self.epochs,
-            seed=self.seed,
-            warmup_epochs=self.warmup_epochs,
-        )
+        super().__post_init__()
 
 
 def explain_dataset(
@@ -122,26 +107,24 @@ def explain_dataset(
                         np.full(n, per_sample, dtype=np.int64))
 
 
-def _id_order(ids: np.ndarray):
-    """Index that puts ``ids`` in ascending order: every row as is when they already are."""
-    return slice(None) if (ids[1:] >= ids[:-1]).all() else np.argsort(ids, kind="stable")
+def _id_order(ids: np.ndarray, n: int):
+    """Index that puts ``ids`` in row order; ValueError unless they cover the ``n`` rows exactly once."""
+    order = slice(None) if (ids[1:] >= ids[:-1]).all() else np.argsort(ids, kind="stable")
+    if not np.array_equal(ids[order], np.arange(n)):
+        raise ValueError("explanation ids do not cover the dataset exactly once")
+    return order
 
 
 def ranks_for(explanations: Explanations, truths, d: int) -> MedianRankReport:
     """Median-rank report for one method's explanations, aligned by id."""
-    order = _id_order(explanations.ids)
-    if not np.array_equal(explanations.ids[order], np.arange(len(truths))):
-        raise ValueError("explanation ids do not cover the dataset exactly once")
+    order = _id_order(explanations.ids, len(truths))
     return median_rank(explanations.scores[order], truths, d)
 
 
 def posthoc_for(classifier, x: np.ndarray, explanations: Explanations) -> PostHocReport:
-    """Post-hoc accuracy of one method's selections against the classifier."""
-    order = _id_order(explanations.ids)
-    ids = explanations.ids[order]
-    if not len(ids) or ids[0] < 0 or ids[-1] >= x.shape[0]:
-        raise ValueError("explanation ids do not match the dataset")
-    return post_hoc_accuracy(classifier, x[ids], explanations.selected[order], method=explanations.method)
+    """Post-hoc accuracy of one method's selections against the classifier, aligned by id."""
+    order = _id_order(explanations.ids, x.shape[0])
+    return post_hoc_accuracy(classifier, x, explanations.selected[order], method=explanations.method)
 
 
 def write_json(payload: dict, path) -> None:
@@ -166,7 +149,6 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
     x_tr, _, y_tr, _ = as_arrays(train)
     x_va, _, y_va, truths = as_arrays(valid)
 
-    cfg = config.train_config()
     timings: dict = {"n_valid": config.n_valid, "explain": {}}
     summary: dict = {
         "dataset": kind,
@@ -178,7 +160,7 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
         "warmup_epochs": config.warmup_epochs,
         "temperature": config.temperature,
         "learning_rate": config.learning_rate,
-        "batch_size": cfg.batch_size,
+        "batch_size": min(config.batch_size, config.n_train),
     }
 
     if reuse:
@@ -192,8 +174,7 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
     else:
         t0 = time.perf_counter()
         clf, clf_report = train_classifier(
-            x_tr, y_tr, cfg, n_classes=2, hidden=config.classifier_hidden,
-            x_val=x_va, y_val=y_va,
+            x_tr, y_tr, config, hidden=config.classifier_hidden, x_val=x_va, y_val=y_va
         )
         timings["train_model_ms"] = (time.perf_counter() - t0) * 1e3
         save_model(clf, out / "model.l2x")
@@ -205,7 +186,7 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
 
         t0 = time.perf_counter()
         explainer, variational, l2x_report = train_l2x(
-            x_tr, clf, cfg,
+            x_tr, clf, config,
             explainer_hidden=config.explainer_hidden,
             variational_hidden=config.variational_hidden,
         )

@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterSet, Tensor
+from .datasets import N_CLASSES
 from .errors import NumericError
 from .files import atomic_open
 from .networks import Classifier, Explainer, VariationalNet, build_classifier, build_explainer, build_variational
@@ -87,9 +88,9 @@ class RmsProp:
             t.data -= update
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainConfig:
-    """Knobs for both training loops; ``RunConfig`` and the CLI take their defaults from here."""
+    """Knobs for both training loops; ``RunConfig`` extends it, and the CLI takes its defaults."""
 
     k: int
     learning_rate: float = 0.001
@@ -203,7 +204,6 @@ def train_classifier(
     x: np.ndarray,
     y: np.ndarray,
     config: TrainConfig,
-    n_classes: int = 2,
     hidden: tuple[int, ...] = (200, 200, 200),
     x_val: np.ndarray | None = None,
     y_val: np.ndarray | None = None,
@@ -217,8 +217,8 @@ def train_classifier(
         raise ValueError(f"labels must be (n,), got {y.shape} for n={x.shape[0]}")
     n, d = x.shape
 
-    clf = build_classifier(d, n_classes, substream(config.seed, "init"), hidden=hidden)
-    onehot = np.zeros((n, n_classes))
+    clf = build_classifier(d, N_CLASSES, substream(config.seed, "init"), hidden=hidden)
+    onehot = np.zeros((n, N_CLASSES))
     onehot[np.arange(n), y] = 1.0
 
     opt = RmsProp(config.learning_rate)

@@ -114,15 +114,14 @@ class TestShapeAndDomainErrors:
     def test_backward_rejects_non_scalar_root(self):
         x = ad.parameter(np.ones(3))
         with pytest.raises(ValueError, match="scalar"):
-            ad.backward(ad.mul(x, x))
+            ad.backward(ad.mul(x, x), ad.ParameterSet(x=x))
 
 
 class TestBackwardRules:
     def test_gradient_accumulates_when_tensor_reused(self):
         x = ad.parameter([3.0])
         y = ad.reduce_sum(ad.add(ad.mul(x, x), x))  # d/dx (x^2 + x) = 2x + 1
-        ad.backward(y)
-        np.testing.assert_allclose(x.grad, [7.0], atol=1e-15)
+        np.testing.assert_allclose(ad.backward(y, ad.ParameterSet(x=x))["x"], [7.0], atol=1e-15)
 
     def test_unused_parameter_gets_zeros(self):
         params = ad.ParameterSet()
@@ -134,25 +133,25 @@ class TestBackwardRules:
 
     def test_relu_gradient_is_zero_at_zero(self):
         x = ad.parameter([-1.0, 0.0, 2.0])
-        ad.backward(ad.reduce_sum(ad.relu(x)))
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0])
+        grads = ad.backward(ad.reduce_sum(ad.relu(x)), ad.ParameterSet(x=x))
+        np.testing.assert_array_equal(grads["x"], [0.0, 0.0, 1.0])
 
     def test_maximum_tie_routes_to_first_argument(self):
         a = ad.parameter([1.0, 5.0])
         b = ad.parameter([1.0, 2.0])
-        ad.backward(ad.reduce_sum(ad.maximum(a, b)))
-        np.testing.assert_array_equal(a.grad, [1.0, 1.0])
-        np.testing.assert_array_equal(b.grad, [0.0, 0.0])
+        grads = ad.backward(ad.reduce_sum(ad.maximum(a, b)), ad.ParameterSet(a=a, b=b))
+        np.testing.assert_array_equal(grads["a"], [1.0, 1.0])
+        np.testing.assert_array_equal(grads["b"], [0.0, 0.0])
 
     def test_reduce_max_tie_routes_to_lowest_index(self):
         x = ad.parameter([[2.0, 7.0, 7.0, 1.0]])
-        ad.backward(ad.reduce_sum(ad.reduce_max(x, axis=1)))
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0, 0.0]])
+        grads = ad.backward(ad.reduce_sum(ad.reduce_max(x, axis=1)), ad.ParameterSet(x=x))
+        np.testing.assert_array_equal(grads["x"], [[0.0, 1.0, 0.0, 0.0]])
 
     def test_abs_gradient_sign_and_zero(self):
         x = ad.parameter([-2.0, 0.0, 3.0])
-        ad.backward(ad.reduce_sum(ad.absolute(x)))
-        np.testing.assert_array_equal(x.grad, [-1.0, 0.0, 1.0])
+        grads = ad.backward(ad.reduce_sum(ad.absolute(x)), ad.ParameterSet(x=x))
+        np.testing.assert_array_equal(grads["x"], [-1.0, 0.0, 1.0])
 
     def test_each_node_backward_rule_runs_once(self):
         x = ad.parameter([1.0, 2.0])
@@ -167,25 +166,26 @@ class TestBackwardRules:
         h._vjp = counting
         # diamond: h feeds two consumers that rejoin at the root
         root = ad.reduce_sum(ad.add(ad.mul(h, ad.constant([2.0, 2.0])), h))
-        ad.backward(root)
+        grads = ad.backward(root, ad.ParameterSet(x=x))
         assert calls["n"] == 1
-        np.testing.assert_allclose(x.grad, 2.0 * x.data * 3.0)
+        np.testing.assert_allclose(grads["x"], 2.0 * x.data * 3.0)
 
-    def test_backward_replaces_stale_grads(self):
+    def test_two_calls_return_independent_arrays(self):
         params = ad.ParameterSet()
         x = params.add("x", [2.0])
-        ad.backward(ad.reduce_sum(ad.mul(x, x)), params)
-        first = x.grad.copy()
-        x.grad = None
-        ad.backward(ad.reduce_sum(ad.mul(x, x)), params)
-        np.testing.assert_array_equal(x.grad, first)
+        first = ad.backward(ad.reduce_sum(ad.mul(x, x)), params)
+        second = ad.backward(ad.reduce_sum(ad.mul(x, x)), params)
+        assert first["x"] is not second["x"]
+        np.testing.assert_array_equal(second["x"], [4.0])
+        second["x"][0] = 0.0
+        np.testing.assert_array_equal(first["x"], [4.0])
 
     def test_gradients_come_from_this_sweep_alone(self):
         params = ad.ParameterSet()
         a = params.add("a", [1.0, 2.0])
         params.add("b", [3.0, 4.0])
         ad.backward(ad.reduce_sum(ad.mul(a, params["b"])), params)
-        # b.grad still holds a from the first graph; the second does not use b
+        # the first graph reached b; the second does not use it
         grads = ad.backward(ad.reduce_sum(ad.mul(a, ad.constant([1.0, 1.0]))), params)
         np.testing.assert_array_equal(grads["b"], [0.0, 0.0])
         np.testing.assert_array_equal(grads["a"], [1.0, 1.0])
@@ -201,21 +201,56 @@ class TestBackwardRules:
         root = ad.reduce_sum(ad.mul(side, w))
         grads = ad.backward(root, params)
         assert calls == []
-        assert other.grad is None
+        assert list(grads) == ["w"]
         np.testing.assert_array_equal(grads["w"], side.data)
-        ad.backward(root)  # without parameters every node is visited
+        both = ad.backward(root, ad.ParameterSet(w=w, other=other))
         assert len(calls) == 1
-        np.testing.assert_array_equal(other.grad, 2.0 * other.data * w.data)
+        np.testing.assert_array_equal(both["other"], 2.0 * other.data * w.data)
+        np.testing.assert_array_equal(both["w"], grads["w"])
 
     def test_backward_is_bit_deterministic(self):
         rng = np.random.default_rng(7)
         f, params = scalar_net(rng)
         g1 = ad.backward(f(), params)
-        for _, t in params.items():
-            t.grad = None
         g2 = ad.backward(f(), params)
         for name in params.names():
             assert np.array_equal(g1[name], g2[name])
+
+
+class TestParameterSet:
+    def test_add_rejects_a_duplicate_name(self):
+        params = ad.ParameterSet()
+        params.add("w", [1.0])
+        with pytest.raises(ValueError, match="duplicate parameter name 'w'"):
+            params.add("w", [2.0])
+        np.testing.assert_array_equal(params["w"].data, [1.0])
+
+    def test_insertion_order_is_kept(self):
+        params = ad.ParameterSet()
+        for name in ("w1", "b0", "w0", "b1"):
+            params.add(name, [0.0])
+        assert params.names() == list(params) == ["w1", "b0", "w0", "b1"]
+        assert len(params) == 4 and "b0" in params and "w2" not in params
+
+    def test_merge_prefixes_names_and_shares_tensors(self):
+        inner = ad.ParameterSet()
+        w = inner.add("w", [1.0])
+        inner.add("b", [2.0])
+        outer = ad.ParameterSet()
+        outer.add("v", [3.0])
+        outer.merge("net", inner)
+        assert outer.names() == ["v", "net.w", "net.b"]
+        assert outer["net.w"] is w
+        w.data[0] = 5.0
+        np.testing.assert_array_equal(outer["net.w"].data, [5.0])
+
+    def test_merge_rejects_a_duplicate_name(self):
+        inner = ad.ParameterSet()
+        inner.add("w", [1.0])
+        outer = ad.ParameterSet()
+        outer.add("net.w", [0.0])
+        with pytest.raises(ValueError, match="duplicate parameter name 'net.w'"):
+            outer.merge("net", inner)
 
 
 class TestDense:

@@ -1,0 +1,100 @@
+"""The seam between the library and the benchmark's outside-in tracer.
+
+``bench/spans.py`` wraps library functions and methods by name and binds
+some of their parameters by name.  A rename or a new signature there
+would break the traced benchmark run only when it runs; these tests
+break first.  The tracer module is compiled from its source, so no
+bytecode is written under ``bench/``.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import l2x.cli  # noqa: F401  (every module the tracer patches must be loaded)
+from l2x import datasets, networks, pipeline
+from l2x.rng import substream
+
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    module = types.ModuleType("bench_spans")
+    module.__file__ = str(SPANS)
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+def _function(module_name: str, name: str):
+    return getattr(importlib.import_module(module_name), name)
+
+
+def test_every_traced_target_resolves(spans):
+    for module_name, name, _ in spans.FUNCTIONS:
+        assert inspect.isfunction(_function(module_name, name)), f"{module_name}.{name}"
+    for module_name, cls_name, name, _ in spans.METHODS:
+        cls = getattr(importlib.import_module(module_name), cls_name)
+        assert inspect.isfunction(getattr(cls, name)), f"{module_name}.{cls_name}.{name}"
+
+
+def test_signatures_have_the_parameters_the_wrappers_bind(spans):
+    by_span = {span: _function(module_name, name) for module_name, name, span in spans.FUNCTIONS}
+    needed = {span: ("path",) for span in spans._PATH_SPANS}
+    needed.update({
+        "training.train_l2x": ("config",),
+        "autodiff.backward": ("params",),
+        "explain.dataset": ("method", "x"),
+        "cli.main": ("argv",),
+    })
+    targets = {span: by_span[span] for span in needed}
+    targets["networks.forward"] = networks.Mlp.forward
+    targets["networks.forward_tensor"] = networks.Mlp.forward_tensor
+    needed["networks.forward"] = needed["networks.forward_tensor"] = ("x",)
+    for span, fn in targets.items():
+        parameters = inspect.signature(fn).parameters
+        for name in needed[span]:
+            assert name in parameters, f"{span} ({fn.__qualname__}) has no parameter {name!r}"
+
+
+def _explain_and_score(x, truths, k, explainer, classifier):
+    """Each method's scores, ranks and post-hoc accuracy, looked up through the module."""
+    out = {}
+    for method in ("l2x", "saliency", "taylor"):
+        record = pipeline.explain_dataset(method, x, k, explainer=explainer, classifier=classifier)
+        ranks = pipeline.ranks_for(record, truths, d=datasets.D)
+        posthoc = pipeline.posthoc_for(classifier, x, record)
+        out[method] = (record.scores.tobytes(), record.selected.tobytes(),
+                       ranks.per_sample.tobytes(), posthoc.accuracy)
+    return out
+
+
+def test_traced_run_gives_the_untraced_results(spans):
+    x, _, _, truths = datasets.as_arrays(datasets.generate("orange_skin", 200, substream(3, "data", 0)))
+    k = datasets.k_for("orange_skin")
+    rng = np.random.default_rng(3)
+    classifier = networks.build_classifier(datasets.D, datasets.N_CLASSES, rng, hidden=(8, 8))
+    explainer = networks.build_explainer(datasets.D, rng, hidden=(8, 8))
+    untraced = _explain_and_score(x, truths, k, explainer, classifier)
+
+    tracer = spans.Tracer()
+    originals = (pipeline.explain_dataset, networks.Mlp.forward)
+    tracer.install()
+    try:
+        assert pipeline.explain_dataset is not originals[0]
+        with tracer.recording() as root:
+            traced = _explain_and_score(x, truths, k, explainer, classifier)
+        metrics = spans.layer_metrics(tracer, root)
+    finally:
+        tracer.uninstall()
+    assert (pipeline.explain_dataset, networks.Mlp.forward) == originals
+
+    assert traced == untraced
+    assert metrics["pipeline.stage_s.explain"] > 0.0
+    assert metrics["explain.method_s.saliency"] > 0.0

@@ -547,6 +547,11 @@ MALFORMED = [
         "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x",
                                _edit_header(lambda h: h.update(kind=["classifier"]))),
         "--out-ranks", t / "r.csv"], 4),
+    ("checkpoint-activation-not-relu", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "l2x",
+        "--explainer", _edit_bytes(w / "ex.l2x", t / "bad.l2x",
+                                   _edit_header(lambda h: h["spec"].update(activation="gelu"))),
+        "--out", t / "e.jsonl"], 4),
     ("explainer-given-a-classifier", lambda w, t: [
         "explain", "--data", w / "valid.csv", "--method", "l2x",
         "--explainer", w / "model.l2x", "--out", t / "e.jsonl"], 4),

@@ -335,10 +335,12 @@ class TestIdAlignment:
             bad = ex.Explanations("saliency", np.array(ids), record.scores, record.selected, record.ns)
             with pytest.raises(ValueError, match="do not cover the dataset exactly once"):
                 ranks_for(bad, truths, d=4)
-        for ids in ([0, 1, 2, 3, 5], [-1, 0, 1, 2, 3]):
-            bad = ex.Explanations("saliency", np.array(ids), record.scores, record.selected, record.ns)
-            with pytest.raises(ValueError, match="do not match the dataset"):
+            with pytest.raises(ValueError, match="do not cover the dataset exactly once"):
                 posthoc_for(clf, x, bad)
+        partial = rows_of(record, slice(0, 3))
+        for check in (lambda: ranks_for(partial, truths, d=4), lambda: posthoc_for(clf, x, partial)):
+            with pytest.raises(ValueError, match="do not cover the dataset exactly once"):
+                check()
 
 
 class TestJsonl:

@@ -23,10 +23,11 @@ class TestMlpSpec:
         with pytest.raises(ValueError, match="head"):
             nw.MlpSpec((4, 8, 2), head="tanh")
         with pytest.raises(ValueError, match="relu"):
-            nw.MlpSpec((4, 8, 2), head="softmax", activation="gelu")
+            nw.MlpSpec.from_dict({"layer_widths": [4, 8, 2], "head": "softmax", "activation": "gelu"})
 
     def test_dict_round_trip(self):
         spec = nw.MlpSpec((10, 200, 200, 10), head="linear")
+        assert spec.to_dict() == {"layer_widths": (10, 200, 200, 10), "head": "linear", "activation": "relu"}
         assert nw.MlpSpec.from_dict(spec.to_dict()) == spec
 
 
@@ -81,8 +82,9 @@ class TestForward:
         clf = small_classifier(3)
         x = np.random.default_rng(4).normal(size=(9, 4))
         logits = clf.logits_tensor(ad.constant(x)).data
-        np.testing.assert_array_equal(ad.softmax(ad.constant(logits)).data, clf.forward(x))
         assert clf.eval_count == 9
+        np.testing.assert_array_equal(ad.softmax(ad.constant(logits)).data, clf.forward(x))
+        assert clf.eval_count == 18  # forward counts its rows too
 
     @pytest.mark.parametrize("build", [
         lambda rng: nw.build_classifier(4, 3, rng, hidden=(8, 8, 8)),
@@ -126,6 +128,9 @@ class TestForward:
         assert clf.eval_count == 9
         clf.reset_eval_count()
         assert clf.eval_count == 0
+        with pytest.raises(ValueError, match="width"):
+            clf.predict_proba(np.ones((2, 5)))
+        assert clf.eval_count == 0  # a row that fails the checks is not evaluated
 
     def test_permutation_equivariance(self):
         # permuting input features together with first-layer weight rows

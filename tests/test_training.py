@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from l2x import autodiff as ad
 from l2x import training as tr
 from l2x.errors import NumericError
 from l2x.networks import build_classifier, build_explainer, build_variational
+from l2x.pipeline import RunConfig
 from l2x.sampling import gumbel_from_uniform
 
 
@@ -70,7 +72,7 @@ class TestRmsProp:
         params.add("b", rng.normal(size=(3,)))
         lr, rho, eps = 0.01, 0.9, 1e-7
         opt = tr.RmsProp(learning_rate=lr, decay=rho, epsilon=eps)
-        ref = params.copy_values()
+        ref = {name: t.data.copy() for name, t in params.items()}
         acc = {name: np.zeros_like(v) for name, v in ref.items()}
         for _ in range(6):
             grads = {name: rng.normal(size=v.shape) for name, v in ref.items()}
@@ -110,6 +112,21 @@ class TestTrainConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             tr.TrainConfig(**kwargs)
+
+    def test_run_config_is_a_train_config_with_the_same_training_fields(self):
+        train_fields = {f.name: f.default for f in dataclasses.fields(tr.TrainConfig)}
+        run_fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+        assert issubclass(RunConfig, tr.TrainConfig)
+        assert run_fields.pop("k") is None  # filled from the dataset's truth size
+        del train_fields["k"]
+        assert {name: run_fields[name] for name in train_fields} == train_fields
+        cfg = RunConfig(dataset="switch")
+        assert cfg.k == 5
+        assert {name: getattr(cfg, name) for name in train_fields} == train_fields
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            RunConfig(dataset="xor", batch_size=0)
+        with pytest.raises(TypeError):
+            tr.TrainConfig(2)
 
     def test_zero_epochs_allowed_and_trains_nothing(self):
         cfg = tr.TrainConfig(k=1, epochs=0, batch_size=4)
@@ -350,7 +367,7 @@ class TestTrainL2x:
         rng = np.random.default_rng(42)
         x = rng.normal(size=(120, 6))
         clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
-        before = clf.params.copy_values()
+        before = {name: t.data.copy() for name, t in clf.params.items()}
         cfg = tr.TrainConfig(k=2, batch_size=40, epochs=2, seed=0)
         tr.train_l2x(x, clf, cfg, explainer_hidden=(8, 8), variational_hidden=(8, 8, 8))
         for name, arr in before.items():
