@@ -6,13 +6,15 @@ benchmark, oracle.  Every command is deterministic given --seed.
 Exit codes are a stable scripting contract:
 
 * 0  success
-* 2  usage problems (bad flags, unknown dataset or method, bad config key)
+* 2  usage problems (bad flags, config keys or values, unknown dataset or method)
 * 3  numeric failure during training or evaluation (non-finite loss)
 * 4  IO problems (missing or malformed input files: CSV, JSONL, checkpoints;
      unwritable output)
 
-Flags may also come from a plain ``key=value`` file via --config; values
-given on the command line win.  The training settings of train-model,
+Flags may also come from a plain ``key=value`` file via --config: each
+line becomes the argument ``--key=value`` (``_`` in a key reads as ``-``),
+placed before the command line's own, so that argparse checks both alike
+and a flag on the command line wins.  The training settings of train-model,
 train-explainer and benchmark, and the settings of oracle, have no
 defaults here: a setting given by flag or config file is passed on, and
 one left unset takes the default of ``TrainConfig``, ``RunConfig``,
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -34,7 +37,7 @@ import numpy as np
 
 from .datasets import D, as_arrays, canonical_kind, generate, read_csv, write_csv
 from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError, TextFormatError
-from .explain import ALL_METHODS, Explanations, check_method, read_jsonl, write_jsonl
+from .explain import ALL_METHODS, Explanations, read_jsonl, write_jsonl
 from .files import open_text, parse_blocks
 from .metrics import post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
@@ -64,61 +67,46 @@ def _str_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-class _Command:
-    """One subcommand's parser plus the type/default table for --config."""
-
-    def __init__(self, parser: argparse.ArgumentParser):
-        self.parser = parser
-        self.types: dict = {}
-        self.defaults: dict = {}
-        self.required: list[str] = []
-        parser.add_argument("--config", default=None, help="key=value file; flags win")
-
-    def flag(self, name: str, type=str, default=None, required: bool = False, help: str = ""):
-        dest = name.lstrip("-").replace("-", "_")
-        self.types[dest] = type
-        if default is not None:
-            self.defaults[dest] = default
-        if required:
-            self.required.append(dest)
-        # all flags parse to None so config-file values can fill the gaps
-        self.parser.add_argument(name, type=type, default=None, help=help, dest=dest)
-
-    def error(self, message: str):
-        self.parser.error(message)
+def _dataset(text: str) -> str:
+    try:
+        return canonical_kind(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e))
 
 
-# The training settings, flag -> (type, help), declared without defaults so
-# that the dataclass or function each one reaches holds its only default.
+# The training settings, flag -> add_argument keywords, declared without
+# defaults so that the dataclass or function each one reaches holds its
+# only default.
 _SETTINGS = {
-    "--n-train": (int, ""),
-    "--n-valid": (int, ""),
-    "--seed": (int, ""),
-    "--k": (int, "features per explanation (default: dataset truth size)"),
-    "--epochs": (int, ""),
-    "--warmup-epochs": (int, "initial epochs that train only the variational net"),
-    "--batch-size": (int, ""),
-    "--learning-rate": (float, ""),
-    "--temperature": (float, ""),
-    "--sin-coeff": (float, ""),
-    "--methods": (_str_tuple, ""),
-    "--hidden": (_int_tuple, ""),
-    "--classifier-hidden": (_int_tuple, ""),
-    "--explainer-hidden": (_int_tuple, ""),
-    "--variational-hidden": (_int_tuple, ""),
-    "--joints": (int, "random joints to check"),
-    "--max-d": (int, "largest feature count of a joint"),
-    "--max-c": (int, "largest class count of a joint"),
+    "--n-train": dict(type=int),
+    "--n-valid": dict(type=int),
+    "--seed": dict(type=int),
+    "--k": dict(type=int, help="features per explanation (default: dataset truth size)"),
+    "--epochs": dict(type=int),
+    "--warmup-epochs": dict(type=int, help="initial epochs that train only the variational net"),
+    "--batch-size": dict(type=int),
+    "--learning-rate": dict(type=float),
+    "--temperature": dict(type=float),
+    "--sin-coeff": dict(type=float),
+    "--methods": dict(type=_str_tuple),
+    "--hidden": dict(type=_int_tuple),
+    "--classifier-hidden": dict(type=_int_tuple),
+    "--explainer-hidden": dict(type=_int_tuple),
+    "--variational-hidden": dict(type=_int_tuple),
+    "--joints": dict(type=int, dest="n_joints", help="random joints to check"),
+    "--max-d": dict(type=int, help="largest feature count of a joint"),
+    "--max-c": dict(type=int, help="largest class count of a joint"),
 }
 
-# oracle flag -> keyword of run_oracle_suite
-_ORACLE_KEYWORDS = {"joints": "n_joints", "seed": "seed", "max_d": "max_d", "max_c": "max_c"}
+# Finds --config before the full parse; every subcommand declares it by
+# taking this parser as a parent.
+_CONFIG = argparse.ArgumentParser(prog="l2x", add_help=False)
+_CONFIG.add_argument("--config", help="key=value file; flags win")
 
 
-def _settings(cmd: _Command, *names: str) -> None:
+def _settings(cmd: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
-        type, help = _SETTINGS[name]
-        cmd.flag(name, type=type, help=help)
+        cmd.add_argument(name, **_SETTINGS[name])
 
 
 def _given(args, names) -> dict:
@@ -127,7 +115,7 @@ def _given(args, names) -> dict:
     return {name: values[name] for name in names if values.get(name) is not None}
 
 
-def _built(cmd: _Command, cls, args, **fixed):
+def _built(cmd: argparse.ArgumentParser, cls, args, **fixed):
     """``cls`` built from ``fixed`` and the given settings named like its fields."""
     names = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
     try:
@@ -136,65 +124,39 @@ def _built(cmd: _Command, cls, args, **fixed):
         cmd.error(str(e))
 
 
-def _read_config(path) -> list[tuple[str, str]]:
-    """The ``key=value`` pairs of a config file; blank lines and ``#`` comments are skipped."""
+def _config_args(path) -> list[str]:
+    """A config file's ``key=value`` lines as ``--key=value`` arguments, ``_`` in keys read as ``-``.
+
+    Blank lines and ``#`` comments are skipped.
+    """
 
     def parse(lines, state):
-        pairs = []
+        args = []
         for line in map(str.strip, lines):
             if line and not line.startswith("#"):
                 if "=" not in line:
                     raise ValueError(f"expected key=value in {path}")
                 key, _, value = line.partition("=")
-                pairs.append((key.strip(), value.strip()))
-        return pairs, state
+                args.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+        return args, state
 
     with open_text(path) as fh:
-        return [pair for pairs in parse_blocks(fh, parse, CsvFormatError) for pair in pairs]
-
-
-def _resolve(args: argparse.Namespace, cmd: _Command) -> None:
-    """Fill parse gaps from the config file, then from the flags' defaults."""
-    values = vars(args)
-    if args.config is not None:
-        for key, raw in _read_config(args.config):
-            dest = key.replace("-", "_")
-            if dest not in cmd.types:
-                cmd.error(f"unknown config key {key!r}")
-            if values.get(dest) is None:
-                try:
-                    values[dest] = cmd.types[dest](raw)
-                except (ValueError, argparse.ArgumentTypeError) as e:
-                    cmd.error(f"bad config value for {key!r}: {e}")
-    for dest, default in cmd.defaults.items():
-        if values.get(dest) is None:
-            values[dest] = default
-    for dest in cmd.required:
-        if values.get(dest) is None:
-            cmd.error(f"--{dest.replace('_', '-')} is required")
-
-
-def _kind(args, cmd: _Command) -> str:
-    try:
-        return canonical_kind(args.dataset)
-    except ValueError as e:
-        cmd.error(str(e))
+        return [arg for args in parse_blocks(fh, parse, CsvFormatError) for arg in args]
 
 
 def _default_k(truths, override) -> int:
     return truths.shape[1] if override is None else override
 
 
-def cmd_generate(args, cmd: _Command) -> int:
-    kind = _kind(args, cmd)
-    data = generate(kind, args.n, substream(args.seed, "data", 0), **_given(args, ["sin_coeff"]))
+def cmd_generate(args, cmd: argparse.ArgumentParser) -> int:
+    data = generate(args.dataset, args.n, substream(args.seed, "data", 0), **_given(args, ["sin_coeff"]))
     write_csv(data, args.out)
     balance = float(data.y.mean())
-    print(f"wrote {args.n} {kind} samples to {args.out} (mean label {balance:.4f})")
+    print(f"wrote {args.n} {args.dataset} samples to {args.out} (mean label {balance:.4f})")
     return 0
 
 
-def cmd_train_model(args, cmd: _Command) -> int:
+def cmd_train_model(args, cmd: argparse.ArgumentParser) -> int:
     x, _, y, _ = as_arrays(read_csv(args.data))
     cfg = _built(cmd, TrainConfig, args, k=1)
     if cfg.epochs == 0:
@@ -213,7 +175,7 @@ def cmd_train_model(args, cmd: _Command) -> int:
     return 0
 
 
-def cmd_train_explainer(args, cmd: _Command) -> int:
+def cmd_train_explainer(args, cmd: argparse.ArgumentParser) -> int:
     x, _, _, truths = as_arrays(read_csv(args.data))
     classifier = load_model(args.model, kind="classifier")
     cfg = _built(cmd, TrainConfig, args, k=_default_k(truths, args.k))
@@ -231,14 +193,10 @@ def cmd_train_explainer(args, cmd: _Command) -> int:
     return 0
 
 
-def cmd_explain(args, cmd: _Command) -> int:
+def cmd_explain(args, cmd: argparse.ArgumentParser) -> int:
     x, _, _, truths = as_arrays(read_csv(args.data))
     k = _default_k(truths, args.k)
     method = args.method
-    try:
-        check_method(method)
-    except ValueError as e:
-        cmd.error(str(e))
     explainer = classifier = None
     if method == "l2x":
         if args.explainer is None:
@@ -254,7 +212,9 @@ def cmd_explain(args, cmd: _Command) -> int:
     return 0
 
 
-def cmd_evaluate(args, cmd: _Command) -> int:
+def cmd_evaluate(args, cmd: argparse.ArgumentParser) -> int:
+    if args.out_posthoc is not None and args.model is None:
+        cmd.error("--out-posthoc needs --model")
     x, _, _, truths = as_arrays(read_csv(args.data))
     label = args.dataset_label or Path(args.data).stem
     classifier = load_model(args.model, kind="classifier") if args.model is not None else None
@@ -292,112 +252,111 @@ def cmd_evaluate(args, cmd: _Command) -> int:
         print(line + f" (optimal {report.optimal_median})")
     write_ranks_csv(ranks, label, args.out_ranks)
     if args.out_posthoc is not None:
-        if classifier is None:
-            cmd.error("--out-posthoc needs --model")
         accuracy["truth"] = post_hoc_accuracy(classifier, x, truths, method="truth").accuracy
         write_json({"dataset": label, "accuracy": accuracy}, args.out_posthoc)
     return 0
 
 
-def cmd_benchmark(args, cmd: _Command) -> int:
-    kind = _kind(args, cmd)
-    config = _built(cmd, RunConfig, args, dataset=kind)
+def cmd_benchmark(args, cmd: argparse.ArgumentParser) -> int:
+    config = _built(cmd, RunConfig, args, dataset=args.dataset)
     summary = run_benchmark(config, args.out_dir, reuse=not args.all)
     median = summary["median_ranks"]["l2x"]["median"] if "l2x" in summary["median_ranks"] else None
     print(
-        f"{kind}: l2x summary median rank {median} "
+        f"{config.dataset}: l2x summary median rank {median} "
         f"(optimal {summary['optimal_median']}); artifacts in {args.out_dir}"
     )
     return 0
 
 
-def cmd_oracle(args, cmd: _Command) -> int:
-    given = _given(args, _ORACLE_KEYWORDS)
-    report = run_oracle_suite(**{_ORACLE_KEYWORDS[name]: value for name, value in given.items()})
+def cmd_oracle(args, cmd: argparse.ArgumentParser) -> int:
+    report = run_oracle_suite(**_given(args, ["n_joints", "seed", "max_d", "max_c"]))
     if args.out is not None:
         write_json(report, args.out)
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``l2x`` parser and its subcommand parsers by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="l2x",
         description="Instancewise feature selection for black-box classifiers.",
     )
-    subparsers = parser.add_subparsers(dest="command")
-    commands: dict[str, _Command] = {}
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
 
-    def command(name: str, handler, help: str) -> _Command:
-        cmd = _Command(subparsers.add_parser(name, help=help))
-        cmd.parser.set_defaults(_handler=handler, _name=name)
-        commands[name] = cmd
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        cmd = commands[name] = subparsers.add_parser(name, help=help, parents=[_CONFIG])
+        cmd.set_defaults(_handler=handler, _cmd=cmd)
         return cmd
 
     c = command("generate", cmd_generate, "write a synthetic dataset CSV")
-    c.flag("--dataset", required=True, help="xor | orange_skin | nonlinear_additive | switch")
-    c.flag("--n", type=int, default=10_000)
-    c.flag("--seed", type=int, default=0)
+    c.add_argument("--dataset", type=_dataset, required=True,
+                   help="xor | orange_skin | nonlinear_additive | switch")
+    c.add_argument("--n", type=int, default=10_000)
+    c.add_argument("--seed", type=int, default=0)
     _settings(c, "--sin-coeff")
-    c.flag("--out", required=True)
+    c.add_argument("--out", required=True)
 
     c = command("train-model", cmd_train_model, "train the classifier to be explained")
-    c.flag("--data", required=True, help="training CSV from `generate`")
-    c.flag("--val-data", help="optional CSV for validation accuracy")
-    c.flag("--out-model", required=True)
-    c.flag("--out-curve")
+    c.add_argument("--data", required=True, help="training CSV from `generate`")
+    c.add_argument("--val-data", help="optional CSV for validation accuracy")
+    c.add_argument("--out-model", required=True)
+    c.add_argument("--out-curve")
     _settings(c, "--epochs", "--batch-size", "--learning-rate", "--hidden", "--seed")
 
     c = command("train-explainer", cmd_train_explainer, "train the selector against a classifier")
-    c.flag("--data", required=True)
-    c.flag("--model", required=True, help="classifier checkpoint")
-    c.flag("--out-explainer", required=True)
-    c.flag("--out-variational", required=True)
-    c.flag("--out-curve")
+    c.add_argument("--data", required=True)
+    c.add_argument("--model", required=True, help="classifier checkpoint")
+    c.add_argument("--out-explainer", required=True)
+    c.add_argument("--out-variational", required=True)
+    c.add_argument("--out-curve")
     _settings(c, "--k", "--epochs", "--warmup-epochs", "--batch-size", "--learning-rate",
               "--temperature", "--explainer-hidden", "--variational-hidden", "--seed")
 
     c = command("explain", cmd_explain, "write per-sample explanations as JSON lines")
-    c.flag("--data", required=True)
-    c.flag("--method", required=True, help=" | ".join(ALL_METHODS))
-    c.flag("--explainer", help="explainer checkpoint (l2x)")
-    c.flag("--model", help="classifier checkpoint (gradient baselines)")
+    c.add_argument("--data", required=True)
+    c.add_argument("--method", required=True, choices=ALL_METHODS)
+    c.add_argument("--explainer", help="explainer checkpoint (l2x)")
+    c.add_argument("--model", help="classifier checkpoint (gradient baselines)")
     _settings(c, "--k")
-    c.flag("--out", required=True)
+    c.add_argument("--out", required=True)
 
     c = command("evaluate", cmd_evaluate, "score explanations against ground truth")
-    c.flag("--data", required=True)
-    c.parser.add_argument("--explanations", nargs="+", required=True, help="JSONL files")
-    c.flag("--model", help="classifier checkpoint, enables post-hoc accuracy")
-    c.flag("--dataset-label", help="dataset column for ranks.csv (default: data stem)")
-    c.flag("--out-ranks", required=True)
-    c.flag("--out-posthoc")
+    c.add_argument("--data", required=True)
+    c.add_argument("--explanations", nargs="+", required=True, help="JSONL files")
+    c.add_argument("--model", help="classifier checkpoint, enables post-hoc accuracy")
+    c.add_argument("--dataset-label", help="dataset column for ranks.csv (default: data stem)")
+    c.add_argument("--out-ranks", required=True)
+    c.add_argument("--out-posthoc")
 
     c = command("benchmark", cmd_benchmark, "full pipeline: train, explain, evaluate")
-    c.flag("--dataset", required=True)
-    c.flag("--out-dir", required=True)
-    c.parser.add_argument("--all", action="store_true",  # a toggle: not read from --config
-                          help="train from scratch (otherwise reuse checkpoints in --out-dir)")
+    c.add_argument("--dataset", type=_dataset, required=True)
+    c.add_argument("--out-dir", required=True)
+    c.add_argument("--all", action="store_true",
+                   help="train from scratch (otherwise reuse checkpoints in --out-dir)")
     fields = (f.name for f in dataclasses.fields(RunConfig) if f.name != "dataset")
     _settings(c, *(f"--{name}".replace("_", "-") for name in fields))
 
     c = command("oracle", cmd_oracle, "run the exact-information self-checks")
     _settings(c, "--joints", "--seed", "--max-d", "--max-c")
-    c.flag("--out", help="optional JSON report path")
+    c.add_argument("--out", help="optional JSON report path")
 
     return parser, commands
 
 
 def main(argv=None) -> int:
     parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        found, rest = _CONFIG.parse_known_args(argv[1:])
+        if found.config is not None and argv[0] in commands:
+            argv = argv[:1] + _config_args(found.config) + rest
         args = parser.parse_args(argv)
-        if getattr(args, "_handler", None) is None:
-            parser.print_usage(sys.stderr)
-            return 2
-        cmd = commands[args._name]
-        _resolve(args, cmd)
-        return args._handler(args, cmd)
+        if args.config is not None:  # the command line's --config was taken out above
+            args._cmd.error("a config file cannot name a config file")
+        return args._handler(args, args._cmd)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     except NumericError as e:

@@ -136,6 +136,8 @@ def generate(
     kind = canonical_kind(kind)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not np.isfinite(sin_coeff):
+        raise ValueError(f"sin_coeff must be finite, got {sin_coeff}")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
 

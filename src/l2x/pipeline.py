@@ -76,6 +76,8 @@ class RunConfig(TrainConfig):
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for m in self.methods:
             check_method(m)
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ValueError(f"methods must name at least one method, each once; got {self.methods}")
         super().__post_init__()
 
 

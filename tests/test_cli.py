@@ -56,6 +56,14 @@ class TestGenerate:
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert run("generate", "--dataset", "xor", "--n", 5, "--out", out) == 4
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_sin_coeff_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "x.csv"
+        assert run("generate", "--dataset", "nonlinear_additive", "--n", 5,
+                   "--sin-coeff", value, "--out", out) == 2
+        assert "sin_coeff must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainModel:
     def test_outputs_exist(self, workdir):
@@ -132,6 +140,16 @@ class TestEvaluate:
         assert set(payload["accuracy"]) == {"l2x", "saliency", "truth"}
         assert all(0.0 <= v <= 1.0 for v in payload["accuracy"].values())
 
+    def test_posthoc_without_model_exits_2_before_any_output(self, malformed_workdir, tmp_path,
+                                                             capsys):
+        w = malformed_workdir
+        ranks_path = tmp_path / "ranks.csv"
+        assert run("evaluate", "--data", w / "valid.csv", "--explanations", w / "valid_l2x.jsonl",
+                   "--out-ranks", ranks_path, "--out-posthoc", tmp_path / "ph.json") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--out-posthoc needs --model" in err
+        assert not ranks_path.exists()
+
 
 BENCH_ARGS = (
     "--n-train", 300, "--n-valid", 60, "--epochs", 1, "--batch-size", 100,
@@ -174,6 +192,12 @@ class TestBenchmark:
         assert run("benchmark", "--dataset", "xor", "--out-dir", out, "--all",
                    "--warmup-epochs", 0, "--methods", "l2x", *BENCH_ARGS) == 0
         assert json.loads((out / "summary.json").read_text())["warmup_epochs"] == 0
+
+    def test_non_finite_sin_coeff_fails_before_training(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("benchmark", "--dataset", "switch", "--out-dir", out, "--all",
+                   "--sin-coeff", "nan", *BENCH_ARGS) == 2
+        assert not (out / "model.l2x").exists()
 
     def test_missing_artifacts_without_all_exits_4(self, tmp_path):
         assert run("benchmark", "--dataset", "xor", "--out-dir", tmp_path / "empty",
@@ -279,7 +303,7 @@ def settings_reached(monkeypatch, workdir, tmp_path, command, *extra) -> dict:
 class TestSettings:
     """Each training setting is declared once and reaches exactly its own field."""
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["flag", "config", "config-with-underscores"])
     @pytest.mark.parametrize("command, flag, value, field, parsed", SETTINGS,
                              ids=[f"{row[0]}{row[1]}" for row in SETTINGS])
     def test_each_setting_reaches_its_field(self, monkeypatch, workdir, tmp_path,
@@ -288,7 +312,8 @@ class TestSettings:
         if source == "flag":
             extra = [flag, value]
         else:
-            extra = ["--config", _written(tmp_path / "c.cfg", f"{flag[2:]}={value}\n")]
+            key = flag[2:] if source == "config" else flag[2:].replace("-", "_")
+            extra = ["--config", _written(tmp_path / "c.cfg", f"{key}={value}\n")]
         given = settings_reached(monkeypatch, workdir, tmp_path, command, *extra)
         changed = {name for name in unset.keys() | given.keys()
                    if unset.get(name) != given.get(name)}
@@ -298,7 +323,7 @@ class TestSettings:
     @pytest.mark.parametrize("command", SETTING_COMMANDS)
     def test_table_lists_every_setting_flag(self, command):
         _, commands = cli.build_parser()
-        declared = {a.option_strings[0] for a in commands[command].parser._actions
+        declared = {a.option_strings[0] for a in commands[command]._actions
                     if a.option_strings and a.option_strings[0] in cli._SETTINGS}
         assert declared == {row[1] for row in SETTINGS if row[0] == command}
 
@@ -587,6 +612,12 @@ MALFORMED = [
     ("non-utf8-config", lambda w, t: [
         "generate", "--dataset", "xor", "--config", _written(t / "bad.cfg", b"n=5\xff\n"),
         "--out", t / "x.csv"], 4, 1),
+    ("config-bad-value", lambda w, t: [
+        "generate", "--dataset", "xor", "--config", _written(t / "bad.cfg", "n=abc\n"),
+        "--out", t / "x.csv"], 2),
+    ("config-key-config", lambda w, t: [
+        "generate", "--config", _written(t / "bad.cfg", f"dataset=xor\nconfig={t / 'other.cfg'}\n"),
+        "--out", t / "x.csv"], 2),
     ("unknown-config-key", lambda w, t: [
         "explain", "--config", _written(t / "bad.cfg", "bogus_key=1\n"),
         "--data", w / "valid.csv", "--method", "l2x", "--out", t / "e.jsonl"], 2),
@@ -596,6 +627,12 @@ MALFORMED = [
     ("removed-abs-flag", lambda w, t: [
         "explain", "--data", w / "valid.csv", "--method", "taylor",
         "--model", w / "model.l2x", "--abs", "--out", t / "e.jsonl"], 2),
+    ("benchmark-empty-methods", lambda w, t: [
+        "benchmark", "--dataset", "xor", "--out-dir", t / "run", "--all", "--methods", "",
+        *BENCH_ARGS], 2),
+    ("benchmark-repeated-methods", lambda w, t: [
+        "benchmark", "--dataset", "xor", "--out-dir", t / "run", "--all", "--methods", "l2x,l2x",
+        *BENCH_ARGS], 2),
     ("zero-temperature", lambda w, t: [
         "train-explainer", "--data", w / "train.csv", "--model", w / "model.l2x",
         "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x", "--temperature", 0], 2),

@@ -5,7 +5,8 @@ mutated a fixed number of times (bytes replaced, inserted or deleted,
 or the file cut short), and every mutant goes through ``cli.main`` in
 process.  A run may succeed (0) or reject its input (4); a usage error
 (2), a numeric failure (3), an exception escaping ``main`` (1) or a
-traceback on stderr is a defect.
+traceback on stderr is a defect.  A ``--config`` file holds flags, so a
+mutant of one may also be a usage error (2).
 """
 
 from __future__ import annotations
@@ -107,3 +108,24 @@ def test_mutated_input_exits_0_or_4(corpus, tmp_path, capsys, index, name):
             failures.append(f"mutant {i}: {code!r} {err.strip()[-300:]}")
     assert not failures, "\n".join(failures)
     assert rejected > 0  # the mutations do reach the readers' checks
+
+
+CONFIG = "# a small generate run\ndataset=nonlinear_additive\nn=30\nseed=4\nsin_coeff=-2.5\n"
+
+
+def test_mutated_config_exits_0_2_or_4(tmp_path, capsys):
+    rng = np.random.default_rng([SEED, len(TARGETS)])
+    bad = tmp_path / "mutant.cfg"
+    failures, codes = [], set()
+    for i in range(MUTANTS):
+        bad.write_bytes(mutate(CONFIG.encode(), rng))
+        try:
+            code = run("generate", "--config", bad, "--out", tmp_path / "x.csv")
+        except Exception as e:  # what would exit 1 with a traceback
+            code = f"{type(e).__name__}: {e}"
+        err = capsys.readouterr().err
+        codes.add(code)
+        if code not in (0, 2, 4) or "Traceback" in err:
+            failures.append(f"mutant {i}: {code!r} {err.strip()[-300:]}")
+    assert not failures, "\n".join(failures)
+    assert codes == {0, 2, 4}  # mutants pass, and reach both the flag checks and the reader's
