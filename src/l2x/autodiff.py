@@ -5,8 +5,13 @@ The graph is built define-by-run: every operation returns a new
 vector-Jacobian product for its backward rule.  A fresh graph is built
 per forward pass; :func:`backward` traverses it once in reverse
 topological order, visiting only the nodes that lead to the parameters
-asked for, and returns one gradient per parameter.  An MLP layer is one
-node, :func:`dense`, bit for bit ``relu(add_bias(matmul(h, w), b))``.
+asked for, and returns one gradient per parameter.  A whole pass
+through an MLP's layers is one node, :func:`dense`, bit for bit the
+chain of per-layer ``relu(add_bias(matmul(h, w), b))`` ops it replaces;
+the per-op functions stay as the reference it is checked against.
+Nodes built outside this module (the relaxed subset mask in
+``sampling``) follow the same contract: a one-argument vjp, and no array
+handed out or kept that a later call overwrites.
 
 Deliberate conventions:
 
@@ -242,35 +247,62 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, "add_bias", (a, b), lambda g: (g, g.sum(axis=0)))
 
 
-def dense_array(h: np.ndarray, w: np.ndarray, b: np.ndarray, relu: bool) -> np.ndarray:
-    """``h @ w + b``, then the relu if ``relu``, in one buffer (relu of a negative is -0.0)."""
-    out = np.matmul(h, w)
-    out += b
-    if relu:
-        out *= out > 0.0
-    return out
+def dense_array(h: np.ndarray, params, kept: list | None = None) -> np.ndarray:
+    """The layers ``params`` = (w0, b0, w1, b1, ...) over a (batch, k) array.
 
-
-def dense(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
-    """One MLP layer as one node: ``relu(add_bias(matmul(h, w), b))``, or no relu.
-
-    The vjp returns no gradient for an ``h`` that needed none when the
-    node was built (a network's input).
+    Each layer is ``h @ w + b`` in one buffer, then a relu on every layer
+    but the last (relu of a negative is -0.0).  A layer's input is freed
+    once the next layer is computed, unless ``kept`` is a list: then it
+    receives every layer's (input, relu mask or None), for a vjp.
     """
-    h, w, b = _as_tensor(h), _as_tensor(w), _as_tensor(b)
-    if (h.data.ndim, w.data.ndim, b.data.ndim) != (2, 2, 1) or (
-        h.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]
-    ):
-        raise ValueError(f"dense: expects (m, k) @ (k, n) + (n,), got {h.shape} @ {w.shape} + {b.shape}")
-    hd, wd, need_h = h.data, w.data, h.requires_grad
-    out = dense_array(hd, wd, b.data, relu)
+    last = len(params) - 2
+    for i in range(0, len(params), 2):
+        out = np.matmul(h, params[i])
+        out += params[i + 1]
+        mask = None
+        if i < last:
+            mask = out > 0.0
+            out *= mask
+        if kept is not None:
+            kept.append((h, mask))
+        h = out
+    return h
+
+
+def dense(h: Tensor, params) -> Tensor:
+    """A relu MLP as one node: ``params`` = (w0, b0, w1, b1, ...), relu after every layer but the last.
+
+    Bit for bit the chain ``relu(add_bias(matmul(h, w0), b0))``, ...,
+    ``add_bias(matmul(., wL), bL)``.  The vjp applies each hidden layer's
+    relu mask, kept from the forward pass, in place, to gradients it
+    produced itself and never to the incoming one.  It returns no
+    gradient for an ``h`` that needed none when the node was built (a
+    network's input).
+    """
+    h, params = _as_tensor(h), tuple(map(_as_tensor, params))
+    shapes = [p.shape for p in params]
+    width = h.shape[1] if h.data.ndim == 2 else -1
+    ok = len(shapes) >= 2 and len(shapes) % 2 == 0
+    for w, b in zip(shapes[::2], shapes[1::2]):
+        ok = ok and len(w) == 2 and w[0] == width and b == w[1:]
+        width = w[-1] if w else -1
+    if not ok:
+        raise ValueError(f"dense: expects (m, k) through layers (k, n) + (n,), ..., got {h.shape} through {shapes}")
+    weights, need_h = [w.data for w in params[::2]], h.requires_grad
+    kept: list = []
+    out = dense_array(h.data, [p.data for p in params], kept)
 
     def vjp(g: np.ndarray):
-        if relu:
-            g = g * (out > 0.0)  # relu'(0) = 0
-        return (g @ wd.T if need_h else None), hd.T @ g, g.sum(axis=0)
+        grads = []
+        for i in reversed(range(len(kept))):
+            hd, mask = kept[i]
+            if mask is not None:
+                g *= mask  # relu'(0) = 0; g came from the layer above, in this vjp
+            grads += [g.sum(axis=0), hd.T @ g]
+            g = g @ weights[i].T if i or need_h else None
+        return (g, *reversed(grads))
 
-    return _node(out, "dense", (h, w, b), vjp)
+    return _node(out, "dense", (h, *params), vjp)
 
 
 def softmax_array(z: np.ndarray) -> np.ndarray:

@@ -269,7 +269,10 @@ def cmd_benchmark(args, cmd: argparse.ArgumentParser) -> int:
 
 
 def cmd_oracle(args, cmd: argparse.ArgumentParser) -> int:
-    report = run_oracle_suite(**_given(args, ["n_joints", "seed", "max_d", "max_c"]))
+    try:
+        report = run_oracle_suite(**_given(args, ["n_joints", "seed", "max_d", "max_c"]))
+    except ValueError as e:
+        cmd.error(str(e))
     if args.out is not None:
         write_json(report, args.out)
     print(json.dumps(report, sort_keys=True, indent=2))

@@ -10,9 +10,10 @@
 
 All are plain MLPs: relu hidden layers, optional softmax head, Glorot
 uniform initialization.  Each offers two forward paths with identical
-arithmetic through one layer loop, one fused dense kernel per layer
-(``autodiff.dense`` on the tape, ``autodiff.dense_array`` on plain
-arrays): a taped one for training and a plain ndarray one for inference.
+arithmetic through one layer loop, ``autodiff.dense_array``: a taped
+one for training, where ``autodiff.dense`` records the whole pass
+through the layers as one node, and a plain ndarray one for inference,
+which frees each layer's input as it goes.
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
@@ -126,20 +127,16 @@ class Mlp:
     def build(cls, spec: MlpSpec, rng: np.random.Generator):
         return cls(spec, init_params(spec, rng))
 
-    def _layers(self, x, layer):
-        """``h = layer(h, w, b, relu)`` through every layer of a (batch, d) input; the last has no relu."""
+    def _layers(self, x, kernel):
+        """``kernel(x, params)`` over a (batch, d) input, params in layout order (w0, b0, w1, ...)."""
         if len(x.shape) != 2:
             raise ValueError(f"expected (batch, d) input, got shape {x.shape}")
         if x.shape[1] != self.spec.input_width:
             raise ValueError(f"{self.kind} expects input width {self.spec.input_width}, got {x.shape[1]}")
-        n_layers = len(self.spec.layer_widths) - 1
-        h = x
-        for i in range(n_layers):
-            h = layer(h, self.params[f"w{i}"], self.params[f"b{i}"], i < n_layers - 1)
-        return h
+        return kernel(x, list(self.params.values()))
 
     def logits_tensor(self, x: Tensor) -> Tensor:
-        """Taped pass through the layers over a (batch, d) input, before the head."""
+        """Taped pass through the layers over a (batch, d) input, before the head: one node."""
         return self._layers(x, ad.dense)
 
     def forward_tensor(self, x: Tensor) -> Tensor:
@@ -152,7 +149,7 @@ class Mlp:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         h = self._layers(x[None, :] if single else x,
-                         lambda h, w, b, relu: ad.dense_array(h, w.data, b.data, relu))
+                         lambda h, params: ad.dense_array(h, [t.data for t in params]))
         out = ad.softmax_array(h) if self.spec.head == "softmax" else h
         return out[0] if single else out
 
@@ -168,8 +165,8 @@ class Classifier(Mlp):
         super().__init__(spec, params)
         self.eval_count = 0
 
-    def _layers(self, x, layer):
-        h = super()._layers(x, layer)
+    def _layers(self, x, kernel):
+        h = super()._layers(x, kernel)
         self.eval_count += x.shape[0]
         return h
 
@@ -249,7 +246,7 @@ def serialize(net: Mlp) -> bytes:
 
 
 def deserialize(payload: bytes) -> Mlp:
-    """Inverse of :func:`serialize`; never yields a partially-loaded network."""
+    """Inverse of :func:`serialize`; never yields a partially-loaded network or a non-finite weight."""
     if len(payload) < 12:
         raise ModelFormatError("payload shorter than fixed header", offset=len(payload))
     if payload[:4] != MAGIC:
@@ -283,7 +280,11 @@ def deserialize(payload: bytes) -> Mlp:
         end = cursor + 8 * math.prod(shape)
         if end > len(payload):
             raise ModelFormatError(f"truncated payload for tensor {name!r}", offset=len(payload))
-        params.add(name, np.frombuffer(payload[cursor:end], dtype="<f8").reshape(shape).copy())
+        values = np.frombuffer(payload[cursor:end], dtype="<f8")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ModelFormatError(f"tensor {name!r} holds a non-finite value", offset=cursor + 8 * int(bad[0]))
+        params.add(name, values.reshape(shape).copy())
         cursor = end
     if cursor != len(payload):
         raise ModelFormatError("trailing bytes after final tensor", offset=cursor)

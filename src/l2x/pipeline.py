@@ -243,8 +243,12 @@ def run_oracle_suite(
     For each joint: the brute-force search's two subset characterizations
     must agree (it raises internally if not), adding a feature never
     lowers the best mutual information, the exact conditional attains a
-    zero gap, and a perturbed conditional pays a positive one.
+    zero gap, and a perturbed conditional pays a positive one.  A
+    setting out of range raises ValueError before any work.
     """
+    for name, value, least in (("joints", n_joints, 1), ("max_d", max_d, 2), ("max_c", max_c, 2)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     worst_monotonicity = 0.0

@@ -6,7 +6,11 @@ soft k-hot mask that multiplies the input.  Because softmax is
 shift-invariant, raw explainer scores act directly as unnormalized
 log-weights.  Low temperatures sharpen V toward an exact k-hot vector;
 the training default is 0.1 and is never annealed.  k, the number of
-noise rows, must lie in [1, d]; the softmax rejects a temperature <= 0.
+noise rows, must lie in [1, d]; a temperature <= 0 is rejected.
+
+The mask of a batch is one tape node (:func:`batched_relaxed_mask`),
+with the values and gradients of the autodiff op chain it replaces,
+``reduce_max(softmax(add(expand(scores), noise)))``, bit for bit.
 """
 
 from __future__ import annotations
@@ -112,20 +116,49 @@ def relaxed_subset_mask(log_weights: Tensor, noise: GumbelNoise, temperature: fl
 
 
 def batched_relaxed_mask(log_weights: Tensor, noise: np.ndarray, temperature: float) -> Tensor:
-    """The relaxed subset mask of every score row in a (..., d) array of scores.
+    """The relaxed subset mask of every score row in a (..., d) array of scores, as one node.
 
     ``noise`` has shape (..., k, d): k independent Gumbel rows per score
-    row.  Each score row is repeated k times, perturbed by its noise,
+    row.  Each score row is perturbed by each of its noise rows,
     softmaxed at ``temperature`` and max-reduced over the k samples, so
     row b of a (B, d) batch equals the mask of row b alone, bit for bit.
+    Values and gradients are those of the op chain ``reduce_max(softmax(
+    add(expand(log_weights), noise), temperature))``, bit for bit: the
+    softmax is the op's own kernel, the max and the first argmax over the
+    k samples are taken by an exact loop, and every sum is numpy's same
+    call.  The gradient of each mask entry flows to the lowest-index
+    sample attaining the max.
     """
     *lead, d = log_weights.shape
     axis = len(lead)
     if noise.ndim != axis + 2 or noise.shape[:axis] != tuple(lead) or noise.shape[-1] != d:
         raise ValueError(f"noise must have shape {(*lead, 'k', d)}, got {noise.shape}")
-    tiled = ad.expand(log_weights, axis=axis, reps=noise.shape[axis])
-    concrete = ad.softmax(ad.add(tiled, ad.constant(noise)), temperature=temperature)
-    return ad.reduce_max(concrete, axis=axis)
+    if not temperature > 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    k = noise.shape[axis]
+    z = np.add(np.expand_dims(log_weights.data, axis), noise)
+    z /= temperature
+    concrete = ad.softmax_array(z)
+    rows = concrete.reshape(-1, k, d)
+    mask = rows[:, 0].copy()
+    first = np.zeros(mask.shape, dtype=np.intp)  # lowest sample index attaining the max
+    for j in range(1, k):
+        np.copyto(first, j, where=rows[:, j] > mask)
+        np.maximum(mask, rows[:, j], out=mask)
+    inv_t = 1.0 / temperature
+
+    def vjp(g: np.ndarray):
+        picked = first[:, None, :] == np.arange(k)[:, None]
+        grad = np.where(picked, g.reshape(-1, 1, d), 0.0).reshape(concrete.shape)
+        inner = (grad * concrete).sum(axis=-1, keepdims=True)
+        grad -= inner
+        grad *= concrete
+        grad *= inv_t
+        return (grad.sum(axis=axis),)
+
+    rg = log_weights.requires_grad
+    return Tensor(mask.reshape(log_weights.shape), requires_grad=rg, op="relaxed_mask",
+                  parents=(log_weights,), vjp=vjp if rg else None)
 
 
 def hard_top_k(scores, k: int):

@@ -15,6 +15,7 @@ constants, so no gradient reaches it and its weights never change.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -104,8 +105,8 @@ class TrainConfig:
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         for name in ("learning_rate", "temperature", "batch_size"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         # zero epochs is allowed: it yields an untrained network
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
@@ -181,11 +182,13 @@ def _batch_noise(rng: np.random.Generator, b: int, k: int, d: int) -> np.ndarray
     return gumbel_from_uniform(rng.uniform(size=(b, k, d)))
 
 
-def _epochs(config: TrainConfig, n: int, step) -> list[EpochStat]:
+def _epochs(config: TrainConfig, n: int, params: ParameterSet, step) -> list[EpochStat]:
     """Run ``config.epochs`` epochs of shuffled mini-batches; the curve of mean objectives.
 
     ``step(epoch, idx, step_index)`` trains on the rows ``idx`` and
     returns the batch's objective; ``step_index`` counts steps across epochs.
+    A non-finite entry in ``params`` at the end of an epoch (an update
+    that overflowed) raises :class:`NumericError`, so it is never saved.
     """
     curve: list[EpochStat] = []
     step_index = 0
@@ -196,6 +199,9 @@ def _epochs(config: TrainConfig, n: int, step) -> list[EpochStat]:
         for start in range(0, n, config.batch_size):
             values.append(step(epoch, order[start : start + config.batch_size], step_index))
             step_index += 1
+        for name, t in params.items():
+            if not np.isfinite(t.data).all():
+                raise NumericError(f"parameter {name} became non-finite in epoch {epoch}")
         curve.append(EpochStat(epoch, float(np.mean(values)), (time.perf_counter() - t0) * 1e3))
     return curve
 
@@ -235,7 +241,7 @@ def train_classifier(
         opt.step(clf.params, ad.backward(loss, clf.params))
         return value
 
-    curve = _epochs(config, n, step)
+    curve = _epochs(config, n, clf.params, step)
 
     val_accuracy = None
     if x_val is not None and y_val is not None:
@@ -302,7 +308,7 @@ def train_l2x(
         opt.step(active, {name: -g for name, g in grads.items()})
         return est.value
 
-    return explainer, variational, TrainReport(curve=_epochs(config, n, step))
+    return explainer, variational, TrainReport(curve=_epochs(config, n, joint, step))
 
 
 def _frozen_objective(

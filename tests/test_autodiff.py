@@ -253,60 +253,111 @@ class TestParameterSet:
             outer.merge("net", inner)
 
 
-class TestDense:
-    """The fused layer against the three ops it replaces, bit for bit."""
+def _layers(seed, widths=(5, 4), batch=6):
+    """An input and a layer list (w0, b0, w1, b1, ...) with exact-zero and negative pre-activations."""
+    rng = np.random.default_rng(seed)
+    h = rng.normal(size=(batch, widths[0]))
+    h[0] = 0.0  # row 0's first pre-activations are the bias itself
+    params = []
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        b = rng.normal(size=(fan_out,))
+        b[0] = 0.0  # so the pre-activation at (0, 0) of the first layer is an exact zero
+        params += [rng.normal(size=(fan_in, fan_out)), b]
+    if len(widths) > 2:
+        params[1][-1] = -1e3  # a unit dead on every row
+    return h, params
 
-    @staticmethod
-    def _inputs(seed):
-        rng = np.random.default_rng(seed)
-        h = rng.normal(size=(6, 5))
-        h[0] = 0.0  # row 0's pre-activations are the bias itself
-        w = rng.normal(size=(5, 4))
-        b = rng.normal(size=(4,))
-        b[1] = 0.0  # so the pre-activation at (0, 1) is an exact zero
-        return h, w, b
+
+def _unfused(h, params):
+    """The per-op chain the fused node replaces: matmul, add_bias and relu, layer by layer."""
+    n = len(params) // 2
+    for i in range(n):
+        h = ad.add_bias(ad.matmul(h, params[2 * i]), params[2 * i + 1])
+        if i < n - 1:
+            h = ad.relu(h)
+    return h
+
+
+def _value_and_grads(h, params, fused, taped_h, upstream):
+    taped = ad.ParameterSet()
+    hh = taped.add("h", h) if taped_h else ad.constant(h)
+    layer_params = [taped.add(f"p{i}", p) for i, p in enumerate(params)]
+    out = ad.dense(hh, layer_params) if fused else _unfused(hh, layer_params)
+    root = ad.reduce_sum(ad.mul(out, ad.constant(upstream)))
+    return out.data, ad.backward(root, taped)
+
+
+class TestDense:
+    """The fused network node against the per-layer ops it replaces, bit for bit."""
 
     @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
     @pytest.mark.parametrize("taped_h", [True, False], ids=["taped-h", "constant-h"])
     def test_value_and_gradients_match_unfused_ops_bitwise(self, relu, taped_h):
+        widths = (5, 4, 3) if relu else (5, 4)  # with a hidden relu layer, or one linear layer
         for seed in range(5):
-            h, w, b = self._inputs(seed)
-            upstream = np.random.default_rng(50 + seed).normal(size=(6, 4))
-            results = []
-            for fused in (True, False):
-                params = ad.ParameterSet()
-                hh = params.add("h", h) if taped_h else ad.constant(h)
-                ww, bb = params.add("w", w), params.add("b", b)
-                if fused:
-                    out = ad.dense(hh, ww, bb, relu)
-                else:
-                    z = ad.add_bias(ad.matmul(hh, ww), bb)
-                    out = ad.relu(z) if relu else z
-                root = ad.reduce_sum(ad.mul(out, ad.constant(upstream)))
-                results.append((out.data, ad.backward(root, params)))
-            (out, grads), (ref_out, ref_grads) = results
-            assert (ref_out == 0.0).any() and (np.signbit(ref_out) if relu else ref_out < 0).any()
-            assert out.tobytes() == ref_out.tobytes()  # the sign of every zero too
-            assert grads.keys() == ref_grads.keys() == ({"h", "w", "b"} if taped_h else {"w", "b"})
+            h, params = _layers(seed, widths)
+            upstream = np.random.default_rng(50 + seed).normal(size=(6, widths[-1]))
+            (out, grads), (ref_out, ref_grads) = (
+                _value_and_grads(h, params, fused, taped_h, upstream) for fused in (True, False)
+            )
+            assert out.tobytes() == ref_out.tobytes()
+            assert grads.keys() == ref_grads.keys()
+            assert len(grads) == len(params) + taped_h
             for name in grads:
                 assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
+    @pytest.mark.parametrize("widths", [(3, 1, 2), (10, 7, 7, 3), (4, 8, 8, 8, 1), (10, 64, 64, 2)])
+    @pytest.mark.parametrize("batch", [1, 2, 33])
+    def test_widths_and_batches_match_unfused_ops_bitwise(self, widths, batch):
+        h, params = _layers(batch, widths, batch)
+        upstream = np.random.default_rng(batch).normal(size=(batch, widths[-1]))
+        (out, grads), (ref_out, ref_grads) = (
+            _value_and_grads(h, params, fused, True, upstream) for fused in (True, False)
+        )
+        assert out.tobytes() == ref_out.tobytes()
+        for name in ref_grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    def test_dead_units_keep_negative_zero(self):
+        h, params = _layers(4, (5, 6, 6, 3))
+        kept = []
+        out = ad.dense_array(h, params, kept)
+        hidden = ad.relu(ad.add_bias(ad.matmul(ad.constant(h), ad.constant(params[0])), ad.constant(params[1])))
+        assert kept[1][0].tobytes() == hidden.data.tobytes()  # the sign of every zero too
+        zeros = np.signbit(hidden.data[hidden.data == 0.0])
+        assert zeros.any() and not zeros.all()  # relu of a negative is -0.0, of +0.0 is +0.0
+        assert not kept[0][1][:, -1].any()  # the dead unit's mask
+        assert kept[2][1] is None and out.shape == (6, 3)
+        assert [k[0].shape for k in kept] == [(6, 5), (6, 6), (6, 6)]
+
     def test_plain_array_kernel_is_the_node_value(self):
-        h, w, b = self._inputs(1)
-        node = ad.dense(ad.constant(h), ad.parameter(w), ad.parameter(b), True)
-        assert ad.dense_array(h, w, b, True).tobytes() == node.data.tobytes()
+        h, params = _layers(1, (5, 4, 4, 3))
+        node = ad.dense(ad.constant(h), list(map(ad.parameter, params)))
+        assert ad.dense_array(h, params).tobytes() == node.data.tobytes()
 
     def test_constant_input_gets_no_gradient(self):
-        h, w, b = self._inputs(2)
-        node = ad.dense(ad.constant(h), ad.parameter(w), ad.parameter(b), True)
-        g_h, g_w, g_b = node._vjp(np.ones(node.shape))
-        assert g_h is None and g_w.shape == w.shape and g_b.shape == b.shape
+        h, params = _layers(2, (5, 4, 3))
+        node = ad.dense(ad.constant(h), list(map(ad.parameter, params)))
+        g_h, *g_params = node._vjp(np.ones(node.shape))
+        assert g_h is None and [g.shape for g in g_params] == [p.shape for p in params]
+
+    def test_vjp_leaves_its_incoming_gradient_and_earlier_results_alone(self):
+        h, params = _layers(3, (5, 4, 4, 3))
+        node = ad.dense(ad.parameter(h), list(map(ad.parameter, params)))
+        g = np.random.default_rng(3).normal(size=node.shape)
+        g_before = g.copy()
+        first = node._vjp(g)
+        first_bytes = [a.tobytes() for a in first]
+        second = node._vjp(g)
+        assert g.tobytes() == g_before.tobytes()
+        assert [a.tobytes() for a in first] == first_bytes == [a.tobytes() for a in second]
+        assert not any(np.shares_memory(a, b) for a, b in zip(first, second))
 
     def test_shape_contract(self):
-        h, w, b = self._inputs(3)
-        for args in ((h, w.T, b), (h, w, b[:3]), (h[0], w, b), (h, w, b[None, :])):
+        h, (w, b) = _layers(3)
+        for args in ((h, [w.T, b]), (h, [w, b[:3]]), (h[0], [w, b]), (h, [w, b[None, :]]), (h, [w]), (h, [])):
             with pytest.raises(ValueError, match="dense"):
-                ad.dense(*map(ad.constant, args), True)
+                ad.dense(ad.constant(args[0]), list(map(ad.constant, args[1])))
 
     def test_gradients_match_central_differences(self):
         for seed in range(5):
@@ -318,7 +369,7 @@ class TestDense:
             w2, b2 = ad.constant(rng.normal(size=(5, 2))), ad.constant(rng.normal(size=(2,)))
 
             def f():
-                y = ad.dense(ad.dense(h, w, b, True), w2, b2, False)
+                y = ad.dense(h, [w, b, w2, b2])
                 return ad.reduce_sum(ad.mul(y, y))
 
             report = ad.finite_diff_check(f, params)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import l2x.cli  # noqa: F401  (every module the tracer patches must be loaded)
-from l2x import datasets, networks, pipeline
+from l2x import datasets, networks, pipeline, training
 from l2x.rng import substream
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -98,3 +98,65 @@ def test_traced_run_gives_the_untraced_results(spans):
     assert traced == untraced
     assert metrics["pipeline.stage_s.explain"] > 0.0
     assert metrics["explain.method_s.saliency"] > 0.0
+
+
+@pytest.fixture
+def traced(spans):
+    """A recording tracer, installed for the test and taken out after it."""
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.recording() as root:
+            yield tracer, root
+    finally:
+        tracer.uninstall()
+
+
+def _train(seed: int):
+    """Every trained parameter's bytes and both curves of a tiny classifier + selector run."""
+    x, _, y, _ = datasets.as_arrays(datasets.generate("switch", 300, substream(seed, "data", 0)))
+    config = training.TrainConfig(k=3, epochs=3, warmup_epochs=1, batch_size=64, seed=seed)
+    clf, clf_report = training.train_classifier(x, y, config, hidden=(8, 8, 8))
+    explainer, variational, report = training.train_l2x(
+        x, clf, config, explainer_hidden=(8, 8), variational_hidden=(8, 8, 8)
+    )
+    nets = (clf, explainer, variational)
+    return ([t.data.tobytes() for net in nets for t in net.params.values()],
+            [stat.objective for stat in clf_report.curve + report.curve])
+
+
+def test_traced_training_gives_the_untraced_parameters(spans, traced):
+    tracer, root = traced
+    tracer.enabled = False
+    untraced = _train(5)
+    tracer.enabled = True
+    assert _train(5) == untraced
+    metrics = spans.layer_metrics(tracer, root)
+    assert metrics["training.steps"] == 2 * 3 * 5  # two loops, three epochs of five batches
+    assert metrics["sampling.relaxed_mask_calls"] == 3 * 5
+    assert tracer.nodes["dense"] > 0 and tracer.bwd_s["dense"] > 0.0
+    assert metrics["training.warmup_discarded_bwd_share"] == 0.0  # warmup stops at the variational net
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_returned_arrays_survive_later_calls(request, trace):
+    if trace:
+        request.getfixturevalue("traced")
+    x, _, _, _ = datasets.as_arrays(datasets.generate("orange_skin", 120, substream(6, "data", 0)))
+    k = datasets.k_for("orange_skin")
+    rng = np.random.default_rng(6)
+    classifier = networks.build_classifier(datasets.D, datasets.N_CLASSES, rng, hidden=(8, 8))
+    explainer = networks.build_explainer(datasets.D, rng, hidden=(8, 8))
+
+    def calls(rows):
+        out = [classifier.forward(x[rows]), explainer.forward(x[rows]), classifier.forward(x[rows][0])]
+        for method in ("l2x", "saliency", "taylor"):
+            record = pipeline.explain_dataset(method, x[rows], k, explainer=explainer, classifier=classifier)
+            out += [record.scores, record.selected]
+        return out
+
+    first = calls(slice(0, 60))
+    kept = [a.copy() for a in first]
+    later = calls(slice(60, 120))
+    for a, b, c in zip(first, kept, later):
+        assert a.tobytes() == b.tobytes() and not np.shares_memory(a, c)

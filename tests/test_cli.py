@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import struct
 from pathlib import Path
 
 import pytest
@@ -355,6 +357,17 @@ class TestOracleCommand:
         assert printed == on_disk
         assert on_disk["joints"] == 5 and on_disk["all_consistent"]
 
+    @pytest.mark.parametrize("argv, name, least", [
+        (("--joints", -3), "joints", 1), (("--joints", 0), "joints", 1),
+        (("--max-d", 1), "max_d", 2), (("--max-c", 1), "max_c", 2),
+    ], ids=["negative-joints", "zero-joints", "max-d-1", "max-c-1"])
+    def test_out_of_range_setting_exits_2_naming_it(self, tmp_path, capsys, argv, name, least):
+        assert run("oracle", *argv, "--out", tmp_path / "oracle.json") == 2
+        captured = capsys.readouterr()
+        assert f"error: {name} must be at least {least}, got {argv[1]}" in captured.err
+        assert "usage" in captured.err and captured.out == ""
+        assert not (tmp_path / "oracle.json").exists()
+
 
 class TestUsage:
     def test_no_command_exits_2(self):
@@ -636,6 +649,24 @@ MALFORMED = [
     ("zero-temperature", lambda w, t: [
         "train-explainer", "--data", w / "train.csv", "--model", w / "model.l2x",
         "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x", "--temperature", 0], 2),
+    ("inf-temperature", lambda w, t: [
+        "train-explainer", "--data", w / "train.csv", "--model", w / "model.l2x",
+        "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x", "--temperature", "inf"], 2),
+    ("inf-learning-rate", lambda w, t: [
+        "train-model", "--data", w / "train.csv", "--out-model", t / "m.l2x",
+        "--learning-rate", "inf", "--epochs", 1, "--hidden", "8,8,8"], 2),
+    ("inf-learning-rate-explainer", lambda w, t: [
+        "train-explainer", "--data", w / "train.csv", "--model", w / "model.l2x",
+        "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x", "--learning-rate", "inf"], 2),
+    ("checkpoint-nan-weight", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "saliency",
+        "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x", lambda b: b[:-8] + struct.pack("<d", math.nan)),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-inf-weight", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "l2x",
+        "--explainer", _edit_bytes(w / "ex.l2x", t / "bad.l2x", lambda b: b[:-800] + struct.pack("<d", -math.inf)
+                                   + b[-792:]),
+        "--out", t / "e.jsonl"], 4),
 ]
 
 

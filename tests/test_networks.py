@@ -212,3 +212,14 @@ class TestSerialization:
         blob = nw.serialize(small_classifier())
         with pytest.raises(ModelFormatError, match="trailing"):
             nw.deserialize(blob + b"\x00" * 8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_at_its_offset(self, value):
+        clf = small_classifier()
+        blob = nw.serialize(clf)
+        start = len(blob) - 8 * sum(t.data.size for t in clf.params.values())
+        at = start + 8 * (clf.params["w0"].data.size + 3)  # b0[3]
+        bad = blob[:at] + np.array([value], dtype="<f8").tobytes() + blob[at + 8:]
+        with pytest.raises(ModelFormatError, match="'b0' holds a non-finite value") as exc:
+            nw.deserialize(bad)
+        assert exc.value.offset == at

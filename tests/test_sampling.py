@@ -215,6 +215,63 @@ class TestBatchedMask:
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="noise"):
             sp.batched_relaxed_mask(ad.constant(np.zeros((2, 4))), np.zeros((3, 1, 4)), 0.1)
+        with pytest.raises(ValueError, match="temperature"):
+            sp.batched_relaxed_mask(ad.constant(np.zeros((2, 4))), np.zeros((2, 1, 4)), 0.0)
+
+    @staticmethod
+    def _value_and_grad(scores, noise, temperature, fused):
+        """The mask and the gradient of a weighted sum of it, from the node or from the op chain."""
+        params = ad.ParameterSet()
+        lw = params.add("s", scores)
+        if fused:
+            v = sp.batched_relaxed_mask(lw, noise, temperature)
+        else:
+            axis = scores.ndim - 1
+            tiled = ad.expand(lw, axis=axis, reps=noise.shape[axis])
+            concrete = ad.softmax(ad.add(tiled, ad.constant(noise)), temperature=temperature)
+            v = ad.reduce_max(concrete, axis=axis)
+        upstream = np.random.default_rng(scores.size).normal(size=scores.shape)
+        grads = ad.backward(ad.reduce_sum(ad.mul(v, ad.constant(upstream))), params)
+        return v.data, grads["s"]
+
+    # (score rows, k, d); None rows is a single (d,) score vector
+    @pytest.mark.parametrize("shape", [(1, 1, 5), (1, 5, 10), (7, 3, 5), (64, 4, 10), (3, 10, 10), (None, 4, 6)],
+                             ids=str)
+    @pytest.mark.parametrize("temperature", [0.1, 0.7])
+    def test_value_and_gradient_match_the_op_chain_bitwise(self, shape, temperature):
+        rows, k, d = shape
+        rng = np.random.default_rng([k, d])
+        scores = rng.normal(size=(d,) if rows is None else (rows, d))
+        noise = sp.gumbel_from_uniform(rng.uniform(size=(*scores.shape[:-1], k, d)))
+        (v, g), (ref_v, ref_g) = (self._value_and_grad(scores, noise, temperature, f) for f in (True, False))
+        assert v.tobytes() == ref_v.tobytes()
+        assert g.tobytes() == ref_g.tobytes()
+
+    def test_exact_ties_between_rows_go_to_the_lowest_index(self):
+        # at temperature 1 and zero scores, a row of 0s and -1000s softmaxes exactly
+        # to 0.5 and 0.0 entries, so rows tie exactly on every feature both or neither hold
+        noise = np.full((2, 3, 4), -1000.0)
+        noise[:, 0, [0, 1]] = noise[:, 1, [0, 2]] = noise[:, 2, [1, 3]] = 0.0
+        scores = np.zeros((2, 4))
+        (v, g), (ref_v, ref_g) = (self._value_and_grad(scores, noise, 1.0, f) for f in (True, False))
+        concrete = np.where(noise == 0.0, 0.5, 0.0)
+        np.testing.assert_array_equal(v, concrete.max(axis=1))
+        assert v.tobytes() == ref_v.tobytes() and g.tobytes() == ref_g.tobytes()
+        # the gradient depends on which tied row wins: with the rows reordered it changes
+        _, g_swapped = self._value_and_grad(scores, noise[:, ::-1].copy(), 1.0, True)
+        assert g.tobytes() != g_swapped.tobytes()
+        _, ref_swapped = self._value_and_grad(scores, noise[:, ::-1].copy(), 1.0, False)
+        assert g_swapped.tobytes() == ref_swapped.tobytes()
+
+    def test_vjp_leaves_its_incoming_gradient_and_earlier_results_alone(self):
+        rng = np.random.default_rng(33)
+        node = sp.batched_relaxed_mask(ad.parameter(rng.normal(size=(5, 6))),
+                                       sp.gumbel_from_uniform(rng.uniform(size=(5, 3, 6))), 0.1)
+        g = rng.normal(size=node.shape)
+        g_before = g.copy()
+        (first,), (second,) = node._vjp(g), node._vjp(g)
+        assert g.tobytes() == g_before.tobytes() and first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
 
 
 class TestHardTopK:

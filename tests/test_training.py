@@ -113,6 +113,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tr.TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["learning_rate", "temperature"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_non_finite_rates_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            tr.TrainConfig(k=2, **{name: value})
+
     def test_run_config_is_a_train_config_with_the_same_training_fields(self):
         train_fields = {f.name: f.default for f in dataclasses.fields(tr.TrainConfig)}
         run_fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
@@ -335,6 +341,16 @@ class TestTrainClassifier:
         for name in clf1.params.names():
             np.testing.assert_array_equal(clf1.params[name].data, clf2.params[name].data)
 
+    def test_overflowing_update_aborts_at_the_end_of_the_epoch(self):
+        # one step per epoch, so no later step's checks see the overflowed weights
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(40, 3))
+        y = (x[:, 1] > 0).astype(int)
+        cfg = tr.TrainConfig(k=1, batch_size=40, epochs=2, learning_rate=1e308, seed=7)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericError, match="non-finite in epoch 0"):
+                tr.train_classifier(x, y, cfg, hidden=(8, 8, 8))
+
     def test_empty_dataset_rejected(self):
         cfg = tr.TrainConfig(k=1, epochs=1)
         with pytest.raises(ValueError, match="nonempty"):
@@ -411,6 +427,15 @@ class TestTrainL2x:
         clf = build_classifier(3, 2, rng, hidden=(4, 4, 4))
         with pytest.raises(ValueError, match="exceeds"):
             tr.train_l2x(rng.normal(size=(50, 3)), clf, tr.TrainConfig(k=4, epochs=1))
+
+    def test_overflowing_update_aborts_at_the_end_of_the_epoch(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(30, 4))
+        clf = build_classifier(4, 2, rng, hidden=(4, 4, 4))
+        cfg = tr.TrainConfig(k=2, batch_size=30, epochs=2, warmup_epochs=0, learning_rate=1e308, seed=0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericError, match="non-finite in epoch 0"):
+                tr.train_l2x(x, clf, cfg, explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
 
     def test_non_finite_objective_aborts_with_step(self):
         rng = np.random.default_rng(0)
