@@ -15,8 +15,11 @@ handed out or kept that a later call overwrites.
 
 Deliberate conventions:
 
-* float64 everywhere, no implicit broadcasting (the one exception is
-  :func:`add_bias`, which adds a row vector to a matrix),
+* every tensor and every gradient is float64.  Only :func:`dense` may
+  compute in float32 inside its node (mixed precision: float32 matmuls
+  over float64 master weights), and it still takes and returns float64,
+* no implicit broadcasting (the one exception is :func:`add_bias`, which
+  adds a row vector to a matrix),
 * ``relu'(0) = 0``,
 * ties in ``maximum`` / ``reduce_max`` route the gradient to the lowest
   index (for the binary op: to the first argument).
@@ -269,15 +272,35 @@ def dense_array(h: np.ndarray, params, kept: list | None = None) -> np.ndarray:
     return h
 
 
-def dense(h: Tensor, params) -> Tensor:
+def _to_compute(a: np.ndarray, dtype) -> np.ndarray:
+    """A float64 array in ``dtype``; in float32 a fresh copy with every would-be subnormal set to zero.
+
+    Masked inputs and the gradients reaching the explainer through the
+    relaxed mask hold many values below float32's smallest normal, and
+    subnormal operands slow a matmul many times over.
+    """
+    if dtype == np.float64:
+        return a
+    out = a.astype(dtype)
+    out[np.abs(out) < np.finfo(dtype).tiny] = 0.0
+    return out
+
+
+def dense(h: Tensor, params, dtype=np.float64) -> Tensor:
     """A relu MLP as one node: ``params`` = (w0, b0, w1, b1, ...), relu after every layer but the last.
 
-    Bit for bit the chain ``relu(add_bias(matmul(h, w0), b0))``, ...,
-    ``add_bias(matmul(., wL), bL)``.  The vjp applies each hidden layer's
+    In float64, bit for bit the chain ``relu(add_bias(matmul(h, w0),
+    b0))``, ..., ``add_bias(matmul(., wL), bL)``.  With ``dtype`` float32
+    the node casts the input and the parameter values once per call, runs
+    the layers and the vjp's matmuls in float32 and keeps its activations
+    in float32, but takes and returns float64: its value, the incoming
+    gradient and every gradient it returns.  Input and incoming-gradient
+    values below float32's smallest normal become zero in the cast.  Bias
+    gradients are summed in float64.  The vjp applies each hidden layer's
     relu mask, kept from the forward pass, in place, to gradients it
-    produced itself and never to the incoming one.  It returns no
-    gradient for an ``h`` that needed none when the node was built (a
-    network's input).
+    produced itself and never to the incoming one.  It computes nothing,
+    and returns None, for a parent that needed no gradient when the node
+    was built: a network's input, or weights that entered as constants.
     """
     h, params = _as_tensor(h), tuple(map(_as_tensor, params))
     shapes = [p.shape for p in params]
@@ -288,21 +311,25 @@ def dense(h: Tensor, params) -> Tensor:
         width = w[-1] if w else -1
     if not ok:
         raise ValueError(f"dense: expects (m, k) through layers (k, n) + (n,), ..., got {h.shape} through {shapes}")
-    weights, need_h = [w.data for w in params[::2]], h.requires_grad
+    values = [p.data.astype(dtype, copy=False) for p in params]
+    weights, need = values[::2], [p.requires_grad for p in params]
+    need_h = h.requires_grad
     kept: list = []
-    out = dense_array(h.data, [p.data for p in params], kept)
+    out = dense_array(_to_compute(h.data, dtype), values, kept)
 
     def vjp(g: np.ndarray):
+        g = _to_compute(g, dtype)
         grads = []
         for i in reversed(range(len(kept))):
             hd, mask = kept[i]
             if mask is not None:
                 g *= mask  # relu'(0) = 0; g came from the layer above, in this vjp
-            grads += [g.sum(axis=0), hd.T @ g]
+            grads += [g.sum(axis=0, dtype=np.float64) if need[2 * i + 1] else None,
+                      (hd.T @ g).astype(np.float64, copy=False) if need[2 * i] else None]
             g = g @ weights[i].T if i or need_h else None
-        return (g, *reversed(grads))
+        return (None if g is None else g.astype(np.float64, copy=False), *reversed(grads))
 
-    return _node(out, "dense", (h, *params), vjp)
+    return _node(out.astype(np.float64, copy=False), "dense", (h, *params), vjp)
 
 
 def softmax_array(z: np.ndarray) -> np.ndarray:

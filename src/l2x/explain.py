@@ -108,11 +108,12 @@ def input_gradient(classifier, x: np.ndarray) -> np.ndarray:
 
     One taped pass through the classifier's layers over all n rows of
     ``x``, then one backward pass: rows never interact, so the gradient
-    of the summed top-class logits holds every row's own gradient.  Costs
-    n classifier evaluations.
+    of the summed top-class logits holds every row's own gradient.  The
+    weights enter frozen, so no gradient is computed for them.  Costs n
+    classifier evaluations.
     """
     leaf = ad.ParameterSet()
-    logits = classifier.logits_tensor(leaf.add("x", x))
+    logits = classifier.logits_tensor(leaf.add("x", x), frozen=True)
     onehot = np.zeros(logits.shape)
     onehot[np.arange(logits.shape[0]), logits.data.argmax(axis=1)] = 1.0
     target = ad.reduce_sum(ad.mul(logits, ad.constant(onehot)))

@@ -9,11 +9,14 @@
   masked input.
 
 All are plain MLPs: relu hidden layers, optional softmax head, Glorot
-uniform initialization.  Each offers two forward paths with identical
-arithmetic through one layer loop, ``autodiff.dense_array``: a taped
-one for training, where ``autodiff.dense`` records the whole pass
-through the layers as one node, and a plain ndarray one for inference,
-which frees each layer's input as it goes.
+uniform initialization.  Each offers two forward paths through one layer
+loop, ``autodiff.dense_array``: a taped one, where ``autodiff.dense``
+records the whole pass through the layers as one node, and a plain
+ndarray one for inference, which frees each layer's input as it goes.
+Parameters are always float64.  Inference and the taped pass at its
+default dtype compute in float64, with identical arithmetic; the
+training loops run the taped pass with float32 matmuls, and the node
+casts the float64 weights for each call (mixed precision).
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
@@ -135,13 +138,20 @@ class Mlp:
             raise ValueError(f"{self.kind} expects input width {self.spec.input_width}, got {x.shape[1]}")
         return kernel(x, list(self.params.values()))
 
-    def logits_tensor(self, x: Tensor) -> Tensor:
-        """Taped pass through the layers over a (batch, d) input, before the head: one node."""
-        return self._layers(x, ad.dense)
+    def logits_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False) -> Tensor:
+        """Taped pass through the layers over a (batch, d) input, before the head: one node.
 
-    def forward_tensor(self, x: Tensor) -> Tensor:
-        """Taped forward pass over a (batch, d) input."""
-        h = self.logits_tensor(x)
+        ``dtype`` is the node's compute dtype (see ``autodiff.dense``).
+        ``frozen`` puts the weights on the tape as constants, so the node
+        computes no gradient for them.
+        """
+        return self._layers(
+            x, lambda h, params: ad.dense(h, [t.data for t in params] if frozen else params, dtype)
+        )
+
+    def forward_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False) -> Tensor:
+        """Taped forward pass over a (batch, d) input; the head is float64 whatever ``dtype``."""
+        h = self.logits_tensor(x, dtype, frozen)
         return ad.softmax(h) if self.spec.head == "softmax" else h
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -11,6 +11,11 @@ only the softly-masked input:
 where V is the relaxed subset mask built from the explainer's scores and
 fresh Gumbel noise each step.  The classifier's probabilities enter as
 constants, so no gradient reaches it and its weights never change.
+
+Both loops train in mixed precision: each network pass is one
+``autodiff.dense`` node computing in ``TRAIN_DTYPE`` (float32) over the
+float64 parameters, while the heads, the relaxed mask, the objective,
+gradient accumulation and RMSprop stay float64, and so do checkpoints.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ __all__ = [
 ]
 
 PROB_CLAMP = 1e-12
+# compute dtype of the taped network passes in both training loops
+TRAIN_DTYPE = np.float32
 
 
 class RmsProp:
@@ -175,7 +182,22 @@ def l2x_objective(
         raise ValueError(
             f"class-count mismatch: classifier emits {pm.shape[1]}, variational emits {q_width}"
         )
-    return _frozen_objective(x, pm, explainer, variational, noise, temperature)
+    return _frozen_objective(x, pm, explainer.forward_tensor, variational.forward_tensor, noise, temperature)
+
+
+def _features(x: np.ndarray) -> np.ndarray:
+    """A training feature matrix as float64, checked nonempty and within the range of ``TRAIN_DTYPE``."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError(f"need a nonempty (n, d) feature matrix, got shape {x.shape}")
+    big = np.argwhere(np.abs(x) > np.finfo(TRAIN_DTYPE).max)
+    if big.size:
+        row, col = big[0]
+        raise NumericError(
+            f"feature value {float(x[row, col])!r} (row {row}, column {col}) overflows {np.dtype(TRAIN_DTYPE)}, "
+            f"the training dtype"
+        )
+    return x
 
 
 def _batch_noise(rng: np.random.Generator, b: int, k: int, d: int) -> np.ndarray:
@@ -215,10 +237,8 @@ def train_classifier(
     y_val: np.ndarray | None = None,
 ) -> tuple[Classifier, TrainReport]:
     """Cross-entropy training on hard labels; optional held-out accuracy."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _features(x)
     y = np.asarray(y, dtype=int)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"need a nonempty (n, d) feature matrix, got shape {x.shape}")
     if y.shape != (x.shape[0],):
         raise ValueError(f"labels must be (n,), got {y.shape} for n={x.shape[0]}")
     n, d = x.shape
@@ -230,7 +250,7 @@ def train_classifier(
     opt = RmsProp(config.learning_rate)
 
     def step(epoch: int, idx: np.ndarray, step_index: int) -> float:
-        probs = clf.forward_tensor(ad.constant(x[idx]))
+        probs = clf.forward_tensor(ad.constant(x[idx]), TRAIN_DTYPE)
         if not np.all(np.isfinite(probs.data)):
             raise NumericError(f"classifier probabilities became non-finite at step {step_index}")
         ll = ad.mul(ad.constant(onehot[idx]), _clamped_log(probs))
@@ -268,10 +288,10 @@ def train_l2x(
     noise-driven and near uniform.  Without that head start the explainer
     chases the gradients of a still-uninformative density model and can
     settle on arbitrary features before any signal exists to correct it.
+    In those epochs the explainer's pass is taped frozen, so no gradient
+    is computed for it, for the relaxed mask, or for the masked input.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"need a nonempty (n, d) feature matrix, got shape {x.shape}")
+    x = _features(x)
     n, d = x.shape
     if config.k > d:
         raise ValueError(f"k={config.k} exceeds feature count d={d}")
@@ -293,11 +313,15 @@ def train_l2x(
     pm_all = classifier.predict_proba(x)
 
     def step(epoch: int, idx: np.ndarray, step_index: int) -> float:
-        active = variational_only if epoch < config.warmup_epochs else joint
+        warmup = epoch < config.warmup_epochs
+        active = variational_only if warmup else joint
         noise = _batch_noise(substream(config.seed, "noise", step_index), len(idx), config.k, d)
         try:
             est = _frozen_objective(
-                x[idx], pm_all[idx], explainer, variational, noise, config.temperature
+                x[idx], pm_all[idx],
+                lambda t: explainer.forward_tensor(t, TRAIN_DTYPE, frozen=warmup),
+                lambda t: variational.forward_tensor(t, TRAIN_DTYPE),
+                noise, config.temperature,
             )
         except NumericError as e:
             raise NumericError(f"{e} at step {step_index}") from None
@@ -314,20 +338,21 @@ def train_l2x(
 def _frozen_objective(
     x: np.ndarray,
     pm: np.ndarray,
-    explainer,
-    variational,
+    scores_of,
+    q_of,
     noise: np.ndarray,
     temperature: float,
 ) -> ObjectiveEstimate:
-    """Objective graph with precomputed classifier probabilities."""
+    """Objective graph with precomputed classifier probabilities, through the
+    explainer's and the variational net's taped passes ``scores_of`` and ``q_of``."""
     if not np.all(np.isfinite(pm)):
         raise NumericError("classifier probabilities are non-finite")
-    scores = explainer.forward_tensor(ad.constant(x))
+    scores = scores_of(ad.constant(x))
     if not np.all(np.isfinite(scores.data)):
         raise NumericError("explainer scores became non-finite")
     v = batched_relaxed_mask(scores, noise, temperature)
     masked = ad.mul(v, ad.constant(x))
-    q = variational.forward_tensor(masked)
+    q = q_of(masked)
     if not np.all(np.isfinite(q.data)):
         raise NumericError("variational output became non-finite")
     ll = ad.mul(ad.constant(pm), _clamped_log(q))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import time
 
 import numpy as np
@@ -278,11 +279,11 @@ def _unfused(h, params):
     return h
 
 
-def _value_and_grads(h, params, fused, taped_h, upstream):
+def _value_and_grads(h, params, fused, taped_h, upstream, dtype=np.float64):
     taped = ad.ParameterSet()
     hh = taped.add("h", h) if taped_h else ad.constant(h)
     layer_params = [taped.add(f"p{i}", p) for i, p in enumerate(params)]
-    out = ad.dense(hh, layer_params) if fused else _unfused(hh, layer_params)
+    out = ad.dense(hh, layer_params, dtype) if fused else _unfused(hh, layer_params)
     root = ad.reduce_sum(ad.mul(out, ad.constant(upstream)))
     return out.data, ad.backward(root, taped)
 
@@ -375,6 +376,66 @@ class TestDense:
             report = ad.finite_diff_check(f, params)
             assert report.n_checked > 0
             assert report.max_rel_error < 1e-5, (seed, report)
+
+    @pytest.mark.parametrize("widths", [(5, 4), (5, 4, 3), (3, 1, 2), (10, 7, 7, 3), (4, 8, 8, 8, 1), (10, 64, 64, 2)])
+    @pytest.mark.parametrize("batch", [1, 2, 33])
+    def test_float32_node_matches_float64_node(self, widths, batch):
+        # float32 rounding over dot products of at most 64 terms: within 64 float32
+        # epsilons of each array's largest float64 magnitude (observed: under 5)
+        tol = 64 * np.finfo(np.float32).eps
+        h, params = _layers(batch, widths, batch)
+        upstream = np.random.default_rng(batch).normal(size=(batch, widths[-1]))
+        (out32, grads32), (out64, grads64) = (
+            _value_and_grads(h, params, True, True, upstream, dtype) for dtype in (np.float32, np.float64)
+        )
+        assert np.abs(out32 - out64).max() <= tol * np.abs(out64).max()
+        assert grads32.keys() == grads64.keys() and len(grads64) == len(params) + 1
+        for name, ref in grads64.items():
+            assert np.abs(grads32[name] - ref).max() <= tol * np.abs(ref).max(), name
+
+    def test_float32_node_takes_and_returns_float64_and_keeps_float32(self):
+        h, params = _layers(5, (5, 4, 4, 3))
+        node = ad.dense(ad.parameter(h), list(map(ad.parameter, params)), np.float32)
+        kept = inspect.getclosurevars(node._vjp).nonlocals["kept"]
+        assert [a.dtype for a, _ in kept] == [np.float32] * 3
+        assert [m is None or m.dtype == bool for _, m in kept] == [True] * 3
+        assert node.data.dtype == np.float64
+        g = np.random.default_rng(5).normal(size=node.shape)
+        g_before = g.copy()
+        grads = node._vjp(g)
+        assert g.tobytes() == g_before.tobytes()
+        assert [a.dtype for a in grads] == [np.float64] * (len(params) + 1)
+        assert [a.shape for a in grads] == [h.shape] + [p.shape for p in params]
+
+    def test_float32_cast_flushes_would_be_subnormals_to_zero(self):
+        # normal in float64 but subnormal in float32 (below about 1.18e-38): the node
+        # treats such inputs and incoming gradients as zeros; 2e-38 is normal and kept
+        h, params = _layers(7, (5, 4, 4, 3))
+        g = np.random.default_rng(7).normal(size=(6, 3))
+        small_h, small_g, zero_h, zero_g = h.copy(), g.copy(), h.copy(), g.copy()
+        small_h[1, 2], small_h[3, 0], small_g[2, 1] = 1e-40, -1.1e-38, 5e-42
+        zero_h[1, 2] = zero_h[3, 0] = zero_g[2, 1] = 0.0
+        small_h[5, 1] = zero_h[5, 1] = 2e-38
+        small, zero = (ad.dense(ad.parameter(x), list(map(ad.parameter, params)), np.float32)
+                       for x in (small_h, zero_h))
+        assert small.data.tobytes() == zero.data.tobytes()
+        assert [a.tobytes() for a in small._vjp(small_g)] == [a.tobytes() for a in zero._vjp(zero_g)]
+        kept = inspect.getclosurevars(small._vjp).nonlocals["kept"]
+        assert kept[0][0][1, 2] == kept[0][0][3, 0] == 0.0 and kept[0][0][5, 1] == np.float32(2e-38)
+        assert small_h[1, 2] == 1e-40 and small_g[2, 1] == 5e-42  # the caller's arrays are left alone
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_constant_weights_get_no_gradient_and_change_nothing_else(self, dtype):
+        h, params = _layers(6, (5, 4, 4, 3))
+        g = np.random.default_rng(6).normal(size=(6, 3))
+        taped = ad.dense(ad.parameter(h), list(map(ad.parameter, params)), dtype)
+        frozen = ad.dense(ad.parameter(h), list(map(ad.constant, params)), dtype)
+        assert frozen.data.tobytes() == taped.data.tobytes()
+        g_h, *g_params = frozen._vjp(g)
+        assert g_params == [None] * len(params)
+        assert g_h.tobytes() == taped._vjp(g)[0].tobytes()
+        # frozen weights and a constant input: nothing to differentiate, no vjp
+        assert ad.dense(ad.constant(h), list(map(ad.constant, params)), dtype)._vjp is None
 
 
 class TestFiniteDifferenceAgreement:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from l2x import cli
+from l2x import cli, pipeline
 from l2x.datasets import read_csv
 from l2x.explain import read_jsonl
 from l2x.metrics import read_ranks_csv
@@ -91,6 +91,39 @@ class TestTrainModel:
                    "--epochs", 0, "--hidden", "8,8,8") == 0
         assert "untrained" in capsys.readouterr().err
         assert load_model(out).spec.output_width == 2
+
+
+class TestFeatureOverflowingTheTrainingDtype:
+    """A feature finite in float64 but past float32's range: exit 3 naming it, before any step."""
+
+    @pytest.mark.parametrize("command", ["train-model", "train-explainer"])
+    def test_training_commands_exit_3_and_write_nothing(self, workdir, tmp_path, capsys, command):
+        data = _edit_csv(workdir / "train.csv", tmp_path / "big.csv", 5, 1, "1e39")
+        outputs = {"train-model": ["--out-model", tmp_path / "m.l2x"],
+                   "train-explainer": ["--model", workdir / "model.l2x",
+                                       "--out-explainer", tmp_path / "e.l2x",
+                                       "--out-variational", tmp_path / "v.l2x"]}[command]
+        assert run(command, "--data", data, *outputs, "--epochs", 1, "--batch-size", 100) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: feature value 1e+39 (row 3, column 1) overflows float32" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.l2x"))
+
+    def test_benchmark_exits_3(self, tmp_path, capsys, monkeypatch):
+        # generated features never reach float32's range, so one is put there
+        real = pipeline.as_arrays
+
+        def with_a_huge_cell(data):
+            x, *rest = real(data)
+            x = x.copy()
+            x[2, 0] = -1e39
+            return (x, *rest)
+
+        monkeypatch.setattr(pipeline, "as_arrays", with_a_huge_cell)
+        out = tmp_path / "run"
+        assert run("benchmark", "--dataset", "xor", "--out-dir", out, "--all", *BENCH_ARGS) == 3
+        assert "feature value -1e+39 (row 2, column 0) overflows float32" in capsys.readouterr().err
+        assert not (out / "model.l2x").exists()
 
 
 class TestExplain:

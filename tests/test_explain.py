@@ -206,6 +206,25 @@ class TestBatchedExplanations:
                     top = np.sort(one.scores)[::-1]
                     assert top[k - 1] - top[k] <= tol, f"row {i} differs without a tie"
 
+    def test_input_gradient_computes_no_weight_gradient_and_is_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        clf = build_classifier(10, 2, rng, hidden=(32, 32, 32))
+        x = rng.normal(size=(50, 10))
+        # reference: every weight on the tape as a parameter, as before the weights were frozen
+        leaf = ad.ParameterSet()
+        logits = clf.logits_tensor(leaf.add("x", x))
+        onehot = np.zeros(logits.shape)
+        onehot[np.arange(50), logits.data.argmax(axis=1)] = 1.0
+        ref = ad.backward(ad.reduce_sum(ad.mul(logits, ad.constant(onehot))), leaf)["x"]
+
+        nodes, dense = [], ad.dense
+        monkeypatch.setattr(ad, "dense", lambda *args: nodes.append(dense(*args)) or nodes[-1])
+        clf.reset_eval_count()
+        assert ex.input_gradient(clf, x).tobytes() == ref.tobytes()
+        assert clf.eval_count == 50
+        (node,) = nodes
+        assert node._vjp(np.ones(node.shape))[1:] == (None,) * 8
+
     def test_l2x_matches_per_row(self):
         rng = np.random.default_rng(12)
         explainer = build_explainer(10, rng, hidden=(16, 16))

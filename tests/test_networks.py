@@ -7,6 +7,7 @@ import pytest
 
 from l2x import autodiff as ad
 from l2x import networks as nw
+from l2x import training
 from l2x.errors import ModelFormatError, ModelVersionError
 
 
@@ -168,6 +169,25 @@ class TestSerialization:
             assert again.spec == net.spec
             for name in net.params.names():
                 np.testing.assert_array_equal(again.params[name].data, net.params[name].data)
+
+    def test_trained_networks_serialize_as_float64_v1_and_reload_bit_exact(self):
+        # training computes in float32 inside each pass; the weights it keeps are float64
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(120, 4))
+        y = (x[:, 0] > 0).astype(int)
+        cfg = training.TrainConfig(k=2, batch_size=40, epochs=2, warmup_epochs=1, seed=4)
+        clf, _ = training.train_classifier(x, y, cfg, hidden=(8, 8, 8))
+        ex, var, _ = training.train_l2x(x, clf, cfg, explainer_hidden=(6, 6), variational_hidden=(6, 6, 6))
+        for net in (clf, ex, var):
+            blob = nw.serialize(net)
+            assert blob[4:8] == (1).to_bytes(4, "little")
+            values = [t.data for t in net.params.values()]
+            assert {v.dtype for v in values} == {np.dtype(np.float64)}
+            payload = b"".join(v.astype("<f8").tobytes() for v in values)
+            assert blob.endswith(payload)
+            again = nw.deserialize(blob)
+            for name, t in net.params.items():
+                assert again.params[name].data.tobytes() == t.data.tobytes(), (net.kind, name)
 
     def test_file_round_trip(self, tmp_path):
         net = small_classifier(21)

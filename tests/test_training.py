@@ -199,6 +199,25 @@ class TestWarmupBackward:
             assert g.tobytes() == full[name].tobytes(), name
 
 
+    def test_training_tapes_the_explainer_frozen_in_warmup_epochs(self, monkeypatch):
+        # (input requires a gradient, some weight requires one) of each network pass:
+        # in warmup the explainer pass has neither, so the variational pass's input
+        # (the masked features) needs none and its vjp computes none
+        calls, dense = [], ad.dense
+
+        def recording(h, params, *rest):
+            calls.append((h.requires_grad, any(getattr(p, "requires_grad", False) for p in params)))
+            return dense(h, params, *rest)
+
+        monkeypatch.setattr(ad, "dense", recording)
+        x = np.random.default_rng(4).normal(size=(20, 6))
+        clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
+        cfg = tr.TrainConfig(k=2, epochs=3, warmup_epochs=2, batch_size=10, seed=0)
+        tr.train_l2x(x, clf, cfg, explainer_hidden=(5, 5), variational_hidden=(6, 6, 6))
+        warm, joint = [(False, False), (False, True)], [(False, True), (True, True)]
+        assert calls == warm * 4 + joint * 2
+
+
 class TestObjective:
     def test_uniform_variational_head_gives_log_c_exactly(self):
         clf, ex, var, x, noise = tiny_setup()
@@ -351,6 +370,17 @@ class TestTrainClassifier:
             with pytest.raises(NumericError, match="non-finite in epoch 0"):
                 tr.train_classifier(x, y, cfg, hidden=(8, 8, 8))
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_feature_overflowing_float32_rejected_before_any_step(self, epochs):
+        # zero epochs take no step at all; without the check, one epoch would
+        # fail on the cast's overflow warning
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(40, 3))
+        x[7, 2] = 1e39
+        cfg = tr.TrainConfig(k=1, batch_size=20, epochs=epochs)
+        with pytest.raises(NumericError, match=r"feature value 1e\+39 \(row 7, column 2\) overflows float32"):
+            tr.train_classifier(x, (x[:, 1] > 0).astype(int), cfg, hidden=(8, 8, 8))
+
     def test_empty_dataset_rejected(self):
         cfg = tr.TrainConfig(k=1, epochs=1)
         with pytest.raises(ValueError, match="nonempty"):
@@ -393,6 +423,21 @@ class TestTrainL2x:
         _, _, (_, _, r1) = self.tiny_run(seed=9)
         _, _, (_, _, r2) = self.tiny_run(seed=9)
         assert [s.objective for s in r1.curve] == [s.objective for s in r2.curve]
+
+    def test_same_seed_gives_bit_identical_parameters(self):
+        (_, _, (ex1, var1, _)), (_, _, (ex2, var2, _)) = (self.tiny_run(seed=9, epochs=4) for _ in range(2))
+        for a, b in ((ex1, ex2), (var1, var2)):
+            for name, t in a.params.items():
+                assert t.data.tobytes() == b.params[name].data.tobytes(), (a.kind, name)
+
+    def test_feature_overflowing_float32_rejected_before_any_step(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(60, 4))
+        x[11, 0] = -3.5e38
+        clf = build_classifier(4, 2, rng, hidden=(4, 4, 4))
+        cfg = tr.TrainConfig(k=2, batch_size=20, epochs=0)
+        with pytest.raises(NumericError, match=r"feature value -3\.5e\+38 \(row 11, column 0\) overflows float32"):
+            tr.train_l2x(x, clf, cfg, explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
 
     def test_seed_changes_curve(self):
         _, _, (_, _, r1) = self.tiny_run(seed=1)
