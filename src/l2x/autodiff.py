@@ -256,7 +256,9 @@ def dense_array(h: np.ndarray, params, kept: list | None = None) -> np.ndarray:
     Each layer is ``h @ w + b`` in one buffer, then a relu on every layer
     but the last (relu of a negative is -0.0).  A layer's input is freed
     once the next layer is computed, unless ``kept`` is a list: then it
-    receives every layer's (input, relu mask or None), for a vjp.
+    receives every layer's (input, relu mask or None), for a vjp.  Its
+    memory grows with the batch, so the untaped pass over a dataset calls
+    it on one block of rows at a time (``networks.map_blocks``).
     """
     last = len(params) - 2
     for i in range(0, len(params), 2):

@@ -1,15 +1,17 @@
 """Per-sample explanations: learned top-k selection and gradient baselines.
 
-The learned method reads scores off the trained explainer in one forward
-pass and never touches the classifier.  The two baselines differentiate
-the classifier's top-class logit with respect to the input:
+The learned method reads scores off the trained explainer's untaped
+forward pass and never touches the classifier.  The two baselines
+differentiate the classifier's top-class logit with respect to the input:
 
 * saliency ranks by the absolute gradient,
 * taylor ranks by the signed product input * gradient, and taylor-abs by
   its magnitude.
 
-Every method scores a whole (n, d) batch at once; the single-row
-functions run the same kernels on a batch of one.
+Every method scores an (n, d) batch with one call, which runs the
+networks over blocks of ``networks.BLOCK_ROWS`` rows so that memory
+stays bounded whatever n; the single-row functions run the same kernels
+on a batch of one.
 
 One method's explanations of n rows are one :class:`Explanations`
 record of columns: ids (n,), scores (n, d), selected (n, k) and ns (n,).
@@ -31,6 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import JsonlFormatError
 from .files import atomic_open, float_rows, open_text, parse_blocks
+from .networks import map_blocks
 from .sampling import hard_top_k
 
 __all__ = [
@@ -106,12 +109,17 @@ class Explanations:
 def input_gradient(classifier, x: np.ndarray) -> np.ndarray:
     """Per-row gradient of the argmax class's pre-softmax logit w.r.t. the row.
 
-    One taped pass through the classifier's layers over all n rows of
-    ``x``, then one backward pass: rows never interact, so the gradient
-    of the summed top-class logits holds every row's own gradient.  The
+    One taped pass through the classifier's layers and one backward pass
+    per block of ``networks.BLOCK_ROWS`` rows of ``x`` (one pass over all
+    rows up to one block): rows never interact, so the gradient of a
+    block's summed top-class logits holds every row's own gradient.  The
     weights enter frozen, so no gradient is computed for them.  Costs n
     classifier evaluations.
     """
+    return map_blocks(lambda rows: _block_gradient(classifier, rows), x)
+
+
+def _block_gradient(classifier, x: np.ndarray) -> np.ndarray:
     leaf = ad.ParameterSet()
     logits = classifier.logits_tensor(leaf.add("x", x), frozen=True)
     onehot = np.zeros(logits.shape)

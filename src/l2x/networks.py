@@ -12,11 +12,13 @@ All are plain MLPs: relu hidden layers, optional softmax head, Glorot
 uniform initialization.  Each offers two forward paths through one layer
 loop, ``autodiff.dense_array``: a taped one, where ``autodiff.dense``
 records the whole pass through the layers as one node, and a plain
-ndarray one for inference, which frees each layer's input as it goes.
-Parameters are always float64.  Inference and the taped pass at its
-default dtype compute in float64, with identical arithmetic; the
-training loops run the taped pass with float32 matmuls, and the node
-casts the float64 weights for each call (mixed precision).
+ndarray one for inference, which runs :data:`BLOCK_ROWS` rows at a time
+(:func:`map_blocks`) so that its activations stay near the cache size
+whatever the number of rows.  Parameters are always float64.  Inference
+and the taped pass at its default dtype compute in float64, with
+identical arithmetic; the training loops run the taped pass with float32
+matmuls, and the node casts the float64 weights for each call (mixed
+precision).
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
@@ -40,6 +42,8 @@ from .errors import ModelFormatError, ModelVersionError
 from .files import atomic_open
 
 __all__ = [
+    "BLOCK_ROWS",
+    "map_blocks",
     "MlpSpec",
     "Mlp",
     "Classifier",
@@ -59,6 +63,26 @@ FORMAT_VERSION = 1
 
 HEADS = ("softmax", "linear")
 ACTIVATION = "relu"  # of every hidden layer; recorded in the checkpoint header
+
+# rows per block of a pass over a dataset: a (1024, 200) float64 activation is 1.6 MB
+BLOCK_ROWS = 1024
+
+
+def map_blocks(fn, x: np.ndarray) -> np.ndarray:
+    """``fn``, which maps rows to as many rows, over ``x`` in blocks of :data:`BLOCK_ROWS` rows.
+
+    Up to one block (an empty ``x`` included) this is ``fn(x)``; beyond
+    it each block's result is written into one preallocated array.
+    """
+    n = len(x)
+    if n <= BLOCK_ROWS:
+        return fn(x)
+    first = fn(x[:BLOCK_ROWS])
+    out = np.empty((n, *first.shape[1:]), dtype=first.dtype)
+    out[:BLOCK_ROWS] = first
+    for start in range(BLOCK_ROWS, n, BLOCK_ROWS):
+        out[start : start + BLOCK_ROWS] = fn(x[start : start + BLOCK_ROWS])
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,13 +179,24 @@ class Mlp:
         return ad.softmax(h) if self.spec.head == "softmax" else h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free forward pass; accepts (batch, d) or a single (d,) row."""
+        """Tape-free forward pass; accepts (batch, d) or a single (d,) row.
+
+        Runs :func:`map_blocks`: beyond one block, a row's matrix products
+        may round differently from those of one pass over every row.
+        """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        h = self._layers(x[None, :] if single else x,
-                         lambda h, params: ad.dense_array(h, [t.data for t in params]))
-        out = ad.softmax_array(h) if self.spec.head == "softmax" else h
+        out = self._layers(x[None, :] if single else x, self._untaped)
         return out[0] if single else out
+
+    def _untaped(self, x: np.ndarray, params) -> np.ndarray:
+        weights = [t.data for t in params]
+
+        def block(rows):
+            h = ad.dense_array(rows, weights)
+            return ad.softmax_array(h) if self.spec.head == "softmax" else h
+
+        return map_blocks(block, x)
 
 
 class Classifier(Mlp):

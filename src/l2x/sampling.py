@@ -72,7 +72,12 @@ class RelaxedMask:
 
 
 def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
-    return -np.log(-np.log(np.clip(u, _U_LO, _U_HI)))
+    """-log(-log u) of uniform draws clamped away from {0, 1}, in one fresh array; ``u`` is left as is."""
+    g = np.asarray(np.clip(u, _U_LO, _U_HI))  # a scalar u clips to a scalar, which out= cannot take
+    np.log(g, out=g)
+    np.negative(g, out=g)
+    np.log(g, out=g)
+    return np.negative(g, out=g)
 
 
 def sample_gumbel(rng: np.random.Generator | int, rows: int, cols: int) -> GumbelNoise:

@@ -138,6 +138,18 @@ def test_traced_training_gives_the_untraced_parameters(spans, traced):
     assert metrics["training.warmup_discarded_bwd_share"] == 0.0  # warmup stops at the variational net
 
 
+def test_a_blocked_pass_is_one_forward_span(spans, traced):
+    # the block loop must not re-enter the public ``Mlp.forward``, which the tracer wraps
+    tracer, root = traced
+    n = 2 * networks.BLOCK_ROWS + 3
+    x = np.random.default_rng(8).normal(size=(n, datasets.D))
+    classifier = networks.build_classifier(datasets.D, datasets.N_CLASSES, np.random.default_rng(8), hidden=(8, 8))
+    classifier.predict_proba(x)
+    forward = [(s.name, s.attrs["rows"]) for s in tracer.spans[root + 1 :] if s.name.startswith("networks.")]
+    assert forward == [("networks.forward.classifier", n)]
+    assert spans.layer_metrics(tracer, root)["networks.rows_evaluated.classifier"] == n
+
+
 @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
 def test_returned_arrays_survive_later_calls(request, trace):
     if trace:

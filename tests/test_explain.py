@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from l2x import autodiff as ad
 from l2x import explain as ex
 from l2x.errors import JsonlFormatError
-from l2x.networks import Classifier, MlpSpec, build_classifier, build_explainer, init_params
+from l2x.networks import BLOCK_ROWS, Classifier, MlpSpec, build_classifier, build_explainer, init_params
 from l2x.pipeline import explain_dataset, posthoc_for, ranks_for
 
 
@@ -183,6 +184,19 @@ def row_gradient(clf, x):
     return g[0]
 
 
+def one_tape(clf, x):
+    """Input gradients from one tape over every row, every weight on it as a parameter.
+
+    The reference for ``input_gradient``, which tapes a block of rows at a
+    time with the weights frozen.
+    """
+    leaf = ad.ParameterSet()
+    logits = clf.logits_tensor(leaf.add("x", x))
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(x)), logits.data.argmax(axis=1)] = 1.0
+    return ad.backward(ad.reduce_sum(ad.mul(logits, ad.constant(onehot))), leaf)["x"]
+
+
 class TestBatchedExplanations:
     """Every row of one batched pass against the one-row-at-a-time path."""
 
@@ -210,12 +224,7 @@ class TestBatchedExplanations:
         rng = np.random.default_rng(16)
         clf = build_classifier(10, 2, rng, hidden=(32, 32, 32))
         x = rng.normal(size=(50, 10))
-        # reference: every weight on the tape as a parameter, as before the weights were frozen
-        leaf = ad.ParameterSet()
-        logits = clf.logits_tensor(leaf.add("x", x))
-        onehot = np.zeros(logits.shape)
-        onehot[np.arange(50), logits.data.argmax(axis=1)] = 1.0
-        ref = ad.backward(ad.reduce_sum(ad.mul(logits, ad.constant(onehot))), leaf)["x"]
+        ref = one_tape(clf, x)
 
         nodes, dense = [], ad.dense
         monkeypatch.setattr(ad, "dense", lambda *args: nodes.append(dense(*args)) or nodes[-1])
@@ -224,6 +233,34 @@ class TestBatchedExplanations:
         assert clf.eval_count == 50
         (node,) = nodes
         assert node._vjp(np.ones(node.shape))[1:] == (None,) * 8
+
+    @pytest.mark.parametrize("hidden", [(200, 200, 200), (64, 64)], ids=["default", "64x64"])
+    def test_blocked_input_gradient_matches_one_tape(self, hidden):
+        rng = np.random.default_rng(17)
+        clf = build_classifier(10, 2, rng, hidden=hidden)
+        weights = [t.data.copy() for t in clf.params.values()]
+        block = BLOCK_ROWS
+        x = rng.normal(size=(5 * block // 2, 10))
+        grad = ex.input_gradient(clf, x)
+        assert clf.eval_count == len(x)
+        # a block runs other BLAS kernels than the whole matrix, so only the last bits may move
+        np.testing.assert_allclose(grad, one_tape(clf, x), rtol=1e-12, atol=1e-12)
+        for start in range(0, len(x), block):  # each block is one tape over its own rows
+            assert grad[start : start + block].tobytes() == one_tape(clf, x[start : start + block]).tobytes()
+        assert all(t.data.tobytes() == w.tobytes() for t, w in zip(clf.params.values(), weights))
+        assert ex.input_gradient(clf, np.empty((0, 10))).shape == (0, 10)
+
+    def test_input_gradient_traced_peak_stays_within_a_few_blocks(self):
+        # one tape over 20k rows held 165.6 MiB of activations and gradients; blocks need about 10
+        clf = build_classifier(10, 2, np.random.default_rng(18))
+        x = np.random.default_rng(19).normal(size=(20_000, 10))
+        tracemalloc.start()
+        try:
+            ex.input_gradient(clf, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_l2x_matches_per_row(self):
         rng = np.random.default_rng(12)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,73 @@ class TestForward:
         spec_bad = nw.MlpSpec((4, 8, 3), head="linear")
         with pytest.raises(ValueError, match="score per feature"):
             nw.Explainer(spec_bad, nw.init_params(spec_bad, np.random.default_rng(0)))
+
+
+def one_pass(net, x):
+    """The untaped pass over all rows of ``x`` at once: the reference the blocked pass replaces."""
+    h = ad.dense_array(x, [t.data for t in net.params.values()])
+    return ad.softmax_array(h) if net.spec.head == "softmax" else h
+
+
+BUILDERS = {
+    "classifier": lambda rng, hidden: nw.build_classifier(10, 2, rng, **hidden),
+    "explainer": lambda rng, hidden: nw.build_explainer(10, rng, **hidden),
+    "variational": lambda rng, hidden: nw.build_variational(10, 2, rng, **hidden),
+}
+
+
+class TestBlockedForward:
+    """``Mlp.forward`` over blocks of ``BLOCK_ROWS`` rows against one pass over every row."""
+
+    # a block runs other BLAS kernels than the whole matrix, so only the last bits may move
+    TOL = 1e-12
+
+    @pytest.mark.parametrize("role", BUILDERS)
+    @pytest.mark.parametrize("hidden", [{}, {"hidden": (64, 64)}], ids=["default", "64x64"])
+    def test_blocks_match_one_pass(self, role, hidden):
+        rng = np.random.default_rng(21)
+        net = BUILDERS[role](rng, hidden)
+        block = nw.BLOCK_ROWS
+        x = rng.normal(size=(5 * block // 2, 10))
+        out = net.forward(x)
+        assert out.shape == (len(x), net.spec.output_width) and out.flags.c_contiguous
+        np.testing.assert_allclose(out, one_pass(net, x), rtol=self.TOL, atol=self.TOL)
+        for start in range(0, len(x), block):  # each block is one pass over its own rows
+            assert out[start : start + block].tobytes() == one_pass(net, x[start : start + block]).tobytes()
+        for n in (1, 37, block):
+            assert net.forward(x[:n]).tobytes() == one_pass(net, x[:n]).tobytes()
+
+    def test_eval_count_grows_by_the_rows(self):
+        clf = nw.build_classifier(10, 2, np.random.default_rng(22), hidden=(8, 8))
+        x = np.random.default_rng(23).normal(size=(2 * nw.BLOCK_ROWS + 1, 10))
+        clf.predict_proba(x)
+        assert clf.eval_count == len(x)
+        clf.predict_proba(x[:5])
+        assert clf.eval_count == len(x) + 5
+
+    def test_empty_single_row_and_three_dimensional_inputs(self):
+        clf = nw.build_classifier(10, 2, np.random.default_rng(24), hidden=(8, 8))
+        assert clf.forward(np.empty((0, 10))).shape == (0, 2)
+        assert clf.eval_count == 0
+        with pytest.raises(ValueError, match="width"):
+            clf.forward(np.empty((0, 9)))
+        x = np.random.default_rng(25).normal(size=(nw.BLOCK_ROWS + 3, 10))
+        assert clf.forward(x[7]).tobytes() == clf.forward(x[7:8])[0].tobytes()
+        for rows in (2, nw.BLOCK_ROWS + 3):
+            with pytest.raises(ValueError, match=rf"expected \(batch, d\) input, got shape \({rows}, 1, 10\)"):
+                clf.forward(x[:rows, None, :])
+
+    def test_traced_peak_stays_within_a_few_blocks(self):
+        # one pass over 20k rows held 64.9 MiB of (n, 200) activations; blocks need about 3.7
+        clf = nw.build_classifier(10, 2, np.random.default_rng(26))
+        x = np.random.default_rng(27).normal(size=(20_000, 10))
+        tracemalloc.start()
+        try:
+            clf.predict_proba(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestSerialization:

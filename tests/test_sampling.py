@@ -24,6 +24,14 @@ class TestGumbelNoise:
         np.testing.assert_allclose(g[0], -math.log(-math.log(1e-12)), atol=1e-12)
         assert g[1] > 25.0  # -log(-log(1 - 1e-12)) is large but finite
 
+    def test_in_place_kernel_is_the_formula_bit_for_bit_and_leaves_u_alone(self):
+        u = np.random.default_rng(31).uniform(size=(1000, 5, 10))
+        u.flat[:3] = [0.0, 1.0, 1e-300]  # all three clamped
+        before = u.copy()
+        g = sp.gumbel_from_uniform(u)
+        assert g.tobytes() == (-np.log(-np.log(np.clip(before, 1e-12, 1.0 - 1e-12)))).tobytes()
+        assert u.tobytes() == before.tobytes() and not np.shares_memory(g, u)
+
     def test_same_seed_reproduces_exactly(self):
         a = sp.sample_gumbel(123, 4, 6)
         b = sp.sample_gumbel(123, 4, 6)
