@@ -20,15 +20,13 @@ def main():
     x_tr, _, y_tr, _ = ds.as_arrays(ds.generate("xor", 20_000, substream(seed, "data", 0)))
     x_va, _, y_va, truths = ds.as_arrays(ds.generate("xor", 2_000, substream(seed, "data", 1)))
 
-    cfg = TrainConfig(k=k, epochs=8, seed=seed)
-    clf, clf_report = train_classifier(
-        x_tr, y_tr, cfg, hidden=(64, 64, 64), x_val=x_va, y_val=y_va
-    )
+    # one training run, the three networks' hidden widths included
+    cfg = TrainConfig(k=k, epochs=8, seed=seed, classifier_hidden=(64, 64, 64),
+                      explainer_hidden=(64, 64), variational_hidden=(64, 64, 64))
+    clf, clf_report = train_classifier(x_tr, y_tr, cfg, x_val=x_va, y_val=y_va)
     print(f"classifier validation accuracy: {clf_report.val_accuracy:.4f}")
 
-    explainer, variational, report = train_l2x(
-        x_tr, clf, cfg, explainer_hidden=(64, 64), variational_hidden=(64, 64, 64)
-    )
+    explainer, variational, report = train_l2x(x_tr, clf, cfg)
     for stat in report.curve:
         print(f"epoch {stat.epoch}: objective {stat.objective:.4f}")
 

@@ -15,11 +15,11 @@ Flags may also come from a plain ``key=value`` file via --config: each
 line becomes the argument ``--key=value`` (``_`` in a key reads as ``-``),
 placed before the command line's own, so that argparse checks both alike
 and a flag on the command line wins.  The training settings of train-model,
-train-explainer and benchmark, and the settings of oracle, have no
-defaults here: a setting given by flag or config file is passed on, and
-one left unset takes the default of ``TrainConfig``, ``RunConfig``,
-``train_classifier``, ``train_l2x`` or ``run_oracle_suite``.  An
-invalid setting is a usage problem (2).  Checkpoints are loaded for the
+train-explainer and benchmark (the network widths among them), and the
+settings of oracle, have no defaults here: a setting given by flag or
+config file is passed on, and one left unset takes the default of
+``TrainConfig``, ``RunConfig`` or ``run_oracle_suite``.  An invalid
+setting is a usage problem (2).  Checkpoints are loaded for the
 role the command needs; a checkpoint of another kind is a malformed input
 (4).
 """
@@ -89,13 +89,13 @@ _SETTINGS = {
     "--temperature": dict(type=float),
     "--sin-coeff": dict(type=float),
     "--methods": dict(type=_str_tuple),
-    "--hidden": dict(type=_int_tuple),
+    "--hidden": dict(type=_int_tuple, dest="classifier_hidden"),
     "--classifier-hidden": dict(type=_int_tuple),
     "--explainer-hidden": dict(type=_int_tuple),
     "--variational-hidden": dict(type=_int_tuple),
     "--joints": dict(type=int, dest="n_joints", help="random joints to check"),
-    "--max-d": dict(type=int, help="largest feature count of a joint"),
-    "--max-c": dict(type=int, help="largest class count of a joint"),
+    "--max-d": dict(type=int, help="largest feature count of a joint, 2 to 15"),
+    "--max-c": dict(type=int, help="largest class count of a joint, 2 to 64"),
 }
 
 # Finds --config before the full parse; every subcommand declares it by
@@ -164,9 +164,7 @@ def cmd_train_model(args, cmd: argparse.ArgumentParser) -> int:
     x_val = y_val = None
     if args.val_data is not None:
         x_val, _, y_val, _ = as_arrays(read_csv(args.val_data))
-    clf, report = train_classifier(
-        x, y, cfg, x_val=x_val, y_val=y_val, **_given(args, ["hidden"])
-    )
+    clf, report = train_classifier(x, y, cfg, x_val=x_val, y_val=y_val)
     save_model(clf, args.out_model)
     if args.out_curve is not None:
         write_curve_csv(report.curve, args.out_curve)
@@ -181,9 +179,7 @@ def cmd_train_explainer(args, cmd: argparse.ArgumentParser) -> int:
     cfg = _built(cmd, TrainConfig, args, k=_default_k(truths, args.k))
     if cfg.epochs == 0:
         print("warning: --epochs 0 emits untrained checkpoints", file=sys.stderr)
-    explainer, variational, report = train_l2x(
-        x, classifier, cfg, **_given(args, ["explainer_hidden", "variational_hidden"])
-    )
+    explainer, variational, report = train_l2x(x, classifier, cfg)
     save_model(explainer, args.out_explainer)
     save_model(variational, args.out_variational)
     if args.out_curve is not None:

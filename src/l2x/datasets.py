@@ -34,6 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import files
 from .autodiff import sigmoid_array
 from .errors import CsvFormatError
 from .files import atomic_open, float_rows, open_text, parse_blocks
@@ -161,7 +162,6 @@ def as_arrays(data: Dataset):
 
 _HEADER = [f"x{i}" for i in range(D)] + ["p", "y", "truth"]
 _FIELDS = len(_HEADER)
-_BLOCK = 1024  # rows formatted or parsed per step; bounds the text cells held at once
 
 
 def _format_block(x, p, y, truth) -> str:
@@ -180,8 +180,9 @@ def write_csv(data: Dataset, path) -> None:
     """
     with atomic_open(path) as fh:
         fh.write(",".join(_HEADER) + "\r\n")
-        for i in range(0, len(data), _BLOCK):
-            rows = slice(i, i + _BLOCK)
+        block = files.BLOCK_ROWS
+        for i in range(0, len(data), block):
+            rows = slice(i, i + block)
             fh.write(_format_block(data.x[rows], data.p[rows], data.y[rows], data.truth[rows]))
 
 
@@ -258,7 +259,7 @@ def read_csv(path) -> Dataset:
         header = header.rstrip("\n").split(",")
         if header != _HEADER:
             raise CsvFormatError(f"unexpected header {header!r}", line=1)
-        blocks = list(parse_blocks(fh, _parse, CsvFormatError, first=2, block=_BLOCK))
+        blocks = list(parse_blocks(fh, _parse, CsvFormatError, first=2))
     if not blocks:
         raise CsvFormatError("file contains a header but no samples")
     xp, y, truth = (np.concatenate(column) for column in zip(*blocks))

@@ -9,7 +9,7 @@ differentiate the classifier's top-class logit with respect to the input:
   its magnitude.
 
 Every method scores an (n, d) batch with one call, which runs the
-networks over blocks of ``networks.BLOCK_ROWS`` rows so that memory
+networks over blocks of ``files.BLOCK_ROWS`` rows so that memory
 stays bounded whatever n; the single-row functions run the same kernels
 on a batch of one.
 
@@ -31,6 +31,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import autodiff as ad
+from . import files
 from .errors import JsonlFormatError
 from .files import atomic_open, float_rows, open_text, parse_blocks
 from .networks import map_blocks
@@ -110,7 +111,7 @@ def input_gradient(classifier, x: np.ndarray) -> np.ndarray:
     """Per-row gradient of the argmax class's pre-softmax logit w.r.t. the row.
 
     One taped pass through the classifier's layers and one backward pass
-    per block of ``networks.BLOCK_ROWS`` rows of ``x`` (one pass over all
+    per block of ``files.BLOCK_ROWS`` rows of ``x`` (one pass over all
     rows up to one block): rows never interact, so the gradient of a
     block's summed top-class logits holds every row's own gradient.  The
     weights enter frozen, so no gradient is computed for them.  Costs n
@@ -180,7 +181,6 @@ def explain_taylor(
 _TYPES = {"id": int, "method": str, "scores": list, "selected": list, "ns": int}
 _JSON_TYPE = {int: "integer", str: "string", list: "array"}
 _RECORD = '{"id": %d, "method": %s, "scores": [%s], "selected": [%s], "ns": %d}\n'
-_BLOCK = 1024  # records formatted or decoded per step
 
 
 def _format_block(record: Explanations, rows: slice) -> str:
@@ -214,10 +214,11 @@ def write_jsonl(explanations, path) -> None:
     records = [explanations] if isinstance(explanations, Explanations) else list(explanations)
     if len({record.scores.shape[1] for record in records}) > 1:
         raise ValueError("explanations must have scores of one width")
+    block = files.BLOCK_ROWS
     with atomic_open(path) as fh:
         for record in records:
-            for i in range(0, len(record), _BLOCK):
-                fh.write(_format_block(record, slice(i, i + _BLOCK)))
+            for i in range(0, len(record), block):
+                fh.write(_format_block(record, slice(i, i + block)))
 
 
 def _all(values, kind: type) -> bool:
@@ -291,7 +292,7 @@ def read_jsonl(path) -> dict[str, Explanations]:
     """
     parts: dict[str, list[Explanations]] = {}
     with open_text(path) as fh:
-        for block in parse_blocks(fh, _decode, JsonlFormatError, block=_BLOCK):
+        for block in parse_blocks(fh, _decode, JsonlFormatError):
             for part in block:
                 parts.setdefault(part.method, []).append(part)
     return {method: Explanations.concatenate(run) for method, run in parts.items()}

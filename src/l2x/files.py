@@ -1,4 +1,4 @@
-"""Shared pieces of the file writers: atomic replacement and float columns.
+"""Shared pieces of the file writers: atomic replacement, float columns and the row block.
 
 Every writer in the package opens its target through :func:`atomic_open`:
 the bytes go to a temporary file in the target's directory, which is
@@ -11,6 +11,8 @@ file is not fsynced, so this is no promise against power loss.
 :func:`float_rows` formats a whole float matrix in one call, for the CSV
 and JSONL writers; :func:`parse_blocks` runs the CSV and JSONL readers'
 column parsers a block of lines at a time and names the first bad line.
+:data:`BLOCK_ROWS` is the one block size of those and of the networks'
+passes over a dataset; each reads it here at call time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ import os
 import re
 from itertools import islice
 
-__all__ = ["atomic_open", "float_rows", "open_text", "parse_blocks"]
+__all__ = ["BLOCK_ROWS", "atomic_open", "float_rows", "open_text", "parse_blocks"]
+
+# rows, lines or records per block: a (1024, 200) float64 activation is 1.6 MB
+BLOCK_ROWS = 1024
 
 # what ``surrogateescape`` decodes a byte that is not UTF-8 to
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
@@ -73,8 +78,8 @@ def open_text(path):
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def parse_blocks(fh, kernel, error, first: int = 1, block: int = 1024):
-    """Yield ``kernel``'s result for each run of ``block`` lines of ``fh``.
+def parse_blocks(fh, kernel, error, first: int = 1):
+    """Yield ``kernel``'s result for each run of :data:`BLOCK_ROWS` lines of ``fh``.
 
     ``kernel(lines, state)`` parses a run of lines a whole column at a
     time and returns ``(result, state)``; ``state`` (None before the
@@ -92,7 +97,7 @@ def parse_blocks(fh, kernel, error, first: int = 1, block: int = 1024):
         return kernel(lines, state)
 
     state = None
-    while lines := list(islice(fh, block)):
+    while lines := list(islice(fh, BLOCK_ROWS)):
         try:
             result, state = checked(lines, state)
         except ValueError as e:

@@ -30,7 +30,6 @@ __all__ = [
     "median_rank",
     "post_hoc_accuracy",
     "write_ranks_csv",
-    "read_ranks_csv",
 ]
 
 
@@ -169,15 +168,3 @@ def write_ranks_csv(ranks: dict[str, np.ndarray], dataset: str, path) -> None:
         lines += map(prefix.__add__, float_rows(np.asarray(values, dtype=np.float64)[:, None]))
     with atomic_open(path) as fh:
         fh.write("\r\n".join(["method,dataset,median_rank", *lines, ""]))
-
-
-def read_ranks_csv(path) -> list[tuple[str, str, float]]:
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["method", "dataset", "median_rank"]:
-            raise ValueError(f"unexpected ranks header {header!r}")
-        for method, dataset, value in reader:
-            rows.append((method, dataset, float(value)))
-    return rows

@@ -12,7 +12,7 @@ All are plain MLPs: relu hidden layers, optional softmax head, Glorot
 uniform initialization.  Each offers two forward paths through one layer
 loop, ``autodiff.dense_array``: a taped one, where ``autodiff.dense``
 records the whole pass through the layers as one node, and a plain
-ndarray one for inference, which runs :data:`BLOCK_ROWS` rows at a time
+ndarray one for inference, which runs ``files.BLOCK_ROWS`` rows at a time
 (:func:`map_blocks`) so that its activations stay near the cache size
 whatever the number of rows.  Parameters are always float64.  Inference
 and the taped pass at its default dtype compute in float64, with
@@ -37,9 +37,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import files
 from .autodiff import ParameterSet, Tensor
 from .errors import ModelFormatError, ModelVersionError
-from .files import atomic_open
+from .files import BLOCK_ROWS, atomic_open  # BLOCK_ROWS re-exported
 
 __all__ = [
     "BLOCK_ROWS",
@@ -64,24 +65,21 @@ FORMAT_VERSION = 1
 HEADS = ("softmax", "linear")
 ACTIVATION = "relu"  # of every hidden layer; recorded in the checkpoint header
 
-# rows per block of a pass over a dataset: a (1024, 200) float64 activation is 1.6 MB
-BLOCK_ROWS = 1024
-
 
 def map_blocks(fn, x: np.ndarray) -> np.ndarray:
-    """``fn``, which maps rows to as many rows, over ``x`` in blocks of :data:`BLOCK_ROWS` rows.
+    """``fn``, which maps rows to as many rows, over ``x`` in blocks of ``files.BLOCK_ROWS`` rows.
 
     Up to one block (an empty ``x`` included) this is ``fn(x)``; beyond
     it each block's result is written into one preallocated array.
     """
-    n = len(x)
-    if n <= BLOCK_ROWS:
+    n, block = len(x), files.BLOCK_ROWS
+    if n <= block:
         return fn(x)
-    first = fn(x[:BLOCK_ROWS])
+    first = fn(x[:block])
     out = np.empty((n, *first.shape[1:]), dtype=first.dtype)
-    out[:BLOCK_ROWS] = first
-    for start in range(BLOCK_ROWS, n, BLOCK_ROWS):
-        out[start : start + BLOCK_ROWS] = fn(x[start : start + BLOCK_ROWS])
+    out[:block] = first
+    for start in range(block, n, block):
+        out[start : start + block] = fn(x[start : start + block])
     return out
 
 
@@ -252,21 +250,15 @@ class VariationalNet(Mlp):
         super().__init__(spec, params)
 
 
-def build_classifier(
-    d: int, n_classes: int, rng: np.random.Generator, hidden: tuple[int, ...] = (200, 200, 200)
-) -> Classifier:
+def build_classifier(d: int, n_classes: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> Classifier:
     return Classifier.build(MlpSpec((d, *hidden, n_classes), head="softmax"), rng)
 
 
-def build_explainer(
-    d: int, rng: np.random.Generator, hidden: tuple[int, ...] = (200, 200)
-) -> Explainer:
+def build_explainer(d: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> Explainer:
     return Explainer.build(MlpSpec((d, *hidden, d), head="linear"), rng)
 
 
-def build_variational(
-    d: int, n_classes: int, rng: np.random.Generator, hidden: tuple[int, ...] = (200, 200, 200)
-) -> VariationalNet:
+def build_variational(d: int, n_classes: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> VariationalNet:
     return VariationalNet.build(MlpSpec((d, *hidden, n_classes), head="softmax"), rng)
 
 

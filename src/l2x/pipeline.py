@@ -50,7 +50,7 @@ METHODS = ("l2x", "saliency", "taylor")  # the default; any of explain.ALL_METHO
 
 @dataclass(frozen=True, kw_only=True)
 class RunConfig(TrainConfig):
-    """Benchmark parameters: the training settings, the data, the widths and the methods.
+    """Benchmark parameters: the training settings, the data and the methods.
 
     Validated before any work starts; ``k`` defaults to the dataset's truth size.
     """
@@ -60,9 +60,6 @@ class RunConfig(TrainConfig):
     n_train: int = 100_000
     n_valid: int = 10_000
     sin_coeff: float = DEFAULT_SIN_COEFF
-    classifier_hidden: tuple[int, ...] = (200, 200, 200)
-    explainer_hidden: tuple[int, ...] = (200, 200)
-    variational_hidden: tuple[int, ...] = (200, 200, 200)
     methods: tuple[str, ...] = METHODS
 
     def __post_init__(self):
@@ -93,7 +90,9 @@ def explain_dataset(
 
     Every method scores all rows in one batched pass and selects with one
     top-k call; each row's ns is the total amortized over rows.
-    ``threads`` is accepted for older callers and has no effect.
+    ``threads`` has no effect; it stays because the bench harness
+    (``bench/workloads.py``) passes it and stays the same across the
+    commits it compares.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -175,9 +174,7 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
         timings["train_l2x_ms"] = None
     else:
         t0 = time.perf_counter()
-        clf, clf_report = train_classifier(
-            x_tr, y_tr, config, hidden=config.classifier_hidden, x_val=x_va, y_val=y_va
-        )
+        clf, clf_report = train_classifier(x_tr, y_tr, config, x_val=x_va, y_val=y_va)
         timings["train_model_ms"] = (time.perf_counter() - t0) * 1e3
         save_model(clf, out / "model.l2x")
         write_curve_csv(clf_report.curve, out / "model_curve.csv")
@@ -187,11 +184,7 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
         }
 
         t0 = time.perf_counter()
-        explainer, variational, l2x_report = train_l2x(
-            x_tr, clf, config,
-            explainer_hidden=config.explainer_hidden,
-            variational_hidden=config.variational_hidden,
-        )
+        explainer, variational, l2x_report = train_l2x(x_tr, clf, config)
         timings["train_l2x_ms"] = (time.perf_counter() - t0) * 1e3
         save_model(explainer, out / "explainer.l2x")
         save_model(variational, out / "variational.l2x")
@@ -243,12 +236,20 @@ def run_oracle_suite(
     For each joint: the brute-force search's two subset characterizations
     must agree (it raises internally if not), adding a feature never
     lowers the best mutual information, the exact conditional attains a
-    zero gap, and a perturbed conditional pays a positive one.  A
-    setting out of range raises ValueError before any work.
+    zero gap, and a perturbed conditional pays a positive one.
+
+    ``max_d`` lies in [2, 15] and ``max_c`` in [2, 64]: a joint lists all
+    2^d feature vectors, 15 is the largest d whose every C(d, k) fits
+    :func:`brute_force_best_subset`'s subset cap, and ``max_c`` bounds
+    each vector's class distribution.  A setting out of range raises
+    ValueError before any work.
     """
-    for name, value, least in (("joints", n_joints, 1), ("max_d", max_d, 2), ("max_c", max_c, 2)):
+    for name, value, least, most in (("joints", n_joints, 1, None), ("max_d", max_d, 2, 15),
+                                     ("max_c", max_c, 2, 64)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise ValueError(f"{name} must be at most {most}, got {value}")
     rng = np.random.default_rng(seed)
     worst_gap = 0.0
     worst_monotonicity = 0.0

@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 PROB_CLAMP = 1e-12
+# RMSprop's squared-gradient decay and denominator floor
+DECAY = 0.9
+EPSILON = 1e-7
 # compute dtype of the taped network passes in both training loops
 TRAIN_DTYPE = np.float32
 
@@ -55,21 +58,15 @@ TRAIN_DTYPE = np.float32
 class RmsProp:
     """RMSprop with a per-parameter squared-gradient accumulator.
 
-    acc <- rho * acc + (1 - rho) * g^2;  p <- p - lr * g / (sqrt(acc) + eps)
+    acc <- DECAY * acc + (1 - DECAY) * g^2;  p <- p - lr * g / (sqrt(acc) + EPSILON)
 
     computed in place, through two scratch arrays per parameter, in that order of operations.
     """
 
-    def __init__(self, learning_rate: float = 0.001, decay: float = 0.9, epsilon: float = 1e-7):
+    def __init__(self, learning_rate: float):
         if not learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must lie in [0, 1), got {decay}")
-        if not epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.learning_rate = learning_rate
-        self.decay = decay
-        self.epsilon = epsilon
         self.acc: dict[str, np.ndarray] = {}
         self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -85,12 +82,12 @@ class RmsProp:
                 acc = self.acc[name] = np.zeros_like(t.data)
                 self._scratch[name] = (np.empty_like(t.data), np.empty_like(t.data))
             update, denom = self._scratch[name]
-            np.multiply(1.0 - self.decay, g, out=update)
+            np.multiply(1.0 - DECAY, g, out=update)
             update *= g
-            acc *= self.decay
+            acc *= DECAY
             acc += update
             np.sqrt(acc, out=denom)
-            denom += self.epsilon
+            denom += EPSILON
             np.multiply(self.learning_rate, g, out=update)
             update /= denom
             t.data -= update
@@ -98,7 +95,7 @@ class RmsProp:
 
 @dataclass(frozen=True, kw_only=True)
 class TrainConfig:
-    """Knobs for both training loops; ``RunConfig`` extends it, and the CLI takes its defaults."""
+    """Knobs and network widths for both training loops; ``RunConfig`` extends it, and the CLI takes its defaults."""
 
     k: int
     learning_rate: float = 0.001
@@ -107,6 +104,9 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
     warmup_epochs: int = 2
+    classifier_hidden: tuple[int, ...] = (200, 200, 200)
+    explainer_hidden: tuple[int, ...] = (200, 200)
+    variational_hidden: tuple[int, ...] = (200, 200, 200)
 
     def __post_init__(self):
         if self.k < 1:
@@ -119,6 +119,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.warmup_epochs < 0:
             raise ValueError(f"warmup_epochs must be nonnegative, got {self.warmup_epochs}")
+        for name in ("classifier_hidden", "explainer_hidden", "variational_hidden"):
+            widths = getattr(self, name)
+            if not widths or min(widths) < 1:
+                raise ValueError(f"{name} must be one or more positive widths, got {widths}")
 
 
 @dataclass
@@ -126,8 +130,7 @@ class ObjectiveEstimate:
     """Monte Carlo estimate of the selection objective on one batch."""
 
     value: float
-    batch_size: int
-    root: Tensor = field(default=None, repr=False)  # graph root, for backward
+    root: Tensor = field(repr=False)  # graph root, for backward
 
     def __post_init__(self):
         if self.value > 0.0:
@@ -147,9 +150,16 @@ class TrainReport:
     val_accuracy: float | None = None
 
 
-def _clamped_log(probs: Tensor) -> Tensor:
+def _log_likelihood(target: np.ndarray, probs: Tensor) -> Tensor:
+    """Batch mean of sum_y target_y * log max(probs_y, PROB_CLAMP), the quantity both loops train on.
+
+    The classifier minimizes its negation against one-hot labels; the
+    selector maximizes it against the classifier's probabilities.
+    """
+    target = ad.constant(target)
     floor = ad.constant(np.full(probs.shape, PROB_CLAMP))
-    return ad.log(ad.maximum(probs, floor))
+    ll = ad.mul(target, ad.log(ad.maximum(probs, floor)))
+    return ad.reduce_mean(ad.reduce_sum(ll, axis=1))
 
 
 def l2x_objective(
@@ -232,7 +242,6 @@ def train_classifier(
     x: np.ndarray,
     y: np.ndarray,
     config: TrainConfig,
-    hidden: tuple[int, ...] = (200, 200, 200),
     x_val: np.ndarray | None = None,
     y_val: np.ndarray | None = None,
 ) -> tuple[Classifier, TrainReport]:
@@ -243,7 +252,7 @@ def train_classifier(
         raise ValueError(f"labels must be (n,), got {y.shape} for n={x.shape[0]}")
     n, d = x.shape
 
-    clf = build_classifier(d, N_CLASSES, substream(config.seed, "init"), hidden=hidden)
+    clf = build_classifier(d, N_CLASSES, substream(config.seed, "init"), config.classifier_hidden)
     onehot = np.zeros((n, N_CLASSES))
     onehot[np.arange(n), y] = 1.0
 
@@ -253,8 +262,7 @@ def train_classifier(
         probs = clf.forward_tensor(ad.constant(x[idx]), TRAIN_DTYPE)
         if not np.all(np.isfinite(probs.data)):
             raise NumericError(f"classifier probabilities became non-finite at step {step_index}")
-        ll = ad.mul(ad.constant(onehot[idx]), _clamped_log(probs))
-        loss = ad.neg(ad.reduce_mean(ad.reduce_sum(ll, axis=1)))
+        loss = ad.neg(_log_likelihood(onehot[idx], probs))
         value = loss.item()
         if not np.isfinite(value):
             raise NumericError(f"classifier loss became {value} at step {step_index}")
@@ -274,8 +282,6 @@ def train_l2x(
     x: np.ndarray,
     classifier: Classifier,
     config: TrainConfig,
-    explainer_hidden: tuple[int, ...] = (200, 200),
-    variational_hidden: tuple[int, ...] = (200, 200, 200),
 ) -> tuple[Explainer, VariationalNet, TrainReport]:
     """Jointly train explainer and variational net against a frozen classifier.
 
@@ -298,8 +304,8 @@ def train_l2x(
     n_classes = classifier.spec.output_width
 
     init_rng = substream(config.seed, "init", 1)
-    explainer = build_explainer(d, init_rng, hidden=explainer_hidden)
-    variational = build_variational(d, n_classes, init_rng, hidden=variational_hidden)
+    explainer = build_explainer(d, init_rng, config.explainer_hidden)
+    variational = build_variational(d, n_classes, init_rng, config.variational_hidden)
 
     joint = ParameterSet()
     joint.merge("explainer", explainer.params)
@@ -327,9 +333,8 @@ def train_l2x(
             raise NumericError(f"{e} at step {step_index}") from None
         if not np.isfinite(est.value):
             raise NumericError(f"objective became {est.value} at step {step_index}")
-        grads = ad.backward(est.root, active)
         # ascent on the objective
-        opt.step(active, {name: -g for name, g in grads.items()})
+        opt.step(active, ad.backward(ad.neg(est.root), active))
         return est.value
 
     return explainer, variational, TrainReport(curve=_epochs(config, n, joint, step))
@@ -355,9 +360,8 @@ def _frozen_objective(
     q = q_of(masked)
     if not np.all(np.isfinite(q.data)):
         raise NumericError("variational output became non-finite")
-    ll = ad.mul(ad.constant(pm), _clamped_log(q))
-    root = ad.reduce_mean(ad.reduce_sum(ll, axis=1))
-    return ObjectiveEstimate(value=root.item(), batch_size=x.shape[0], root=root)
+    root = _log_likelihood(pm, q)
+    return ObjectiveEstimate(value=root.item(), root=root)
 
 
 def write_curve_csv(curve: list[EpochStat], path) -> None:
@@ -365,15 +369,3 @@ def write_curve_csv(curve: list[EpochStat], path) -> None:
         fh.write("epoch,objective,wall_ms\n")
         for stat in curve:
             fh.write(f"{stat.epoch},{repr(stat.objective)},{stat.wall_ms:.3f}\n")
-
-
-def read_curve_csv(path) -> list[EpochStat]:
-    stats = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "epoch,objective,wall_ms":
-            raise ValueError(f"unexpected curve header {header!r}")
-        for line in fh:
-            epoch, objective, wall = line.strip().split(",")
-            stats.append(EpochStat(int(epoch), float(objective), float(wall)))
-    return stats

@@ -115,11 +115,10 @@ def traced(spans):
 def _train(seed: int):
     """Every trained parameter's bytes and both curves of a tiny classifier + selector run."""
     x, _, y, _ = datasets.as_arrays(datasets.generate("switch", 300, substream(seed, "data", 0)))
-    config = training.TrainConfig(k=3, epochs=3, warmup_epochs=1, batch_size=64, seed=seed)
-    clf, clf_report = training.train_classifier(x, y, config, hidden=(8, 8, 8))
-    explainer, variational, report = training.train_l2x(
-        x, clf, config, explainer_hidden=(8, 8), variational_hidden=(8, 8, 8)
-    )
+    config = training.TrainConfig(k=3, epochs=3, warmup_epochs=1, batch_size=64, seed=seed,
+                                  classifier_hidden=(8, 8, 8), explainer_hidden=(8, 8), variational_hidden=(8, 8, 8))
+    clf, clf_report = training.train_classifier(x, y, config)
+    explainer, variational, report = training.train_l2x(x, clf, config)
     nets = (clf, explainer, variational)
     return ([t.data.tobytes() for net in nets for t in net.params.values()],
             [stat.objective for stat in clf_report.curve + report.curve])

@@ -13,7 +13,6 @@ import pytest
 from l2x import cli, pipeline
 from l2x.datasets import read_csv
 from l2x.explain import read_jsonl
-from l2x.metrics import read_ranks_csv
 from l2x.networks import load_model
 from l2x.pipeline import RunConfig
 from l2x.training import TrainConfig
@@ -21,6 +20,13 @@ from l2x.training import TrainConfig
 
 def run(*argv) -> int:
     return cli.main([str(a) for a in argv])
+
+
+def ranks_rows(path: Path) -> list[list[str]]:
+    """The fields of each body line of a ranks.csv, after checking its header."""
+    header, *body = path.read_text().splitlines()
+    assert header == "method,dataset,median_rank"
+    return [line.split(",") for line in body]
 
 
 @pytest.fixture(scope="module")
@@ -167,10 +173,10 @@ class TestEvaluate:
                    "--model", workdir / "model.l2x",
                    "--out-ranks", ranks_path, "--out-posthoc", ph_path,
                    "--dataset-label", "xor") == 0
-        rows = read_ranks_csv(ranks_path)
+        rows = ranks_rows(ranks_path)
         assert len(rows) == 160
         assert {r[0] for r in rows} == {"l2x", "saliency"}
-        assert all(r[1] == "xor" and 1.0 <= r[2] <= 10.0 for r in rows)
+        assert all(r[1] == "xor" and 1.0 <= float(r[2]) <= 10.0 for r in rows)
         payload = json.loads(ph_path.read_text())
         assert set(payload["accuracy"]) == {"l2x", "saliency", "truth"}
         assert all(0.0 <= v <= 1.0 for v in payload["accuracy"].values())
@@ -210,8 +216,9 @@ class TestBenchmark:
         assert summary["classifier_evals"]["l2x"] == 0
         assert summary["classifier_evals"]["saliency"] == 60
         assert summary["optimal_median"] == 1.5
-        rows = read_ranks_csv(out / "ranks.csv")
+        rows = ranks_rows(out / "ranks.csv")
         assert len(rows) == 180  # 3 methods x 60 samples
+        assert all(len(r) == 3 and r[1] == "xor" and 1.0 <= float(r[2]) <= 10.0 for r in rows)
 
     def test_reuse_skips_training(self, tmp_path):
         out = tmp_path / "run"
@@ -233,6 +240,14 @@ class TestBenchmark:
         assert run("benchmark", "--dataset", "switch", "--out-dir", out, "--all",
                    "--sin-coeff", "nan", *BENCH_ARGS) == 2
         assert not (out / "model.l2x").exists()
+
+    @pytest.mark.parametrize("flag", ["--classifier-hidden", "--explainer-hidden", "--variational-hidden"])
+    def test_width_below_one_exits_2_before_any_work(self, tmp_path, capsys, flag):
+        out = tmp_path / "run"
+        assert run("benchmark", "--dataset", "xor", "--out-dir", out, "--all", *BENCH_ARGS, flag, 0) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and f"{flag[2:].replace('-', '_')} must be one or more positive widths" in err
+        assert not out.exists()
 
     def test_missing_artifacts_without_all_exits_4(self, tmp_path):
         assert run("benchmark", "--dataset", "xor", "--out-dir", tmp_path / "empty",
@@ -288,7 +303,7 @@ SETTINGS = [
         ("--batch-size", 7, "batch_size", 7),
         ("--learning-rate", 0.25, "learning_rate", 0.25),
     ]),
-    ("train-model", "--hidden", "4,4", "hidden", (4, 4)),
+    ("train-model", "--hidden", "4,4", "classifier_hidden", (4, 4)),
     *((command, *row) for command in ("train-explainer", "benchmark") for row in [
         ("--k", 3, "k", 3),
         ("--warmup-epochs", 1, "warmup_epochs", 1),
@@ -315,9 +330,8 @@ class _Captured(Exception):
 def settings_reached(monkeypatch, workdir, tmp_path, command, *extra) -> dict:
     """The config fields and keyword settings ``command`` passes on; nothing runs.
 
-    The training functions also take their data by keyword, so of their
-    keywords only the network widths are settings; every keyword that
-    ``oracle`` passes is one.
+    The training functions take their settings in the config and their
+    data by keyword; every keyword that ``oracle`` passes is a setting.
     """
     target, required = SETTING_COMMANDS[command]
     seen = {}
@@ -325,8 +339,8 @@ def settings_reached(monkeypatch, workdir, tmp_path, command, *extra) -> dict:
     def capture(*args, **kwargs):
         for config in (a for a in args if isinstance(a, (TrainConfig, RunConfig))):
             seen.update(dataclasses.asdict(config))
-        seen.update({name: v for name, v in kwargs.items()
-                     if name.endswith("hidden") or command == "oracle"})
+        if command == "oracle":
+            seen.update(kwargs)
         raise _Captured
 
     monkeypatch.setattr(cli, target, capture)
@@ -390,14 +404,20 @@ class TestOracleCommand:
         assert printed == on_disk
         assert on_disk["joints"] == 5 and on_disk["all_consistent"]
 
-    @pytest.mark.parametrize("argv, name, least", [
-        (("--joints", -3), "joints", 1), (("--joints", 0), "joints", 1),
-        (("--max-d", 1), "max_d", 2), (("--max-c", 1), "max_c", 2),
-    ], ids=["negative-joints", "zero-joints", "max-d-1", "max-c-1"])
-    def test_out_of_range_setting_exits_2_naming_it(self, tmp_path, capsys, argv, name, least):
+    @pytest.mark.parametrize("argv, name, bound", [
+        (("--joints", -3), "joints", "at least 1"), (("--joints", 0), "joints", "at least 1"),
+        (("--max-d", 1), "max_d", "at least 2"), (("--max-c", 1), "max_c", "at least 2"),
+        (("--max-d", 40), "max_d", "at most 15"), (("--max-c", 10**9), "max_c", "at most 64"),
+    ], ids=["negative-joints", "zero-joints", "max-d-1", "max-c-1", "max-d-40", "max-c-1e9"])
+    def test_out_of_range_setting_exits_2_naming_it(self, tmp_path, capsys, monkeypatch, argv, name, bound):
+        def no_joint(*args):
+            raise AssertionError("a joint was drawn for an out-of-range setting")
+
+        # 2^40 feature vectors or 10^9 classes would exhaust memory: no joint may be drawn
+        monkeypatch.setattr(pipeline, "random_binary_joint", no_joint)
         assert run("oracle", *argv, "--out", tmp_path / "oracle.json") == 2
         captured = capsys.readouterr()
-        assert f"error: {name} must be at least {least}, got {argv[1]}" in captured.err
+        assert f"error: {name} must be {bound}, got {argv[1]}" in captured.err
         assert "usage" in captured.err and captured.out == ""
         assert not (tmp_path / "oracle.json").exists()
 

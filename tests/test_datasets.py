@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from l2x import datasets as ds
+from l2x import files
 from l2x.errors import CsvFormatError
 
 
@@ -283,7 +284,7 @@ class TestCsv:
             ds.read_csv(path)
 
     def test_errors_in_later_blocks_name_the_file_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ds, "_BLOCK", 3)
+        monkeypatch.setattr(files, "BLOCK_ROWS", 3)
         path = self._corrupt(tmp_path, line=5, column=10, value="1.5")
         with pytest.raises(CsvFormatError, match=r"outside \[0, 1\].*line 5"):
             ds.read_csv(path)
@@ -317,7 +318,7 @@ class TestCsvColumnKernel:
 
     @pytest.mark.parametrize("kind", ds.KINDS)
     def test_bytes_match_per_row_writer(self, tmp_path, monkeypatch, kind):
-        monkeypatch.setattr(ds, "_BLOCK", 64)  # several blocks and a partial last one
+        monkeypatch.setattr(files, "BLOCK_ROWS", 64)  # several blocks and a partial last one
         data = ds.generate(kind, 300, 11)
         ds.write_csv(data, tmp_path / "data.csv")
         assert (tmp_path / "data.csv").read_bytes() == reference_csv(data)
@@ -335,7 +336,7 @@ class TestCsvColumnKernel:
     @pytest.mark.parametrize("ending", ["\r\n", "\n"])
     @pytest.mark.parametrize("final_newline", [True, False])
     def test_line_ends_and_missing_final_newline(self, tmp_path, monkeypatch, ending, final_newline):
-        monkeypatch.setattr(ds, "_BLOCK", 4)
+        monkeypatch.setattr(files, "BLOCK_ROWS", 4)
         data = ds.generate("switch", 9, 5)
         ds.write_csv(data, tmp_path / "a.csv")
         text = ending.join((tmp_path / "a.csv").read_bytes().decode().splitlines())

@@ -10,6 +10,7 @@ import pytest
 
 from l2x import autodiff as ad
 from l2x import explain as ex
+from l2x import files
 from l2x.errors import JsonlFormatError
 from l2x.networks import BLOCK_ROWS, Classifier, MlpSpec, build_classifier, build_explainer, init_params
 from l2x.pipeline import explain_dataset, posthoc_for, ranks_for
@@ -252,7 +253,7 @@ class TestBatchedExplanations:
 
     def test_input_gradient_traced_peak_stays_within_a_few_blocks(self):
         # one tape over 20k rows held 165.6 MiB of activations and gradients; blocks need about 10
-        clf = build_classifier(10, 2, np.random.default_rng(18))
+        clf = build_classifier(10, 2, np.random.default_rng(18), (200, 200, 200))  # the default widths
         x = np.random.default_rng(19).normal(size=(20_000, 10))
         tracemalloc.start()
         try:
@@ -470,14 +471,14 @@ class TestJsonlColumnKernel:
         assert (tmp_path / "e.jsonl").read_bytes() == reference_jsonl([record])
 
     def test_bytes_match_json_dumps_per_record(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ex, "_BLOCK", 16)  # several blocks and a partial last one
+        monkeypatch.setattr(files, "BLOCK_ROWS", 16)  # several blocks and a partial last one
         records = mixed_explanations()
         assert {r.method for r in records} == {"l2x", "saliency", "taylor", "taylor-abs"}
         ex.write_jsonl(records, tmp_path / "e.jsonl")
         assert (tmp_path / "e.jsonl").read_bytes() == reference_jsonl(records)
 
     def test_round_trip_bitwise_including_non_finite(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ex, "_BLOCK", 16)
+        monkeypatch.setattr(files, "BLOCK_ROWS", 16)
         records = mixed_explanations()
         ex.write_jsonl(records, tmp_path / "e.jsonl")
         back = ex.read_jsonl(tmp_path / "e.jsonl")
@@ -487,7 +488,7 @@ class TestJsonlColumnKernel:
             assert_records_equal(back[record.method], record)
 
     def test_interleaved_methods_group_in_order_of_first_appearance(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ex, "_BLOCK", 7)
+        monkeypatch.setattr(files, "BLOCK_ROWS", 7)
         records = mixed_explanations()[:2]
         pieces = [rows_of(r, slice(i, i + 5)) for i in range(0, 40, 5) for r in records[::-1]]
         ex.write_jsonl(pieces, tmp_path / "e.jsonl")
@@ -565,14 +566,14 @@ class TestJsonlColumnKernel:
             ex.read_jsonl(self._write(tmp_path, lines))
 
     def test_errors_in_later_blocks_name_the_file_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ex, "_BLOCK", 3)
+        monkeypatch.setattr(files, "BLOCK_ROWS", 3)
         lines = self._lines(tmp_path, n=12)
         lines[9] = lines[9][:-5]
         with pytest.raises(JsonlFormatError, match="bad JSON.*line 11"):
             ex.read_jsonl(self._write(tmp_path, ["", *lines]))
 
     def test_non_utf8_byte_names_its_line(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ex, "_BLOCK", 4)
+        monkeypatch.setattr(files, "BLOCK_ROWS", 4)
         lines = self._lines(tmp_path, n=10)
         data = ("\n".join(lines) + "\n").encode()
         at = data.index(b'"method"', data.index(b"\n", data.index(b'"id": 6')))

@@ -9,6 +9,7 @@ import pytest
 
 from l2x import datasets as ds
 from l2x import explain as ex
+from l2x import files
 from l2x.errors import CsvFormatError
 from l2x.files import atomic_open, float_rows, open_text, parse_blocks
 from l2x.networks import build_classifier, load_model, save_model
@@ -61,7 +62,7 @@ def test_csv_writer_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
         return real(*columns)
 
     real = ds._format_block
-    monkeypatch.setattr(ds, "_BLOCK", 4)
+    monkeypatch.setattr(files, "BLOCK_ROWS", 4)
     monkeypatch.setattr(ds, "_format_block", fail_on_second_block)
     with pytest.raises(MemoryError):
         ds.write_csv(ds.generate("orange_skin", 10, 1), target)
@@ -99,17 +100,18 @@ def test_float_rows_match_repr(sep):
     assert float_rows(np.zeros((0, 3)), sep) == []
 
 
-def _lines_read(path, block: int) -> list[str]:
+def _lines_read(path) -> list[str]:
     with open_text(path) as fh:
-        blocks = parse_blocks(fh, lambda lines, state: (lines, state), CsvFormatError, first=2, block=block)
+        blocks = parse_blocks(fh, lambda lines, state: (lines, state), CsvFormatError, first=2)
         return [line for lines in blocks for line in lines]
 
 
 @pytest.mark.parametrize("block", [1, 2, 16])
-def test_parse_blocks_names_a_line_that_is_not_utf8(tmp_path, block):
+def test_parse_blocks_names_a_line_that_is_not_utf8(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(files, "BLOCK_ROWS", block)
     path = tmp_path / "t.txt"
     path.write_bytes(b"a\nb\xc3\xa9\nc\r\nd\xffe\nf\n")
     with pytest.raises(CsvFormatError, match="not UTF-8 text.*line 5"):
-        _lines_read(path, block)
+        _lines_read(path)
     path.write_bytes(b"a\nb\xc3\xa9\nc\r\nde\nf")
-    assert _lines_read(path, block) == ["a\n", "b\u00e9\n", "c\n", "de\n", "f"]
+    assert _lines_read(path) == ["a\n", "b\u00e9\n", "c\n", "de\n", "f"]

@@ -164,10 +164,11 @@ def one_pass(net, x):
     return ad.softmax_array(h) if net.spec.head == "softmax" else h
 
 
+DEFAULT = training.TrainConfig(k=1)  # the default widths
 BUILDERS = {
-    "classifier": lambda rng, hidden: nw.build_classifier(10, 2, rng, **hidden),
-    "explainer": lambda rng, hidden: nw.build_explainer(10, rng, **hidden),
-    "variational": lambda rng, hidden: nw.build_variational(10, 2, rng, **hidden),
+    "classifier": lambda rng, hidden: nw.build_classifier(10, 2, rng, hidden or DEFAULT.classifier_hidden),
+    "explainer": lambda rng, hidden: nw.build_explainer(10, rng, hidden or DEFAULT.explainer_hidden),
+    "variational": lambda rng, hidden: nw.build_variational(10, 2, rng, hidden or DEFAULT.variational_hidden),
 }
 
 
@@ -178,7 +179,7 @@ class TestBlockedForward:
     TOL = 1e-12
 
     @pytest.mark.parametrize("role", BUILDERS)
-    @pytest.mark.parametrize("hidden", [{}, {"hidden": (64, 64)}], ids=["default", "64x64"])
+    @pytest.mark.parametrize("hidden", [None, (64, 64)], ids=["default", "64x64"])
     def test_blocks_match_one_pass(self, role, hidden):
         rng = np.random.default_rng(21)
         net = BUILDERS[role](rng, hidden)
@@ -214,7 +215,7 @@ class TestBlockedForward:
 
     def test_traced_peak_stays_within_a_few_blocks(self):
         # one pass over 20k rows held 64.9 MiB of (n, 200) activations; blocks need about 3.7
-        clf = nw.build_classifier(10, 2, np.random.default_rng(26))
+        clf = nw.build_classifier(10, 2, np.random.default_rng(26), DEFAULT.classifier_hidden)
         x = np.random.default_rng(27).normal(size=(20_000, 10))
         tracemalloc.start()
         try:
@@ -244,9 +245,10 @@ class TestSerialization:
         rng = np.random.default_rng(23)
         x = rng.normal(size=(120, 4))
         y = (x[:, 0] > 0).astype(int)
-        cfg = training.TrainConfig(k=2, batch_size=40, epochs=2, warmup_epochs=1, seed=4)
-        clf, _ = training.train_classifier(x, y, cfg, hidden=(8, 8, 8))
-        ex, var, _ = training.train_l2x(x, clf, cfg, explainer_hidden=(6, 6), variational_hidden=(6, 6, 6))
+        cfg = training.TrainConfig(k=2, batch_size=40, epochs=2, warmup_epochs=1, seed=4, classifier_hidden=(8, 8, 8),
+                                   explainer_hidden=(6, 6), variational_hidden=(6, 6, 6))
+        clf, _ = training.train_classifier(x, y, cfg)
+        ex, var, _ = training.train_l2x(x, clf, cfg)
         for net in (clf, ex, var):
             blob = nw.serialize(net)
             assert blob[4:8] == (1).to_bytes(4, "little")

@@ -31,7 +31,7 @@ class TestRmsProp:
     def test_first_step_known_value(self):
         params = ad.ParameterSet()
         p = params.add("p", [1.0])
-        opt = tr.RmsProp(learning_rate=0.001, decay=0.9, epsilon=1e-7)
+        opt = tr.RmsProp(learning_rate=0.001)
         opt.step(params, {"p": np.array([1.0])})
         # acc = 0.1, delta = -0.001 / (sqrt(0.1) + 1e-7)
         expected = 1.0 - 0.001 / (math.sqrt(0.1) + 1e-7)
@@ -42,7 +42,7 @@ class TestRmsProp:
         params = ad.ParameterSet()
         p = params.add("p", np.arange(4.0))
         before = p.data.copy()
-        tr.RmsProp().step(params, {"p": np.zeros(4)})
+        tr.RmsProp(0.001).step(params, {"p": np.zeros(4)})
         np.testing.assert_array_equal(p.data, before)
 
     def test_constant_gradient_step_approaches_learning_rate(self):
@@ -59,7 +59,7 @@ class TestRmsProp:
     def test_accumulator_stays_nonnegative_and_shaped(self):
         params = ad.ParameterSet()
         params.add("w", np.zeros((3, 2)))
-        opt = tr.RmsProp()
+        opt = tr.RmsProp(0.001)
         for s in range(5):
             opt.step(params, {"w": np.random.default_rng(s).normal(size=(3, 2))})
         assert opt.acc["w"].shape == (3, 2)
@@ -70,8 +70,8 @@ class TestRmsProp:
         params = ad.ParameterSet()
         params.add("w", rng.normal(size=(4, 3)))
         params.add("b", rng.normal(size=(3,)))
-        lr, rho, eps = 0.01, 0.9, 1e-7
-        opt = tr.RmsProp(learning_rate=lr, decay=rho, epsilon=eps)
+        lr, rho, eps = 0.01, tr.DECAY, tr.EPSILON
+        opt = tr.RmsProp(lr)
         ref = {name: t.data.copy() for name, t in params.items()}
         acc = {name: np.zeros_like(v) for name, v in ref.items()}
         for _ in range(6):
@@ -89,12 +89,12 @@ class TestRmsProp:
         params = ad.ParameterSet()
         params.add("p", np.zeros(3))
         with pytest.raises(ValueError, match="shape"):
-            tr.RmsProp().step(params, {"p": np.zeros(4)})
+            tr.RmsProp(0.001).step(params, {"p": np.zeros(4)})
 
     def test_hyperparameter_validation(self):
-        for kwargs in ({"learning_rate": 0.0}, {"decay": 1.0}, {"epsilon": 0.0}):
-            with pytest.raises(ValueError):
-                tr.RmsProp(**kwargs)
+        for learning_rate in (0.0, -0.001, math.nan):
+            with pytest.raises(ValueError, match="learning_rate must be positive"):
+                tr.RmsProp(learning_rate)
 
 
 class TestTrainConfig:
@@ -105,8 +105,16 @@ class TestTrainConfig:
         assert cfg.batch_size == 1000
         assert cfg.epochs == 10
         assert cfg.warmup_epochs == 2
-        opt = tr.RmsProp(cfg.learning_rate)
-        assert (opt.decay, opt.epsilon) == (0.9, 1e-7)
+        assert cfg.classifier_hidden == (200, 200, 200)
+        assert cfg.explainer_hidden == (200, 200)
+        assert cfg.variational_hidden == (200, 200, 200)
+        assert (tr.DECAY, tr.EPSILON) == (0.9, 1e-7)
+
+    @pytest.mark.parametrize("name", ["classifier_hidden", "explainer_hidden", "variational_hidden"])
+    @pytest.mark.parametrize("widths", [(), (0,), (5, -1)], ids=["empty", "zero", "negative"])
+    def test_widths_validated(self, name, widths):
+        with pytest.raises(ValueError, match=f"{name} must be one or more positive widths"):
+            tr.TrainConfig(k=2, **{name: widths})
 
     @pytest.mark.parametrize("kwargs", [{"k": 0}, {"k": 2, "epochs": -1}, {"k": 2, "temperature": 0.0}])
     def test_validation(self, kwargs):
@@ -123,6 +131,7 @@ class TestTrainConfig:
         train_fields = {f.name: f.default for f in dataclasses.fields(tr.TrainConfig)}
         run_fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
         assert issubclass(RunConfig, tr.TrainConfig)
+        assert {"classifier_hidden", "explainer_hidden", "variational_hidden"} <= train_fields.keys()
         assert run_fields.pop("k") is None  # filled from the dataset's truth size
         del train_fields["k"]
         assert {name: run_fields[name] for name in train_fields} == train_fields
@@ -135,10 +144,10 @@ class TestTrainConfig:
             tr.TrainConfig(2)
 
     def test_zero_epochs_allowed_and_trains_nothing(self):
-        cfg = tr.TrainConfig(k=1, epochs=0, batch_size=4)
+        cfg = tr.TrainConfig(k=1, epochs=0, batch_size=4, classifier_hidden=(4, 4, 4))
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 3))
-        clf, report = tr.train_classifier(x, (x[:, 0] > 0).astype(int), cfg, hidden=(4, 4, 4))
+        clf, report = tr.train_classifier(x, (x[:, 0] > 0).astype(int), cfg)
         assert report.curve == []
 
 
@@ -212,8 +221,9 @@ class TestWarmupBackward:
         monkeypatch.setattr(ad, "dense", recording)
         x = np.random.default_rng(4).normal(size=(20, 6))
         clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
-        cfg = tr.TrainConfig(k=2, epochs=3, warmup_epochs=2, batch_size=10, seed=0)
-        tr.train_l2x(x, clf, cfg, explainer_hidden=(5, 5), variational_hidden=(6, 6, 6))
+        cfg = tr.TrainConfig(k=2, epochs=3, warmup_epochs=2, batch_size=10, seed=0,
+                             explainer_hidden=(5, 5), variational_hidden=(6, 6, 6))
+        tr.train_l2x(x, clf, cfg)
         warm, joint = [(False, False), (False, True)], [(False, True), (True, True)]
         assert calls == warm * 4 + joint * 2
 
@@ -233,11 +243,6 @@ class TestObjective:
             clf, ex, var, x, noise = tiny_setup(seed)
             est = tr.l2x_objective(x, clf, ex, var, noise, temperature=0.1, k=2)
             assert est.value <= 0.0
-
-    def test_batch_size_recorded(self):
-        clf, ex, var, x, noise = tiny_setup(b=3)
-        est = tr.l2x_objective(x, clf, ex, var, noise, temperature=0.5, k=2)
-        assert est.batch_size == 3
 
     def test_class_count_mismatch_raises(self):
         clf, ex, _, x, noise = tiny_setup(c=2)
@@ -264,6 +269,19 @@ class TestObjective:
         grads = ad.backward(est.root, joint)
         assert any(np.any(grads[n] != 0) for n in grads if n.startswith("explainer"))
         assert any(np.any(grads[n] != 0) for n in grads if n.startswith("variational"))
+
+    def test_descent_on_the_negation_is_the_negated_gradient(self):
+        # train_l2x steps on backward(neg(root)) for ascent; rounding is symmetric under negation
+        for seed in range(3):
+            clf, ex, var, x, noise = tiny_setup(seed, b=5)
+            joint = ad.ParameterSet()
+            joint.merge("explainer", ex.params)
+            joint.merge("variational", var.params)
+            root = tr.l2x_objective(x, clf, ex, var, noise, temperature=0.5, k=2).root
+            ascent, descent = ad.backward(root, joint), ad.backward(ad.neg(root), joint)
+            assert descent.keys() == ascent.keys() == set(joint.names())
+            for name, g in ascent.items():
+                assert np.array_equal(descent[name], -g), name
 
     def test_exact_conditional_head_attains_negative_conditional_entropy(self):
         # Feed every atom of a small discrete joint through the objective
@@ -335,10 +353,8 @@ class TestTrainClassifier:
         x = rng.normal(size=(n, 4))
         y = (x[:, 0] > 0).astype(int)
         x[:, 0] += np.where(y == 1, 1.0, -1.0)  # widen the margin
-        cfg = tr.TrainConfig(k=2, batch_size=100, epochs=5, seed=3)
-        clf, report = tr.train_classifier(
-            x, y, cfg, hidden=(16, 16, 16), x_val=x, y_val=y
-        )
+        cfg = tr.TrainConfig(k=2, batch_size=100, epochs=5, seed=3, classifier_hidden=(16, 16, 16))
+        clf, report = tr.train_classifier(x, y, cfg, x_val=x, y_val=y)
         assert report.val_accuracy > 0.97
         assert len(report.curve) == 5
 
@@ -346,17 +362,17 @@ class TestTrainClassifier:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(500, 3))
         y = (x.sum(axis=1) > 0).astype(int)
-        cfg = tr.TrainConfig(k=1, batch_size=50, epochs=4, seed=0)
-        _, report = tr.train_classifier(x, y, cfg, hidden=(8, 8, 8))
+        cfg = tr.TrainConfig(k=1, batch_size=50, epochs=4, seed=0, classifier_hidden=(8, 8, 8))
+        _, report = tr.train_classifier(x, y, cfg)
         assert report.curve[-1].objective < report.curve[0].objective
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(300, 3))
         y = (x[:, 1] > 0).astype(int)
-        cfg = tr.TrainConfig(k=1, batch_size=64, epochs=2, seed=7)
-        clf1, _ = tr.train_classifier(x, y, cfg, hidden=(8, 8, 8))
-        clf2, _ = tr.train_classifier(x, y, cfg, hidden=(8, 8, 8))
+        cfg = tr.TrainConfig(k=1, batch_size=64, epochs=2, seed=7, classifier_hidden=(8, 8, 8))
+        clf1, _ = tr.train_classifier(x, y, cfg)
+        clf2, _ = tr.train_classifier(x, y, cfg)
         for name in clf1.params.names():
             np.testing.assert_array_equal(clf1.params[name].data, clf2.params[name].data)
 
@@ -365,10 +381,11 @@ class TestTrainClassifier:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(40, 3))
         y = (x[:, 1] > 0).astype(int)
-        cfg = tr.TrainConfig(k=1, batch_size=40, epochs=2, learning_rate=1e308, seed=7)
+        cfg = tr.TrainConfig(k=1, batch_size=40, epochs=2, learning_rate=1e308, seed=7,
+                             classifier_hidden=(8, 8, 8))
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(NumericError, match="non-finite in epoch 0"):
-                tr.train_classifier(x, y, cfg, hidden=(8, 8, 8))
+                tr.train_classifier(x, y, cfg)
 
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_feature_overflowing_float32_rejected_before_any_step(self, epochs):
@@ -377,9 +394,9 @@ class TestTrainClassifier:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(40, 3))
         x[7, 2] = 1e39
-        cfg = tr.TrainConfig(k=1, batch_size=20, epochs=epochs)
+        cfg = tr.TrainConfig(k=1, batch_size=20, epochs=epochs, classifier_hidden=(8, 8, 8))
         with pytest.raises(NumericError, match=r"feature value 1e\+39 \(row 7, column 2\) overflows float32"):
-            tr.train_classifier(x, (x[:, 1] > 0).astype(int), cfg, hidden=(8, 8, 8))
+            tr.train_classifier(x, (x[:, 1] > 0).astype(int), cfg)
 
     def test_empty_dataset_rejected(self):
         cfg = tr.TrainConfig(k=1, epochs=1)
@@ -392,10 +409,9 @@ class TestTrainL2x:
         rng = np.random.default_rng(42)
         x = rng.normal(size=(200, 6))
         clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
-        cfg = tr.TrainConfig(k=2, batch_size=50, epochs=epochs, seed=seed)
-        return x, clf, tr.train_l2x(
-            x, clf, cfg, explainer_hidden=(8, 8), variational_hidden=(8, 8, 8)
-        )
+        cfg = tr.TrainConfig(k=2, batch_size=50, epochs=epochs, seed=seed,
+                             explainer_hidden=(8, 8), variational_hidden=(8, 8, 8))
+        return x, clf, tr.train_l2x(x, clf, cfg)
 
     def test_returns_curve_per_epoch(self):
         _, _, (ex, var, report) = self.tiny_run(epochs=3)
@@ -414,8 +430,9 @@ class TestTrainL2x:
         x = rng.normal(size=(120, 6))
         clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
         before = {name: t.data.copy() for name, t in clf.params.items()}
-        cfg = tr.TrainConfig(k=2, batch_size=40, epochs=2, seed=0)
-        tr.train_l2x(x, clf, cfg, explainer_hidden=(8, 8), variational_hidden=(8, 8, 8))
+        cfg = tr.TrainConfig(k=2, batch_size=40, epochs=2, seed=0,
+                             explainer_hidden=(8, 8), variational_hidden=(8, 8, 8))
+        tr.train_l2x(x, clf, cfg)
         for name, arr in before.items():
             np.testing.assert_array_equal(clf.params[name].data, arr)
 
@@ -435,9 +452,9 @@ class TestTrainL2x:
         x = rng.normal(size=(60, 4))
         x[11, 0] = -3.5e38
         clf = build_classifier(4, 2, rng, hidden=(4, 4, 4))
-        cfg = tr.TrainConfig(k=2, batch_size=20, epochs=0)
+        cfg = tr.TrainConfig(k=2, batch_size=20, epochs=0, explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
         with pytest.raises(NumericError, match=r"feature value -3\.5e\+38 \(row 11, column 0\) overflows float32"):
-            tr.train_l2x(x, clf, cfg, explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
+            tr.train_l2x(x, clf, cfg)
 
     def test_seed_changes_curve(self):
         _, _, (_, _, r1) = self.tiny_run(seed=1)
@@ -448,8 +465,9 @@ class TestTrainL2x:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 6))
         clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
-        cfg = tr.TrainConfig(k=2, epochs=1, warmup_epochs=1, batch_size=10, seed=0)
-        ex, var, _ = tr.train_l2x(x, clf, cfg, explainer_hidden=(5, 5), variational_hidden=(6, 6, 6))
+        cfg = tr.TrainConfig(k=2, epochs=1, warmup_epochs=1, batch_size=10, seed=0,
+                             explainer_hidden=(5, 5), variational_hidden=(6, 6, 6))
+        ex, var, _ = tr.train_l2x(x, clf, cfg)
         from l2x.networks import build_explainer
         fresh = build_explainer(6, tr.substream(0, "init", 1), hidden=(5, 5))
         for name, t in fresh.params.items():
@@ -459,8 +477,9 @@ class TestTrainL2x:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 6))
         clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
-        cfg = tr.TrainConfig(k=2, epochs=2, warmup_epochs=1, batch_size=10, seed=0)
-        ex, _, _ = tr.train_l2x(x, clf, cfg, explainer_hidden=(5, 5), variational_hidden=(6, 6, 6))
+        cfg = tr.TrainConfig(k=2, epochs=2, warmup_epochs=1, batch_size=10, seed=0,
+                             explainer_hidden=(5, 5), variational_hidden=(6, 6, 6))
+        ex, _, _ = tr.train_l2x(x, clf, cfg)
         from l2x.networks import build_explainer
         fresh = build_explainer(6, tr.substream(0, "init", 1), hidden=(5, 5))
         assert any(
@@ -477,27 +496,32 @@ class TestTrainL2x:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 4))
         clf = build_classifier(4, 2, rng, hidden=(4, 4, 4))
-        cfg = tr.TrainConfig(k=2, batch_size=30, epochs=2, warmup_epochs=0, learning_rate=1e308, seed=0)
+        cfg = tr.TrainConfig(k=2, batch_size=30, epochs=2, warmup_epochs=0, learning_rate=1e308, seed=0,
+                             explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(NumericError, match="non-finite in epoch 0"):
-                tr.train_l2x(x, clf, cfg, explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
+                tr.train_l2x(x, clf, cfg)
 
     def test_non_finite_objective_aborts_with_step(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(60, 4))
         x[10, 2] = np.nan
         clf = build_classifier(4, 2, rng, hidden=(4, 4, 4))
-        cfg = tr.TrainConfig(k=2, batch_size=20, epochs=1, seed=0)
+        cfg = tr.TrainConfig(k=2, batch_size=20, epochs=1, seed=0,
+                             explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
         with pytest.raises(NumericError, match="step"):
-            tr.train_l2x(x, clf, cfg, explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
+            tr.train_l2x(x, clf, cfg)
 
 
 class TestCurveCsv:
     def test_round_trip(self, tmp_path):
-        curve = [tr.EpochStat(0, -0.693, 12.5), tr.EpochStat(1, -0.41234567890123, 9.875)]
+        # objectives by repr, so each reads back exactly; wall time to the microsecond
+        curve = [tr.EpochStat(0, -0.693, 12.5), tr.EpochStat(1, -0.41234567890123, 9.875),
+                 tr.EpochStat(2, -1e-17, 0.0004)]
         path = tmp_path / "curve.csv"
         tr.write_curve_csv(curve, path)
-        back = tr.read_curve_csv(path)
-        assert [s.epoch for s in back] == [0, 1]
-        assert back[1].objective == curve[1].objective
-        assert path.read_text().splitlines()[0] == "epoch,objective,wall_ms"
+        assert path.read_bytes() == (b"epoch,objective,wall_ms\n"
+                                     b"0,-0.693,12.500\n1,-0.41234567890123,9.875\n2,-1e-17,0.000\n")
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [(int(epoch), float(objective)) for epoch, objective, _ in rows] == [
+            (s.epoch, s.objective) for s in curve]
