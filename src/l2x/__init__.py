@@ -10,15 +10,7 @@ whole stack on small discrete distributions.
 
 from .datasets import Dataset, as_arrays, canonical_kind, generate, k_for, read_csv, write_csv
 from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError
-from .explain import (
-    Explanation,
-    Explanations,
-    explain_l2x,
-    explain_saliency,
-    explain_taylor,
-    read_jsonl,
-    write_jsonl,
-)
+from .explain import Explanation, Explanations, explain_l2x, read_jsonl, write_jsonl
 from .metrics import median_rank, post_hoc_accuracy, ranks_of
 from .networks import (
     build_classifier,
@@ -60,8 +52,6 @@ __all__ = [
     "exact_mutual_information",
     "explain_dataset",
     "explain_l2x",
-    "explain_saliency",
-    "explain_taylor",
     "generate",
     "hard_top_k",
     "jensen_gap",

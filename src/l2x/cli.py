@@ -157,8 +157,8 @@ def cmd_generate(args, cmd: argparse.ArgumentParser) -> int:
 
 
 def cmd_train_model(args, cmd: argparse.ArgumentParser) -> int:
-    x, _, y, _ = as_arrays(read_csv(args.data))
     cfg = _built(cmd, TrainConfig, args, k=1)
+    x, _, y, _ = as_arrays(read_csv(args.data))
     if cfg.epochs == 0:
         print("warning: --epochs 0 emits an untrained checkpoint", file=sys.stderr)
     x_val = y_val = None
@@ -174,9 +174,11 @@ def cmd_train_model(args, cmd: argparse.ArgumentParser) -> int:
 
 
 def cmd_train_explainer(args, cmd: argparse.ArgumentParser) -> int:
+    # settings are checked before any input is read; an unset k is 1 until the data gives the truth size
+    cfg = _built(cmd, TrainConfig, args, k=1 if args.k is None else args.k)
     x, _, _, truths = as_arrays(read_csv(args.data))
     classifier = load_model(args.model, kind="classifier")
-    cfg = _built(cmd, TrainConfig, args, k=_default_k(truths, args.k))
+    cfg = dataclasses.replace(cfg, k=_default_k(truths, args.k))
     if cfg.epochs == 0:
         print("warning: --epochs 0 emits untrained checkpoints", file=sys.stderr)
     explainer, variational, report = train_l2x(x, classifier, cfg)

@@ -10,8 +10,8 @@ differentiate the classifier's top-class logit with respect to the input:
 
 Every method scores an (n, d) batch with one call, which runs the
 networks over blocks of ``files.BLOCK_ROWS`` rows so that memory
-stays bounded whatever n; the single-row functions run the same kernels
-on a batch of one.
+stays bounded whatever n; :func:`explain_l2x` explains a single row
+through the same kernel, as a batch of one.
 
 One method's explanations of n rows are one :class:`Explanations`
 record of columns: ids (n,), scores (n, d), selected (n, k) and ns (n,).
@@ -45,8 +45,6 @@ __all__ = [
     "input_gradient",
     "method_scores",
     "explain_l2x",
-    "explain_saliency",
-    "explain_taylor",
     "write_jsonl",
     "read_jsonl",
 ]
@@ -146,36 +144,18 @@ def method_scores(method: str, x: np.ndarray, explainer=None, classifier=None) -
     return x * grad
 
 
-def _explain_row(method: str, x, k: int, sample_id: int, **models) -> Explanation:
-    """One row through the batched kernels, as a batch of one."""
+def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
+    """Score one (d,) row with the trained explainer, as a batch of one, and keep the top k.
+
+    No classifier evaluation.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a single (d,) sample, got shape {x.shape}")
     t0 = time.perf_counter_ns()
-    scores = method_scores(method, x[None, :], **models)[0]
+    scores = explainer.scores(x[None, :])[0]
     selected = hard_top_k(scores, k)
-    return Explanation(sample_id, method, scores, selected, time.perf_counter_ns() - t0)
-
-
-def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
-    """Score features with the trained explainer and keep the top k; no classifier evaluation."""
-    return _explain_row("l2x", x, k, sample_id, explainer=explainer)
-
-
-def explain_saliency(classifier, x, k: int, sample_id: int = 0) -> Explanation:
-    """Rank features by the absolute input gradient of the top-class logit."""
-    return _explain_row("saliency", x, k, sample_id, classifier=classifier)
-
-
-def explain_taylor(
-    classifier, x, k: int, sample_id: int = 0, absolute: bool = False
-) -> Explanation:
-    """Rank features by input times gradient of the top-class logit.
-
-    Scores are signed by default; ``absolute=True`` ranks by magnitude
-    (method ``taylor-abs``).
-    """
-    return _explain_row("taylor-abs" if absolute else "taylor", x, k, sample_id, classifier=classifier)
+    return Explanation(sample_id, "l2x", scores, selected, time.perf_counter_ns() - t0)
 
 
 _TYPES = {"id": int, "method": str, "scores": list, "selected": list, "ns": int}

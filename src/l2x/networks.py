@@ -1,18 +1,22 @@
-"""The three networks and their byte format.
+"""The one network class, :class:`Mlp`, in its three roles, and its byte format.
 
-* ``Classifier`` is the black box being explained: its softmax output is
-  read as a conditional distribution over classes, and it counts how
-  often it has been evaluated so explanation cost can be audited.
-* ``Explainer`` maps an input to one importance score per feature; the
-  scores feed the subset-sampling relaxation as unnormalized log-weights.
-* ``VariationalNet`` approximates the class distribution given only a
-  masked input.
+Every network is a plain MLP: relu hidden layers, Glorot uniform
+initialization, and the head its role fixes in :data:`ROLES`:
 
-All are plain MLPs: relu hidden layers, optional softmax head, Glorot
-uniform initialization.  Each offers two forward paths through one layer
-loop, ``autodiff.dense_array``: a taped one, where ``autodiff.dense``
-records the whole pass through the layers as one node, and a plain
-ndarray one for inference, which runs ``files.BLOCK_ROWS`` rows at a time
+* ``classifier`` (softmax head) is the black box being explained; its
+  output is read as a conditional distribution over classes.
+* ``explainer`` (linear head, one output per input feature) maps an input
+  to importance scores, which feed the subset-sampling relaxation as
+  unnormalized log-weights.
+* ``variational`` (softmax head) approximates the class distribution
+  given only a masked input.
+
+A network's ``kind`` names its role.  Every network counts the rows it
+evaluates in ``eval_count``, so the classifier's explanation cost can be
+audited.  Each offers two forward paths through one layer loop,
+``autodiff.dense_array``: a taped one, where ``autodiff.dense`` records
+the whole pass through the layers as one node, and a plain ndarray one
+for inference, which runs ``files.BLOCK_ROWS`` rows at a time
 (:func:`map_blocks`) so that its activations stay near the cache size
 whatever the number of rows.  Parameters are always float64.  Inference
 and the taped pass at its default dtype compute in float64, with
@@ -46,10 +50,8 @@ __all__ = [
     "BLOCK_ROWS",
     "map_blocks",
     "MlpSpec",
+    "ROLES",
     "Mlp",
-    "Classifier",
-    "Explainer",
-    "VariationalNet",
     "build_classifier",
     "build_explainer",
     "build_variational",
@@ -63,7 +65,14 @@ MAGIC = b"L2XM"
 FORMAT_VERSION = 1
 
 HEADS = ("softmax", "linear")
+# each network kind and the head its role requires
+ROLES = {"classifier": "softmax", "explainer": "linear", "variational": "softmax"}
 ACTIVATION = "relu"  # of every hidden layer; recorded in the checkpoint header
+
+
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def map_blocks(fn, x: np.ndarray) -> np.ndarray:
@@ -91,9 +100,12 @@ class MlpSpec:
     head: str
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.layer_widths)
+        widths = tuple(self.layer_widths)
         if len(widths) < 3:
             raise ValueError(f"need input, at least one hidden, and output width, got {widths}")
+        if not all(map(is_int, widths)):
+            raise ValueError(f"widths must be integers, got {widths}")
+        widths = tuple(map(int, widths))
         if any(w < 1 for w in widths):
             raise ValueError(f"widths must be positive, got {widths}")
         if self.head not in HEADS:
@@ -120,6 +132,8 @@ class MlpSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"spec must be a JSON object, got {d!r}")
         if d.get("activation", ACTIVATION) != ACTIVATION:
             raise ValueError(f"only {ACTIVATION} hidden activations are supported, got {d['activation']!r}")
         return cls(d["layer_widths"], d["head"])
@@ -138,27 +152,41 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
 
 
 class Mlp:
-    """Relu MLP over a :class:`ParameterSet`; subclasses fix the role."""
+    """Relu MLP over a :class:`ParameterSet` in the role ``kind``, one of :data:`ROLES`.
 
-    kind = "mlp"
+    ValueError unless ``spec`` has the role's head and, for an explainer,
+    one output per input.  Every pass adds its rows to ``eval_count``.
+    """
 
-    def __init__(self, spec: MlpSpec, params: ParameterSet):
+    def __init__(self, kind: str, spec: MlpSpec, params: ParameterSet):
+        head = ROLES.get(kind) if isinstance(kind, str) else None
+        if head is None:
+            raise ValueError(f"unknown network kind {kind!r}; expected one of {tuple(ROLES)}")
+        if spec.head != head:
+            raise ValueError(f"{kind} requires a {head} head")
+        if kind == "explainer" and spec.output_width != spec.input_width:
+            raise ValueError(
+                f"explainer must emit one score per feature: "
+                f"input {spec.input_width}, output {spec.output_width}"
+            )
         if len(params) != len(spec.layout()):
             raise ValueError(f"expected {len(spec.layout())} parameter tensors, got {len(params)}")
+        self.kind = kind
         self.spec = spec
         self.params = params
+        self.eval_count = 0
 
-    @classmethod
-    def build(cls, spec: MlpSpec, rng: np.random.Generator):
-        return cls(spec, init_params(spec, rng))
+    def reset_eval_count(self) -> None:
+        self.eval_count = 0
 
-    def _layers(self, x, kernel):
-        """``kernel(x, params)`` over a (batch, d) input, params in layout order (w0, b0, w1, ...)."""
+    def _evaluate(self, x) -> list:
+        """Check a (batch, d) input and count its rows; the parameters in layout order (w0, b0, w1, ...)."""
         if len(x.shape) != 2:
             raise ValueError(f"expected (batch, d) input, got shape {x.shape}")
         if x.shape[1] != self.spec.input_width:
             raise ValueError(f"{self.kind} expects input width {self.spec.input_width}, got {x.shape[1]}")
-        return kernel(x, list(self.params.values()))
+        self.eval_count += x.shape[0]
+        return list(self.params.values())
 
     def logits_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False) -> Tensor:
         """Taped pass through the layers over a (batch, d) input, before the head: one node.
@@ -167,9 +195,8 @@ class Mlp:
         ``frozen`` puts the weights on the tape as constants, so the node
         computes no gradient for them.
         """
-        return self._layers(
-            x, lambda h, params: ad.dense(h, [t.data for t in params] if frozen else params, dtype)
-        )
+        params = self._evaluate(x)
+        return ad.dense(x, [t.data for t in params] if frozen else params, dtype)
 
     def forward_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False) -> Tensor:
         """Taped forward pass over a (batch, d) input; the head is float64 whatever ``dtype``."""
@@ -184,95 +211,47 @@ class Mlp:
         """
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        out = self._layers(x[None, :] if single else x, self._untaped)
+        rows = x[None, :] if single else x
+        weights = [t.data for t in self._evaluate(rows)]
+        softmax = self.spec.head == "softmax"
+
+        def block(part):
+            h = ad.dense_array(part, weights)
+            return ad.softmax_array(h) if softmax else h
+
+        out = map_blocks(block, rows)
         return out[0] if single else out
-
-    def _untaped(self, x: np.ndarray, params) -> np.ndarray:
-        weights = [t.data for t in params]
-
-        def block(rows):
-            h = ad.dense_array(rows, weights)
-            return ad.softmax_array(h) if self.spec.head == "softmax" else h
-
-        return map_blocks(block, x)
-
-
-class Classifier(Mlp):
-    """The black box P(y | x); every evaluated row bumps ``eval_count``."""
-
-    kind = "classifier"
-
-    def __init__(self, spec: MlpSpec, params: ParameterSet):
-        if spec.head != "softmax":
-            raise ValueError("classifier requires a softmax head")
-        super().__init__(spec, params)
-        self.eval_count = 0
-
-    def _layers(self, x, kernel):
-        h = super()._layers(x, kernel)
-        self.eval_count += x.shape[0]
-        return h
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
-
-    def reset_eval_count(self) -> None:
-        self.eval_count = 0
-
-
-class Explainer(Mlp):
-    """Maps x to one importance score per feature (linear head, width d)."""
-
-    kind = "explainer"
-
-    def __init__(self, spec: MlpSpec, params: ParameterSet):
-        if spec.head != "linear":
-            raise ValueError("explainer requires a linear head")
-        if spec.output_width != spec.input_width:
-            raise ValueError(
-                f"explainer must emit one score per feature: "
-                f"input {spec.input_width}, output {spec.output_width}"
-            )
-        super().__init__(spec, params)
 
     def scores(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
 
-class VariationalNet(Mlp):
-    """Approximates the class distribution given a masked input."""
-
-    kind = "variational"
-
-    def __init__(self, spec: MlpSpec, params: ParameterSet):
-        if spec.head != "softmax":
-            raise ValueError("variational net requires a softmax head")
-        super().__init__(spec, params)
+def _build(kind: str, widths: tuple[int, ...], rng: np.random.Generator) -> Mlp:
+    spec = MlpSpec(widths, ROLES[kind])
+    return Mlp(kind, spec, init_params(spec, rng))
 
 
-def build_classifier(d: int, n_classes: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> Classifier:
-    return Classifier.build(MlpSpec((d, *hidden, n_classes), head="softmax"), rng)
+def build_classifier(d: int, n_classes: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> Mlp:
+    return _build("classifier", (d, *hidden, n_classes), rng)
 
 
-def build_explainer(d: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> Explainer:
-    return Explainer.build(MlpSpec((d, *hidden, d), head="linear"), rng)
+def build_explainer(d: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> Mlp:
+    return _build("explainer", (d, *hidden, d), rng)
 
 
-def build_variational(d: int, n_classes: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> VariationalNet:
-    return VariationalNet.build(MlpSpec((d, *hidden, n_classes), head="softmax"), rng)
+def build_variational(d: int, n_classes: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> Mlp:
+    return _build("variational", (d, *hidden, n_classes), rng)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
-_KINDS = {"classifier": Classifier, "explainer": Explainer, "variational": VariationalNet}
-
-
 def serialize(net: Mlp) -> bytes:
     """Self-describing byte encoding; round-trips parameters bit for bit."""
-    if net.kind not in _KINDS:
-        raise ValueError(f"cannot serialize network of kind {net.kind!r}")
     tensors = [{"name": name, "shape": list(t.data.shape)} for name, t in net.params.items()]
     header = {"kind": net.kind, "spec": net.spec.to_dict(), "tensors": tensors}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -283,7 +262,11 @@ def serialize(net: Mlp) -> bytes:
 
 
 def deserialize(payload: bytes) -> Mlp:
-    """Inverse of :func:`serialize`; never yields a partially-loaded network or a non-finite weight."""
+    """Inverse of :func:`serialize`; never yields a partially-loaded network or a non-finite weight.
+
+    Every fault is a :class:`ModelFormatError`, non-integer widths or
+    shapes and a kind that fails :class:`Mlp`'s role check among them.
+    """
     if len(payload) < 12:
         raise ModelFormatError("payload shorter than fixed header", offset=len(payload))
     if payload[:4] != MAGIC:
@@ -302,11 +285,11 @@ def deserialize(payload: bytes) -> Mlp:
     try:
         kind = header["kind"]
         spec = MlpSpec.from_dict(header["spec"])
-        tensors = [(meta["name"], tuple(map(int, meta["shape"]))) for meta in header["tensors"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        tensors = [(meta["name"], tuple(meta["shape"])) for meta in header["tensors"]]
+    except (KeyError, TypeError, ValueError) as e:
         raise ModelFormatError(f"malformed header: {e}", offset=12) from None
-    if not isinstance(kind, str) or kind not in _KINDS:
-        raise ModelFormatError(f"unknown network kind {kind!r}", offset=12)
+    if not all(is_int(n) for _, shape in tensors for n in shape):
+        raise ModelFormatError("tensor shapes must be integers", offset=12)
     layout = spec.layout()
     if tensors != layout:
         raise ModelFormatError(f"tensor list does not match the architecture's {layout}", offset=12)
@@ -325,7 +308,10 @@ def deserialize(payload: bytes) -> Mlp:
         cursor = end
     if cursor != len(payload):
         raise ModelFormatError("trailing bytes after final tensor", offset=cursor)
-    return _KINDS[kind](spec, params)
+    try:
+        return Mlp(kind, spec, params)
+    except ValueError as e:
+        raise ModelFormatError(str(e), offset=12) from None
 
 
 def save_model(net: Mlp, path) -> None:

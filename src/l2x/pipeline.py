@@ -11,8 +11,11 @@ writes the artifact set:
 * ``ranks.csv`` per-sample median ranks in long format,
 * ``posthoc.json`` masked-input fidelity per method,
 * ``summary.json`` the deterministic metric roll-up,
-* ``timings.json`` wall-clock figures (the one file allowed to vary
-  between identically-seeded runs; everything else is byte-stable).
+* ``timings.json`` wall-clock figures.
+
+Wall-clock measurements vary between identically-seeded runs: all of
+``timings.json``, both curves' ``wall_ms`` column and the ``ns`` field
+of every explanation record.  Everything else is byte-stable.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .datasets import DEFAULT_SIN_COEFF, D, as_arrays, canonical_kind, generate,
 from .explain import Explanations, check_method, method_scores, write_jsonl
 from .files import atomic_open
 from .metrics import MedianRankReport, PostHocReport, median_rank, post_hoc_accuracy, write_ranks_csv
-from .networks import load_model, save_model
+from .networks import is_int, load_model, save_model
 from .oracle import brute_force_best_subset, exact_conditional, jensen_gap, random_binary_joint
 from .rng import substream
 from .sampling import hard_top_k
@@ -69,8 +72,8 @@ class RunConfig(TrainConfig):
         if not 1 <= self.k <= D:
             raise ValueError(f"k must satisfy 1 <= k <= {D}, got {self.k}")
         for name in ("n_train", "n_valid"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not is_int(getattr(self, name)) or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
         for m in self.methods:
             check_method(m)
         if not self.methods or len(set(self.methods)) != len(self.methods):

@@ -31,7 +31,7 @@ from .autodiff import ParameterSet, Tensor
 from .datasets import N_CLASSES
 from .errors import NumericError
 from .files import atomic_open
-from .networks import Classifier, Explainer, VariationalNet, build_classifier, build_explainer, build_variational
+from .networks import Mlp, build_classifier, build_explainer, build_variational, is_int
 from .rng import substream
 from .sampling import batched_relaxed_mask, gumbel_from_uniform
 
@@ -95,7 +95,10 @@ class RmsProp:
 
 @dataclass(frozen=True, kw_only=True)
 class TrainConfig:
-    """Knobs and network widths for both training loops; ``RunConfig`` extends it, and the CLI takes its defaults."""
+    """Knobs and network widths for both training loops; ``RunConfig`` extends it, and the CLI takes its defaults.
+
+    Counts, the seed and widths must be integers (numpy integers too).
+    """
 
     k: int
     learning_rate: float = 0.001
@@ -109,19 +112,21 @@ class TrainConfig:
     variational_hidden: tuple[int, ...] = (200, 200, 200)
 
     def __post_init__(self):
+        for name in ("k", "batch_size", "epochs", "warmup_epochs", "seed"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         for name in ("learning_rate", "temperature", "batch_size"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         # zero epochs is allowed: it yields an untrained network
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
-        if self.warmup_epochs < 0:
-            raise ValueError(f"warmup_epochs must be nonnegative, got {self.warmup_epochs}")
+        for name in ("epochs", "warmup_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         for name in ("classifier_hidden", "explainer_hidden", "variational_hidden"):
             widths = getattr(self, name)
-            if not widths or min(widths) < 1:
+            if not widths or not all(map(is_int, widths)) or min(widths) < 1:
                 raise ValueError(f"{name} must be one or more positive widths, got {widths}")
 
 
@@ -187,7 +192,7 @@ def l2x_objective(
         raise ValueError(f"noise must have shape ({b}, {k}, {d}), got {noise.shape}")
 
     pm = np.asarray(classifier.predict_proba(x), dtype=np.float64)
-    q_width = variational.spec.output_width if hasattr(variational, "spec") else pm.shape[1]
+    q_width = variational.spec.output_width
     if q_width != pm.shape[1]:
         raise ValueError(
             f"class-count mismatch: classifier emits {pm.shape[1]}, variational emits {q_width}"
@@ -244,7 +249,7 @@ def train_classifier(
     config: TrainConfig,
     x_val: np.ndarray | None = None,
     y_val: np.ndarray | None = None,
-) -> tuple[Classifier, TrainReport]:
+) -> tuple[Mlp, TrainReport]:
     """Cross-entropy training on hard labels; optional held-out accuracy."""
     x = _features(x)
     y = np.asarray(y, dtype=int)
@@ -280,9 +285,9 @@ def train_classifier(
 
 def train_l2x(
     x: np.ndarray,
-    classifier: Classifier,
+    classifier: Mlp,
     config: TrainConfig,
-) -> tuple[Explainer, VariationalNet, TrainReport]:
+) -> tuple[Mlp, Mlp, TrainReport]:
     """Jointly train explainer and variational net against a frozen classifier.
 
     Labels never enter: each batch is scored against the classifier's

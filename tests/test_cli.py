@@ -249,6 +249,13 @@ class TestBenchmark:
         assert "usage" in err and f"{flag[2:].replace('-', '_')} must be one or more positive widths" in err
         assert not out.exists()
 
+    def test_negative_seed_exits_2_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("benchmark", "--dataset", "xor", "--out-dir", out, "--all", *BENCH_ARGS, "--seed", -1) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and "seed must be nonnegative, got -1" in err
+        assert not out.exists()
+
     def test_missing_artifacts_without_all_exits_4(self, tmp_path):
         assert run("benchmark", "--dataset", "xor", "--out-dir", tmp_path / "empty",
                    *BENCH_ARGS) == 4
@@ -431,6 +438,21 @@ class TestUsage:
 
     def test_missing_required_flag_exits_2(self, tmp_path):
         assert run("generate", "--dataset", "xor") == 2
+
+    @pytest.mark.parametrize("command, setting, message", [
+        ("train-model", ["--hidden", 0], "classifier_hidden must be one or more positive widths"),
+        ("train-model", ["--seed", -1], "seed must be nonnegative"),
+        ("train-explainer", ["--temperature", 0], "temperature must be positive and finite"),
+        ("train-explainer", ["--k", 0], "k must be positive"),
+    ], ids=["model-hidden-0", "model-seed-negative", "explainer-temperature-0", "explainer-k-0"])
+    def test_invalid_setting_exits_2_before_reading_inputs(self, tmp_path, capsys, command, setting, message):
+        outputs = {"train-model": ["--out-model", tmp_path / "m.l2x"],
+                   "train-explainer": ["--model", tmp_path / "absent.l2x", "--out-explainer", tmp_path / "e.l2x",
+                                       "--out-variational", tmp_path / "v.l2x"]}[command]
+        assert run(command, "--data", tmp_path / "absent.csv", *outputs, *setting) == 2
+        err = capsys.readouterr().err
+        assert "usage" in err and message in err and "io error" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def _edit_csv(src: Path, dst: Path, line: int, column: int, value: str) -> Path:
@@ -642,6 +664,30 @@ MALFORMED = [
         "explain", "--data", w / "valid.csv", "--method", "l2x",
         "--explainer", _edit_bytes(w / "ex.l2x", t / "bad.l2x",
                                    _edit_header(lambda h: h["spec"].update(activation="gelu"))),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-fractional-width", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "l2x",
+        "--explainer", _edit_bytes(w / "ex.l2x", t / "bad.l2x", _edit_header(lambda h: (
+            h["spec"]["layer_widths"].__setitem__(1, 8.7), h["tensors"][0].update(shape=[10, 8.2])))),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-kind-contradicts-head", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "l2x",
+        "--explainer", _edit_bytes(w / "model.l2x", t / "bad.l2x",
+                                   _edit_header(lambda h: h.update(kind="explainer"))),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-head-contradicts-kind", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "saliency",
+        "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x",
+                               _edit_header(lambda h: h["spec"].update(head="linear"))),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-explainer-width-mismatch", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "l2x",
+        "--explainer", _edit_bytes(w / "model.l2x", t / "bad.l2x", _edit_header(
+            lambda h: (h.update(kind="explainer"), h["spec"].update(head="linear")))),
+        "--out", t / "e.jsonl"], 4),
+    ("checkpoint-spec-not-an-object", lambda w, t: [
+        "explain", "--data", w / "valid.csv", "--method", "saliency",
+        "--model", _edit_bytes(w / "model.l2x", t / "bad.l2x", _edit_header(lambda h: h.update(spec=5))),
         "--out", t / "e.jsonl"], 4),
     ("explainer-given-a-classifier", lambda w, t: [
         "explain", "--data", w / "valid.csv", "--method", "l2x",

@@ -1,4 +1,4 @@
-"""Explanation interface: learned selector plus the two gradient baselines."""
+"""Explanation interface: learned selector plus the gradient baselines."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from l2x import autodiff as ad
 from l2x import explain as ex
 from l2x import files
 from l2x.errors import JsonlFormatError
-from l2x.networks import BLOCK_ROWS, Classifier, MlpSpec, build_classifier, build_explainer, init_params
+from l2x.networks import BLOCK_ROWS, Mlp, MlpSpec, build_classifier, build_explainer, init_params
 from l2x.pipeline import explain_dataset, posthoc_for, ranks_for
 
 
@@ -30,7 +30,12 @@ def linear_classifier(w):
     params["b0"].data[...] = 1000.0
     params["w1"].data[...] = w
     params["b1"].data[...] = -1000.0 * w.sum(axis=0)
-    return Classifier(spec, params)
+    return Mlp("classifier", spec, params)
+
+
+def one_row(method, clf, x, k):
+    """The explanation of the single row ``x`` by a gradient baseline, through the batched path."""
+    return explain_dataset(method, x[None, :], k, classifier=clf)[0]
 
 
 class TestExplainL2x:
@@ -85,33 +90,40 @@ class TestExplainSaliency:
         w = np.array([[2.0, -2.0], [-0.5, 0.5], [3.0, -3.0], [0.0, 0.0]])
         clf = linear_classifier(w)
         x = np.array([0.1, 0.2, 0.3, 0.4])
-        e = ex.explain_saliency(clf, x, k=2)
+        e = one_row("saliency", clf, x, k=2)
         cls = int(np.argmax(clf.predict_proba(x)))
         np.testing.assert_allclose(e.scores, np.abs(w[:, cls]), atol=1e-12)
         assert e.selected == (0, 2)
         assert e.method == "saliency"
+        batch = np.random.default_rng(1).uniform(-1, 1, size=(40, 4))
+        scores = ex.method_scores("saliency", batch, classifier=clf)
+        np.testing.assert_allclose(scores, np.abs(w[:, clf.predict_proba(batch).argmax(axis=1)].T), atol=1e-12)
 
     def test_ignored_feature_scores_zero(self):
         w = np.array([[1.0, -1.0], [0.0, 0.0]])
         clf = linear_classifier(w)
-        e = ex.explain_saliency(clf, np.array([5.0, 123.0]), k=1)
+        e = one_row("saliency", clf, np.array([5.0, 123.0]), k=1)
         assert e.scores[1] == 0.0
         assert e.selected == (0,)
+        batch = np.random.default_rng(2).uniform(-100, 100, size=(30, 2))
+        record = explain_dataset("saliency", batch, 1, classifier=clf)
+        assert (record.scores[:, 1] == 0.0).all() and (record.selected == 0).all()
 
     def test_counts_classifier_evaluations(self):
         clf = build_classifier(4, 2, np.random.default_rng(6), hidden=(5, 5, 5))
         clf.reset_eval_count()
-        ex.explain_saliency(clf, np.ones(4), k=1)
-        assert clf.eval_count >= 1
+        one_row("saliency", clf, np.ones(4), k=1)
+        assert clf.eval_count == 1
+        explain_dataset("saliency", np.ones((9, 4)), 1, classifier=clf)
+        assert clf.eval_count == 10
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         clf = build_classifier(5, 3, rng, hidden=(8, 8, 8))
-        x = rng.normal(size=5)
-        e = ex.explain_saliency(clf, x, k=2)
-        cls = int(np.argmax(clf.predict_proba(x)))
+        xs = rng.normal(size=(3, 5))
+        batched = ex.method_scores("saliency", xs, classifier=clf)
 
-        def logit(v):
+        def logit(v, cls):
             h = v[None, :]
             n = len(clf.spec.layer_widths) - 1
             for i in range(n):
@@ -120,12 +132,16 @@ class TestExplainSaliency:
             return h[0, cls]
 
         step = 1e-6
-        for i in range(5):
-            up, down = x.copy(), x.copy()
-            up[i] += step
-            down[i] -= step
-            numeric = (logit(up) - logit(down)) / (2 * step)
-            assert abs(abs(numeric) - e.scores[i]) < 1e-5 * (1 + abs(numeric))
+        for x, row_scores in zip(xs, batched):
+            scores = one_row("saliency", clf, x, k=2).scores
+            np.testing.assert_allclose(row_scores, scores, rtol=0, atol=1e-12)
+            cls = int(np.argmax(clf.predict_proba(x)))
+            for i in range(5):
+                up, down = x.copy(), x.copy()
+                up[i] += step
+                down[i] -= step
+                numeric = (logit(up, cls) - logit(down, cls)) / (2 * step)
+                assert abs(abs(numeric) - scores[i]) < 1e-5 * (1 + abs(numeric))
 
 
 class TestExplainTaylor:
@@ -133,37 +149,46 @@ class TestExplainTaylor:
         w = np.array([[2.0, -2.0], [-1.0, 1.0], [0.5, -0.5]])
         clf = linear_classifier(w)
         x = np.array([1.0, -2.0, 4.0])
-        e = ex.explain_taylor(clf, x, k=2)
+        e = one_row("taylor", clf, x, k=2)
         cls = int(np.argmax(clf.predict_proba(x)))
         np.testing.assert_allclose(e.scores, x * w[:, cls], atol=1e-12)
         assert e.method == "taylor"
+        batch = np.random.default_rng(3).uniform(-5, 5, size=(40, 3))
+        scores = ex.method_scores("taylor", batch, classifier=clf)
+        np.testing.assert_allclose(scores, batch * w[:, clf.predict_proba(batch).argmax(axis=1)].T, atol=1e-12)
 
     def test_absolute_variant(self):
         w = np.array([[2.0, -2.0], [-1.0, 1.0], [0.5, -0.5]])
         clf = linear_classifier(w)
         x = np.array([1.0, -2.0, 4.0])
-        signed = ex.explain_taylor(clf, x, k=2)
-        unsigned = ex.explain_taylor(clf, x, k=2, absolute=True)
+        signed = one_row("taylor", clf, x, k=2)
+        unsigned = one_row("taylor-abs", clf, x, k=2)
         np.testing.assert_allclose(unsigned.scores, np.abs(signed.scores))
         assert unsigned.method == "taylor-abs"
+        batch = np.random.default_rng(4).uniform(-5, 5, size=(20, 3))
+        np.testing.assert_array_equal(ex.method_scores("taylor-abs", batch, classifier=clf),
+                                      np.abs(ex.method_scores("taylor", batch, classifier=clf)))
 
     def test_zero_input_ties_break_to_lowest_indices(self):
         clf = build_classifier(6, 2, np.random.default_rng(8), hidden=(5, 5, 5))
-        e = ex.explain_taylor(clf, np.zeros(6), k=3)
+        e = one_row("taylor", clf, np.zeros(6), k=3)
         np.testing.assert_array_equal(e.scores, np.zeros(6))
         assert e.selected == (0, 1, 2)
+        record = explain_dataset("taylor", np.zeros((4, 6)), 3, classifier=clf)
+        np.testing.assert_array_equal(record.scores, np.zeros((4, 6)))
+        np.testing.assert_array_equal(record.selected, np.tile([0, 1, 2], (4, 1)))
 
     def test_selected_always_k_distinct_in_range(self):
         rng = np.random.default_rng(9)
         clf = build_classifier(7, 2, rng, hidden=(6, 6, 6))
         explainer = build_explainer(7, rng, hidden=(6, 6))
         for k in (1, 3, 7):
-            x = rng.normal(size=7)
-            for e in (
-                ex.explain_l2x(explainer, x, k),
-                ex.explain_saliency(clf, x, k),
-                ex.explain_taylor(clf, x, k),
-            ):
+            xs = rng.normal(size=(5, 7))
+            rows = [ex.explain_l2x(explainer, xs[0], k), one_row("saliency", clf, xs[0], k),
+                    one_row("taylor", clf, xs[0], k)]
+            for method in ("l2x", "saliency", "taylor"):
+                rows += list(explain_dataset(method, xs, k, explainer=explainer, classifier=clf))
+            for e in rows:
                 assert len(e.selected) == k == len(set(e.selected))
                 assert all(0 <= i < 7 for i in e.selected)
 
@@ -207,14 +232,14 @@ class TestBatchedExplanations:
         clf = build_classifier(10, 2, rng, hidden=(width, width, width))
         x = rng.normal(size=(500, 10))
         k, tol = 4, 1e-12
-        for method, single in (("saliency", ex.explain_saliency), ("taylor", ex.explain_taylor)):
+        for method in ("saliency", "taylor"):
             clf.reset_eval_count()
             batched = explain_dataset(method, x, k, classifier=clf)
             assert clf.eval_count == 500
             for i, e in enumerate(batched):
                 grad = row_gradient(clf, x[i])
                 by_hand = np.abs(grad) if method == "saliency" else x[i] * grad
-                one = single(clf, x[i], k, sample_id=i)
+                one = one_row(method, clf, x[i], k)
                 assert np.abs(e.scores - by_hand).max() <= tol
                 assert np.abs(e.scores - one.scores).max() <= tol
                 if e.selected != one.selected:

@@ -1,7 +1,8 @@
-"""Network wrappers and the model byte format."""
+"""The network class in its three roles, and the model byte format."""
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,15 @@ class TestMlpSpec:
             nw.MlpSpec((4, 8, 2), head="tanh")
         with pytest.raises(ValueError, match="relu"):
             nw.MlpSpec.from_dict({"layer_widths": [4, 8, 2], "head": "softmax", "activation": "gelu"})
+
+    @pytest.mark.parametrize("widths", [(4, 3.5, 2), (4.0, 8, 2), (4, True, 2), (4, "8", 2)])
+    def test_rejects_non_integer_widths(self, widths):
+        with pytest.raises(ValueError, match="widths must be integers"):
+            nw.MlpSpec(widths, head="softmax")
+
+    def test_numpy_integer_widths_become_ints(self):
+        spec = nw.MlpSpec(tuple(np.array([4, 8, 2])), head="softmax")
+        assert spec.layer_widths == (4, 8, 2) and all(type(w) is int for w in spec.layer_widths)
 
     def test_dict_round_trip(self):
         spec = nw.MlpSpec((10, 200, 200, 10), head="linear")
@@ -148,14 +158,53 @@ class TestForward:
 
     def test_role_head_contracts(self):
         spec_lin = nw.MlpSpec((4, 8, 3), head="linear")
-        with pytest.raises(ValueError, match="softmax"):
-            nw.Classifier(spec_lin, nw.init_params(spec_lin, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="classifier requires a softmax head"):
+            nw.Mlp("classifier", spec_lin, nw.init_params(spec_lin, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="variational requires a softmax head"):
+            nw.Mlp("variational", spec_lin, nw.init_params(spec_lin, np.random.default_rng(0)))
         spec_sm = nw.MlpSpec((4, 8, 4), head="softmax")
-        with pytest.raises(ValueError, match="linear"):
-            nw.Explainer(spec_sm, nw.init_params(spec_sm, np.random.default_rng(0)))
+        with pytest.raises(ValueError, match="explainer requires a linear head"):
+            nw.Mlp("explainer", spec_sm, nw.init_params(spec_sm, np.random.default_rng(0)))
         spec_bad = nw.MlpSpec((4, 8, 3), head="linear")
         with pytest.raises(ValueError, match="score per feature"):
-            nw.Explainer(spec_bad, nw.init_params(spec_bad, np.random.default_rng(0)))
+            nw.Mlp("explainer", spec_bad, nw.init_params(spec_bad, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("kind", ["mlp", "Classifier", "", None, ["classifier"]])
+    def test_unknown_kind_rejected(self, kind):
+        spec = nw.MlpSpec((4, 8, 3), head="softmax")
+        with pytest.raises(ValueError, match="unknown network kind"):
+            nw.Mlp(kind, spec, nw.init_params(spec, np.random.default_rng(0)))
+
+    def test_parameter_count_checked(self):
+        spec = nw.MlpSpec((4, 8, 3), head="softmax")
+        params = nw.init_params(nw.MlpSpec((4, 8, 8, 3), head="softmax"), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="expected 4 parameter tensors, got 6"):
+            nw.Mlp("classifier", spec, params)
+
+    @pytest.mark.parametrize("role", ["classifier", "explainer", "variational"])
+    def test_build_returns_an_mlp_of_its_role(self, role):
+        net = BUILDERS[role](np.random.default_rng(0), (6, 6))
+        assert type(net) is nw.Mlp and net.kind == role
+        assert net.spec.head == nw.ROLES[role] and net.eval_count == 0
+        assert net.spec.layer_widths == (10, 6, 6, {"explainer": 10}.get(role, 2))
+
+    @pytest.mark.parametrize("role", ["classifier", "explainer", "variational"])
+    def test_eval_count_grows_by_the_rows_of_every_pass(self, role):
+        net = BUILDERS[role](np.random.default_rng(1), (6, 6))
+        x = np.random.default_rng(2).normal(size=(7, 10))
+        net.forward(x)
+        assert net.eval_count == 7
+        net.forward(x[0])
+        assert net.eval_count == 8
+        net.forward_tensor(ad.constant(x[:3]))
+        assert net.eval_count == 11
+        net.logits_tensor(ad.constant(x[:2]), frozen=True)
+        assert net.eval_count == 13
+        net.predict_proba(x[:4])
+        net.scores(x[:2])
+        assert net.eval_count == 19
+        net.reset_eval_count()
+        assert net.eval_count == 0
 
 
 def one_pass(net, x):
@@ -235,7 +284,7 @@ class TestSerialization:
         ]:
             net = build(*args, np.random.default_rng(20), hidden=(6, 7))
             again = nw.deserialize(nw.serialize(net))
-            assert type(again) is type(net)
+            assert type(again) is nw.Mlp and again.kind == net.kind
             assert again.spec == net.spec
             for name in net.params.names():
                 np.testing.assert_array_equal(again.params[name].data, net.params[name].data)
@@ -274,6 +323,25 @@ class TestSerialization:
         assert nw.load_model(path, kind="classifier").kind == "classifier"
         with pytest.raises(ModelFormatError, match="holds a classifier network; expected kind 'explainer'"):
             nw.load_model(path, kind="explainer")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.update(kind="explainer"), "explainer requires a linear head"),
+        (lambda h: h.update(kind="forest"), "unknown network kind 'forest'"),
+        (lambda h: h["spec"].update(head="linear"), "classifier requires a softmax head"),
+        (lambda h: h["spec"].update(layer_widths=[4, 8.5, 8, 8, 3]), "widths must be integers"),
+        (lambda h: h["tensors"][0].update(shape=[4, 8.0]), "tensor shapes must be integers"),
+        (lambda h: h.update(spec=5), "spec must be a JSON object"),
+    ], ids=["kind-contradicts-head", "unknown-kind", "head-contradicts-kind", "fractional-width",
+            "float-shape", "spec-not-an-object"])
+    def test_header_fault_is_a_format_error_at_the_header(self, edit, message):
+        blob = nw.serialize(small_classifier())
+        size = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12 : 12 + size])
+        edit(header)
+        text = json.dumps(header).encode()
+        with pytest.raises(ModelFormatError, match=message) as exc:
+            nw.deserialize(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + size :])
+        assert exc.value.offset == 12
 
     def test_bad_magic(self):
         blob = bytearray(nw.serialize(small_classifier()))

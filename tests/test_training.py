@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -121,6 +122,29 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             tr.TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"batch_size": 10.5}, "batch_size must be an integer"),
+        ({"epochs": 1.5}, "epochs must be an integer"),
+        ({"warmup_epochs": 0.5}, "warmup_epochs must be an integer"),
+        ({"k": 1.5}, "k must be an integer"),
+        ({"seed": 2.0}, "seed must be an integer"),
+        ({"epochs": True}, "epochs must be an integer"),
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"classifier_hidden": (3.5,)}, "classifier_hidden must be one or more positive widths"),
+        ({"explainer_hidden": (8, 8.0)}, "explainer_hidden must be one or more positive widths"),
+        ({"variational_hidden": (8, True)}, "variational_hidden must be one or more positive widths"),
+    ], ids=["batch-size", "epochs", "warmup-epochs", "k", "seed-float", "epochs-bool", "seed-negative",
+            "classifier-width", "explainer-width", "variational-width"])
+    def test_counts_are_integers_and_the_seed_nonnegative(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            tr.TrainConfig(**{"k": 2, **kwargs})
+
+    def test_numpy_integers_accepted(self):
+        i = np.int64
+        cfg = tr.TrainConfig(k=i(2), batch_size=i(10), epochs=i(1), warmup_epochs=i(0), seed=i(3),
+                             classifier_hidden=(i(4),), explainer_hidden=tuple(np.array([5, 5])))
+        assert cfg.seed == 3 and cfg.explainer_hidden == (5, 5)
+
     @pytest.mark.parametrize("name", ["learning_rate", "temperature"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
     def test_non_finite_rates_rejected(self, name, value):
@@ -140,6 +164,9 @@ class TestTrainConfig:
         assert {name: getattr(cfg, name) for name in train_fields} == train_fields
         with pytest.raises(ValueError, match="batch_size must be positive"):
             RunConfig(dataset="xor", batch_size=0)
+        for rows in (0, 300.5, 1e5):
+            with pytest.raises(ValueError, match="n_valid must be a positive integer"):
+                RunConfig(dataset="xor", n_valid=rows)
         with pytest.raises(TypeError):
             tr.TrainConfig(2)
 
@@ -308,6 +335,8 @@ class TestObjective:
                 return ad.constant(np.zeros(x.shape))
 
         class ConditionalHead:
+            spec = types.SimpleNamespace(output_width=joint.n_classes)
+
             def forward_tensor(self, masked):
                 rows = [cond[tuple(row[list(S)])] for row in masked.data]
                 return ad.constant(np.stack(rows))
