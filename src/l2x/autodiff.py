@@ -10,8 +10,22 @@ through an MLP's layers is one node, :func:`dense`, bit for bit the
 chain of per-layer ``relu(add_bias(matmul(h, w), b))`` ops it replaces;
 the per-op functions stay as the reference it is checked against.
 Nodes built outside this module (the relaxed subset mask in
-``sampling``) follow the same contract: a one-argument vjp, and no array
-handed out or kept that a later call overwrites.
+``sampling``, the training log-likelihood) follow the same contract: a
+one-argument vjp, and no array handed out or kept that a later call
+overwrites.
+
+Who may reuse an array, and when: a node's value and every gradient a
+vjp returns are fresh arrays that nothing else writes.  The arrays a
+node keeps for its vjp are its own, except in a :class:`Workspace`,
+which one owner (a training call) creates and passes to the float32
+passes of :func:`dense`: there each network's layer outputs, relu masks
+and float32 weights, and a vjp scratch all its nodes share, are reused
+from pass to pass, and the vjp writes its gradients through the layers
+over the kept layer inputs.  Such a node is live until its vjp has run or
+the next pass of its network through the same workspace, whichever is
+first; its vjp raises after that.  Nothing a workspace holds is ever a
+node's value or a returned gradient, and untaped inference, the gradient
+baselines and float64 passes never use one.
 
 Deliberate conventions:
 
@@ -36,6 +50,7 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ParameterSet",
+    "Workspace",
     "FiniteDiffReport",
     "constant",
     "parameter",
@@ -136,6 +151,62 @@ class ParameterSet(dict):
 
     def names(self) -> list[str]:
         return list(self)
+
+    def buffers(self) -> list[tuple[np.ndarray, list[str]]]:
+        """The set as flat float64 blocks, in order, each with the names it holds.
+
+        A run of consecutive tensors laid out back to back in one 1-D
+        array (as ``networks`` allocates a network's parameters) is one
+        flat view of that array; any other tensor is its own block.
+        Writing to a block writes to its tensors.
+        """
+        runs: list[list] = []  # [array, start, stop, names]
+        for name, t in self.items():
+            a, base = t.data, t.data.base
+            if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
+                    and base.flags.c_contiguous):
+                runs.append([a.reshape(-1), 0, a.size, [name]])
+                continue
+            start = (a.__array_interface__["data"][0] - base.__array_interface__["data"][0]) // 8
+            if runs and runs[-1][0] is base and runs[-1][2] == start:
+                runs[-1][2] += a.size
+                runs[-1][3].append(name)
+            else:
+                runs.append([base, start, start + a.size, [name]])
+        return [(block[start:stop], names) for block, start, stop, names in runs]
+
+
+def _fresh(key, shape, dtype) -> np.ndarray:
+    """A new array for every request: what a pass without a :class:`Workspace` computes into."""
+    return np.empty(shape, dtype)
+
+
+class Workspace:
+    """Arrays that one owner reuses from step to step; see the module docstring.
+
+    :meth:`take` keeps one array per key, shape and dtype.  :func:`dense`
+    keys a node's own arrays by its network and its vjp scratch by role
+    alone, and marks the network's newest pass live until its vjp runs.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+        self._live: dict = {}
+
+    def take(self, key, shape, dtype) -> np.ndarray:
+        """The array under ``key``, ``shape`` and ``dtype``, uninitialized when new."""
+        a = self._arrays.get((key, shape, dtype))
+        if a is None:
+            a = self._arrays[key, shape, dtype] = np.empty(shape, dtype)
+        return a
+
+    def claim(self, owner) -> object:
+        """A token marking a new pass of ``owner`` as its live one."""
+        token = self._live[owner] = object()
+        return token
+
+    def is_live(self, owner, token) -> bool:
+        return self._live.get(owner) is token
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +321,7 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, "add_bias", (a, b), lambda g: (g, g.sum(axis=0)))
 
 
-def dense_array(h: np.ndarray, params, kept: list | None = None) -> np.ndarray:
+def dense_array(h: np.ndarray, params, kept: list | None = None, take=_fresh) -> np.ndarray:
     """The layers ``params`` = (w0, b0, w1, b1, ...) over a (batch, k) array.
 
     Each layer is ``h @ w + b`` in one buffer, then a relu on every layer
@@ -258,15 +329,18 @@ def dense_array(h: np.ndarray, params, kept: list | None = None) -> np.ndarray:
     once the next layer is computed, unless ``kept`` is a list: then it
     receives every layer's (input, relu mask or None), for a vjp.  Its
     memory grows with the batch, so the untaped pass over a dataset calls
-    it on one block of rows at a time (``networks.map_blocks``).
+    it on one block of rows at a time (``networks.map_blocks``).  Layer
+    outputs and masks go to ``take(key, shape, dtype)``: new arrays by
+    default, a :class:`Workspace`'s in a training pass.
     """
     last = len(params) - 2
     for i in range(0, len(params), 2):
-        out = np.matmul(h, params[i])
+        w = params[i]
+        out = np.matmul(h, w, out=take(("out", i), (h.shape[0], w.shape[1]), w.dtype))
         out += params[i + 1]
         mask = None
         if i < last:
-            mask = out > 0.0
+            mask = np.greater(out, 0.0, out=take(("mask", i), out.shape, bool))
             out *= mask
         if kept is not None:
             kept.append((h, mask))
@@ -274,8 +348,8 @@ def dense_array(h: np.ndarray, params, kept: list | None = None) -> np.ndarray:
     return h
 
 
-def _to_compute(a: np.ndarray, dtype) -> np.ndarray:
-    """A float64 array in ``dtype``; in float32 a fresh copy with every would-be subnormal set to zero.
+def _to_compute(a: np.ndarray, dtype, take=_fresh, key="in") -> np.ndarray:
+    """A float64 array in ``dtype``; in float32 a copy, in ``take(key, ...)``, with every would-be subnormal set to zero.
 
     Masked inputs and the gradients reaching the explainer through the
     relaxed mask hold many values below float32's smallest normal, and
@@ -283,12 +357,14 @@ def _to_compute(a: np.ndarray, dtype) -> np.ndarray:
     """
     if dtype == np.float64:
         return a
-    out = a.astype(dtype)
-    out[np.abs(out) < np.finfo(dtype).tiny] = 0.0
+    out = take(key, a.shape, dtype)
+    np.copyto(out, a, casting="same_kind")
+    magnitude = np.abs(out, out=take("abs", a.shape, dtype))
+    np.copyto(out, 0.0, where=np.less(magnitude, np.finfo(dtype).tiny, out=take("small", a.shape, bool)))
     return out
 
 
-def dense(h: Tensor, params, dtype=np.float64) -> Tensor:
+def dense(h: Tensor, params, dtype=np.float64, workspace: Workspace | None = None) -> Tensor:
     """A relu MLP as one node: ``params`` = (w0, b0, w1, b1, ...), relu after every layer but the last.
 
     In float64, bit for bit the chain ``relu(add_bias(matmul(h, w0),
@@ -303,8 +379,14 @@ def dense(h: Tensor, params, dtype=np.float64) -> Tensor:
     produced itself and never to the incoming one.  It computes nothing,
     and returns None, for a parent that needed no gradient when the node
     was built: a network's input, or weights that entered as constants.
+
+    A float32 pass may compute in a ``workspace``, with the same bits; the
+    network is known by its first weight array, and the node lives until
+    that network's next pass through the workspace (see the module
+    docstring).  Its vjp runs once: it writes each layer's input gradient
+    over the layer's kept input.  Float64 passes take no workspace.
     """
-    h, params = _as_tensor(h), tuple(map(_as_tensor, params))
+    h, params, dtype = _as_tensor(h), tuple(map(_as_tensor, params)), np.dtype(dtype)
     shapes = [p.shape for p in params]
     width = h.shape[1] if h.data.ndim == 2 else -1
     ok = len(shapes) >= 2 and len(shapes) % 2 == 0
@@ -313,32 +395,62 @@ def dense(h: Tensor, params, dtype=np.float64) -> Tensor:
         width = w[-1] if w else -1
     if not ok:
         raise ValueError(f"dense: expects (m, k) through layers (k, n) + (n,), ..., got {h.shape} through {shapes}")
-    values = [p.data.astype(dtype, copy=False) for p in params]
+    mine = shared = _fresh
+    owner = token = None
+    if workspace is not None:
+        if dtype == np.float64:
+            raise ValueError("dense: a workspace is for float32 passes only")
+        owner, shared = id(params[0].data), workspace.take
+        token = workspace.claim(owner)
+
+        def mine(key, shape, dt):
+            return workspace.take((owner, key), shape, dt)
+
+    values = [p.data for p in params]
+    if dtype != np.float64:
+        values = [mine(("w", i), v.shape, dtype) for i, v in enumerate(values)]
+        for v, p in zip(values, params):
+            np.copyto(v, p.data, casting="same_kind")
     weights, need = values[::2], [p.requires_grad for p in params]
     need_h = h.requires_grad
     kept: list = []
-    out = dense_array(_to_compute(h.data, dtype), values, kept)
+    out = dense_array(_to_compute(h.data, dtype, mine), values, kept, mine)
 
     def vjp(g: np.ndarray):
-        g = _to_compute(g, dtype)
+        if workspace is not None:
+            if not workspace.is_live(owner, token):
+                raise RuntimeError("dense: this node's arrays were overwritten by a later pass or its own vjp")
+            workspace.claim(owner)  # the vjp below overwrites the kept inputs: it runs once
+        g = _to_compute(g, dtype, shared, "grad")
         grads = []
         for i in reversed(range(len(kept))):
             hd, mask = kept[i]
             if mask is not None:
                 g *= mask  # relu'(0) = 0; g came from the layer above, in this vjp
+            w = weights[i]
             grads += [g.sum(axis=0, dtype=np.float64) if need[2 * i + 1] else None,
-                      (hd.T @ g).astype(np.float64, copy=False) if need[2 * i] else None]
-            g = g @ weights[i].T if i or need_h else None
+                      np.matmul(hd.T, g, out=shared("dw", w.shape, w.dtype)).astype(np.float64, copy=False)
+                      if need[2 * i] else None]
+            # in a workspace, the layer's input gradient replaces its input, which nothing reads again
+            g = np.matmul(g, w.T, out=None if workspace is None else hd) if i or need_h else None
         return (None if g is None else g.astype(np.float64, copy=False), *reversed(grads))
 
     return _node(out.astype(np.float64, copy=False), "dense", (h, *params), vjp)
 
 
 def softmax_array(z: np.ndarray) -> np.ndarray:
-    """Softmax of a plain array over the last axis, computed with max-subtraction."""
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax of a plain float64 array over the last axis, computed with max-subtraction, in place: ``z`` is returned.
+
+    The max is taken one column at a time (exact, so in any order); the
+    normalizing sum is numpy's reduction over the axis.
+    """
+    top = z[..., :1].copy()
+    for j in range(1, z.shape[-1]):
+        np.maximum(top, z[..., j : j + 1], out=top)
+    z -= top
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def softmax(a: Tensor, temperature: float = 1.0) -> Tensor:

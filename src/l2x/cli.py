@@ -67,6 +67,17 @@ def _str_tuple(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+def _seed(text: str) -> int:
+    """Every subcommand's ``--seed``: a nonnegative int."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _dataset(text: str) -> str:
     try:
         return canonical_kind(text)
@@ -80,7 +91,7 @@ def _dataset(text: str) -> str:
 _SETTINGS = {
     "--n-train": dict(type=int),
     "--n-valid": dict(type=int),
-    "--seed": dict(type=int),
+    "--seed": dict(type=_seed),
     "--k": dict(type=int, help="features per explanation (default: dataset truth size)"),
     "--epochs": dict(type=int),
     "--warmup-epochs": dict(type=int, help="initial epochs that train only the variational net"),
@@ -296,7 +307,7 @@ def build_parser():
     c.add_argument("--dataset", type=_dataset, required=True,
                    help="xor | orange_skin | nonlinear_additive | switch")
     c.add_argument("--n", type=int, default=10_000)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_seed, default=0)
     _settings(c, "--sin-coeff")
     c.add_argument("--out", required=True)
 

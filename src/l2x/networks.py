@@ -18,16 +18,19 @@ audited.  Each offers two forward paths through one layer loop,
 the whole pass through the layers as one node, and a plain ndarray one
 for inference, which runs ``files.BLOCK_ROWS`` rows at a time
 (:func:`map_blocks`) so that its activations stay near the cache size
-whatever the number of rows.  Parameters are always float64.  Inference
-and the taped pass at its default dtype compute in float64, with
-identical arithmetic; the training loops run the taped pass with float32
-matmuls, and the node casts the float64 weights for each call (mixed
-precision).
+whatever the number of rows.  Parameters are always float64: a built
+network's, which training steps, are views of one flat buffer in the
+order of ``MlpSpec.layout()``; a loaded one keeps an array per tensor.
+Inference and the taped pass at its default dtype compute in float64,
+with identical arithmetic; the training loops run the taped pass with
+float32 matmuls in their own ``autodiff.Workspace``, and the node casts
+the float64 weights for each call (mixed precision).
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
-raw little-endian float64 tensor payloads in header order.  The header's
-tensor list must equal the architecture's ``MlpSpec.layout()``, so the
+raw little-endian float64 tensor payloads in header order (a built
+network's flat buffer is written in one piece).  The header's tensor
+list must equal the architecture's ``MlpSpec.layout()``, so the
 architecture alone fixes every tensor's name, shape and position.
 """
 
@@ -140,14 +143,17 @@ class MlpSpec:
 
 
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
-    """Glorot-uniform weights, zero biases, in the order of ``spec.layout()``."""
-    params = ParameterSet()
-    for name, shape in spec.layout():
+    """Glorot-uniform weights, zero biases, in the order of ``spec.layout()``: views of one float64 buffer."""
+    layout = spec.layout()
+    buffer = np.zeros(sum(math.prod(shape) for _, shape in layout))
+    params, start = ParameterSet(), 0
+    for name, shape in layout:
+        view = buffer[start : start + math.prod(shape)].reshape(shape)
+        start += view.size
         if name[0] == "w":
             a = np.sqrt(6.0 / sum(shape))
-            params.add(name, rng.uniform(-a, a, size=shape))
-        else:
-            params.add(name, np.zeros(shape))
+            view[...] = rng.uniform(-a, a, size=shape)
+        params.add(name, view)
     return params
 
 
@@ -188,19 +194,22 @@ class Mlp:
         self.eval_count += x.shape[0]
         return list(self.params.values())
 
-    def logits_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False) -> Tensor:
+    def logits_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False,
+                      workspace: ad.Workspace | None = None) -> Tensor:
         """Taped pass through the layers over a (batch, d) input, before the head: one node.
 
-        ``dtype`` is the node's compute dtype (see ``autodiff.dense``).
-        ``frozen`` puts the weights on the tape as constants, so the node
-        computes no gradient for them.
+        ``dtype`` is the node's compute dtype and ``workspace`` where a
+        float32 pass keeps its arrays (see ``autodiff.dense``).  ``frozen``
+        puts the weights on the tape as constants, so the node computes no
+        gradient for them.
         """
         params = self._evaluate(x)
-        return ad.dense(x, [t.data for t in params] if frozen else params, dtype)
+        return ad.dense(x, [t.data for t in params] if frozen else params, dtype, workspace)
 
-    def forward_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False) -> Tensor:
+    def forward_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False,
+                       workspace: ad.Workspace | None = None) -> Tensor:
         """Taped forward pass over a (batch, d) input; the head is float64 whatever ``dtype``."""
-        h = self.logits_tensor(x, dtype, frozen)
+        h = self.logits_tensor(x, dtype, frozen, workspace)
         return ad.softmax(h) if self.spec.head == "softmax" else h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -256,8 +265,8 @@ def serialize(net: Mlp) -> bytes:
     header = {"kind": net.kind, "spec": net.spec.to_dict(), "tensors": tensors}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(header_bytes)), header_bytes]
-    for _, t in net.params.items():
-        parts.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    for block, _ in net.params.buffers():
+        parts.append(np.ascontiguousarray(block, dtype="<f8").tobytes())
     return b"".join(parts)
 
 
@@ -294,6 +303,7 @@ def deserialize(payload: bytes) -> Mlp:
     if tensors != layout:
         raise ModelFormatError(f"tensor list does not match the architecture's {layout}", offset=12)
 
+    # one array per tensor: a loaded network is for inference and is never stepped
     params = ParameterSet()
     cursor = 12 + header_len
     for name, shape in layout:

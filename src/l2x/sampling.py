@@ -71,9 +71,9 @@ class RelaxedMask:
             raise ValueError("relaxed mask entries must lie in [0, 1]")
 
 
-def gumbel_from_uniform(u: np.ndarray) -> np.ndarray:
-    """-log(-log u) of uniform draws clamped away from {0, 1}, in one fresh array; ``u`` is left as is."""
-    g = np.asarray(np.clip(u, _U_LO, _U_HI))  # a scalar u clips to a scalar, which out= cannot take
+def gumbel_from_uniform(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """-log(-log u) of uniform draws clamped away from {0, 1}, in one fresh array or in ``out`` (which may be ``u``)."""
+    g = np.asarray(np.clip(u, _U_LO, _U_HI, out=out))  # a scalar u clips to a scalar, which out= cannot take
     np.log(g, out=g)
     np.negative(g, out=g)
     np.log(g, out=g)
@@ -124,15 +124,16 @@ def batched_relaxed_mask(log_weights: Tensor, noise: np.ndarray, temperature: fl
     """The relaxed subset mask of every score row in a (..., d) array of scores, as one node.
 
     ``noise`` has shape (..., k, d): k independent Gumbel rows per score
-    row.  Each score row is perturbed by each of its noise rows,
-    softmaxed at ``temperature`` and max-reduced over the k samples, so
-    row b of a (B, d) batch equals the mask of row b alone, bit for bit.
-    Values and gradients are those of the op chain ``reduce_max(softmax(
-    add(expand(log_weights), noise), temperature))``, bit for bit: the
-    softmax is the op's own kernel, the max and the first argmax over the
-    k samples are taken by an exact loop, and every sum is numpy's same
-    call.  The gradient of each mask entry flows to the lowest-index
-    sample attaining the max.
+    row, left as is.  Each score row is perturbed by each of its noise
+    rows, softmaxed at ``temperature`` and max-reduced over the k samples,
+    so row b of a (B, d) batch equals the mask of row b alone, bit for
+    bit.  Values and gradients are those of the op chain ``reduce_max(
+    softmax(add(expand(log_weights), noise), temperature))``, bit for
+    bit: the softmax is the op's own kernel, run in place on the perturbed
+    scores; the max and the first argmax over the k samples are taken by
+    an exact loop; the vjp routes each mask entry's gradient to the
+    lowest-index sample attaining the max by ``np.put_along_axis``; and
+    every sum is numpy's same call.
     """
     *lead, d = log_weights.shape
     axis = len(lead)
@@ -141,21 +142,23 @@ def batched_relaxed_mask(log_weights: Tensor, noise: np.ndarray, temperature: fl
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     k = noise.shape[axis]
-    z = np.add(np.expand_dims(log_weights.data, axis), noise)
-    z /= temperature
-    concrete = ad.softmax_array(z)
+    concrete = np.add(np.expand_dims(log_weights.data, axis), noise)
+    concrete /= temperature
+    ad.softmax_array(concrete)
     rows = concrete.reshape(-1, k, d)
     mask = rows[:, 0].copy()
     first = np.zeros(mask.shape, dtype=np.intp)  # lowest sample index attaining the max
+    above = np.empty(mask.shape, dtype=bool)
     for j in range(1, k):
-        np.copyto(first, j, where=rows[:, j] > mask)
+        np.putmask(first, np.greater(rows[:, j], mask, out=above), j)
         np.maximum(mask, rows[:, j], out=mask)
     inv_t = 1.0 / temperature
 
     def vjp(g: np.ndarray):
-        picked = first[:, None, :] == np.arange(k)[:, None]
-        grad = np.where(picked, g.reshape(-1, 1, d), 0.0).reshape(concrete.shape)
-        inner = (grad * concrete).sum(axis=-1, keepdims=True)
+        grad = np.zeros(rows.shape)
+        np.put_along_axis(grad, first[:, None, :], g.reshape(-1, 1, d), axis=1)
+        grad = grad.reshape(concrete.shape)
+        inner = np.multiply(grad, concrete).sum(axis=-1, keepdims=True)
         grad -= inner
         grad *= concrete
         grad *= inv_t

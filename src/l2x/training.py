@@ -16,6 +16,8 @@ Both loops train in mixed precision: each network pass is one
 ``autodiff.dense`` node computing in ``TRAIN_DTYPE`` (float32) over the
 float64 parameters, while the heads, the relaxed mask, the objective,
 gradient accumulation and RMSprop stay float64, and so do checkpoints.
+Each call owns an ``autodiff.Workspace`` that holds its float32 passes'
+arrays and the Gumbel noise from step to step, and drops it on return.
 """
 
 from __future__ import annotations
@@ -56,11 +58,17 @@ TRAIN_DTYPE = np.float32
 
 
 class RmsProp:
-    """RMSprop with a per-parameter squared-gradient accumulator.
+    """RMSprop with a squared-gradient accumulator per parameter buffer.
 
     acc <- DECAY * acc + (1 - DECAY) * g^2;  p <- p - lr * g / (sqrt(acc) + EPSILON)
 
-    computed in place, through two scratch arrays per parameter, in that order of operations.
+    computed in place, in that order of operations, once per flat block of
+    ``ParameterSet.buffers()`` (a whole network, when ``networks`` built
+    it) through two scratch arrays, the first holding the gathered
+    gradient, so each entry gets the bits a per-tensor step would give
+    it.  State is keyed by the buffer: a network keeps its accumulator
+    when it is stepped in a larger set.  ``acc[name]`` is the view of a
+    tensor's accumulator.
     """
 
     def __init__(self, learning_rate: float):
@@ -68,29 +76,49 @@ class RmsProp:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
         self.acc: dict[str, np.ndarray] = {}
-        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        # (id of a block's first array, its size) -> (that array, the block, its accumulator, two scratch arrays)
+        self._blocks: dict[tuple[int, int], tuple] = {}
+        # ids of a set's arrays -> (those arrays, [(block state, names)]); the arrays keep the ids unique
+        self._sets: dict[tuple[int, ...], tuple] = {}
+
+    def _layout(self, params: ParameterSet) -> list:
+        """(state, names) for each block of ``params``; a block's state is made on its first step."""
+        arrays = [t.data for t in params.values()]
+        entry = self._sets.get(tuple(map(id, arrays)))
+        if entry is None:
+            layout = []
+            for block, names in params.buffers():
+                first = params[names[0]].data
+                key = (id(first), block.size)
+                if key not in self._blocks:
+                    acc = np.zeros_like(block)
+                    self._blocks[key] = (first, block, acc, np.empty_like(block), np.empty_like(block))
+                    start = 0
+                    for name in names:
+                        a = params[name].data
+                        self.acc[name] = acc[start : start + a.size].reshape(a.shape)
+                        start += a.size
+                layout.append((self._blocks[key], names))
+            entry = self._sets[tuple(map(id, arrays))] = (arrays, layout)
+        return entry[1]
 
     def step(self, params: ParameterSet, grads: dict[str, np.ndarray]) -> None:
         for name, t in params.items():
-            g = grads[name]
-            if g.shape != t.data.shape:
+            if grads[name].shape != t.data.shape:
                 raise ValueError(
-                    f"gradient shape {g.shape} does not match parameter {name!r} {t.data.shape}"
+                    f"gradient shape {grads[name].shape} does not match parameter {name!r} {t.data.shape}"
                 )
-            acc = self.acc.get(name)
-            if acc is None:
-                acc = self.acc[name] = np.zeros_like(t.data)
-                self._scratch[name] = (np.empty_like(t.data), np.empty_like(t.data))
-            update, denom = self._scratch[name]
-            np.multiply(1.0 - DECAY, g, out=update)
-            update *= g
+        for (_, block, acc, g, scratch), names in self._layout(params):
+            np.concatenate([grads[name].reshape(-1) for name in names], out=g)
+            np.multiply(1.0 - DECAY, g, out=scratch)
+            scratch *= g
             acc *= DECAY
-            acc += update
-            np.sqrt(acc, out=denom)
-            denom += EPSILON
-            np.multiply(self.learning_rate, g, out=update)
-            update /= denom
-            t.data -= update
+            acc += scratch
+            np.sqrt(acc, out=scratch)
+            scratch += EPSILON
+            g *= self.learning_rate  # g becomes the update
+            g /= scratch
+            block -= g
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -156,15 +184,29 @@ class TrainReport:
 
 
 def _log_likelihood(target: np.ndarray, probs: Tensor) -> Tensor:
-    """Batch mean of sum_y target_y * log max(probs_y, PROB_CLAMP), the quantity both loops train on.
+    """Batch mean of sum_y target_y * log max(probs_y, PROB_CLAMP), the quantity both loops train on, as one node.
 
     The classifier minimizes its negation against one-hot labels; the
-    selector maximizes it against the classifier's probabilities.
+    selector maximizes it against the classifier's probabilities.  Value
+    and gradient are those of the op chain ``reduce_mean(reduce_sum(mul(
+    target, log(maximum(probs, PROB_CLAMP))), 1))``, bit for bit: the
+    same numpy calls in the same order, ties at the floor going to
+    ``probs``.  ``probs`` must be finite.
     """
-    target = ad.constant(target)
-    floor = ad.constant(np.full(probs.shape, PROB_CLAMP))
-    ll = ad.mul(target, ad.log(ad.maximum(probs, floor)))
-    return ad.reduce_mean(ad.reduce_sum(ll, axis=1))
+    target = np.asarray(target, dtype=np.float64)
+    clamped = np.maximum(probs.data, PROB_CLAMP)
+    above = probs.data >= PROB_CLAMP
+    n = clamped.shape[0]
+
+    def vjp(g: np.ndarray):
+        grad = target * (g.reshape(()) / n)
+        grad /= clamped
+        grad *= above
+        return (grad,)
+
+    value = (target * np.log(clamped)).sum(axis=(1,)).mean(axis=(0,))
+    return Tensor(value, requires_grad=probs.requires_grad, op="log_likelihood", parents=(probs,),
+                  vjp=vjp if probs.requires_grad else None)
 
 
 def l2x_objective(
@@ -215,8 +257,10 @@ def _features(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _batch_noise(rng: np.random.Generator, b: int, k: int, d: int) -> np.ndarray:
-    return gumbel_from_uniform(rng.uniform(size=(b, k, d)))
+def _batch_noise(rng: np.random.Generator, b: int, k: int, d: int, workspace: ad.Workspace) -> np.ndarray:
+    """(b, k, d) Gumbel draws, in the workspace's noise array; ``random`` draws the bits ``uniform`` would."""
+    u = rng.random(out=workspace.take("noise", (b, k, d), np.float64))
+    return gumbel_from_uniform(u, out=u)
 
 
 def _epochs(config: TrainConfig, n: int, params: ParameterSet, step) -> list[EpochStat]:
@@ -236,8 +280,9 @@ def _epochs(config: TrainConfig, n: int, params: ParameterSet, step) -> list[Epo
         for start in range(0, n, config.batch_size):
             values.append(step(epoch, order[start : start + config.batch_size], step_index))
             step_index += 1
-        for name, t in params.items():
-            if not np.isfinite(t.data).all():
+        for block, names in params.buffers():
+            if not np.isfinite(block).all():
+                name = next(name for name in names if not np.isfinite(params[name].data).all())
                 raise NumericError(f"parameter {name} became non-finite in epoch {epoch}")
         curve.append(EpochStat(epoch, float(np.mean(values)), (time.perf_counter() - t0) * 1e3))
     return curve
@@ -262,9 +307,10 @@ def train_classifier(
     onehot[np.arange(n), y] = 1.0
 
     opt = RmsProp(config.learning_rate)
+    workspace = ad.Workspace()
 
     def step(epoch: int, idx: np.ndarray, step_index: int) -> float:
-        probs = clf.forward_tensor(ad.constant(x[idx]), TRAIN_DTYPE)
+        probs = clf.forward_tensor(ad.constant(x[idx]), TRAIN_DTYPE, workspace=workspace)
         if not np.all(np.isfinite(probs.data)):
             raise NumericError(f"classifier probabilities became non-finite at step {step_index}")
         loss = ad.neg(_log_likelihood(onehot[idx], probs))
@@ -319,6 +365,7 @@ def train_l2x(
     variational_only = ParameterSet()
     variational_only.merge("variational", variational.params)
     opt = RmsProp(config.learning_rate)
+    workspace = ad.Workspace()
 
     # the classifier is frozen: probabilities are constants on the tape
     pm_all = classifier.predict_proba(x)
@@ -326,12 +373,12 @@ def train_l2x(
     def step(epoch: int, idx: np.ndarray, step_index: int) -> float:
         warmup = epoch < config.warmup_epochs
         active = variational_only if warmup else joint
-        noise = _batch_noise(substream(config.seed, "noise", step_index), len(idx), config.k, d)
+        noise = _batch_noise(substream(config.seed, "noise", step_index), len(idx), config.k, d, workspace)
         try:
             est = _frozen_objective(
                 x[idx], pm_all[idx],
-                lambda t: explainer.forward_tensor(t, TRAIN_DTYPE, frozen=warmup),
-                lambda t: variational.forward_tensor(t, TRAIN_DTYPE),
+                lambda t: explainer.forward_tensor(t, TRAIN_DTYPE, frozen=warmup, workspace=workspace),
+                lambda t: variational.forward_tensor(t, TRAIN_DTYPE, workspace=workspace),
                 noise, config.temperature,
             )
         except NumericError as e:

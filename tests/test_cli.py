@@ -430,6 +430,17 @@ class TestOracleCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ("generate", "--dataset", "xor", "--n", 5, "--seed", -1, "--out"),
+        ("oracle", "--joints", 2, "--seed", -1, "--out"),
+    ], ids=["generate", "oracle"])
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run(*argv, out) == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err and "argument --seed: seed must be nonnegative, got -1" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_no_command_exits_2(self):
         assert run() == 2
 

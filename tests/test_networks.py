@@ -289,6 +289,18 @@ class TestSerialization:
             for name in net.params.names():
                 np.testing.assert_array_equal(again.params[name].data, net.params[name].data)
 
+    def test_built_parameters_are_views_of_one_buffer_in_layout_order(self):
+        net = nw.build_variational(5, 2, np.random.default_rng(21), hidden=(6, 7))
+        [(block, names)] = net.params.buffers()
+        assert names == [name for name, _ in net.spec.layout()]
+        assert block.tobytes() == b"".join(t.data.tobytes() for t in net.params.values())
+        assert all(np.shares_memory(block, t.data) for t in net.params.values())
+        blob = nw.serialize(net)
+        assert blob.endswith(block.tobytes())
+        again = nw.deserialize(blob)  # one array per tensor, the same bytes
+        assert [names for _, names in again.params.buffers()] == [[name] for name in names]
+        assert nw.serialize(again) == blob
+
     def test_trained_networks_serialize_as_float64_v1_and_reload_bit_exact(self):
         # training computes in float32 inside each pass; the weights it keeps are float64
         rng = np.random.default_rng(23)

@@ -32,6 +32,12 @@ class TestGumbelNoise:
         assert g.tobytes() == (-np.log(-np.log(np.clip(before, 1e-12, 1.0 - 1e-12)))).tobytes()
         assert u.tobytes() == before.tobytes() and not np.shares_memory(g, u)
 
+    def test_out_may_be_u(self):
+        u = np.random.default_rng(2).uniform(size=(4, 3))
+        u[0, :2] = 0.0, 1.0 - 1e-15  # both clamps
+        fresh = sp.gumbel_from_uniform(u)
+        assert sp.gumbel_from_uniform(u, out=u) is u and u.tobytes() == fresh.tobytes()
+
     def test_same_seed_reproduces_exactly(self):
         a = sp.sample_gumbel(123, 4, 6)
         b = sp.sample_gumbel(123, 4, 6)

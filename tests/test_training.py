@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -85,6 +87,30 @@ class TestRmsProp:
                 assert params[name].data.tobytes() == ref[name].tobytes(), name
                 assert opt.acc[name].tobytes() == acc[name].tobytes(), name
                 assert grads[name].tobytes() == g.tobytes(), "the gradient was modified"
+
+    def test_network_buffers_step_like_their_tensors_and_keep_state_across_sets(self):
+        rng = np.random.default_rng(4)
+        ex = build_explainer(3, rng, hidden=(4,))
+        var = build_variational(3, 2, rng, hidden=(5,))
+        variational_only, joint = ad.ParameterSet(), ad.ParameterSet()
+        variational_only.merge("variational", var.params)
+        joint.merge("explainer", ex.params)
+        joint.merge("variational", var.params)
+        assert [names for _, names in joint.buffers()] == [list(joint)[:4], list(joint)[4:]]
+        lr, rho, eps = 0.01, tr.DECAY, tr.EPSILON
+        opt = tr.RmsProp(lr)
+        ref = {name: t.data.copy() for name, t in joint.items()}
+        acc = {name: np.zeros_like(v) for name, v in ref.items()}
+        for active in (variational_only,) * 3 + (joint,) * 3:  # warmup, then the joint phase
+            grads = {name: rng.normal(size=t.data.shape) for name, t in active.items()}
+            opt.step(active, grads)
+            for name, g in grads.items():
+                acc[name] = rho * acc[name] + (1.0 - rho) * g * g
+                ref[name] = ref[name] - lr * g / (np.sqrt(acc[name]) + eps)
+            for name, t in joint.items():
+                assert t.data.tobytes() == ref[name].tobytes(), name
+            for name in active:
+                assert opt.acc[name].tobytes() == acc[name].tobytes(), name
 
     def test_shape_mismatch_raises(self):
         params = ad.ParameterSet()
@@ -256,6 +282,23 @@ class TestWarmupBackward:
 
 
 class TestObjective:
+    def test_log_likelihood_node_matches_the_op_chain_bitwise(self):
+        rng = np.random.default_rng(12)
+        for target in (np.eye(3)[rng.integers(0, 3, size=9)], rng.dirichlet(np.ones(3), size=9)):
+            probs = rng.dirichlet(np.ones(3) * 0.3, size=9)
+            probs[0] = [tr.PROB_CLAMP, 1e-300, 1.0 - tr.PROB_CLAMP]  # at, and under, the floor
+            probs[1, 0] = 0.0
+            fused, chain = ad.parameter(probs), ad.parameter(probs)
+            node = tr._log_likelihood(target, fused)
+            floor = ad.constant(np.full(probs.shape, tr.PROB_CLAMP))
+            ll = ad.mul(ad.constant(target), ad.log(ad.maximum(chain, floor)))
+            ref = ad.reduce_mean(ad.reduce_sum(ll, axis=1))
+            assert node.data.tobytes() == ref.data.tobytes()
+            got, want = (ad.backward(ad.neg(root), ad.ParameterSet(p=leaf))["p"]
+                         for root, leaf in ((node, fused), (ref, chain)))
+            assert got.tobytes() == want.tobytes()
+            assert got[0, 1] == 0.0 and got[1, 0] == 0.0  # no gradient below the floor
+
     def test_uniform_variational_head_gives_log_c_exactly(self):
         clf, ex, var, x, noise = tiny_setup()
         # zero the variational net entirely: softmax head becomes uniform
@@ -530,6 +573,66 @@ class TestTrainL2x:
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(NumericError, match="non-finite in epoch 0"):
                 tr.train_l2x(x, clf, cfg)
+
+    def test_non_finite_parameter_is_named(self):
+        net = build_variational(3, 2, np.random.default_rng(0), hidden=(4,))
+        params = ad.ParameterSet()
+        params.merge("variational", net.params)
+        cfg = tr.TrainConfig(k=1, batch_size=5, epochs=1)
+
+        def step(epoch, idx, step_index):
+            net.params["b0"].data[2] = np.inf
+            return -1.0
+
+        with pytest.raises(NumericError, match="parameter variational.b0 became non-finite in epoch 0"):
+            tr._epochs(cfg, 10, params, step)
+
+    def test_steady_state_step_allocates_no_layer_sized_array(self, monkeypatch):
+        # tracemalloc counts numpy's buffers.  Each step must reuse the float32 layer
+        # outputs, relu masks and vjp scratch: the traced peak of a step, after the
+        # first, rises less than one (batch, hidden) float32 array above its start
+        batch, hidden = 256, 512
+        x = np.random.default_rng(0).normal(size=(6 * batch, 10))
+        clf = build_classifier(10, 2, np.random.default_rng(1), hidden=(8,))
+        cfg = tr.TrainConfig(k=2, batch_size=batch, epochs=1, warmup_epochs=0, seed=0,
+                             explainer_hidden=(hidden,), variational_hidden=(hidden,))
+        marks, batch_noise = [], tr._batch_noise
+
+        def marking(*args):  # called first thing in every step
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return batch_noise(*args)
+
+        monkeypatch.setattr(tr, "_batch_noise", marking)
+        tracemalloc.start()
+        try:
+            tr.train_l2x(x, clf, cfg)
+        finally:
+            tracemalloc.stop()
+        assert len(marks) == 6
+        growth = [peak - start for (start, _), (_, peak) in zip(marks[1:], marks[2:])]
+        assert max(growth) < batch * hidden * 4, growth
+
+    @pytest.mark.parametrize("loop", ["classifier", "selector"])
+    def test_training_buffers_are_gone_once_the_call_returns(self, monkeypatch, loop):
+        taken, take = [], ad.Workspace.take
+
+        def recording(self, *args):
+            a = take(self, *args)
+            taken.append(weakref.ref(a))
+            return a
+
+        monkeypatch.setattr(ad.Workspace, "take", recording)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(40, 6))
+        clf = build_classifier(6, 2, rng, hidden=(8, 8))
+        cfg = tr.TrainConfig(k=2, batch_size=20, epochs=2, warmup_epochs=1, seed=0,
+                             classifier_hidden=(8, 8), explainer_hidden=(8, 8), variational_hidden=(8, 8))
+        if loop == "classifier":
+            tr.train_classifier(x, (x[:, 0] > 0).astype(int), cfg)
+        else:
+            tr.train_l2x(x, clf, cfg)
+        assert taken and all(ref() is None for ref in taken)
 
     def test_non_finite_objective_aborts_with_step(self):
         rng = np.random.default_rng(0)
