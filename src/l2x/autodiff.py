@@ -14,18 +14,12 @@ Nodes built outside this module (the relaxed subset mask in
 one-argument vjp, and no array handed out or kept that a later call
 overwrites.
 
-Who may reuse an array, and when: a node's value and every gradient a
-vjp returns are fresh arrays that nothing else writes.  The arrays a
-node keeps for its vjp are its own, except in a :class:`Workspace`,
-which one owner (a training call) creates and passes to the float32
-passes of :func:`dense`: there each network's layer outputs, relu masks
-and float32 weights, and a vjp scratch all its nodes share, are reused
-from pass to pass, and the vjp writes its gradients through the layers
-over the kept layer inputs.  Such a node is live until its vjp has run or
-the next pass of its network through the same workspace, whichever is
-first; its vjp raises after that.  Nothing a workspace holds is ever a
-node's value or a returned gradient, and untaped inference, the gradient
-baselines and float64 passes never use one.
+Who may reuse an array: a node's value and every gradient a vjp returns
+are fresh arrays that nothing else writes, and the arrays a node keeps
+for its vjp are its own.  The plain-array kernels under :func:`dense`,
+``dense_array`` and ``dense_backward``, also serve the training step
+(``training``), which runs them over arrays it owns and reuses from step
+to step without building a node.
 
 Deliberate conventions:
 
@@ -50,7 +44,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ParameterSet",
-    "Workspace",
     "FiniteDiffReport",
     "constant",
     "parameter",
@@ -131,8 +124,7 @@ def _as_tensor(x) -> Tensor:
 class ParameterSet(dict):
     """Named trainable tensors: a ``dict`` of name -> :class:`Tensor`.
 
-    Insertion order makes optimizer state and gradient dictionaries
-    reproducible across runs.
+    Insertion order makes gradient dictionaries reproducible across runs.
     """
 
     def add(self, name: str, data) -> Tensor:
@@ -151,62 +143,6 @@ class ParameterSet(dict):
 
     def names(self) -> list[str]:
         return list(self)
-
-    def buffers(self) -> list[tuple[np.ndarray, list[str]]]:
-        """The set as flat float64 blocks, in order, each with the names it holds.
-
-        A run of consecutive tensors laid out back to back in one 1-D
-        array (as ``networks`` allocates a network's parameters) is one
-        flat view of that array; any other tensor is its own block.
-        Writing to a block writes to its tensors.
-        """
-        runs: list[list] = []  # [array, start, stop, names]
-        for name, t in self.items():
-            a, base = t.data, t.data.base
-            if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
-                    and base.flags.c_contiguous):
-                runs.append([a.reshape(-1), 0, a.size, [name]])
-                continue
-            start = (a.__array_interface__["data"][0] - base.__array_interface__["data"][0]) // 8
-            if runs and runs[-1][0] is base and runs[-1][2] == start:
-                runs[-1][2] += a.size
-                runs[-1][3].append(name)
-            else:
-                runs.append([base, start, start + a.size, [name]])
-        return [(block[start:stop], names) for block, start, stop, names in runs]
-
-
-def _fresh(key, shape, dtype) -> np.ndarray:
-    """A new array for every request: what a pass without a :class:`Workspace` computes into."""
-    return np.empty(shape, dtype)
-
-
-class Workspace:
-    """Arrays that one owner reuses from step to step; see the module docstring.
-
-    :meth:`take` keeps one array per key, shape and dtype.  :func:`dense`
-    keys a node's own arrays by its network and its vjp scratch by role
-    alone, and marks the network's newest pass live until its vjp runs.
-    """
-
-    def __init__(self):
-        self._arrays: dict = {}
-        self._live: dict = {}
-
-    def take(self, key, shape, dtype) -> np.ndarray:
-        """The array under ``key``, ``shape`` and ``dtype``, uninitialized when new."""
-        a = self._arrays.get((key, shape, dtype))
-        if a is None:
-            a = self._arrays[key, shape, dtype] = np.empty(shape, dtype)
-        return a
-
-    def claim(self, owner) -> object:
-        """A token marking a new pass of ``owner`` as its live one."""
-        token = self._live[owner] = object()
-        return token
-
-    def is_live(self, owner, token) -> bool:
-        return self._live.get(owner) is token
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +206,7 @@ def relu(a: Tensor) -> Tensor:
     return _node(a.data * mask, "relu", (a,), lambda g: (g * mask,))
 
 
-# plain-array kernels, shared with the untaped paths; not ops, so not in __all__
+# plain-array kernels, shared with the untaped paths and the training step; not ops, so not in __all__
 def sigmoid_array(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic of a plain array, without overflow at either tail."""
     out = np.empty_like(x)
@@ -321,26 +257,27 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, "add_bias", (a, b), lambda g: (g, g.sum(axis=0)))
 
 
-def dense_array(h: np.ndarray, params, kept: list | None = None, take=_fresh) -> np.ndarray:
+def dense_array(h: np.ndarray, params, kept: list | None = None, arrays=None) -> np.ndarray:
     """The layers ``params`` = (w0, b0, w1, b1, ...) over a (batch, k) array.
 
     Each layer is ``h @ w + b`` in one buffer, then a relu on every layer
     but the last (relu of a negative is -0.0).  A layer's input is freed
     once the next layer is computed, unless ``kept`` is a list: then it
-    receives every layer's (input, relu mask or None), for a vjp.  Its
-    memory grows with the batch, so the untaped pass over a dataset calls
-    it on one block of rows at a time (``networks.map_blocks``).  Layer
-    outputs and masks go to ``take(key, shape, dtype)``: new arrays by
-    default, a :class:`Workspace`'s in a training pass.
+    receives every layer's (input, relu mask or None), for
+    :func:`dense_backward`.  Its memory grows with the batch, so the
+    untaped pass over a dataset calls it on one block of rows at a time
+    (``networks.map_blocks``).  Each layer's output and mask are new
+    arrays, or with ``arrays`` the (output, mask or None) pair it lists
+    for the layer, written in place.
     """
     last = len(params) - 2
     for i in range(0, len(params), 2):
         w = params[i]
-        out = np.matmul(h, w, out=take(("out", i), (h.shape[0], w.shape[1]), w.dtype))
+        out, mask = arrays[i // 2] if arrays is not None else (None, None)
+        out = np.matmul(h, w, out=out)
         out += params[i + 1]
-        mask = None
         if i < last:
-            mask = np.greater(out, 0.0, out=take(("mask", i), out.shape, bool))
+            mask = np.greater(out, 0.0, out=mask)
             out *= mask
         if kept is not None:
             kept.append((h, mask))
@@ -348,8 +285,33 @@ def dense_array(h: np.ndarray, params, kept: list | None = None, take=_fresh) ->
     return h
 
 
-def _to_compute(a: np.ndarray, dtype, take=_fresh, key="in") -> np.ndarray:
-    """A float64 array in ``dtype``; in float32 a copy, in ``take(key, ...)``, with every would-be subnormal set to zero.
+def dense_backward(g: np.ndarray, weights, kept: list, grads: list, need_input: bool,
+                   overwrite: bool = False) -> np.ndarray | None:
+    """The vjp of one :func:`dense_array` pass over plain arrays: ``kept`` is its list, ``weights`` its (w0, w1, ...).
+
+    ``g`` is the gradient of the pass's output, in the compute dtype.
+    ``grads`` lists an array per parameter, (w0, b0, w1, ...), to write
+    that parameter's gradient into, or None to compute none: a weight's
+    in the compute dtype, a bias's summed in float64.  Each hidden
+    layer's relu mask is applied in place to a gradient this call
+    produced, never to ``g``.  Returns the input's gradient if
+    ``need_input``, else None; with ``overwrite`` each layer's input
+    gradient is written over its kept input, which nothing reads again.
+    """
+    for i in reversed(range(len(kept))):
+        hd, mask = kept[i]
+        if mask is not None:
+            g *= mask  # relu'(0) = 0; g came from the layer above, in this call
+        if grads[2 * i + 1] is not None:
+            g.sum(axis=0, dtype=np.float64, out=grads[2 * i + 1])
+        if grads[2 * i] is not None:
+            np.matmul(hd.T, g, out=grads[2 * i])
+        g = np.matmul(g, weights[i].T, out=hd if overwrite else None) if i or need_input else None
+    return g
+
+
+def cast_array(a: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
+    """A float64 array in ``dtype``; in float32 a copy, in ``out`` if given, with every would-be subnormal set to zero.
 
     Masked inputs and the gradients reaching the explainer through the
     relaxed mask hold many values below float32's smallest normal, and
@@ -357,14 +319,13 @@ def _to_compute(a: np.ndarray, dtype, take=_fresh, key="in") -> np.ndarray:
     """
     if dtype == np.float64:
         return a
-    out = take(key, a.shape, dtype)
+    out = np.empty(a.shape, dtype) if out is None else out
     np.copyto(out, a, casting="same_kind")
-    magnitude = np.abs(out, out=take("abs", a.shape, dtype))
-    np.copyto(out, 0.0, where=np.less(magnitude, np.finfo(dtype).tiny, out=take("small", a.shape, bool)))
+    np.copyto(out, 0.0, where=np.abs(out) < np.finfo(dtype).tiny)
     return out
 
 
-def dense(h: Tensor, params, dtype=np.float64, workspace: Workspace | None = None) -> Tensor:
+def dense(h: Tensor, params, dtype=np.float64) -> Tensor:
     """A relu MLP as one node: ``params`` = (w0, b0, w1, b1, ...), relu after every layer but the last.
 
     In float64, bit for bit the chain ``relu(add_bias(matmul(h, w0),
@@ -374,17 +335,10 @@ def dense(h: Tensor, params, dtype=np.float64, workspace: Workspace | None = Non
     in float32, but takes and returns float64: its value, the incoming
     gradient and every gradient it returns.  Input and incoming-gradient
     values below float32's smallest normal become zero in the cast.  Bias
-    gradients are summed in float64.  The vjp applies each hidden layer's
-    relu mask, kept from the forward pass, in place, to gradients it
-    produced itself and never to the incoming one.  It computes nothing,
-    and returns None, for a parent that needed no gradient when the node
-    was built: a network's input, or weights that entered as constants.
-
-    A float32 pass may compute in a ``workspace``, with the same bits; the
-    network is known by its first weight array, and the node lives until
-    that network's next pass through the workspace (see the module
-    docstring).  Its vjp runs once: it writes each layer's input gradient
-    over the layer's kept input.  Float64 passes take no workspace.
+    gradients are summed in float64.  The vjp is :func:`dense_backward`
+    over the node's own arrays.  It computes nothing, and returns None,
+    for a parent that needed no gradient when the node was built: a
+    network's input, or weights that entered as constants.
     """
     h, params, dtype = _as_tensor(h), tuple(map(_as_tensor, params)), np.dtype(dtype)
     shapes = [p.shape for p in params]
@@ -395,45 +349,16 @@ def dense(h: Tensor, params, dtype=np.float64, workspace: Workspace | None = Non
         width = w[-1] if w else -1
     if not ok:
         raise ValueError(f"dense: expects (m, k) through layers (k, n) + (n,), ..., got {h.shape} through {shapes}")
-    mine = shared = _fresh
-    owner = token = None
-    if workspace is not None:
-        if dtype == np.float64:
-            raise ValueError("dense: a workspace is for float32 passes only")
-        owner, shared = id(params[0].data), workspace.take
-        token = workspace.claim(owner)
-
-        def mine(key, shape, dt):
-            return workspace.take((owner, key), shape, dt)
-
-    values = [p.data for p in params]
-    if dtype != np.float64:
-        values = [mine(("w", i), v.shape, dtype) for i, v in enumerate(values)]
-        for v, p in zip(values, params):
-            np.copyto(v, p.data, casting="same_kind")
-    weights, need = values[::2], [p.requires_grad for p in params]
-    need_h = h.requires_grad
+    values = [p.data.astype(dtype, copy=False) for p in params]
+    need, need_h = [p.requires_grad for p in params], h.requires_grad
     kept: list = []
-    out = dense_array(_to_compute(h.data, dtype, mine), values, kept, mine)
+    out = dense_array(cast_array(h.data, dtype), values, kept)
 
     def vjp(g: np.ndarray):
-        if workspace is not None:
-            if not workspace.is_live(owner, token):
-                raise RuntimeError("dense: this node's arrays were overwritten by a later pass or its own vjp")
-            workspace.claim(owner)  # the vjp below overwrites the kept inputs: it runs once
-        g = _to_compute(g, dtype, shared, "grad")
-        grads = []
-        for i in reversed(range(len(kept))):
-            hd, mask = kept[i]
-            if mask is not None:
-                g *= mask  # relu'(0) = 0; g came from the layer above, in this vjp
-            w = weights[i]
-            grads += [g.sum(axis=0, dtype=np.float64) if need[2 * i + 1] else None,
-                      np.matmul(hd.T, g, out=shared("dw", w.shape, w.dtype)).astype(np.float64, copy=False)
-                      if need[2 * i] else None]
-            # in a workspace, the layer's input gradient replaces its input, which nothing reads again
-            g = np.matmul(g, w.T, out=None if workspace is None else hd) if i or need_h else None
-        return (None if g is None else g.astype(np.float64, copy=False), *reversed(grads))
+        grads = [np.empty(v.shape, np.float64 if i % 2 else dtype) if n else None
+                 for i, (v, n) in enumerate(zip(values, need))]
+        g = dense_backward(cast_array(g, dtype), values[::2], kept, grads, need_h)
+        return tuple(None if a is None else a.astype(np.float64, copy=False) for a in (g, *grads))
 
     return _node(out.astype(np.float64, copy=False), "dense", (h, *params), vjp)
 

@@ -21,15 +21,14 @@ for inference, which runs ``files.BLOCK_ROWS`` rows at a time
 whatever the number of rows.  Parameters are always float64: a built
 network's, which training steps, are views of one flat buffer in the
 order of ``MlpSpec.layout()``; a loaded one keeps an array per tensor.
-Inference and the taped pass at its default dtype compute in float64,
-with identical arithmetic; the training loops run the taped pass with
-float32 matmuls in their own ``autodiff.Workspace``, and the node casts
-the float64 weights for each call (mixed precision).
+Both paths compute in float64 by default, with identical arithmetic.
+The training loops run neither: their step casts the weights to float32
+and runs the same layer loop over arrays it owns (mixed precision; see
+``training``).
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
-raw little-endian float64 tensor payloads in header order (a built
-network's flat buffer is written in one piece).  The header's tensor
+raw little-endian float64 tensor payloads in header order.  The header's tensor
 list must equal the architecture's ``MlpSpec.layout()``, so the
 architecture alone fixes every tensor's name, shape and position.
 """
@@ -194,22 +193,19 @@ class Mlp:
         self.eval_count += x.shape[0]
         return list(self.params.values())
 
-    def logits_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False,
-                      workspace: ad.Workspace | None = None) -> Tensor:
+    def logits_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False) -> Tensor:
         """Taped pass through the layers over a (batch, d) input, before the head: one node.
 
-        ``dtype`` is the node's compute dtype and ``workspace`` where a
-        float32 pass keeps its arrays (see ``autodiff.dense``).  ``frozen``
-        puts the weights on the tape as constants, so the node computes no
-        gradient for them.
+        ``dtype`` is the node's compute dtype (see ``autodiff.dense``).
+        ``frozen`` puts the weights on the tape as constants, so the node
+        computes no gradient for them.
         """
         params = self._evaluate(x)
-        return ad.dense(x, [t.data for t in params] if frozen else params, dtype, workspace)
+        return ad.dense(x, [t.data for t in params] if frozen else params, dtype)
 
-    def forward_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False,
-                       workspace: ad.Workspace | None = None) -> Tensor:
+    def forward_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False) -> Tensor:
         """Taped forward pass over a (batch, d) input; the head is float64 whatever ``dtype``."""
-        h = self.logits_tensor(x, dtype, frozen, workspace)
+        h = self.logits_tensor(x, dtype, frozen)
         return ad.softmax(h) if self.spec.head == "softmax" else h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -265,8 +261,8 @@ def serialize(net: Mlp) -> bytes:
     header = {"kind": net.kind, "spec": net.spec.to_dict(), "tensors": tensors}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(header_bytes)), header_bytes]
-    for block, _ in net.params.buffers():
-        parts.append(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    for t in net.params.values():
+        parts.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
     return b"".join(parts)
 
 

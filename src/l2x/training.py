@@ -12,12 +12,19 @@ where V is the relaxed subset mask built from the explainer's scores and
 fresh Gumbel noise each step.  The classifier's probabilities enter as
 constants, so no gradient reaches it and its weights never change.
 
-Both loops train in mixed precision: each network pass is one
-``autodiff.dense`` node computing in ``TRAIN_DTYPE`` (float32) over the
-float64 parameters, while the heads, the relaxed mask, the objective,
-gradient accumulation and RMSprop stay float64, and so do checkpoints.
-Each call owns an ``autodiff.Workspace`` that holds its float32 passes'
-arrays and the Gumbel noise from step to step, and drops it on return.
+Both loops train in mixed precision, one explicit step per batch.  A
+:class:`_Pass` per network, owned by the training call, casts the
+float64 parameters and the batch to ``TRAIN_DTYPE`` (float32), runs the
+layers (``autodiff.dense_array``) over arrays it keeps from step to
+step, and runs them backward once (``autodiff.dense_backward``), writing
+the network's gradient into one flat float64 block laid out like its
+parameter buffer.  The heads, the relaxed mask and the log-likelihood
+are the taped nodes (``autodiff.softmax``,
+``sampling.batched_relaxed_mask``, :func:`_log_likelihood`), whose vjps
+the step calls directly, in reverse; they, the gradient blocks and
+RMSprop stay float64, and so do checkpoints.  :func:`l2x_objective`
+builds the same objective as one taped graph: the reference the step is
+checked against.
 """
 
 from __future__ import annotations
@@ -58,58 +65,36 @@ TRAIN_DTYPE = np.float32
 
 
 class RmsProp:
-    """RMSprop with a squared-gradient accumulator per parameter buffer.
+    """RMSprop with a squared-gradient accumulator per parameter block.
 
     acc <- DECAY * acc + (1 - DECAY) * g^2;  p <- p - lr * g / (sqrt(acc) + EPSILON)
 
-    computed in place, in that order of operations, once per flat block of
-    ``ParameterSet.buffers()`` (a whole network, when ``networks`` built
-    it) through two scratch arrays, the first holding the gathered
-    gradient, so each entry gets the bits a per-tensor step would give
-    it.  State is keyed by the buffer: a network keeps its accumulator
-    when it is stepped in a larger set.  ``acc[name]`` is the view of a
-    tensor's accumulator.
+    computed in place, in that order of operations, over flat float64
+    blocks, so each entry gets the bits a per-tensor step would give it.
+    :meth:`step` takes one step's (parameter block, gradient block) pairs
+    and overwrites each gradient block with its update.  A block's
+    accumulator is made on its first step and kept for that block object,
+    so a network keeps it in every phase it is stepped in.
     """
 
     def __init__(self, learning_rate: float):
-        if not learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+        if not 0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
         self.learning_rate = learning_rate
-        self.acc: dict[str, np.ndarray] = {}
-        # (id of a block's first array, its size) -> (that array, the block, its accumulator, two scratch arrays)
-        self._blocks: dict[tuple[int, int], tuple] = {}
-        # ids of a set's arrays -> (those arrays, [(block state, names)]); the arrays keep the ids unique
-        self._sets: dict[tuple[int, ...], tuple] = {}
+        # id of a parameter block -> (the block, which keeps the id unique; its accumulator; a scratch array)
+        self._state: dict[int, tuple] = {}
 
-    def _layout(self, params: ParameterSet) -> list:
-        """(state, names) for each block of ``params``; a block's state is made on its first step."""
-        arrays = [t.data for t in params.values()]
-        entry = self._sets.get(tuple(map(id, arrays)))
-        if entry is None:
-            layout = []
-            for block, names in params.buffers():
-                first = params[names[0]].data
-                key = (id(first), block.size)
-                if key not in self._blocks:
-                    acc = np.zeros_like(block)
-                    self._blocks[key] = (first, block, acc, np.empty_like(block), np.empty_like(block))
-                    start = 0
-                    for name in names:
-                        a = params[name].data
-                        self.acc[name] = acc[start : start + a.size].reshape(a.shape)
-                        start += a.size
-                layout.append((self._blocks[key], names))
-            entry = self._sets[tuple(map(id, arrays))] = (arrays, layout)
-        return entry[1]
+    def accumulator(self, block: np.ndarray) -> np.ndarray:
+        return self._state[id(block)][1]
 
-    def step(self, params: ParameterSet, grads: dict[str, np.ndarray]) -> None:
-        for name, t in params.items():
-            if grads[name].shape != t.data.shape:
-                raise ValueError(
-                    f"gradient shape {grads[name].shape} does not match parameter {name!r} {t.data.shape}"
-                )
-        for (_, block, acc, g, scratch), names in self._layout(params):
-            np.concatenate([grads[name].reshape(-1) for name in names], out=g)
+    def step(self, pairs) -> None:
+        for block, g in pairs:
+            if g.shape != block.shape:
+                raise ValueError(f"gradient shape {g.shape} does not match parameter block {block.shape}")
+        for block, g in pairs:
+            if id(block) not in self._state:
+                self._state[id(block)] = (block, np.zeros_like(block), np.empty_like(block))
+            _, acc, scratch = self._state[id(block)]
             np.multiply(1.0 - DECAY, g, out=scratch)
             scratch *= g
             acc *= DECAY
@@ -239,7 +224,17 @@ def l2x_objective(
         raise ValueError(
             f"class-count mismatch: classifier emits {pm.shape[1]}, variational emits {q_width}"
         )
-    return _frozen_objective(x, pm, explainer.forward_tensor, variational.forward_tensor, noise, temperature)
+    if not np.all(np.isfinite(pm)):
+        raise NumericError("classifier probabilities are non-finite")
+    scores = explainer.forward_tensor(ad.constant(x))
+    if not np.all(np.isfinite(scores.data)):
+        raise NumericError("explainer scores became non-finite")
+    v = batched_relaxed_mask(scores, noise, temperature)
+    q = variational.forward_tensor(ad.mul(v, ad.constant(x)))
+    if not np.all(np.isfinite(q.data)):
+        raise NumericError("variational output became non-finite")
+    root = _log_likelihood(pm, q)
+    return ObjectiveEstimate(value=root.item(), root=root)
 
 
 def _features(x: np.ndarray) -> np.ndarray:
@@ -257,19 +252,118 @@ def _features(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _batch_noise(rng: np.random.Generator, b: int, k: int, d: int, workspace: ad.Workspace) -> np.ndarray:
-    """(b, k, d) Gumbel draws, in the workspace's noise array; ``random`` draws the bits ``uniform`` would."""
-    u = rng.random(out=workspace.take("noise", (b, k, d), np.float64))
+def _batch_noise(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Gumbel draws filling ``out``, of shape (b, k, d); ``random`` draws the bits ``uniform`` would."""
+    u = rng.random(out=out)
     return gumbel_from_uniform(u, out=u)
+
+
+class _Pass:
+    """One network's float32 training pass over batches of up to ``rows`` rows, in arrays it owns.
+
+    ``block`` is the network's flat float64 parameter buffer (a built
+    network's parameters are views of one, ``networks.init_params``) and
+    ``grads`` a float64 block laid out alike, which :meth:`backward`
+    fills.  The float32 weights, the cast input, each layer's output and
+    relu mask, the cast incoming gradient and the float32 weight
+    gradients are reused from step to step; a smaller batch uses their
+    leading rows.
+    """
+
+    def __init__(self, net: Mlp, rows: int):
+        self.net = net
+        self.params = [t.data for t in net.params.values()]
+        self.block = self.params[0].base
+        self.grads = np.empty_like(self.block)
+        ends = np.cumsum([p.size for p in self.params])
+        self.grad_views = [self.grads[end - p.size : end].reshape(p.shape) for p, end in zip(self.params, ends)]
+        self.weights = [np.empty(p.shape, TRAIN_DTYPE) for p in self.params]
+        # where dense_backward writes: a weight's gradient in float32, copied into its view after; a bias's view
+        self.targets = [np.empty(p.shape, TRAIN_DTYPE) if i % 2 == 0 else view
+                        for i, (p, view) in enumerate(zip(self.params, self.grad_views))]
+        widths = net.spec.layer_widths
+        self.x = np.empty((rows, widths[0]), TRAIN_DTYPE)
+        self.g = np.empty((rows, widths[-1]), TRAIN_DTYPE)
+        self.layers = [(np.empty((rows, w), TRAIN_DTYPE), np.empty((rows, w), bool) if i < len(widths) - 2 else None)
+                       for i, w in enumerate(widths[1:])]
+        self.kept: list = []
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """The float64 output, before the head, over a float64 batch; its rows count as evaluations."""
+        self.net._evaluate(x)
+        for w, p in zip(self.weights, self.params):
+            np.copyto(w, p, casting="same_kind")
+        b = len(x)
+        self.kept = []
+        arrays = [(out[:b], None if mask is None else mask[:b]) for out, mask in self.layers]
+        h = ad.dense_array(ad.cast_array(x, TRAIN_DTYPE, self.x[:b]), self.weights, self.kept, arrays)
+        return h.astype(np.float64)
+
+    def backward(self, g: np.ndarray, need_input: bool = False) -> np.ndarray | None:
+        """Fill ``grads`` from the float64 gradient of the last forward output; the input's, if ``need_input``."""
+        g = ad.dense_backward(ad.cast_array(g, TRAIN_DTYPE, self.g[: len(g)]), self.weights[::2], self.kept,
+                              self.targets, need_input, overwrite=True)
+        for view, grad in zip(self.grad_views[::2], self.targets[::2]):
+            np.copyto(view, grad)
+        return None if g is None else g.astype(np.float64)
+
+
+def _head_gradient(ll: Tensor, probs: Tensor) -> np.ndarray:
+    """The gradient of ``-ll`` with respect to the logits under the softmax head ``probs``."""
+    (g,) = ll._vjp(np.array(-1.0))
+    (g,) = probs._vjp(g)
+    return g
+
+
+def _classifier_step(net: _Pass, x: np.ndarray, target: np.ndarray) -> float:
+    """The cross-entropy of the batch ``x`` against one-hot ``target``, with its gradient in ``net.grads``."""
+    probs = ad.softmax(ad.parameter(net.forward(x)))
+    if not np.all(np.isfinite(probs.data)):
+        raise NumericError("classifier probabilities became non-finite")
+    ll = _log_likelihood(target, probs)
+    value = -ll.item()
+    if not np.isfinite(value):
+        raise NumericError(f"classifier loss became {value}")
+    net.backward(_head_gradient(ll, probs))
+    return value
+
+
+def _selector_step(explainer: _Pass, variational: _Pass, x: np.ndarray, pm: np.ndarray, noise: np.ndarray,
+                   temperature: float, warmup: bool) -> float:
+    """:func:`l2x_objective`'s value on the batch ``x``; the gradient of its negation goes to the passes' ``grads``.
+
+    In ``warmup`` the scores enter the mask as a constant, so no
+    gradient is computed for the mask, the masked input or the
+    explainer, whose ``grads`` keep what they held.
+    """
+    if not np.all(np.isfinite(pm)):
+        raise NumericError("classifier probabilities are non-finite")
+    scores = explainer.forward(x)
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("explainer scores became non-finite")
+    v = batched_relaxed_mask(Tensor(scores, requires_grad=not warmup), noise, temperature)
+    q = ad.softmax(ad.parameter(variational.forward(v.data * x)))
+    if not np.all(np.isfinite(q.data)):
+        raise NumericError("variational output became non-finite")
+    ll = _log_likelihood(pm, q)
+    value = ObjectiveEstimate(value=ll.item(), root=ll).value
+    if not np.isfinite(value):
+        raise NumericError(f"objective became {value}")
+    g = variational.backward(_head_gradient(ll, q), need_input=not warmup)
+    if not warmup:
+        (g,) = v._vjp(g * x)
+        explainer.backward(g)
+    return value
 
 
 def _epochs(config: TrainConfig, n: int, params: ParameterSet, step) -> list[EpochStat]:
     """Run ``config.epochs`` epochs of shuffled mini-batches; the curve of mean objectives.
 
     ``step(epoch, idx, step_index)`` trains on the rows ``idx`` and
-    returns the batch's objective; ``step_index`` counts steps across epochs.
-    A non-finite entry in ``params`` at the end of an epoch (an update
-    that overflowed) raises :class:`NumericError`, so it is never saved.
+    returns the batch's objective; ``step_index`` counts steps across
+    epochs, and a :class:`NumericError` it raises gets the index.  A
+    non-finite entry in ``params`` at the end of an epoch (an update that
+    overflowed) raises :class:`NumericError`, so it is never saved.
     """
     curve: list[EpochStat] = []
     step_index = 0
@@ -278,11 +372,13 @@ def _epochs(config: TrainConfig, n: int, params: ParameterSet, step) -> list[Epo
         order = substream(config.seed, "shuffle", epoch).permutation(n)
         values = []
         for start in range(0, n, config.batch_size):
-            values.append(step(epoch, order[start : start + config.batch_size], step_index))
+            try:
+                values.append(step(epoch, order[start : start + config.batch_size], step_index))
+            except NumericError as e:
+                raise NumericError(f"{e} at step {step_index}") from None
             step_index += 1
-        for block, names in params.buffers():
-            if not np.isfinite(block).all():
-                name = next(name for name in names if not np.isfinite(params[name].data).all())
+        for name, t in params.items():
+            if not np.isfinite(t.data).all():
                 raise NumericError(f"parameter {name} became non-finite in epoch {epoch}")
         curve.append(EpochStat(epoch, float(np.mean(values)), (time.perf_counter() - t0) * 1e3))
     return curve
@@ -295,29 +391,26 @@ def train_classifier(
     x_val: np.ndarray | None = None,
     y_val: np.ndarray | None = None,
 ) -> tuple[Mlp, TrainReport]:
-    """Cross-entropy training on hard labels; optional held-out accuracy."""
+    """Cross-entropy training on hard labels, each 0 or 1; optional held-out accuracy."""
     x = _features(x)
-    y = np.asarray(y, dtype=int)
+    y = np.asarray(y)
     if y.shape != (x.shape[0],):
         raise ValueError(f"labels must be (n,), got {y.shape} for n={x.shape[0]}")
+    bad = np.flatnonzero((y != 0) & (y != 1))
+    if bad.size:
+        raise ValueError(f"labels must be 0 or 1, got {y[bad[0]]} in row {bad[0]}")
     n, d = x.shape
 
     clf = build_classifier(d, N_CLASSES, substream(config.seed, "init"), config.classifier_hidden)
     onehot = np.zeros((n, N_CLASSES))
-    onehot[np.arange(n), y] = 1.0
+    onehot[np.arange(n), y.astype(int)] = 1.0
 
     opt = RmsProp(config.learning_rate)
-    workspace = ad.Workspace()
+    net = _Pass(clf, min(config.batch_size, n))
 
     def step(epoch: int, idx: np.ndarray, step_index: int) -> float:
-        probs = clf.forward_tensor(ad.constant(x[idx]), TRAIN_DTYPE, workspace=workspace)
-        if not np.all(np.isfinite(probs.data)):
-            raise NumericError(f"classifier probabilities became non-finite at step {step_index}")
-        loss = ad.neg(_log_likelihood(onehot[idx], probs))
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NumericError(f"classifier loss became {value} at step {step_index}")
-        opt.step(clf.params, ad.backward(loss, clf.params))
+        value = _classifier_step(net, x[idx], onehot[idx])
+        opt.step([(net.block, net.grads)])
         return value
 
     curve = _epochs(config, n, clf.params, step)
@@ -345,8 +438,8 @@ def train_l2x(
     noise-driven and near uniform.  Without that head start the explainer
     chases the gradients of a still-uninformative density model and can
     settle on arbitrary features before any signal exists to correct it.
-    In those epochs the explainer's pass is taped frozen, so no gradient
-    is computed for it, for the relaxed mask, or for the masked input.
+    In those epochs no gradient is computed for the explainer, the
+    relaxed mask or the masked input.
     """
     x = _features(x)
     n, d = x.shape
@@ -361,59 +454,22 @@ def train_l2x(
     joint = ParameterSet()
     joint.merge("explainer", explainer.params)
     joint.merge("variational", variational.params)
-    # same prefixed names as in joint, so optimizer state carries over
-    variational_only = ParameterSet()
-    variational_only.merge("variational", variational.params)
     opt = RmsProp(config.learning_rate)
-    workspace = ad.Workspace()
+    rows = min(config.batch_size, n)
+    passes = (_Pass(explainer, rows), _Pass(variational, rows))
+    noise = np.empty((rows, config.k, d))
 
-    # the classifier is frozen: probabilities are constants on the tape
+    # the classifier is frozen: its probabilities are constants
     pm_all = classifier.predict_proba(x)
 
     def step(epoch: int, idx: np.ndarray, step_index: int) -> float:
         warmup = epoch < config.warmup_epochs
-        active = variational_only if warmup else joint
-        noise = _batch_noise(substream(config.seed, "noise", step_index), len(idx), config.k, d, workspace)
-        try:
-            est = _frozen_objective(
-                x[idx], pm_all[idx],
-                lambda t: explainer.forward_tensor(t, TRAIN_DTYPE, frozen=warmup, workspace=workspace),
-                lambda t: variational.forward_tensor(t, TRAIN_DTYPE, workspace=workspace),
-                noise, config.temperature,
-            )
-        except NumericError as e:
-            raise NumericError(f"{e} at step {step_index}") from None
-        if not np.isfinite(est.value):
-            raise NumericError(f"objective became {est.value} at step {step_index}")
-        # ascent on the objective
-        opt.step(active, ad.backward(ad.neg(est.root), active))
-        return est.value
+        batch_noise = _batch_noise(substream(config.seed, "noise", step_index), noise[: len(idx)])
+        value = _selector_step(*passes, x[idx], pm_all[idx], batch_noise, config.temperature, warmup)
+        opt.step([(p.block, p.grads) for p in (passes[1:] if warmup else passes)])
+        return value
 
     return explainer, variational, TrainReport(curve=_epochs(config, n, joint, step))
-
-
-def _frozen_objective(
-    x: np.ndarray,
-    pm: np.ndarray,
-    scores_of,
-    q_of,
-    noise: np.ndarray,
-    temperature: float,
-) -> ObjectiveEstimate:
-    """Objective graph with precomputed classifier probabilities, through the
-    explainer's and the variational net's taped passes ``scores_of`` and ``q_of``."""
-    if not np.all(np.isfinite(pm)):
-        raise NumericError("classifier probabilities are non-finite")
-    scores = scores_of(ad.constant(x))
-    if not np.all(np.isfinite(scores.data)):
-        raise NumericError("explainer scores became non-finite")
-    v = batched_relaxed_mask(scores, noise, temperature)
-    masked = ad.mul(v, ad.constant(x))
-    q = q_of(masked)
-    if not np.all(np.isfinite(q.data)):
-        raise NumericError("variational output became non-finite")
-    root = _log_likelihood(pm, q)
-    return ObjectiveEstimate(value=root.item(), root=root)
 
 
 def write_curve_csv(curve: list[EpochStat], path) -> None:

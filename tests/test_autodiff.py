@@ -261,22 +261,6 @@ class TestParameterSet:
         with pytest.raises(ValueError, match="duplicate parameter name 'net.w'"):
             outer.merge("net", inner)
 
-    def test_buffers_join_back_to_back_views_of_one_array(self):
-        flat, other = np.arange(10.0), np.arange(4.0)
-        params = ad.ParameterSet()
-        params.add("w", flat[:6].reshape(2, 3))
-        params.add("b", flat[6:9])
-        params.add("gap", other[1:3])  # a view, but of another array
-        params.add("own", [7.0, 8.0])
-        params.add("tail", flat[9:])  # same array as w and b, but not next to b in the set
-        blocks = params.buffers()
-        assert [names for _, names in blocks] == [["w", "b"], ["gap"], ["own"], ["tail"]]
-        assert [block.tolist() for block, _ in blocks] == [
-            list(range(9)), [1.0, 2.0], [7.0, 8.0], [9.0]]
-        blocks[0][0][4] = -1.0  # a block is a view: writing to it writes to the tensors
-        blocks[2][0][:] = 0.0
-        assert params["w"].data[1, 1] == -1.0 and params["own"].data.tolist() == [0.0, 0.0]
-
 
 def _layers(seed, widths=(5, 4), batch=6):
     """An input and a layer list (w0, b0, w1, b1, ...) with exact-zero and negative pre-activations."""
@@ -454,45 +438,19 @@ class TestDense:
         inputs = [h, h[::-1] * 2.0]
         upstream = [np.random.default_rng(80 + i).normal(size=(6, 3)) for i in range(2)]
 
-        def node(x, weights, workspace=None):
-            return ad.dense(ad.parameter(x), weights, np.float32, workspace)
+        def node(x, weights):
+            return ad.dense(ad.parameter(x), weights, np.float32)
 
         alone = []
         for x, g in zip(inputs, upstream):
             n = node(x, list(map(ad.parameter, params)))
             alone.append([n.data.tobytes()] + [a.tobytes() for a in n._vjp(g)])
         weights = list(map(ad.parameter, params))  # one network
-        for workspaces in ([None, None], [ad.Workspace(), ad.Workspace()]):
-            nodes = [node(x, weights, ws) for x, ws in zip(inputs, workspaces)]
-            got = [None, None]
-            for i in (first, 1 - first):
-                got[i] = [nodes[i].data.tobytes()] + [a.tobytes() for a in nodes[i]._vjp(upstream[i])]
-            assert got == alone
-
-    def test_workspace_node_matches_a_fresh_node_and_lives_until_its_network_passes_again(self):
-        h, params = _layers(9, (5, 4, 4, 3))
-        g = np.random.default_rng(9).normal(size=(6, 3))
-        fresh = ad.dense(ad.parameter(h), list(map(ad.parameter, params)), np.float32)
-        expected = [fresh.data.tobytes()] + [a.tobytes() for a in fresh._vjp(g)]
-        workspace, weights = ad.Workspace(), list(map(ad.parameter, params))
-        other = list(map(ad.parameter, _layers(10, (5, 4, 3))[1]))  # another network
-        for _ in range(3):  # the same arrays serve every pass
-            node = ad.dense(ad.parameter(h), weights, np.float32, workspace)
-            ad.dense(ad.parameter(h), other, np.float32, workspace)  # leaves this network's node live
-            value = node.data.copy()
-            grads = node._vjp(g)
-            assert [node.data.tobytes()] + [a.tobytes() for a in grads] == expected
-            with pytest.raises(RuntimeError, match="overwritten"):  # its vjp overwrote what it kept
-                node._vjp(g)
-            stale = ad.dense(ad.parameter(h), weights, np.float32, workspace)
-            ad.dense(ad.parameter(h[::-1]), weights, np.float32, workspace)
-            with pytest.raises(RuntimeError, match="overwritten by a later pass"):
-                stale._vjp(g)
-            # what the node handed out is its own: later passes changed none of it
-            assert node.data.tobytes() == value.tobytes() == expected[0]
-            assert [a.tobytes() for a in grads] == expected[1:]
-        with pytest.raises(ValueError, match="float32"):
-            ad.dense(ad.parameter(h), weights, np.float64, workspace)
+        nodes = [node(x, weights) for x in inputs]
+        got = [None, None]
+        for i in (first, 1 - first):
+            got[i] = [nodes[i].data.tobytes()] + [a.tobytes() for a in nodes[i]._vjp(upstream[i])]
+        assert got == alone
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_constant_weights_get_no_gradient_and_change_nothing_else(self, dtype):

@@ -12,12 +12,14 @@ from __future__ import annotations
 import importlib
 import inspect
 import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import l2x.cli  # noqa: F401  (every module the tracer patches must be loaded)
+from l2x import autodiff as ad
 from l2x import datasets, networks, pipeline, training
 from l2x.rng import substream
 
@@ -63,6 +65,15 @@ def test_signatures_have_the_parameters_the_wrappers_bind(spans):
             assert name in parameters, f"{span} ({fn.__qualname__}) has no parameter {name!r}"
 
 
+def test_every_function_the_tracer_wraps_as_an_op_returns_a_tensor(spans):
+    # the op wrapper reads the tag of what it returns (``out.op``): a plain-array
+    # kernel exported from autodiff would fail every traced run
+    wrapped = [name for name in ad.__all__ if inspect.isfunction(getattr(ad, name)) and name not in spans._NOT_OPS]
+    assert "dense" in wrapped and "softmax" in wrapped
+    for name in wrapped:
+        assert typing.get_type_hints(getattr(ad, name)).get("return") is ad.Tensor, name
+
+
 def _explain_and_score(x, truths, k, explainer, classifier):
     """Each method's scores, ranks and post-hoc accuracy, looked up through the module."""
     out = {}
@@ -98,6 +109,7 @@ def test_traced_run_gives_the_untraced_results(spans):
     assert traced == untraced
     assert metrics["pipeline.stage_s.explain"] > 0.0
     assert metrics["explain.method_s.saliency"] > 0.0
+    assert tracer.nodes["dense"] > 0 and tracer.bwd_s["dense"] > 0.0
 
 
 @pytest.fixture
@@ -133,7 +145,6 @@ def test_traced_training_gives_the_untraced_parameters(spans, traced):
     metrics = spans.layer_metrics(tracer, root)
     assert metrics["training.steps"] == 2 * 3 * 5  # two loops, three epochs of five batches
     assert metrics["sampling.relaxed_mask_calls"] == 3 * 5
-    assert tracer.nodes["dense"] > 0 and tracer.bwd_s["dense"] > 0.0
     assert metrics["training.warmup_discarded_bwd_share"] == 0.0  # warmup stops at the variational net
 
 

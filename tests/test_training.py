@@ -17,7 +17,7 @@ from l2x import training as tr
 from l2x.errors import NumericError
 from l2x.networks import build_classifier, build_explainer, build_variational
 from l2x.pipeline import RunConfig
-from l2x.sampling import gumbel_from_uniform
+from l2x.sampling import batched_relaxed_mask, gumbel_from_uniform
 
 
 def tiny_setup(seed=0, d=4, c=2, b=3, k=2):
@@ -32,94 +32,88 @@ def tiny_setup(seed=0, d=4, c=2, b=3, k=2):
 
 class TestRmsProp:
     def test_first_step_known_value(self):
-        params = ad.ParameterSet()
-        p = params.add("p", [1.0])
-        opt = tr.RmsProp(learning_rate=0.001)
-        opt.step(params, {"p": np.array([1.0])})
+        p = np.array([1.0])
+        tr.RmsProp(learning_rate=0.001).step([(p, np.array([1.0]))])
         # acc = 0.1, delta = -0.001 / (sqrt(0.1) + 1e-7)
         expected = 1.0 - 0.001 / (math.sqrt(0.1) + 1e-7)
-        np.testing.assert_allclose(p.data, [expected], atol=1e-15)
-        np.testing.assert_allclose(1.0 - p.data[0], 0.0031623, atol=1e-7)
+        np.testing.assert_allclose(p, [expected], atol=1e-15)
+        np.testing.assert_allclose(1.0 - p[0], 0.0031623, atol=1e-7)
 
     def test_zero_gradient_is_noop(self):
-        params = ad.ParameterSet()
-        p = params.add("p", np.arange(4.0))
-        before = p.data.copy()
-        tr.RmsProp(0.001).step(params, {"p": np.zeros(4)})
-        np.testing.assert_array_equal(p.data, before)
+        p = np.arange(4.0)
+        before = p.copy()
+        tr.RmsProp(0.001).step([(p, np.zeros(4))])
+        np.testing.assert_array_equal(p, before)
 
     def test_constant_gradient_step_approaches_learning_rate(self):
-        params = ad.ParameterSet()
-        p = params.add("p", [0.0])
+        p = np.array([0.0])
         opt = tr.RmsProp(learning_rate=0.001)
-        prev = p.data[0]
+        prev = p[0]
         for _ in range(10_000):
-            prev = p.data[0]
-            opt.step(params, {"p": np.array([2.5])})
-        last_delta = abs(p.data[0] - prev)
+            prev = p[0]
+            opt.step([(p, np.array([2.5]))])
+        last_delta = abs(p[0] - prev)
         np.testing.assert_allclose(last_delta, 0.001, rtol=1e-6)
 
     def test_accumulator_stays_nonnegative_and_shaped(self):
-        params = ad.ParameterSet()
-        params.add("w", np.zeros((3, 2)))
+        p = np.zeros(6)
         opt = tr.RmsProp(0.001)
         for s in range(5):
-            opt.step(params, {"w": np.random.default_rng(s).normal(size=(3, 2))})
-        assert opt.acc["w"].shape == (3, 2)
-        assert np.all(opt.acc["w"] >= 0)
+            opt.step([(p, np.random.default_rng(s).normal(size=6))])
+        assert opt.accumulator(p).shape == (6,)
+        assert np.all(opt.accumulator(p) >= 0)
 
     def test_step_matches_the_written_formula_bitwise(self):
         rng = np.random.default_rng(3)
-        params = ad.ParameterSet()
-        params.add("w", rng.normal(size=(4, 3)))
-        params.add("b", rng.normal(size=(3,)))
+        block = rng.normal(size=15)
         lr, rho, eps = 0.01, tr.DECAY, tr.EPSILON
         opt = tr.RmsProp(lr)
-        ref = {name: t.data.copy() for name, t in params.items()}
-        acc = {name: np.zeros_like(v) for name, v in ref.items()}
+        ref, acc = block.copy(), np.zeros_like(block)
         for _ in range(6):
-            grads = {name: rng.normal(size=v.shape) for name, v in ref.items()}
-            given = {name: g.copy() for name, g in grads.items()}
-            opt.step(params, grads)
-            for name, g in given.items():
-                acc[name] = rho * acc[name] + (1.0 - rho) * g * g
-                ref[name] = ref[name] - lr * g / (np.sqrt(acc[name]) + eps)
-                assert params[name].data.tobytes() == ref[name].tobytes(), name
-                assert opt.acc[name].tobytes() == acc[name].tobytes(), name
-                assert grads[name].tobytes() == g.tobytes(), "the gradient was modified"
+            g = rng.normal(size=block.shape)
+            given = g.copy()
+            opt.step([(block, g)])
+            acc = rho * acc + (1.0 - rho) * given * given
+            update = lr * given / (np.sqrt(acc) + eps)
+            ref = ref - update
+            assert block.tobytes() == ref.tobytes()
+            assert opt.accumulator(block).tobytes() == acc.tobytes()
+            assert g.tobytes() == update.tobytes(), "the gradient block holds the update"
 
     def test_network_buffers_step_like_their_tensors_and_keep_state_across_sets(self):
         rng = np.random.default_rng(4)
-        ex = build_explainer(3, rng, hidden=(4,))
-        var = build_variational(3, 2, rng, hidden=(5,))
-        variational_only, joint = ad.ParameterSet(), ad.ParameterSet()
-        variational_only.merge("variational", var.params)
-        joint.merge("explainer", ex.params)
-        joint.merge("variational", var.params)
-        assert [names for _, names in joint.buffers()] == [list(joint)[:4], list(joint)[4:]]
+        nets = build_explainer(3, rng, hidden=(4,)), build_variational(3, 2, rng, hidden=(5,))
+        blocks = {net.kind: tr._Pass(net, 1).block for net in nets}
         lr, rho, eps = 0.01, tr.DECAY, tr.EPSILON
         opt = tr.RmsProp(lr)
-        ref = {name: t.data.copy() for name, t in joint.items()}
-        acc = {name: np.zeros_like(v) for name, v in ref.items()}
-        for active in (variational_only,) * 3 + (joint,) * 3:  # warmup, then the joint phase
-            grads = {name: rng.normal(size=t.data.shape) for name, t in active.items()}
-            opt.step(active, grads)
-            for name, g in grads.items():
-                acc[name] = rho * acc[name] + (1.0 - rho) * g * g
-                ref[name] = ref[name] - lr * g / (np.sqrt(acc[name]) + eps)
-            for name, t in joint.items():
-                assert t.data.tobytes() == ref[name].tobytes(), name
-            for name in active:
-                assert opt.acc[name].tobytes() == acc[name].tobytes(), name
+        ref = {(net.kind, name): t.data.copy() for net in nets for name, t in net.params.items()}
+        acc = {key: np.zeros_like(v) for key, v in ref.items()}
+        for kinds in (("variational",),) * 3 + (("explainer", "variational"),) * 3:  # warmup, then the joint phase
+            grads = {kind: rng.normal(size=blocks[kind].shape) for kind in kinds}
+            given = {kind: g.copy() for kind, g in grads.items()}
+            opt.step([(blocks[kind], grads[kind]) for kind in kinds])
+            for net in nets:
+                start = 0
+                for name, t in net.params.items():  # a block holds its network's tensors in layout order
+                    key = (net.kind, name)
+                    if net.kind in kinds:
+                        g = given[net.kind][start : start + t.data.size].reshape(t.data.shape)
+                        acc[key] = rho * acc[key] + (1.0 - rho) * g * g
+                        ref[key] = ref[key] - lr * g / (np.sqrt(acc[key]) + eps)
+                    start += t.data.size
+                    assert t.data.tobytes() == ref[key].tobytes(), key
+            for kind in kinds:
+                expected = np.concatenate([a.reshape(-1) for (k, _), a in acc.items() if k == kind])
+                assert opt.accumulator(blocks[kind]).tobytes() == expected.tobytes(), kind
 
     def test_shape_mismatch_raises(self):
-        params = ad.ParameterSet()
-        params.add("p", np.zeros(3))
+        p, q = np.zeros(3), np.zeros(3)
         with pytest.raises(ValueError, match="shape"):
-            tr.RmsProp(0.001).step(params, {"p": np.zeros(4)})
+            tr.RmsProp(0.001).step([(p, np.ones(3)), (q, np.zeros(4))])
+        assert p.tolist() == [0.0] * 3
 
     def test_hyperparameter_validation(self):
-        for learning_rate in (0.0, -0.001, math.nan):
+        for learning_rate in (0.0, -0.001, math.nan, math.inf):
             with pytest.raises(ValueError, match="learning_rate must be positive"):
                 tr.RmsProp(learning_rate)
 
@@ -261,24 +255,89 @@ class TestWarmupBackward:
             assert g.tobytes() == full[name].tobytes(), name
 
 
-    def test_training_tapes_the_explainer_frozen_in_warmup_epochs(self, monkeypatch):
-        # (input requires a gradient, some weight requires one) of each network pass:
-        # in warmup the explainer pass has neither, so the variational pass's input
-        # (the masked features) needs none and its vjp computes none
-        calls, dense = [], ad.dense
+def _flat(grads: dict, params: ad.ParameterSet) -> bytes:
+    """The gradients ``ad.backward`` returned for ``params``, laid out like the step's gradient blocks."""
+    return b"".join(grads[name].tobytes() for name in params)
 
-        def recording(h, params, *rest):
-            calls.append((h.requires_grad, any(getattr(p, "requires_grad", False) for p in params)))
-            return dense(h, params, *rest)
 
-        monkeypatch.setattr(ad, "dense", recording)
-        x = np.random.default_rng(4).normal(size=(20, 6))
-        clf = build_classifier(6, 2, np.random.default_rng(5), hidden=(8, 8, 8))
-        cfg = tr.TrainConfig(k=2, epochs=3, warmup_epochs=2, batch_size=10, seed=0,
-                             explainer_hidden=(5, 5), variational_hidden=(6, 6, 6))
-        tr.train_l2x(x, clf, cfg)
-        warm, joint = [(False, False), (False, True)], [(False, True), (True, True)]
-        assert calls == warm * 4 + joint * 2
+class TestTrainingStep:
+    """Each explicit training step against ``ad.backward`` of the taped float32 graph it replaces, bit for bit.
+
+    The passes hold arrays for 10 rows; a second step on a partial batch
+    runs in the leading rows of the arrays a full batch used, over
+    weights the optimizer has stepped.
+    """
+
+    ROWS = 10
+
+    @pytest.mark.parametrize("sizes", [(10, 10), (10, 7)], ids=["full", "partial"])
+    def test_classifier_step_matches_the_tape(self, sizes):
+        rng = np.random.default_rng(30)
+        clf = build_classifier(5, 2, rng, hidden=(6, 7, 6))
+        net, opt = tr._Pass(clf, self.ROWS), tr.RmsProp(0.05)
+        for b in sizes:
+            x = rng.normal(size=(b, 5))
+            target = np.eye(2)[rng.integers(0, 2, size=b)]
+            loss = ad.neg(tr._log_likelihood(target, clf.forward_tensor(ad.constant(x), tr.TRAIN_DTYPE)))
+            taped = _flat(ad.backward(loss, clf.params), clf.params)
+            assert tr._classifier_step(net, x, target) == loss.item()
+            assert net.grads.tobytes() == taped
+            opt.step([(net.block, net.grads)])
+
+    @pytest.mark.parametrize("sizes", [(10, 10), (10, 7)], ids=["full", "partial"])
+    @pytest.mark.parametrize("warmup", [True, False], ids=["warmup", "joint"])
+    def test_selector_step_matches_the_tape(self, monkeypatch, sizes, warmup):
+        d, k, temperature = 6, 2, 0.5
+        rng = np.random.default_rng(31)
+        ex = build_explainer(d, rng, hidden=(7, 5))
+        var = build_variational(d, 2, rng, hidden=(6, 8, 6))
+        passes = tr._Pass(ex, self.ROWS), tr._Pass(var, self.ROWS)
+        active = ad.ParameterSet()
+        if not warmup:
+            active.merge("explainer", ex.params)
+        active.merge("variational", var.params)
+        masks, calls = [], []
+
+        def mask(*args):
+            masks.append(batched_relaxed_mask(*args))
+            return masks[-1]
+
+        def recording(net):
+            backward = net.backward
+
+            def recorded(g, need_input=False):
+                out = backward(g, need_input)
+                calls.append((net.net.kind, need_input, out is None))
+                return out
+            return recorded
+
+        monkeypatch.setattr(tr, "batched_relaxed_mask", mask)
+        for net in passes:
+            monkeypatch.setattr(net, "backward", recording(net))
+        opt = tr.RmsProp(0.05)
+        for b in sizes:
+            x = rng.normal(size=(b, d))
+            pm = rng.dirichlet(np.ones(2), size=b)
+            noise = gumbel_from_uniform(rng.uniform(size=(b, k, d)))
+            scores = ex.forward_tensor(ad.constant(x), tr.TRAIN_DTYPE, frozen=warmup)
+            v = batched_relaxed_mask(scores, noise, temperature)
+            q = var.forward_tensor(ad.mul(v, ad.constant(x)), tr.TRAIN_DTYPE)
+            root = ad.neg(tr._log_likelihood(pm, q))
+            taped = _flat(ad.backward(root, active), active)
+
+            passes[0].grads[:] = np.nan  # stays so unless the step writes an explainer gradient
+            calls.clear()
+            assert tr._selector_step(*passes, x, pm, noise, temperature, warmup) == -root.item()
+            written = passes[1].grads if warmup else np.concatenate([p.grads for p in passes])
+            assert written.tobytes() == taped
+            if warmup:  # no explainer gradient, no mask vjp, no masked-input gradient
+                assert np.isnan(passes[0].grads).all()
+                assert masks[-1]._vjp is None
+                assert calls == [("variational", False, True)]
+            else:
+                assert masks[-1]._vjp is not None
+                assert calls == [("variational", True, False), ("explainer", False, True)]
+            opt.step([(p.block, p.grads) for p in (passes[1:] if warmup else passes)])
 
 
 class TestObjective:
@@ -470,6 +529,17 @@ class TestTrainClassifier:
         with pytest.raises(NumericError, match=r"feature value 1e\+39 \(row 7, column 2\) overflows float32"):
             tr.train_classifier(x, (x[:, 1] > 0).astype(int), cfg)
 
+    @pytest.mark.parametrize("label, row", [(-1, 3), (0.7, 5), (2, 0)])
+    def test_labels_other_than_zero_and_one_rejected(self, label, row):
+        # -1 would train as class 1, 0.7 as class 0, and 2 would fail to index
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8, 3))
+        y = (x[:, 0] > 0).astype(float)
+        y[row] = label
+        cfg = tr.TrainConfig(k=1, batch_size=4, epochs=1, classifier_hidden=(4,))
+        with pytest.raises(ValueError, match=rf"labels must be 0 or 1, got {float(label)} in row {row}"):
+            tr.train_classifier(x, y, cfg)
+
     def test_empty_dataset_rejected(self):
         cfg = tr.TrainConfig(k=1, epochs=1)
         with pytest.raises(ValueError, match="nonempty"):
@@ -615,14 +685,20 @@ class TestTrainL2x:
 
     @pytest.mark.parametrize("loop", ["classifier", "selector"])
     def test_training_buffers_are_gone_once_the_call_returns(self, monkeypatch, loop):
-        taken, take = [], ad.Workspace.take
+        made, init, batch_noise = [], tr._Pass.__init__, tr._batch_noise
 
         def recording(self, *args):
-            a = take(self, *args)
-            taken.append(weakref.ref(a))
-            return a
+            init(self, *args)
+            layers = [a for pair in self.layers for a in pair]
+            arrays = [self.grads, self.x, self.g, *self.weights, *self.targets[::2], *layers]
+            made.extend(weakref.ref(a) for a in arrays if a is not None)
 
-        monkeypatch.setattr(ad.Workspace, "take", recording)
+        def noise(rng, out):
+            made.append(weakref.ref(out.base))
+            return batch_noise(rng, out)
+
+        monkeypatch.setattr(tr._Pass, "__init__", recording)
+        monkeypatch.setattr(tr, "_batch_noise", noise)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(40, 6))
         clf = build_classifier(6, 2, rng, hidden=(8, 8))
@@ -632,7 +708,7 @@ class TestTrainL2x:
             tr.train_classifier(x, (x[:, 0] > 0).astype(int), cfg)
         else:
             tr.train_l2x(x, clf, cfg)
-        assert taken and all(ref() is None for ref in taken)
+        assert made and all(ref() is None for ref in made)
 
     def test_non_finite_objective_aborts_with_step(self):
         rng = np.random.default_rng(0)
