@@ -12,19 +12,8 @@ from .datasets import Dataset, as_arrays, canonical_kind, generate, k_for, read_
 from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError
 from .explain import Explanation, Explanations, explain_l2x, read_jsonl, write_jsonl
 from .metrics import median_rank, post_hoc_accuracy, ranks_of
-from .networks import (
-    build_classifier,
-    build_explainer,
-    build_variational,
-    load_model,
-    save_model,
-)
-from .oracle import (
-    DiscreteJoint,
-    brute_force_best_subset,
-    exact_mutual_information,
-    jensen_gap,
-)
+from .networks import build_classifier, build_explainer, build_variational, load_model, save_model
+from .oracle import DiscreteJoint, brute_force_best_subset, exact_mutual_information, jensen_gap
 from .pipeline import RunConfig, explain_dataset, run_benchmark, run_oracle_suite
 from .rng import substream
 from .sampling import hard_top_k, relaxed_subset_mask, sample_gumbel

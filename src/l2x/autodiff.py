@@ -17,9 +17,9 @@ overwrites.
 Who may reuse an array: a node's value and every gradient a vjp returns
 are fresh arrays that nothing else writes, and the arrays a node keeps
 for its vjp are its own.  The plain-array kernels under :func:`dense`,
-``dense_array`` and ``dense_backward``, also serve the training step
-(``training``), which runs them over arrays it owns and reuses from step
-to step without building a node.
+``dense_array`` and ``dense_backward``, also serve without a node the
+training step (``training``), over arrays it owns and reuses from step
+to step, and the gradient baselines (``explain``), in fresh arrays.
 
 Deliberate conventions:
 

@@ -41,15 +41,7 @@ from .explain import ALL_METHODS, Explanations, read_jsonl, write_jsonl
 from .files import open_text, parse_blocks
 from .metrics import post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
-from .pipeline import (
-    RunConfig,
-    explain_dataset,
-    posthoc_for,
-    ranks_for,
-    run_benchmark,
-    run_oracle_suite,
-    write_json,
-)
+from .pipeline import RunConfig, explain_dataset, posthoc_for, ranks_for, run_benchmark, run_oracle_suite, write_json
 from .rng import substream
 from .training import TrainConfig, train_classifier, train_l2x, write_curve_csv
 
@@ -232,9 +224,7 @@ def cmd_evaluate(args, cmd: argparse.ArgumentParser) -> int:
     for path in args.explanations:
         for method, record in read_jsonl(path).items():
             if record.scores.shape[1] != D:
-                raise JsonlFormatError(
-                    f"{path} holds scores of width {record.scores.shape[1]}; the dataset has d={D}"
-                )
+                raise JsonlFormatError(f"{path} holds scores of width {record.scores.shape[1]}; the dataset has d={D}")
             parts.setdefault(method, []).append(record)
     if not parts:
         cmd.error("no explanations given")

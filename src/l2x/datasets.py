@@ -104,12 +104,7 @@ def _orange_logit(block: np.ndarray) -> np.ndarray:
 
 
 def _additive_logit(block: np.ndarray, sin_coeff: float) -> np.ndarray:
-    return (
-        sin_coeff * np.sin(2.0 * block[:, 0])
-        + 2.0 * np.abs(block[:, 1])
-        + block[:, 2]
-        + np.exp(-block[:, 3])
-    )
+    return sin_coeff * np.sin(2.0 * block[:, 0]) + 2.0 * np.abs(block[:, 1]) + block[:, 2] + np.exp(-block[:, 3])
 
 
 def _logits(kind: str, x: np.ndarray, component: np.ndarray, sin_coeff: float) -> np.ndarray:
@@ -191,11 +186,11 @@ def _parse(lines: list[str], t_size: int | None):
 
     Each check runs over a whole column, in the order: field count,
     unparseable value, non-finite feature, p outside [0, 1], label not 0
-    or 1, truth-set size other than ``t_size`` (that of earlier rows, or
-    of the first row when None), truth index outside [0, d).  The first
-    check any row fails raises ValueError; its message describes the line
-    when the run is one line long, which is how :func:`files.parse_blocks`
-    names the first bad line.
+    or 1, empty truth set, truth-set size other than ``t_size`` (that of
+    earlier rows, or of the first row when None), truth index outside
+    [0, d).  The first check any row fails raises ValueError; its message
+    describes the line when the run is one line long, which is how
+    :func:`files.parse_blocks` names the first bad line.
     """
     n = len(lines)
     commas = np.fromiter(map(str.count, lines, repeat(",")), np.intp, n)
@@ -225,6 +220,8 @@ def _parse(lines: list[str], t_size: int | None):
     bad_labels = [label for label in label_of.values() if label not in (0, 1)]
     if bad_labels:
         raise ValueError(f"label {bad_labels[0]} not in {{0, 1}}")
+    if () in truth_of.values():
+        raise ValueError("empty truth set")
     if t_size is None:
         t_size = len(truth_of[truths[0]])
     bad_sizes = [len(indices) for indices in truth_of.values() if len(indices) != t_size]
@@ -249,8 +246,9 @@ def read_csv(path) -> Dataset:
     into cells and parsed a whole column per call, so a large file never
     holds all its cells at once.  Lines may end in ``\r\n`` or ``\n``
     and the last line may have none; fields are never quoted.  Features
-    must be finite, p in [0, 1], labels 0 or 1, every truth set must
-    have the size of the first, and every truth index must lie in [0, d).
+    must be finite, p in [0, 1], labels 0 or 1, every truth set must be
+    nonempty and have the size of the first, and every truth index must
+    lie in [0, d).
     """
     with open_text(path) as fh:  # universal newlines: \r\n arrives as \n
         header = fh.readline()

@@ -2,7 +2,9 @@
 
 The learned method reads scores off the trained explainer's untaped
 forward pass and never touches the classifier.  The two baselines
-differentiate the classifier's top-class logit with respect to the input:
+differentiate the classifier's top-class logit with respect to the input,
+running its layers forward and backward over plain arrays without a tape
+(:func:`input_gradient`):
 
 * saliency ranks by the absolute gradient,
 * taylor ranks by the signed product input * gradient, and taylor-abs by
@@ -108,23 +110,24 @@ class Explanations:
 def input_gradient(classifier, x: np.ndarray) -> np.ndarray:
     """Per-row gradient of the argmax class's pre-softmax logit w.r.t. the row.
 
-    One taped pass through the classifier's layers and one backward pass
-    per block of ``files.BLOCK_ROWS`` rows of ``x`` (one pass over all
-    rows up to one block): rows never interact, so the gradient of a
-    block's summed top-class logits holds every row's own gradient.  The
-    weights enter frozen, so no gradient is computed for them.  Costs n
-    classifier evaluations.
+    The classifier's layers run forward and backward once per block of
+    ``files.BLOCK_ROWS`` rows of ``x`` (one pass over all rows up to one
+    block), through the training step's kernels (``autodiff.dense_array``
+    and ``dense_backward``) in float64 and fresh arrays: rows never
+    interact, so the backward pass of a block's summed top-class logits
+    holds every row's own gradient.  No weight gradient is formed and no
+    graph is built.  Costs n classifier evaluations.
     """
-    return map_blocks(lambda rows: _block_gradient(classifier, rows), x)
+    return map_blocks(lambda rows: _block_gradient(classifier, rows), np.ascontiguousarray(x, dtype=np.float64))
 
 
 def _block_gradient(classifier, x: np.ndarray) -> np.ndarray:
-    leaf = ad.ParameterSet()
-    logits = classifier.logits_tensor(leaf.add("x", x), frozen=True)
+    weights = [t.data for t in classifier._evaluate(x)]
+    kept: list = []
+    logits = ad.dense_array(x, weights, kept)
     onehot = np.zeros(logits.shape)
-    onehot[np.arange(logits.shape[0]), logits.data.argmax(axis=1)] = 1.0
-    target = ad.reduce_sum(ad.mul(logits, ad.constant(onehot)))
-    return ad.backward(target, leaf)["x"]
+    onehot[np.arange(len(logits)), logits.argmax(axis=1)] = 1.0
+    return ad.dense_backward(onehot, weights[::2], kept, [None] * len(weights), need_input=True)
 
 
 def method_scores(method: str, x: np.ndarray, explainer=None, classifier=None) -> np.ndarray:
@@ -237,6 +240,8 @@ def _decode(block: list[str], shape: tuple[int, int] | None):
         if not _all(column, kind):
             raise ValueError(f"{key!r} is not a JSON {_JSON_TYPE[kind]}")
     width, size = shape or (len(scores[0]), len(selected[0]))
+    if size == 0:
+        raise ValueError("'selected' is empty")
     if set(map(len, scores)) != {width}:
         raise ValueError(f"scores width differs from the first record's {width}")
     try:
@@ -266,9 +271,10 @@ def read_jsonl(path) -> dict[str, Explanations]:
     The file is read a block of lines at a time; blank lines are skipped.
     A line that is not UTF-8 or not valid JSON, a record with a missing or
     mistyped key or an id or ns outside the signed 64-bit range, scores
-    whose width differs from the first record's, or a selection whose
-    size differs from the first record's or that holds an index outside
-    the scores raise :class:`JsonlFormatError` with the line number.
+    whose width differs from the first record's, or a selection that is
+    empty, whose size differs from the first record's or that holds an
+    index outside the scores raise :class:`JsonlFormatError` with the
+    line number.
     """
     parts: dict[str, list[Explanations]] = {}
     with open_text(path) as fh:

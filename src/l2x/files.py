@@ -35,10 +35,11 @@ _UNDECODABLE = re.compile("[\udc80-\udcff]")
 def atomic_open(path, mode: str = "w"):
     """Open ``path`` for writing (``"w"`` text or ``"wb"`` binary), atomically.
 
-    Text is written as given: no newline translation.  A target that
-    exists but is not a regular file (a pipe, or a device such as
-    ``/dev/stdout``) is written in place, since renaming over it would
-    replace the node itself.
+    Text is written as given: no newline translation.  An ``OSError``
+    from creating or renaming the temporary file names ``path``.  A
+    target that exists but is not a regular file (a pipe, or a device
+    such as ``/dev/stdout``) is written in place, since renaming over it
+    would replace the node itself.
     """
     path = os.fspath(path)
     newline = None if "b" in mode else ""
@@ -52,9 +53,11 @@ def atomic_open(path, mode: str = "w"):
         with open(tmp, mode.replace("w", "x"), newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:  # name the target, not the temporary file
+            raise type(e)(e.errno, e.strerror, path) from None
         raise
 
 

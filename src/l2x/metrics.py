@@ -29,6 +29,7 @@ __all__ = [
     "ranks_of",
     "median_rank",
     "post_hoc_accuracy",
+    "check_finite",
     "write_ranks_csv",
 ]
 
@@ -48,14 +49,24 @@ def ranks_of(scores: np.ndarray) -> np.ndarray:
 
 
 def _index_rows(rows, what: str) -> np.ndarray:
-    """One index set per sample as an (n, t) int array; all sets one size."""
+    """One index set per sample as an (n, t) int array; all sets one size, and not empty."""
     try:
         out = np.asarray(rows, dtype=np.int64)
     except ValueError:
         raise ValueError(f"{what} vary in size") from None
     if out.ndim != 2:
         raise ValueError(f"{what} must be one index set per sample, got shape {out.shape}")
+    if out.shape[1] == 0:
+        raise ValueError(f"{what} are empty")
     return out
+
+
+def check_finite(x: np.ndarray) -> None:
+    """ValueError naming the row and column of the first non-finite value of an (n, d) array, if any."""
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"non-finite feature value {float(x[row, col])!r} (row {row}, column {col})")
 
 
 def _check_range(index: np.ndarray, d: int, what: str) -> None:
@@ -102,12 +113,7 @@ def median_rank(scores, truths, d: int) -> MedianRankReport:
         "q3": float(q3),
         "max": float(per_sample.max()),
     }
-    return MedianRankReport(
-        per_sample=per_sample,
-        summary=summary,
-        optimal_median=(truth.shape[1] + 1) / 2.0,
-        d=d,
-    )
+    return MedianRankReport(per_sample=per_sample, summary=summary, optimal_median=(truth.shape[1] + 1) / 2.0, d=d)
 
 
 @dataclass(frozen=True)
@@ -134,6 +140,7 @@ def post_hoc_accuracy(classifier, x: np.ndarray, selections, method: str = "") -
         raise ValueError(f"{len(selections)} selections for {n} samples")
     if n == 0:
         raise ValueError("need at least one sample")
+    check_finite(x)
     sel = _index_rows(selections, "selections")
     _check_range(sel, d, "selection")
 

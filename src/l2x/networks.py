@@ -18,17 +18,19 @@ audited.  Each offers two forward paths through one layer loop,
 the whole pass through the layers as one node, and a plain ndarray one
 for inference, which runs ``files.BLOCK_ROWS`` rows at a time
 (:func:`map_blocks`) so that its activations stay near the cache size
-whatever the number of rows.  Parameters are always float64: a built
-network's, which training steps, are views of one flat buffer in the
-order of ``MlpSpec.layout()``; a loaded one keeps an array per tensor.
-Both paths compute in float64 by default, with identical arithmetic.
-The training loops run neither: their step casts the weights to float32
-and runs the same layer loop over arrays it owns (mixed precision; see
-``training``).
+whatever the number of rows.  A network holds its parameters in one flat
+float64 ``buffer``, in the order of ``MlpSpec.layout()``, and ``params``
+names views of it; :meth:`MlpSpec.split` alone works out where each
+tensor lies, for the buffer, the training gradient block and the
+checkpoint payload.  Both paths compute in float64 by default, with
+identical arithmetic.  The training loops and the gradient baselines
+(``explain``) run neither: they call the same layer loop and its
+backward kernel, ``autodiff.dense_backward``, over plain arrays (the
+training step in float32, mixed precision; see ``training``).
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
-raw little-endian float64 tensor payloads in header order.  The header's tensor
+network's flat buffer as raw little-endian float64.  The header's tensor
 list must equal the architecture's ``MlpSpec.layout()``, so the
 architecture alone fixes every tensor's name, shape and position.
 """
@@ -38,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -129,6 +132,21 @@ class MlpSpec:
             layout += [(f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
         return layout
 
+    @property
+    def size(self) -> int:
+        """The number of parameters, the length of a flat buffer holding them all."""
+        return sum(math.prod(shape) for _, shape in self.layout())
+
+    def split(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a flat array of :attr:`size` entries, one per tensor of :meth:`layout`: the one offset rule."""
+        if flat.shape != (self.size,):
+            raise ValueError(f"expected a flat array of {self.size} entries, got shape {flat.shape}")
+        views, start = {}, 0
+        for name, shape in self.layout():
+            views[name] = flat[start : start + math.prod(shape)].reshape(shape)
+            start += views[name].size
+        return views
+
     def to_dict(self) -> dict:
         return {**asdict(self), "activation": ACTIVATION}
 
@@ -142,25 +160,24 @@ class MlpSpec:
 
 
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
-    """Glorot-uniform weights, zero biases, in the order of ``spec.layout()``: views of one float64 buffer."""
-    layout = spec.layout()
-    buffer = np.zeros(sum(math.prod(shape) for _, shape in layout))
-    params, start = ParameterSet(), 0
-    for name, shape in layout:
-        view = buffer[start : start + math.prod(shape)].reshape(shape)
-        start += view.size
+    """Glorot-uniform weights, zero biases, in the order of ``spec.layout()``."""
+    params = ParameterSet()
+    for name, shape in spec.layout():
         if name[0] == "w":
             a = np.sqrt(6.0 / sum(shape))
-            view[...] = rng.uniform(-a, a, size=shape)
-        params.add(name, view)
+            params.add(name, rng.uniform(-a, a, size=shape))
+        else:
+            params.add(name, np.zeros(shape))
     return params
 
 
 class Mlp:
-    """Relu MLP over a :class:`ParameterSet` in the role ``kind``, one of :data:`ROLES`.
+    """Relu MLP in the role ``kind``, one of :data:`ROLES`, over a copy of ``params`` in one flat ``buffer``.
 
     ValueError unless ``spec`` has the role's head and, for an explainer,
-    one output per input.  Every pass adds its rows to ``eval_count``.
+    one output per input, and unless ``params`` (a :class:`ParameterSet`)
+    holds ``spec.layout()``'s names and shapes, in order.  ``params``
+    names views of ``buffer``.  Every pass adds its rows to ``eval_count``.
     """
 
     def __init__(self, kind: str, spec: MlpSpec, params: ParameterSet):
@@ -170,15 +187,18 @@ class Mlp:
         if spec.head != head:
             raise ValueError(f"{kind} requires a {head} head")
         if kind == "explainer" and spec.output_width != spec.input_width:
-            raise ValueError(
-                f"explainer must emit one score per feature: "
-                f"input {spec.input_width}, output {spec.output_width}"
-            )
-        if len(params) != len(spec.layout()):
-            raise ValueError(f"expected {len(spec.layout())} parameter tensors, got {len(params)}")
+            raise ValueError(f"explainer must emit one score per feature: "
+                             f"input {spec.input_width}, output {spec.output_width}")
+        layout = spec.layout()
+        if len(params) != len(layout):
+            raise ValueError(f"expected {len(layout)} parameter tensors, got {len(params)}")
+        given = [(name, t.shape) for name, t in params.items()]
+        if given != layout:
+            raise ValueError(f"parameter tensors {given} do not match the architecture's {layout}")
         self.kind = kind
         self.spec = spec
-        self.params = params
+        self.buffer = np.concatenate([t.data.ravel() for t in params.values()])
+        self.params = ParameterSet(zip(params, map(ad.parameter, spec.split(self.buffer).values())))
         self.eval_count = 0
 
     def reset_eval_count(self) -> None:
@@ -193,19 +213,16 @@ class Mlp:
         self.eval_count += x.shape[0]
         return list(self.params.values())
 
-    def logits_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False) -> Tensor:
+    def logits_tensor(self, x: Tensor, dtype=np.float64) -> Tensor:
         """Taped pass through the layers over a (batch, d) input, before the head: one node.
 
         ``dtype`` is the node's compute dtype (see ``autodiff.dense``).
-        ``frozen`` puts the weights on the tape as constants, so the node
-        computes no gradient for them.
         """
-        params = self._evaluate(x)
-        return ad.dense(x, [t.data for t in params] if frozen else params, dtype)
+        return ad.dense(x, self._evaluate(x), dtype)
 
-    def forward_tensor(self, x: Tensor, dtype=np.float64, frozen: bool = False) -> Tensor:
+    def forward_tensor(self, x: Tensor, dtype=np.float64) -> Tensor:
         """Taped forward pass over a (batch, d) input; the head is float64 whatever ``dtype``."""
-        h = self.logits_tensor(x, dtype, frozen)
+        h = self.logits_tensor(x, dtype)
         return ad.softmax(h) if self.spec.head == "softmax" else h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -257,13 +274,11 @@ def build_variational(d: int, n_classes: int, rng: np.random.Generator, hidden: 
 
 def serialize(net: Mlp) -> bytes:
     """Self-describing byte encoding; round-trips parameters bit for bit."""
-    tensors = [{"name": name, "shape": list(t.data.shape)} for name, t in net.params.items()]
+    tensors = [{"name": name, "shape": list(shape)} for name, shape in net.spec.layout()]
     header = {"kind": net.kind, "spec": net.spec.to_dict(), "tensors": tensors}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(header_bytes)), header_bytes]
-    for t in net.params.values():
-        parts.append(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    return b"".join(parts)
+    return b"".join([MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(header_bytes)), header_bytes,
+                     np.ascontiguousarray(net.buffer, dtype="<f8").tobytes()])
 
 
 def deserialize(payload: bytes) -> Mlp:
@@ -299,23 +314,22 @@ def deserialize(payload: bytes) -> Mlp:
     if tensors != layout:
         raise ModelFormatError(f"tensor list does not match the architecture's {layout}", offset=12)
 
-    # one array per tensor: a loaded network is for inference and is never stepped
-    params = ParameterSet()
-    cursor = 12 + header_len
-    for name, shape in layout:
-        end = cursor + 8 * math.prod(shape)
-        if end > len(payload):
-            raise ModelFormatError(f"truncated payload for tensor {name!r}", offset=len(payload))
-        values = np.frombuffer(payload[cursor:end], dtype="<f8")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ModelFormatError(f"tensor {name!r} holds a non-finite value", offset=cursor + 8 * int(bad[0]))
-        params.add(name, values.reshape(shape).copy())
-        cursor = end
-    if cursor != len(payload):
-        raise ModelFormatError("trailing bytes after final tensor", offset=cursor)
+    # the tensor region in one piece; a fault names the first tensor that holds one
+    start, size, names = 12 + header_len, spec.size, [name for name, _ in layout]
+    present = min(size, (len(payload) - start) // 8)
+    values = np.frombuffer(payload, dtype="<f8", count=present, offset=start)
+    last = [int(view.flat[-1]) for view in spec.split(np.arange(size)).values()]  # each tensor's last entry
+    whole = bisect_left(last, present)  # the tensors read in full
+    bad = np.flatnonzero(~np.isfinite(values))
+    at = bisect_left(last, bad[0]) if bad.size else len(names)  # the first tensor holding a non-finite value
+    if at < whole:
+        raise ModelFormatError(f"tensor {names[at]!r} holds a non-finite value", offset=start + 8 * int(bad[0]))
+    if whole < len(names):
+        raise ModelFormatError(f"truncated payload for tensor {names[whole]!r}", offset=len(payload))
+    if start + 8 * size != len(payload):
+        raise ModelFormatError("trailing bytes after final tensor", offset=start + 8 * size)
     try:
-        return Mlp(kind, spec, params)
+        return Mlp(kind, spec, ParameterSet(zip(names, map(ad.parameter, spec.split(values).values()))))
     except ValueError as e:
         raise ModelFormatError(str(e), offset=12) from None
 
@@ -330,5 +344,6 @@ def load_model(path, kind: str | None = None) -> Mlp:
     with open(path, "rb") as fh:
         net = deserialize(fh.read())
     if kind is not None and net.kind != kind:
-        raise ModelFormatError(f"{path} holds a {net.kind} network; expected kind {kind!r}")
+        article = "an" if net.kind[0] in "aeiou" else "a"
+        raise ModelFormatError(f"{path} holds {article} {net.kind} network; expected kind {kind!r}")
     return net

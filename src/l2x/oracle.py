@@ -186,9 +186,7 @@ def brute_force_best_subset(
         raise ValueError(f"k must satisfy 1 <= k <= d={d}, got {k}")
     n_subsets = math.comb(d, k)
     if n_subsets > max_subsets:
-        raise ValueError(
-            f"resource cap: C({d},{k}) = {n_subsets} subsets exceeds limit {max_subsets}"
-        )
+        raise ValueError(f"resource cap: C({d},{k}) = {n_subsets} subsets exceeds limit {max_subsets}")
 
     px = joint.px
     pyx = joint.py_given_x
@@ -219,9 +217,7 @@ def brute_force_best_subset(
         mi = float((px[support] * contrib[support]).sum())
         mi_entropy = h_y - _conditional_entropy(w, cond)
         if abs(mi - mi_entropy) > 1e-10:
-            raise RuntimeError(
-                f"MI routes disagree for S={S}: contribution {mi} vs entropy {mi_entropy}"
-            )
+            raise RuntimeError(f"MI routes disagree for S={S}: contribution {mi} vs entropy {mi_entropy}")
         if mi > best_mi + 1e-15 or best_subset is None:
             best_subset, best_mi = S, mi
 
@@ -241,9 +237,7 @@ def brute_force_best_subset(
 
     rule_value = float((px[support] * best_contrib[support]).sum())
     if rule_value < best_mi - 1e-10:
-        raise RuntimeError(
-            f"per-x rule value {rule_value} fell below best fixed-subset MI {best_mi}"
-        )
+        raise RuntimeError(f"per-x rule value {rule_value} fell below best fixed-subset MI {best_mi}")
     return BruteForceResult(
         best_subset=tuple(best_subset),
         best_mi=best_mi,

@@ -30,7 +30,7 @@ import numpy as np
 from .datasets import DEFAULT_SIN_COEFF, D, as_arrays, canonical_kind, generate, k_for
 from .explain import Explanations, check_method, method_scores, write_jsonl
 from .files import atomic_open
-from .metrics import MedianRankReport, PostHocReport, median_rank, post_hoc_accuracy, write_ranks_csv
+from .metrics import MedianRankReport, PostHocReport, check_finite, median_rank, post_hoc_accuracy, write_ranks_csv
 from .networks import is_int, load_model, save_model
 from .oracle import brute_force_best_subset, exact_conditional, jensen_gap, random_binary_joint
 from .rng import substream
@@ -89,7 +89,7 @@ def explain_dataset(
     classifier=None,
     threads: int = 1,
 ) -> Explanations:
-    """Explain every row of ``x`` as one record; ids are row positions.
+    """Explain every row of finite ``x`` as one record; ids are row positions.
 
     Every method scores all rows in one batched pass and selects with one
     top-k call; each row's ns is the total amortized over rows.
@@ -103,6 +103,7 @@ def explain_dataset(
     n = x.shape[0]
     if n == 0:
         raise ValueError("need at least one sample")
+    check_finite(x)
     t0 = time.perf_counter_ns()
     scores = method_scores(method, x, explainer, classifier)
     selected = hard_top_k(scores, k)
@@ -192,9 +193,7 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
         save_model(explainer, out / "explainer.l2x")
         save_model(variational, out / "variational.l2x")
         write_curve_csv(l2x_report.curve, out / "l2x_curve.csv")
-        summary["l2x_final_objective"] = (
-            l2x_report.curve[-1].objective if l2x_report.curve else None
-        )
+        summary["l2x_final_objective"] = l2x_report.curve[-1].objective if l2x_report.curve else None
 
     ranks: dict = {}
     summary["median_ranks"] = {}
@@ -203,15 +202,10 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
     for method in config.methods:
         clf.reset_eval_count()
         t0 = time.perf_counter_ns()
-        explanations = explain_dataset(
-            method, x_va, k, explainer=explainer, classifier=clf
-        )
+        explanations = explain_dataset(method, x_va, k, explainer=explainer, classifier=clf)
         total_ns = time.perf_counter_ns() - t0
         summary["classifier_evals"][method] = clf.eval_count
-        timings["explain"][method] = {
-            "total_ms": total_ns / 1e6,
-            "mean_ns_per_sample": total_ns / config.n_valid,
-        }
+        timings["explain"][method] = {"total_ms": total_ns / 1e6, "mean_ns_per_sample": total_ns / config.n_valid}
         write_jsonl(explanations, out / f"explanations_{method}.jsonl")
 
         report = ranks_for(explanations, truths, d=D)

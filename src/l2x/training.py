@@ -14,17 +14,17 @@ constants, so no gradient reaches it and its weights never change.
 
 Both loops train in mixed precision, one explicit step per batch.  A
 :class:`_Pass` per network, owned by the training call, casts the
-float64 parameters and the batch to ``TRAIN_DTYPE`` (float32), runs the
-layers (``autodiff.dense_array``) over arrays it keeps from step to
-step, and runs them backward once (``autodiff.dense_backward``), writing
-the network's gradient into one flat float64 block laid out like its
-parameter buffer.  The heads, the relaxed mask and the log-likelihood
-are the taped nodes (``autodiff.softmax``,
-``sampling.batched_relaxed_mask``, :func:`_log_likelihood`), whose vjps
-the step calls directly, in reverse; they, the gradient blocks and
-RMSprop stay float64, and so do checkpoints.  :func:`l2x_objective`
-builds the same objective as one taped graph: the reference the step is
-checked against.
+network's flat float64 parameter buffer (``Mlp.buffer``) and the batch
+to ``TRAIN_DTYPE`` (float32), runs the layers (``autodiff.dense_array``)
+over arrays it keeps from step to step, and runs them backward once
+(``autodiff.dense_backward``), writing the network's gradient into one
+flat float64 block laid out like the buffer (``MlpSpec.split``).  The
+heads, the relaxed mask and the log-likelihood are the taped nodes
+(``autodiff.softmax``, ``sampling.batched_relaxed_mask``,
+:func:`_log_likelihood`), whose vjps the step calls directly, in
+reverse; they, the gradient blocks and RMSprop stay float64, and so do
+checkpoints.  :func:`l2x_objective` builds the same objective as one
+taped graph: the reference the step is checked against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterSet, Tensor
+from .autodiff import Tensor
 from .datasets import N_CLASSES
 from .errors import NumericError
 from .files import atomic_open
@@ -60,7 +60,7 @@ PROB_CLAMP = 1e-12
 # RMSprop's squared-gradient decay and denominator floor
 DECAY = 0.9
 EPSILON = 1e-7
-# compute dtype of the taped network passes in both training loops
+# compute dtype of the network passes in both training loops
 TRAIN_DTYPE = np.float32
 
 
@@ -221,9 +221,7 @@ def l2x_objective(
     pm = np.asarray(classifier.predict_proba(x), dtype=np.float64)
     q_width = variational.spec.output_width
     if q_width != pm.shape[1]:
-        raise ValueError(
-            f"class-count mismatch: classifier emits {pm.shape[1]}, variational emits {q_width}"
-        )
+        raise ValueError(f"class-count mismatch: classifier emits {pm.shape[1]}, variational emits {q_width}")
     if not np.all(np.isfinite(pm)):
         raise NumericError("classifier probabilities are non-finite")
     scores = explainer.forward_tensor(ad.constant(x))
@@ -238,17 +236,16 @@ def l2x_objective(
 
 
 def _features(x: np.ndarray) -> np.ndarray:
-    """A training feature matrix as float64, checked nonempty and within the range of ``TRAIN_DTYPE``."""
+    """A training feature matrix as float64, checked nonempty, free of NaN and within the range of ``TRAIN_DTYPE``."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"need a nonempty (n, d) feature matrix, got shape {x.shape}")
-    big = np.argwhere(np.abs(x) > np.finfo(TRAIN_DTYPE).max)
-    if big.size:
-        row, col = big[0]
-        raise NumericError(
-            f"feature value {float(x[row, col])!r} (row {row}, column {col}) overflows {np.dtype(TRAIN_DTYPE)}, "
-            f"the training dtype"
-        )
+    bad = np.argwhere(~(np.abs(x) <= np.finfo(TRAIN_DTYPE).max))
+    if bad.size:
+        row, col = bad[0]
+        value = float(x[row, col])
+        fault = "is not a number" if np.isnan(value) else f"overflows {np.dtype(TRAIN_DTYPE)}, the training dtype"
+        raise NumericError(f"feature value {value!r} (row {row}, column {col}) {fault}")
     return x
 
 
@@ -261,26 +258,24 @@ def _batch_noise(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
 class _Pass:
     """One network's float32 training pass over batches of up to ``rows`` rows, in arrays it owns.
 
-    ``block`` is the network's flat float64 parameter buffer (a built
-    network's parameters are views of one, ``networks.init_params``) and
-    ``grads`` a float64 block laid out alike, which :meth:`backward`
-    fills.  The float32 weights, the cast input, each layer's output and
-    relu mask, the cast incoming gradient and the float32 weight
-    gradients are reused from step to step; a smaller batch uses their
-    leading rows.
+    ``block`` is the network's flat float64 parameter buffer
+    (``Mlp.buffer``) and ``grads`` a float64 block laid out alike
+    (``MlpSpec.split``), which :meth:`backward` fills.  The float32
+    weights, the cast input, each layer's output and relu mask, the cast
+    incoming gradient and the float32 weight gradients are reused from
+    step to step; a smaller batch uses their leading rows.
     """
 
     def __init__(self, net: Mlp, rows: int):
         self.net = net
-        self.params = [t.data for t in net.params.values()]
-        self.block = self.params[0].base
+        self.block = net.buffer
         self.grads = np.empty_like(self.block)
-        ends = np.cumsum([p.size for p in self.params])
-        self.grad_views = [self.grads[end - p.size : end].reshape(p.shape) for p, end in zip(self.params, ends)]
-        self.weights = [np.empty(p.shape, TRAIN_DTYPE) for p in self.params]
+        self.cast = np.empty(self.block.shape, TRAIN_DTYPE)
+        self.weights = list(net.spec.split(self.cast).values())
+        views = list(net.spec.split(self.grads).values())
+        self.weight_grads = views[::2]
         # where dense_backward writes: a weight's gradient in float32, copied into its view after; a bias's view
-        self.targets = [np.empty(p.shape, TRAIN_DTYPE) if i % 2 == 0 else view
-                        for i, (p, view) in enumerate(zip(self.params, self.grad_views))]
+        self.targets = [np.empty(view.shape, TRAIN_DTYPE) if i % 2 == 0 else view for i, view in enumerate(views)]
         widths = net.spec.layer_widths
         self.x = np.empty((rows, widths[0]), TRAIN_DTYPE)
         self.g = np.empty((rows, widths[-1]), TRAIN_DTYPE)
@@ -291,8 +286,7 @@ class _Pass:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """The float64 output, before the head, over a float64 batch; its rows count as evaluations."""
         self.net._evaluate(x)
-        for w, p in zip(self.weights, self.params):
-            np.copyto(w, p, casting="same_kind")
+        np.copyto(self.cast, self.block, casting="same_kind")
         b = len(x)
         self.kept = []
         arrays = [(out[:b], None if mask is None else mask[:b]) for out, mask in self.layers]
@@ -303,7 +297,7 @@ class _Pass:
         """Fill ``grads`` from the float64 gradient of the last forward output; the input's, if ``need_input``."""
         g = ad.dense_backward(ad.cast_array(g, TRAIN_DTYPE, self.g[: len(g)]), self.weights[::2], self.kept,
                               self.targets, need_input, overwrite=True)
-        for view, grad in zip(self.grad_views[::2], self.targets[::2]):
+        for view, grad in zip(self.weight_grads, self.targets[::2]):
             np.copyto(view, grad)
         return None if g is None else g.astype(np.float64)
 
@@ -356,14 +350,14 @@ def _selector_step(explainer: _Pass, variational: _Pass, x: np.ndarray, pm: np.n
     return value
 
 
-def _epochs(config: TrainConfig, n: int, params: ParameterSet, step) -> list[EpochStat]:
+def _epochs(config: TrainConfig, n: int, nets: list[Mlp], step) -> list[EpochStat]:
     """Run ``config.epochs`` epochs of shuffled mini-batches; the curve of mean objectives.
 
     ``step(epoch, idx, step_index)`` trains on the rows ``idx`` and
     returns the batch's objective; ``step_index`` counts steps across
     epochs, and a :class:`NumericError` it raises gets the index.  A
-    non-finite entry in ``params`` at the end of an epoch (an update that
-    overflowed) raises :class:`NumericError`, so it is never saved.
+    non-finite parameter of ``nets`` at the end of an epoch (an update
+    that overflowed) raises :class:`NumericError`, so it is never saved.
     """
     curve: list[EpochStat] = []
     step_index = 0
@@ -377,9 +371,10 @@ def _epochs(config: TrainConfig, n: int, params: ParameterSet, step) -> list[Epo
             except NumericError as e:
                 raise NumericError(f"{e} at step {step_index}") from None
             step_index += 1
-        for name, t in params.items():
-            if not np.isfinite(t.data).all():
-                raise NumericError(f"parameter {name} became non-finite in epoch {epoch}")
+        for net in nets:
+            for name, t in net.params.items():
+                if not np.isfinite(t.data).all():
+                    raise NumericError(f"parameter {net.kind}.{name} became non-finite in epoch {epoch}")
         curve.append(EpochStat(epoch, float(np.mean(values)), (time.perf_counter() - t0) * 1e3))
     return curve
 
@@ -413,7 +408,7 @@ def train_classifier(
         opt.step([(net.block, net.grads)])
         return value
 
-    curve = _epochs(config, n, clf.params, step)
+    curve = _epochs(config, n, [clf], step)
 
     val_accuracy = None
     if x_val is not None and y_val is not None:
@@ -451,9 +446,6 @@ def train_l2x(
     explainer = build_explainer(d, init_rng, config.explainer_hidden)
     variational = build_variational(d, n_classes, init_rng, config.variational_hidden)
 
-    joint = ParameterSet()
-    joint.merge("explainer", explainer.params)
-    joint.merge("variational", variational.params)
     opt = RmsProp(config.learning_rate)
     rows = min(config.batch_size, n)
     passes = (_Pass(explainer, rows), _Pass(variational, rows))
@@ -469,7 +461,7 @@ def train_l2x(
         opt.step([(p.block, p.grads) for p in (passes[1:] if warmup else passes)])
         return value
 
-    return explainer, variational, TrainReport(curve=_epochs(config, n, joint, step))
+    return explainer, variational, TrainReport(curve=_epochs(config, n, [explainer, variational], step))
 
 
 def write_curve_csv(curve: list[EpochStat], path) -> None:

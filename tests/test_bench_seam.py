@@ -22,6 +22,7 @@ import l2x.cli  # noqa: F401  (every module the tracer patches must be loaded)
 from l2x import autodiff as ad
 from l2x import datasets, networks, pipeline, training
 from l2x.rng import substream
+from l2x.sampling import gumbel_from_uniform
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -102,6 +103,11 @@ def test_traced_run_gives_the_untraced_results(spans):
         with tracer.recording() as root:
             traced = _explain_and_score(x, truths, k, explainer, classifier)
         metrics = spans.layer_metrics(tracer, root)
+        with tracer.recording():  # the explanations build no graph; the taped objective does
+            variational = networks.build_variational(datasets.D, datasets.N_CLASSES, rng, hidden=(8, 8))
+            noise = gumbel_from_uniform(rng.uniform(size=(20, k, datasets.D)))
+            estimate = training.l2x_objective(x[:20], classifier, explainer, variational, noise, 0.5, k)
+            ad.backward(estimate.root, variational.params)
     finally:
         tracer.uninstall()
     assert (pipeline.explain_dataset, networks.Mlp.forward) == originals

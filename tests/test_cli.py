@@ -508,6 +508,11 @@ def _replace_line(line: int, text):
     return lambda lines: [text(old) if i == line else old for i, old in enumerate(lines, start=1)]
 
 
+def _without_truth_sets(lines):
+    """Edit for :func:`_edit_lines`: every body line of a dataset CSV with an empty truth field."""
+    return lines[:1] + [line.rsplit(",", 1)[0] + "," for line in lines[1:]]
+
+
 def _bad_byte(line: int):
     """Edit for :func:`_edit_bytes`: a 0xff byte, never UTF-8, inside line ``line`` (1-based)."""
     def edit(data: bytes) -> bytes:
@@ -624,6 +629,21 @@ MALFORMED = [
         "evaluate", "--data", w / "valid.csv",
         "--explanations", *_split_jsonl(w / "valid_l2x.jsonl", t, lambda old: _with(old, selected=[0, 1, 2])),
         "--model", w / "model.l2x", "--out-ranks", t / "r.csv"], 4),
+    ("csv-empty-truth-set", lambda w, t: [
+        "evaluate", "--data", _edit_lines(w / "valid.csv", t / "bad.csv", _without_truth_sets),
+        "--explanations", w / "valid_l2x.jsonl", "--out-ranks", t / "r.csv"], 4, 2),
+    ("csv-empty-truth-set-explain", lambda w, t: [
+        "explain", "--data", _edit_lines(w / "valid.csv", t / "bad.csv", _without_truth_sets),
+        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4, 2),
+    ("csv-empty-truth-set-train-explainer", lambda w, t: [
+        "train-explainer", "--data", _edit_lines(w / "train.csv", t / "bad.csv", _without_truth_sets),
+        "--model", w / "model.l2x", "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x",
+        "--epochs", 1, "--explainer-hidden", "8,8", "--variational-hidden", "8,8,8"], 4, 2),
+    ("jsonl-empty-selection", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      lambda lines: [_with(line, selected=[]) for line in lines]),
+        "--model", w / "model.l2x", "--out-ranks", t / "r.csv", "--out-posthoc", t / "p.json"], 4, 1),
     ("non-utf8-jsonl", lambda w, t: [
         "evaluate", "--data", w / "valid.csv",
         "--explanations", _edit_bytes(w / "valid_l2x.jsonl", t / "bad.jsonl", _bad_byte(6)),
@@ -789,6 +809,7 @@ def malformed_workdir(workdir) -> Path:
     return workdir
 
 
+@pytest.mark.filterwarnings("error")  # a malformed input is refused before numpy can warn about it
 @pytest.mark.parametrize("row", MALFORMED, ids=[row[0] for row in MALFORMED])
 def test_malformed_input_exit_code(malformed_workdir, tmp_path, capsys, row):
     _, build, expected, *line = row

@@ -239,6 +239,17 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="truth set of size 3.*line 4"):
             ds.read_csv(path)
 
+    @pytest.mark.parametrize("lines", [(2,), (2, 3, 4, 5), (4,)], ids=["first", "every", "later"])
+    def test_empty_truth_set_rejected_with_line(self, tmp_path, lines):
+        path = tmp_path / "bad.csv"
+        ds.write_csv(ds.generate("xor", 4, 0), path)
+        text = path.read_text().splitlines()
+        for line in lines:
+            text[line - 1] = text[line - 1].rsplit(",", 1)[0] + ","
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(CsvFormatError, match=f"empty truth set.*line {lines[0]}"):
+            ds.read_csv(path)
+
     def test_blank_line_mid_file_rejected_with_line(self, tmp_path):
         path = tmp_path / "blank.csv"
         ds.write_csv(ds.generate("xor", 4, 0), path)

@@ -213,8 +213,8 @@ def row_gradient(clf, x):
 def one_tape(clf, x):
     """Input gradients from one tape over every row, every weight on it as a parameter.
 
-    The reference for ``input_gradient``, which tapes a block of rows at a
-    time with the weights frozen.
+    The reference for ``input_gradient``, which runs the layers' kernels
+    over a block of rows at a time and forms no weight gradient.
     """
     leaf = ad.ParameterSet()
     logits = clf.logits_tensor(leaf.add("x", x))
@@ -252,13 +252,36 @@ class TestBatchedExplanations:
         x = rng.normal(size=(50, 10))
         ref = one_tape(clf, x)
 
-        nodes, dense = [], ad.dense
-        monkeypatch.setattr(ad, "dense", lambda *args: nodes.append(dense(*args)) or nodes[-1])
+        calls, dense_backward = [], ad.dense_backward
+
+        def recorded(g, weights, kept, grads, need_input, **options):
+            calls.append((list(grads), need_input, options))
+            return dense_backward(g, weights, kept, grads, need_input, **options)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the gradient baselines build no graph")
+
+        monkeypatch.setattr(ad, "dense_backward", recorded)
+        monkeypatch.setattr(ad, "dense", forbidden)
+        monkeypatch.setattr(ad, "backward", forbidden)
         clf.reset_eval_count()
         assert ex.input_gradient(clf, x).tobytes() == ref.tobytes()
         assert clf.eval_count == 50
-        (node,) = nodes
-        assert node._vjp(np.ones(node.shape))[1:] == (None,) * 8
+        # one backward pass of the layers: no weight gradient, the input's, into fresh arrays
+        assert calls == [([None] * 8, True, {})]
+
+    @pytest.mark.parametrize("method", ex.ALL_METHODS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rows_rejected(self, method, value):
+        # a NaN row would otherwise be scored all zeros, NaN or partly NaN, and its top k picked silently
+        rng = np.random.default_rng(20)
+        clf = build_classifier(10, 2, rng, hidden=(8, 8))
+        explainer = build_explainer(10, rng, hidden=(8, 8))
+        x = rng.normal(size=(6, 10))
+        x[4, 7] = value
+        with pytest.raises(ValueError, match=rf"non-finite feature value {value!r} \(row 4, column 7\)"):
+            explain_dataset(method, x, 2, explainer=explainer, classifier=clf)
+        assert clf.eval_count == explainer.eval_count == 0
 
     @pytest.mark.parametrize("hidden", [(200, 200, 200), (64, 64)], ids=["default", "64x64"])
     def test_blocked_input_gradient_matches_one_tape(self, hidden):
@@ -566,6 +589,14 @@ class TestJsonlColumnKernel:
         lines[line - 1] = edit(lines[line - 1])
         with pytest.raises(JsonlFormatError, match=f"{message}.*line {line}"):
             ex.read_jsonl(self._write(tmp_path, lines))
+
+    @pytest.mark.parametrize("lines", [(1,), (1, 2, 3, 4, 5)], ids=["first", "every"])
+    def test_empty_selection_rejected_with_line(self, tmp_path, lines):
+        text = self._lines(tmp_path)
+        for line in lines:
+            text[line - 1] = json.dumps({**json.loads(text[line - 1]), "selected": []})
+        with pytest.raises(JsonlFormatError, match="'selected' is empty.*line 1"):
+            ex.read_jsonl(self._write(tmp_path, text))
 
     def test_selection_equal_to_an_earlier_one_is_still_type_checked(self, tmp_path):
         lines = self._lines(tmp_path, n=3)

@@ -42,6 +42,25 @@ def test_missing_directory_raises_and_creates_nothing(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_failure_to_create_the_temp_names_the_given_path(tmp_path):
+    target = tmp_path / "no" / "a.jsonl"
+    with pytest.raises(FileNotFoundError) as exc:
+        with atomic_open(target) as fh:
+            fh.write("x")
+    assert exc.value.filename == str(target) and exc.value.errno == 2
+    assert str(exc.value) == f"[Errno 2] No such file or directory: {str(target)!r}"
+    assert os.listdir(tmp_path) == []
+
+
+def test_writer_errors_pass_through_unchanged(tmp_path):
+    error = OSError(28, "No space left on device")
+    with pytest.raises(OSError) as exc:
+        with atomic_open(tmp_path / "a.txt"):
+            raise error
+    assert exc.value is error
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
 def test_non_regular_target_is_written_in_place():
     with atomic_open(os.devnull) as fh:

@@ -374,6 +374,8 @@ class TestMedianRank:
             mt.median_rank([np.zeros(4)], [(0,), (1,)], d=4)
         with pytest.raises(ValueError, match="vary in size"):
             mt.median_rank([np.zeros(4), np.zeros(4)], [(0,), (0, 1)], d=4)
+        with pytest.raises(ValueError, match="truth sets are empty"):
+            mt.median_rank([np.zeros(4), np.zeros(4)], [(), ()], d=4)
 
 
 class FixedClassifier:
@@ -401,7 +403,7 @@ class TestPostHocAccuracy:
     def test_constant_classifier_is_perfect(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(30, 4))
-        report = mt.post_hoc_accuracy(FixedClassifier(constant=True), x, [()] * 30)
+        report = mt.post_hoc_accuracy(FixedClassifier(constant=True), x, [(3,)] * 30)
         assert report.accuracy == 1.0
 
     def test_dropping_the_deciding_feature_hurts(self):
@@ -435,6 +437,18 @@ class TestPostHocAccuracy:
     def test_out_of_range_selection_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             mt.post_hoc_accuracy(FixedClassifier(), np.zeros((1, 4)), [(7,)])
+
+    def test_empty_selections_rejected(self):
+        # every input fully masked: an accuracy that says nothing of any selection
+        with pytest.raises(ValueError, match="selections are empty"):
+            mt.post_hoc_accuracy(FixedClassifier(), np.ones((3, 4)), np.zeros((3, 0), np.int64))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, value):
+        x = np.ones((5, 4))
+        x[3, 2] = value
+        with pytest.raises(ValueError, match=rf"non-finite feature value {value!r} \(row 3, column 2\)"):
+            mt.post_hoc_accuracy(FixedClassifier(), x, [(0,)] * 5)
 
 
 class TestRanksCsv:

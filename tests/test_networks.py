@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,17 @@ class TestMlpSpec:
     def test_numpy_integer_widths_become_ints(self):
         spec = nw.MlpSpec(tuple(np.array([4, 8, 2])), head="softmax")
         assert spec.layer_widths == (4, 8, 2) and all(type(w) is int for w in spec.layer_widths)
+
+    def test_split_gives_views_of_a_flat_array_in_layout_order(self):
+        spec = nw.MlpSpec((3, 4, 2), head="softmax")
+        flat = np.arange(float(spec.size))
+        views = spec.split(flat)
+        assert [(name, view.shape) for name, view in views.items()] == spec.layout()
+        assert all(view.base is flat for view in views.values())
+        assert np.concatenate([view.ravel() for view in views.values()]).tobytes() == flat.tobytes()
+        for bad in (np.zeros(spec.size - 1), np.zeros((1, spec.size))):
+            with pytest.raises(ValueError, match="flat array of 26 entries"):
+                spec.split(bad)
 
     def test_dict_round_trip(self):
         spec = nw.MlpSpec((10, 200, 200, 10), head="linear")
@@ -181,6 +193,25 @@ class TestForward:
         with pytest.raises(ValueError, match="expected 4 parameter tensors, got 6"):
             nw.Mlp("classifier", spec, params)
 
+    @pytest.mark.parametrize("names, shapes", [
+        (("w0", "b0", "w1", "b1"), ((4, 10), (4,), (2, 4), (2,))),
+        (("a", "b", "c", "d"), ((10, 4), (4,), (4, 2), (2,))),
+        (("w1", "b1", "w0", "b0"), ((4, 2), (2,), (10, 4), (4,))),
+    ], ids=["wrong-shapes", "wrong-names", "wrong-order"])
+    def test_parameters_other_than_the_layout_rejected(self, names, shapes):
+        # such a network would be saved, and its checkpoint then rejected by load_model
+        params = ad.ParameterSet(zip(names, map(ad.parameter, map(np.zeros, shapes))))
+        with pytest.raises(ValueError, match="do not match the architecture's"):
+            nw.Mlp("classifier", nw.MlpSpec((10, 4, 2), "softmax"), params)
+
+    def test_parameters_are_copied_into_the_buffer(self):
+        spec = nw.MlpSpec((4, 8, 3), head="softmax")
+        params = nw.init_params(spec, np.random.default_rng(0))
+        net = nw.Mlp("classifier", spec, params)
+        assert net.buffer.tobytes() == b"".join(t.data.tobytes() for t in params.values())
+        params["w0"].data[...] = 0.0  # the network keeps its own copy
+        assert net.params["w0"].data.any()
+
     @pytest.mark.parametrize("role", ["classifier", "explainer", "variational"])
     def test_build_returns_an_mlp_of_its_role(self, role):
         net = BUILDERS[role](np.random.default_rng(0), (6, 6))
@@ -198,7 +229,7 @@ class TestForward:
         assert net.eval_count == 8
         net.forward_tensor(ad.constant(x[:3]))
         assert net.eval_count == 11
-        net.logits_tensor(ad.constant(x[:2]), frozen=True)
+        net.logits_tensor(ad.constant(x[:2]))
         assert net.eval_count == 13
         net.predict_proba(x[:4])
         net.scores(x[:2])
@@ -295,10 +326,13 @@ class TestSerialization:
         block = net.params["w0"].data.base
         assert block.ndim == 1 and all(t.data.base is block for t in net.params.values())
         assert block.tobytes() == b"".join(t.data.tobytes() for t in net.params.values())
+        assert block is net.buffer
         blob = nw.serialize(net)
         assert blob.endswith(block.tobytes())
-        again = nw.deserialize(blob)  # one array per tensor, the same bytes
-        assert all(t.data.base is None for t in again.params.values())
+        again = nw.deserialize(blob)  # the same one-buffer layout, the same bytes
+        assert again.params.names() == net.params.names()
+        assert again.buffer.ndim == 1 and all(t.data.base is again.buffer for t in again.params.values())
+        assert again.buffer.tobytes() == block.tobytes() and again.buffer.flags.writeable
         assert nw.serialize(again) == blob
 
     def test_trained_networks_serialize_as_float64_v1_and_reload_bit_exact(self):
@@ -383,6 +417,35 @@ class TestSerialization:
         blob = nw.serialize(small_classifier())
         with pytest.raises(ModelFormatError, match="trailing"):
             nw.deserialize(blob + b"\x00" * 8)
+
+    def test_payload_faults_are_those_a_walk_tensor_by_tensor_finds(self):
+        # the tensor region is checked in one piece; a fault names the tensor and byte a per-tensor walk would
+        clf = small_classifier()
+        blob = nw.serialize(clf)
+        start = len(blob) - 8 * clf.buffer.size
+
+        def walk(payload):
+            cursor = start
+            for name, shape in clf.spec.layout():
+                end = cursor + 8 * math.prod(shape)
+                if end > len(payload):
+                    return f"truncated payload for tensor {name!r}", len(payload)
+                bad = np.flatnonzero(~np.isfinite(np.frombuffer(payload[cursor:end], dtype="<f8")))
+                if bad.size:
+                    return f"tensor {name!r} holds a non-finite value", cursor + 8 * int(bad[0])
+                cursor = end
+            return "trailing bytes after final tensor", cursor
+
+        nan = np.array([np.nan], dtype="<f8").tobytes()
+        cases = [blob[:cut] for cut in range(start, len(blob))] + [blob + b"\0" * 3, blob + nan]
+        for at in range(start, len(blob), 8):  # a NaN at every entry, then cut short in its tensor or the next
+            bad = blob[:at] + nan + blob[at + 8 :]
+            cases += [bad, bad[: at + 4], bad[: at + 13]]
+        for payload in cases:
+            with pytest.raises(ModelFormatError) as exc:
+                nw.deserialize(payload)
+            message, offset = walk(payload)
+            assert str(exc.value) == f"{message} (at byte offset {offset})" and exc.value.offset == offset
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected_at_its_offset(self, value):

@@ -319,7 +319,10 @@ class TestTrainingStep:
             x = rng.normal(size=(b, d))
             pm = rng.dirichlet(np.ones(2), size=b)
             noise = gumbel_from_uniform(rng.uniform(size=(b, k, d)))
-            scores = ex.forward_tensor(ad.constant(x), tr.TRAIN_DTYPE, frozen=warmup)
+            if warmup:  # the explainer's weights on the tape as constants
+                scores = ad.dense(ad.constant(x), [t.data for t in ex.params.values()], tr.TRAIN_DTYPE)
+            else:
+                scores = ex.forward_tensor(ad.constant(x), tr.TRAIN_DTYPE)
             v = batched_relaxed_mask(scores, noise, temperature)
             q = var.forward_tensor(ad.mul(v, ad.constant(x)), tr.TRAIN_DTYPE)
             root = ad.neg(tr._log_likelihood(pm, q))
@@ -529,6 +532,17 @@ class TestTrainClassifier:
         with pytest.raises(NumericError, match=r"feature value 1e\+39 \(row 7, column 2\) overflows float32"):
             tr.train_classifier(x, (x[:, 1] > 0).astype(int), cfg)
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_nan_feature_rejected_before_any_step(self, epochs):
+        # without the check, one epoch fails only at step 1, on non-finite probabilities
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(40, 3))
+        x[9, 1] = 1e39  # an overflow after the NaN: the first fault is named
+        x[4, 0] = np.nan
+        cfg = tr.TrainConfig(k=1, batch_size=20, epochs=epochs, classifier_hidden=(8, 8, 8))
+        with pytest.raises(NumericError, match=r"feature value nan \(row 4, column 0\) is not a number"):
+            tr.train_classifier(x, (x[:, 1] > 0).astype(int), cfg)
+
     @pytest.mark.parametrize("label, row", [(-1, 3), (0.7, 5), (2, 0)])
     def test_labels_other_than_zero_and_one_rejected(self, label, row):
         # -1 would train as class 1, 0.7 as class 0, and 2 would fail to index
@@ -598,6 +612,15 @@ class TestTrainL2x:
         with pytest.raises(NumericError, match=r"feature value -3\.5e\+38 \(row 11, column 0\) overflows float32"):
             tr.train_l2x(x, clf, cfg)
 
+    def test_nan_feature_rejected_before_any_step(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(60, 4))
+        x[13, 2] = np.nan
+        clf = build_classifier(4, 2, rng, hidden=(4, 4, 4))
+        cfg = tr.TrainConfig(k=2, batch_size=20, epochs=1, explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
+        with pytest.raises(NumericError, match=r"feature value nan \(row 13, column 2\) is not a number"):
+            tr.train_l2x(x, clf, cfg)
+
     def test_seed_changes_curve(self):
         _, _, (_, _, r1) = self.tiny_run(seed=1)
         _, _, (_, _, r2) = self.tiny_run(seed=2)
@@ -645,17 +668,16 @@ class TestTrainL2x:
                 tr.train_l2x(x, clf, cfg)
 
     def test_non_finite_parameter_is_named(self):
-        net = build_variational(3, 2, np.random.default_rng(0), hidden=(4,))
-        params = ad.ParameterSet()
-        params.merge("variational", net.params)
+        nets = [build_explainer(3, np.random.default_rng(0), hidden=(4,)),
+                build_variational(3, 2, np.random.default_rng(0), hidden=(4,))]
         cfg = tr.TrainConfig(k=1, batch_size=5, epochs=1)
 
         def step(epoch, idx, step_index):
-            net.params["b0"].data[2] = np.inf
+            nets[1].params["b0"].data[2] = np.inf
             return -1.0
 
         with pytest.raises(NumericError, match="parameter variational.b0 became non-finite in epoch 0"):
-            tr._epochs(cfg, 10, params, step)
+            tr._epochs(cfg, 10, nets, step)
 
     def test_steady_state_step_allocates_no_layer_sized_array(self, monkeypatch):
         # tracemalloc counts numpy's buffers.  Each step must reuse the float32 layer
@@ -711,13 +733,14 @@ class TestTrainL2x:
         assert made and all(ref() is None for ref in made)
 
     def test_non_finite_objective_aborts_with_step(self):
+        # a NaN feature is refused before any step; a classifier that emits NaN is caught inside one
         rng = np.random.default_rng(0)
         x = rng.normal(size=(60, 4))
-        x[10, 2] = np.nan
         clf = build_classifier(4, 2, rng, hidden=(4, 4, 4))
+        clf.params["w0"].data[2, 0] = np.nan
         cfg = tr.TrainConfig(k=2, batch_size=20, epochs=1, seed=0,
                              explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
-        with pytest.raises(NumericError, match="step"):
+        with pytest.raises(NumericError, match="non-finite at step 0"):
             tr.train_l2x(x, clf, cfg)
 
 
