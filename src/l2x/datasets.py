@@ -38,6 +38,7 @@ from . import files
 from .autodiff import sigmoid_array
 from .errors import CsvFormatError
 from .files import atomic_open, float_rows, open_text, parse_blocks
+from .metrics import index_sets
 
 __all__ = [
     "D",
@@ -186,9 +187,9 @@ def _parse(lines: list[str], t_size: int | None):
 
     Each check runs over a whole column, in the order: field count,
     unparseable value, non-finite feature, p outside [0, 1], label not 0
-    or 1, empty truth set, truth-set size other than ``t_size`` (that of
-    earlier rows, or of the first row when None), truth index outside
-    [0, d).  The first check any row fails raises ValueError; its message
+    or 1, the distinct truth sets by :func:`metrics.index_sets`, size
+    other than ``t_size`` (that of earlier rows, or of the first row when
+    None).  The first check any row fails raises ValueError; its message
     describes the line when the run is one line long, which is how
     :func:`files.parse_blocks` names the first bad line.
     """
@@ -220,23 +221,16 @@ def _parse(lines: list[str], t_size: int | None):
     bad_labels = [label for label in label_of.values() if label not in (0, 1)]
     if bad_labels:
         raise ValueError(f"label {bad_labels[0]} not in {{0, 1}}")
-    if () in truth_of.values():
-        raise ValueError("empty truth set")
+    distinct = index_sets(list(truth_of.values()), D, "truth set")
     if t_size is None:
-        t_size = len(truth_of[truths[0]])
-    bad_sizes = [len(indices) for indices in truth_of.values() if len(indices) != t_size]
-    if bad_sizes:
-        raise ValueError(f"truth set of size {bad_sizes[0]}, earlier rows have {t_size}")
-    bad_indices = [i for indices in truth_of.values() for i in indices if not 0 <= i < D]
-    if bad_indices:
-        raise ValueError(f"truth index {bad_indices[0]} outside [0, {D})")
+        t_size = distinct.shape[1]
+    if distinct.shape[1] != t_size:
+        raise ValueError(f"truth set of size {distinct.shape[1]}, earlier rows have {t_size}")
 
     y = np.fromiter(map(label_of.__getitem__, labels), np.int64, n)
-    keys = list(truth_of)
-    index = dict(zip(keys, range(len(keys))))
+    index = dict(zip(truth_of, range(len(truth_of))))
     row_key = np.fromiter(map(index.__getitem__, truths), np.intp, n)
-    truth = np.array([truth_of[k] for k in keys], dtype=np.int64).reshape(len(keys), t_size)
-    return (xp, y, truth[row_key]), t_size
+    return (xp, y, distinct[row_key]), t_size
 
 
 def read_csv(path) -> Dataset:
@@ -246,9 +240,9 @@ def read_csv(path) -> Dataset:
     into cells and parsed a whole column per call, so a large file never
     holds all its cells at once.  Lines may end in ``\r\n`` or ``\n``
     and the last line may have none; fields are never quoted.  Features
-    must be finite, p in [0, 1], labels 0 or 1, every truth set must be
-    nonempty and have the size of the first, and every truth index must
-    lie in [0, d).
+    must be finite, p in [0, 1], labels 0 or 1, and every truth set
+    must be nonempty, have the size of the first and hold distinct
+    indices in [0, d).
     """
     with open_text(path) as fh:  # universal newlines: \r\n arrives as \n
         header = fh.readline()

@@ -36,6 +36,7 @@ from . import autodiff as ad
 from . import files
 from .errors import JsonlFormatError
 from .files import atomic_open, float_rows, open_text, parse_blocks
+from .metrics import check_finite, index_sets
 from .networks import map_blocks
 from .sampling import hard_top_k
 
@@ -150,11 +151,13 @@ def method_scores(method: str, x: np.ndarray, explainer=None, classifier=None) -
 def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
     """Score one (d,) row with the trained explainer, as a batch of one, and keep the top k.
 
-    No classifier evaluation.
+    A non-finite value in the row raises ValueError naming its column.  No
+    classifier evaluation.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a single (d,) sample, got shape {x.shape}")
+    check_finite(x[None, :])
     t0 = time.perf_counter_ns()
     scores = explainer.scores(x[None, :])[0]
     selected = hard_top_k(scores, k)
@@ -220,8 +223,9 @@ def _decode(block: list[str], shape: tuple[int, int] | None):
     """One record per method of a run of JSON lines (blank ones skipped), and their (width, size).
 
     One ``json.loads`` call decodes every line, then each check runs over
-    a whole column; ValueError names the fault.  ``shape`` is the scores
-    width and selection size of earlier records, or None before the first.
+    a whole column (the selections' by :func:`metrics.index_sets`);
+    ValueError names the fault.  ``shape`` is the scores width and
+    selection size of earlier records, or None before the first.
     """
     lines = [line for line in block if not line.isspace()]
     if not lines:
@@ -240,8 +244,6 @@ def _decode(block: list[str], shape: tuple[int, int] | None):
         if not _all(column, kind):
             raise ValueError(f"{key!r} is not a JSON {_JSON_TYPE[kind]}")
     width, size = shape or (len(scores[0]), len(selected[0]))
-    if size == 0:
-        raise ValueError("'selected' is empty")
     if set(map(len, scores)) != {width}:
         raise ValueError(f"scores width differs from the first record's {width}")
     try:
@@ -252,12 +254,9 @@ def _decode(block: list[str], shape: tuple[int, int] | None):
         raise ValueError("'scores' holds a non-number")
     if not _all(chain.from_iterable(selected), int):
         raise ValueError("'selected' holds a non-integer")
-    selections = set(map(tuple, selected))
-    if {len(sel) for sel in selections} != {size}:
+    selected = index_sets(selected, width, "'selected'")
+    if selected.shape[1] != size:
         raise ValueError(f"'selected' size differs from the first record's {size}")
-    if not all(0 <= i < width for sel in selections for i in sel):
-        raise ValueError(f"'selected' holds an index outside [0, {width})")
-    selected = np.array(selected, dtype=np.int64)
     columns = (_int64(ids, "id"), scores.astype(np.float64, copy=False), selected, _int64(ns, "ns"))
     names = {name: code for code, name in enumerate(dict.fromkeys(methods))}
     code = np.fromiter(map(names.__getitem__, methods), np.intp, len(methods))
@@ -272,9 +271,9 @@ def read_jsonl(path) -> dict[str, Explanations]:
     A line that is not UTF-8 or not valid JSON, a record with a missing or
     mistyped key or an id or ns outside the signed 64-bit range, scores
     whose width differs from the first record's, or a selection that is
-    empty, whose size differs from the first record's or that holds an
-    index outside the scores raise :class:`JsonlFormatError` with the
-    line number.
+    empty, whose size differs from the first record's, that holds an
+    index outside the scores or that repeats an index raise
+    :class:`JsonlFormatError` with the line number.
     """
     parts: dict[str, list[Explanations]] = {}
     with open_text(path) as fh:

@@ -30,6 +30,7 @@ __all__ = [
     "median_rank",
     "post_hoc_accuracy",
     "check_finite",
+    "index_sets",
     "write_ranks_csv",
 ]
 
@@ -48,16 +49,39 @@ def ranks_of(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _index_rows(rows, what: str) -> np.ndarray:
-    """One index set per sample as an (n, t) int array; all sets one size, and not empty."""
+def index_sets(rows, d: int, what: str) -> np.ndarray:
+    """Truth sets or selections, one per sample, as an (n, t) int64 array of distinct indices in [0, d).
+
+    ValueError names (as ``what``) the first set that breaks a rule, in
+    this order: a size other than the first set's, empty, an index
+    outside [0, d) or past int64, a repeated index (t(t-1)/2 column
+    compares, no sort).
+    """
     try:
         out = np.asarray(rows, dtype=np.int64)
-    except ValueError:
-        raise ValueError(f"{what} vary in size") from None
-    if out.ndim != 2:
-        raise ValueError(f"{what} must be one index set per sample, got shape {out.shape}")
-    if out.shape[1] == 0:
-        raise ValueError(f"{what} are empty")
+    except (ValueError, OverflowError):  # ragged, or an index beyond int64
+        sets = [list(map(int, s)) for s in rows]
+        for s in sets:
+            if len(s) != len(sets[0]):
+                raise ValueError(f"{what} {s} differs in size from the first, {sets[0]}") from None
+        for s in sets:
+            if not all(0 <= i < d for i in s):
+                raise ValueError(f"{what} {s} holds an index outside [0, {d})") from None
+        raise
+    if out.ndim != 2 or len(out) == 0:
+        raise ValueError(f"need one {what} per sample, got an array of shape {out.shape}")
+    n, t = out.shape
+    if t == 0:
+        raise ValueError(f"{what} [] is empty")
+    if out.min() < 0 or out.max() >= d:
+        row = out[((out < 0) | (out >= d)).any(axis=1).argmax()]
+        raise ValueError(f"{what} {row.tolist()} holds an index outside [0, {d})")
+    repeats = np.zeros(n, dtype=bool)
+    for j in range(1, t):
+        for i in range(j):
+            repeats |= out[:, i] == out[:, j]
+    if repeats.any():
+        raise ValueError(f"{what} {out[repeats.argmax()].tolist()} repeats an index")
     return out
 
 
@@ -67,13 +91,6 @@ def check_finite(x: np.ndarray) -> None:
     if bad.size:
         row, col = bad[0]
         raise ValueError(f"non-finite feature value {float(x[row, col])!r} (row {row}, column {col})")
-
-
-def _check_range(index: np.ndarray, d: int, what: str) -> None:
-    bad = np.flatnonzero(((index < 0) | (index >= d)).any(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"{what} {tuple(index[i].tolist())} out of range for d={d} at sample {i}")
 
 
 @dataclass(frozen=True)
@@ -90,15 +107,14 @@ def median_rank(scores, truths, d: int) -> MedianRankReport:
     """Score feature rankings against known true features.
 
     ``scores``: (n, d), one score row per sample.  ``truths``: (n, t), the
-    matching ground-truth index sets; the optimal per-sample value
-    (t+1)/2 is reported alongside.
+    matching ground-truth index sets (see :func:`index_sets`); the
+    optimal per-sample value (t+1)/2 is reported alongside.
     """
     if len(scores) != len(truths):
         raise ValueError(f"{len(scores)} score vectors vs {len(truths)} truth sets")
     if len(scores) == 0:
         raise ValueError("need at least one sample")
-    truth = _index_rows(truths, "truth sets")
-    _check_range(truth, d, "truth indices")
+    truth = index_sets(truths, d, "truth set")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] != d:
         raise ValueError(f"scores have shape {scores.shape}, expected ({len(truth)}, {d})")
@@ -129,8 +145,9 @@ class PostHocReport:
 def post_hoc_accuracy(classifier, x: np.ndarray, selections, method: str = "") -> PostHocReport:
     """Agreement of argmax predictions on masked vs full inputs.
 
-    ``selections`` is (n, k): one selected-index set per row of ``x``;
-    the complement of each is zeroed before the masked prediction.
+    ``selections`` is (n, k): one selected-index set per row of ``x``
+    (see :func:`index_sets`); the complement of each is zeroed before the
+    masked prediction.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -141,8 +158,7 @@ def post_hoc_accuracy(classifier, x: np.ndarray, selections, method: str = "") -
     if n == 0:
         raise ValueError("need at least one sample")
     check_finite(x)
-    sel = _index_rows(selections, "selections")
-    _check_range(sel, d, "selection")
+    sel = index_sets(selections, d, "selection")
 
     rows = np.arange(n)[:, None]
     masked = np.zeros_like(x)

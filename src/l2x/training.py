@@ -23,8 +23,10 @@ heads, the relaxed mask and the log-likelihood are the taped nodes
 (``autodiff.softmax``, ``sampling.batched_relaxed_mask``,
 :func:`_log_likelihood`), whose vjps the step calls directly, in
 reverse; they, the gradient blocks and RMSprop stay float64, and so do
-checkpoints.  :func:`l2x_objective` builds the same objective as one
-taped graph: the reference the step is checked against.
+checkpoints.  Both loops run one softmax-head step (:func:`_head_step`),
+the selector's on the variational net.  :func:`l2x_objective` builds the
+same objective as one taped graph: the reference the steps are checked
+against.
 """
 
 from __future__ import annotations
@@ -302,24 +304,23 @@ class _Pass:
         return None if g is None else g.astype(np.float64)
 
 
-def _head_gradient(ll: Tensor, probs: Tensor) -> np.ndarray:
-    """The gradient of ``-ll`` with respect to the logits under the softmax head ``probs``."""
-    (g,) = ll._vjp(np.array(-1.0))
-    (g,) = probs._vjp(g)
-    return g
+def _head_step(net: _Pass, x: np.ndarray, target: np.ndarray,
+               need_input: bool = False) -> tuple[float, np.ndarray | None]:
+    """The log-likelihood of ``target`` under ``net``'s softmax head on the batch ``x``, and the input's gradient.
 
-
-def _classifier_step(net: _Pass, x: np.ndarray, target: np.ndarray) -> float:
-    """The cross-entropy of the batch ``x`` against one-hot ``target``, with its gradient in ``net.grads``."""
+    The gradient of the log-likelihood's negation goes to ``net.grads``;
+    the input's is returned if ``need_input``, else None.
+    """
     probs = ad.softmax(ad.parameter(net.forward(x)))
     if not np.all(np.isfinite(probs.data)):
-        raise NumericError("classifier probabilities became non-finite")
+        raise NumericError(f"{net.net.kind} output became non-finite")
     ll = _log_likelihood(target, probs)
-    value = -ll.item()
-    if not np.isfinite(value):
-        raise NumericError(f"classifier loss became {value}")
-    net.backward(_head_gradient(ll, probs))
-    return value
+    value = ll.item()
+    if not -math.inf < value <= 0.0:
+        raise NumericError(f"{net.net.kind} log-likelihood became {value}")
+    (g,) = ll._vjp(np.array(-1.0))
+    (g,) = probs._vjp(g)
+    return value, net.backward(g, need_input)
 
 
 def _selector_step(explainer: _Pass, variational: _Pass, x: np.ndarray, pm: np.ndarray, noise: np.ndarray,
@@ -336,14 +337,7 @@ def _selector_step(explainer: _Pass, variational: _Pass, x: np.ndarray, pm: np.n
     if not np.all(np.isfinite(scores)):
         raise NumericError("explainer scores became non-finite")
     v = batched_relaxed_mask(Tensor(scores, requires_grad=not warmup), noise, temperature)
-    q = ad.softmax(ad.parameter(variational.forward(v.data * x)))
-    if not np.all(np.isfinite(q.data)):
-        raise NumericError("variational output became non-finite")
-    ll = _log_likelihood(pm, q)
-    value = ObjectiveEstimate(value=ll.item(), root=ll).value
-    if not np.isfinite(value):
-        raise NumericError(f"objective became {value}")
-    g = variational.backward(_head_gradient(ll, q), need_input=not warmup)
+    value, g = _head_step(variational, v.data * x, pm, need_input=not warmup)
     if not warmup:
         (g,) = v._vjp(g * x)
         explainer.backward(g)
@@ -404,9 +398,9 @@ def train_classifier(
     net = _Pass(clf, min(config.batch_size, n))
 
     def step(epoch: int, idx: np.ndarray, step_index: int) -> float:
-        value = _classifier_step(net, x[idx], onehot[idx])
+        value, _ = _head_step(net, x[idx], onehot[idx])
         opt.step([(net.block, net.grads)])
-        return value
+        return -value
 
     curve = _epochs(config, n, [clf], step)
 

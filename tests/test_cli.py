@@ -639,6 +639,21 @@ MALFORMED = [
         "train-explainer", "--data", _edit_lines(w / "train.csv", t / "bad.csv", _without_truth_sets),
         "--model", w / "model.l2x", "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x",
         "--epochs", 1, "--explainer-hidden", "8,8", "--variational-hidden", "8,8,8"], 4, 2),
+    ("csv-repeated-truth-index", lambda w, t: [
+        "evaluate", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 3, 12, "1|1"),
+        "--explanations", w / "valid_l2x.jsonl", "--out-ranks", t / "r.csv"], 4, 3),
+    ("csv-repeated-truth-index-explain", lambda w, t: [
+        "explain", "--data", _edit_csv(w / "valid.csv", t / "bad.csv", 5, 12, "1|1"),
+        "--method", "l2x", "--explainer", w / "ex.l2x", "--out", t / "e.jsonl"], 4, 5),
+    ("csv-repeated-truth-index-train-explainer", lambda w, t: [
+        "train-explainer", "--data", _edit_csv(w / "train.csv", t / "bad.csv", 7, 12, "0|0"),
+        "--model", w / "model.l2x", "--out-explainer", t / "e.l2x", "--out-variational", t / "v.l2x",
+        "--epochs", 1, "--explainer-hidden", "8,8", "--variational-hidden", "8,8,8"], 4, 7),
+    ("jsonl-repeated-selection-index", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
+                                      _replace_line(4, lambda old: _with(old, selected=[3, 3]))),
+        "--model", w / "model.l2x", "--out-ranks", t / "r.csv", "--out-posthoc", t / "p.json"], 4, 4),
     ("jsonl-empty-selection", lambda w, t: [
         "evaluate", "--data", w / "valid.csv",
         "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",

@@ -239,6 +239,12 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="truth set of size 3.*line 4"):
             ds.read_csv(path)
 
+    def test_repeated_truth_index_rejected_with_line(self, tmp_path):
+        # read back, it would make median_rank count feature 1 twice
+        path = self._corrupt(tmp_path, line=3, column=12, value="1|1")
+        with pytest.raises(CsvFormatError, match=r"truth set \[1, 1\] repeats an index.*line 3"):
+            ds.read_csv(path)
+
     @pytest.mark.parametrize("lines", [(2,), (2, 3, 4, 5), (4,)], ids=["first", "every", "later"])
     def test_empty_truth_set_rejected_with_line(self, tmp_path, lines):
         path = tmp_path / "bad.csv"
@@ -247,7 +253,7 @@ class TestCsv:
         for line in lines:
             text[line - 1] = text[line - 1].rsplit(",", 1)[0] + ","
         path.write_text("\n".join(text) + "\n")
-        with pytest.raises(CsvFormatError, match=f"empty truth set.*line {lines[0]}"):
+        with pytest.raises(CsvFormatError, match=rf"truth set \[\] is empty.*line {lines[0]}"):
             ds.read_csv(path)
 
     def test_blank_line_mid_file_rejected_with_line(self, tmp_path):

@@ -77,6 +77,16 @@ class TestExplainL2x:
             ex.explain_l2x(explainer, rng.normal(size=6), k=2)
         assert clf.eval_count == 0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, value):
+        # without the check, a NaN row scores all NaN and selects (0, 1) silently
+        explainer = build_explainer(10, np.random.default_rng(6), hidden=(8, 8))
+        x = np.ones(10)
+        x[3] = value
+        with pytest.raises(ValueError, match=rf"non-finite feature value {value!r} \(row 0, column 3\)"):
+            ex.explain_l2x(explainer, x, 2)
+        assert explainer.eval_count == 0
+
     def test_under_one_millisecond_per_sample(self):
         rng = np.random.default_rng(5)
         explainer = build_explainer(10, rng, hidden=(200, 200))
@@ -583,6 +593,11 @@ class TestJsonlColumnKernel:
         (4, lambda t: t.replace('"id": 3', '"id": 99999999999999999999'), "'id' does not fit"),
         (2, lambda t: t.replace('"id": 1', '"id": -9223372036854775809'), "'id' does not fit"),
         (5, lambda t: t.rsplit('"ns": ', 1)[0] + '"ns": 99999999999999999999}', "'ns' does not fit"),
+        (3, lambda t: json.dumps({**json.loads(t), "selected": [4, 1, 4]}), r"'selected' \[4, 1, 4\] repeats"),
+        (2, lambda t: json.dumps({**json.loads(t), "selected": [0, 1, 10]}),
+         r"'selected' \[0, 1, 10\] holds an index outside \[0, 10\)"),
+        (4, lambda t: json.dumps({**json.loads(t), "selected": [0, 1, 2**64]}),
+         r"'selected' \[0, 1, 18446744073709551616\] holds an index outside"),
     ])
     def test_malformed_line_names_its_number(self, tmp_path, line, edit, message):
         lines = self._lines(tmp_path)
@@ -595,7 +610,7 @@ class TestJsonlColumnKernel:
         text = self._lines(tmp_path)
         for line in lines:
             text[line - 1] = json.dumps({**json.loads(text[line - 1]), "selected": []})
-        with pytest.raises(JsonlFormatError, match="'selected' is empty.*line 1"):
+        with pytest.raises(JsonlFormatError, match=r"'selected' \[\] is empty.*line 1"):
             ex.read_jsonl(self._write(tmp_path, text))
 
     def test_selection_equal_to_an_earlier_one_is_still_type_checked(self, tmp_path):

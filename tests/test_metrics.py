@@ -6,6 +6,7 @@ import csv
 import io
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -326,6 +327,40 @@ class TestRanks:
         np.testing.assert_array_equal(mt.ranks_of(scores), [mt.ranks_of(row) for row in scores])
 
 
+class TestIndexSets:
+    """The one check every boundary runs on truth sets and selections."""
+
+    def test_valid_sets_come_back_as_int64_rows(self):
+        out = mt.index_sets([(3, 0), (1, 2)], 4, "selection")
+        assert out.dtype == np.int64 and out.tolist() == [[3, 0], [1, 2]]
+
+    def test_repeats_match_a_sorted_reference(self):
+        # every column pair is compared: a repeat anywhere in any row is found, and only a repeat
+        rng = np.random.default_rng(8)
+        for t in range(1, 7):
+            rows = rng.integers(0, 8, size=(300, t))
+            has_repeat = (np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=1)
+            if has_repeat.any():
+                first = rows[has_repeat.argmax()].tolist()
+                with pytest.raises(ValueError, match=rf"selection {re.escape(str(first))} repeats an index"):
+                    mt.index_sets(rows, 8, "selection")
+            distinct = rows[~has_repeat]
+            assert mt.index_sets(distinct, 8, "selection").tolist() == distinct.tolist()
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(0, 1), (0, 1, 2), ()], r"\[0, 1, 2\] differs in size from the first, \[0, 1\]"),
+        ([(), ()], r"\[\] is empty"),
+        ([(0, 1), (4, 4)], r"\[4, 4\] holds an index outside \[0, 4\)"),
+        ([(0, 1), (-1, 2)], r"\[-1, 2\] holds an index outside"),
+        ([(0, 1), (1, 2**63)], r"\[1, 9223372036854775808\] holds an index outside"),
+        ([(2, 2), (0, 9)], r"\[0, 9\] holds an index outside"),
+        ([(0, 1), (3, 3)], r"\[3, 3\] repeats an index"),
+    ], ids=["ragged", "empty", "past-d", "negative", "past-int64", "range-before-repeat", "repeated"])
+    def test_first_broken_rule_names_its_set(self, rows, message):
+        with pytest.raises(ValueError, match=f"truth set {message}"):
+            mt.index_sets(rows, 4, "truth set")
+
+
 class TestMedianRank:
     def test_spec_examples(self):
         # true features at ranks 1 and 2 -> 1.5
@@ -368,14 +403,16 @@ class TestMedianRank:
         assert report.optimal_median == 2.0
 
     def test_errors(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"truth set \[4\] holds an index outside \[0, 4\)"):
             mt.median_rank([np.zeros(4)], [(4,)], d=4)
         with pytest.raises(ValueError, match="score vectors vs"):
             mt.median_rank([np.zeros(4)], [(0,), (1,)], d=4)
-        with pytest.raises(ValueError, match="vary in size"):
+        with pytest.raises(ValueError, match=r"truth set \[0, 1\] differs in size from the first, \[0\]"):
             mt.median_rank([np.zeros(4), np.zeros(4)], [(0,), (0, 1)], d=4)
-        with pytest.raises(ValueError, match="truth sets are empty"):
+        with pytest.raises(ValueError, match=r"truth set \[\] is empty"):
             mt.median_rank([np.zeros(4), np.zeros(4)], [(), ()], d=4)
+        with pytest.raises(ValueError, match=r"truth set \[1, 1\] repeats an index"):  # not counted twice
+            mt.median_rank([np.zeros(4), np.zeros(4)], [(0, 1), (1, 1)], d=4)
 
 
 class FixedClassifier:
@@ -435,12 +472,17 @@ class TestPostHocAccuracy:
             mt.post_hoc_accuracy(FixedClassifier(), np.zeros((3, 4)), [(0,)] * 2)
 
     def test_out_of_range_selection_rejected(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"selection \[7\] holds an index outside \[0, 4\)"):
             mt.post_hoc_accuracy(FixedClassifier(), np.zeros((1, 4)), [(7,)])
+
+    def test_repeated_selection_index_rejected(self):
+        # one feature kept where k=2 are claimed
+        with pytest.raises(ValueError, match=r"selection \[3, 3\] repeats an index"):
+            mt.post_hoc_accuracy(FixedClassifier(), np.ones((2, 4)), [(0, 3), (3, 3)])
 
     def test_empty_selections_rejected(self):
         # every input fully masked: an accuracy that says nothing of any selection
-        with pytest.raises(ValueError, match="selections are empty"):
+        with pytest.raises(ValueError, match=r"selection \[\] is empty"):
             mt.post_hoc_accuracy(FixedClassifier(), np.ones((3, 4)), np.zeros((3, 0), np.int64))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

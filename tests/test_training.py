@@ -280,7 +280,8 @@ class TestTrainingStep:
             target = np.eye(2)[rng.integers(0, 2, size=b)]
             loss = ad.neg(tr._log_likelihood(target, clf.forward_tensor(ad.constant(x), tr.TRAIN_DTYPE)))
             taped = _flat(ad.backward(loss, clf.params), clf.params)
-            assert tr._classifier_step(net, x, target) == loss.item()
+            value, g = tr._head_step(net, x, target)
+            assert -value == loss.item() and g is None
             assert net.grads.tobytes() == taped
             opt.step([(net.block, net.grads)])
 
