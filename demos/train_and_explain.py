@@ -10,6 +10,7 @@ Run: python3 demos/train_and_explain.py
 import numpy as np
 
 from l2x import datasets as ds
+from l2x.metrics import accuracy
 from l2x.pipeline import explain_dataset, posthoc_for, ranks_for
 from l2x.rng import substream
 from l2x.training import TrainConfig, train_classifier, train_l2x
@@ -23,8 +24,8 @@ def main():
     # one training run, the three networks' hidden widths included
     cfg = TrainConfig(k=k, epochs=8, seed=seed, classifier_hidden=(64, 64, 64),
                       explainer_hidden=(64, 64), variational_hidden=(64, 64, 64))
-    clf, clf_report = train_classifier(x_tr, y_tr, cfg, x_val=x_va, y_val=y_va)
-    print(f"classifier validation accuracy: {clf_report.val_accuracy:.4f}")
+    clf, _ = train_classifier(x_tr, y_tr, cfg)
+    print(f"classifier validation accuracy: {accuracy(clf, x_va, y_va):.4f}")
 
     explainer, variational, report = train_l2x(x_tr, clf, cfg)
     for stat in report.curve:

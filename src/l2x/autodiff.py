@@ -9,10 +9,11 @@ asked for, and returns one gradient per parameter.  A whole pass
 through an MLP's layers is one node, :func:`dense`, bit for bit the
 chain of per-layer ``relu(add_bias(matmul(h, w), b))`` ops it replaces;
 the per-op functions stay as the reference it is checked against.
-Nodes built outside this module (the relaxed subset mask in
-``sampling``, the training log-likelihood) follow the same contract: a
-one-argument vjp, and no array handed out or kept that a later call
-overwrites.
+Every node is made by :func:`node`, which alone decides whether it keeps
+its vjp.  Nodes built outside this module through it (the relaxed subset
+mask in ``sampling``, the training log-likelihood) follow the same
+contract: a one-argument vjp, and no array handed out or kept that a
+later call overwrites.
 
 Who may reuse an array: a node's value and every gradient a vjp returns
 are fresh arrays that nothing else writes, and the arrays a node keeps
@@ -155,6 +156,17 @@ def _binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
         raise ValueError(f"{op}: shapes disagree: {a.shape} vs {b.shape}")
 
 
+def node(out: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    """The tape node ``op`` of value ``out``: every op here, and every node built outside this module, is made by it.
+
+    The node needs a gradient, and keeps ``vjp``, only when a parent
+    needs one; otherwise it keeps no vjp, so a backward pass never calls
+    it.  Not an op (not in ``__all__``): it computes nothing itself.
+    """
+    rg = any(p.requires_grad for p in parents)
+    return Tensor(out, requires_grad=rg, op=op, parents=parents, vjp=vjp if rg else None)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -167,25 +179,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g: np.ndarray):
         return g @ bd.T, ad.T @ g
 
-    return _node(np.matmul(ad, bd), "matmul", (a, b), vjp)
-
-
-def _node(out: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    rg = any(p.requires_grad for p in parents)
-    return Tensor(out, requires_grad=rg, op=op, parents=parents, vjp=vjp if rg else None)
+    return node(np.matmul(ad, bd), "matmul", (a, b), vjp)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes("add", a, b)
-    return _node(a.data + b.data, "add", (a, b), lambda g: (g, g))
+    return node(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _binary_shapes("mul", a, b)
     ad, bd = a.data, b.data
-    return _node(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
+    return node(ad * bd, "mul", (a, b), lambda g: (g * bd, g * ad))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -197,13 +204,13 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g: np.ndarray):
         return g * take_a, g * ~take_a
 
-    return _node(np.maximum(a.data, b.data), "maximum", (a, b), vjp)
+    return node(np.maximum(a.data, b.data), "maximum", (a, b), vjp)
 
 
 def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0.0  # relu'(0) = 0
-    return _node(a.data * mask, "relu", (a,), lambda g: (g * mask,))
+    return node(a.data * mask, "relu", (a,), lambda g: (g * mask,))
 
 
 # plain-array kernels, shared with the untaped paths and the training step; not ops, so not in __all__
@@ -220,13 +227,13 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = sigmoid_array(a.data)
-    return _node(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
+    return node(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def exp(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.data)
-    return _node(out, "exp", (a,), lambda g: (g * out,))
+    return node(out, "exp", (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
@@ -235,18 +242,18 @@ def log(a: Tensor) -> Tensor:
         bad = float(a.data.min())
         raise ValueError(f"log: input must be strictly positive, got minimum {bad}")
     ad = a.data
-    return _node(np.log(ad), "log", (a,), lambda g: (g / ad,))
+    return node(np.log(ad), "log", (a,), lambda g: (g / ad,))
 
 
 def neg(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    return _node(-a.data, "neg", (a,), lambda g: (-g,))
+    return node(-a.data, "neg", (a,), lambda g: (-g,))
 
 
 def absolute(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     sign = np.sign(a.data)  # subgradient 0 at 0
-    return _node(np.abs(a.data), "abs", (a,), lambda g: (g * sign,))
+    return node(np.abs(a.data), "abs", (a,), lambda g: (g * sign,))
 
 
 def add_bias(a: Tensor, b: Tensor) -> Tensor:
@@ -254,7 +261,7 @@ def add_bias(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 1 or a.shape[1] != b.shape[0]:
         raise ValueError(f"add_bias: expects (m, n) + (n,), got {a.shape} + {b.shape}")
-    return _node(a.data + b.data, "add_bias", (a, b), lambda g: (g, g.sum(axis=0)))
+    return node(a.data + b.data, "add_bias", (a, b), lambda g: (g, g.sum(axis=0)))
 
 
 def dense_array(h: np.ndarray, params, kept: list | None = None, arrays=None) -> np.ndarray:
@@ -360,7 +367,7 @@ def dense(h: Tensor, params, dtype=np.float64) -> Tensor:
         g = dense_backward(cast_array(g, dtype), values[::2], kept, grads, need_h)
         return tuple(None if a is None else a.astype(np.float64, copy=False) for a in (g, *grads))
 
-    return _node(out.astype(np.float64, copy=False), "dense", (h, *params), vjp)
+    return node(out.astype(np.float64, copy=False), "dense", (h, *params), vjp)
 
 
 def softmax_array(z: np.ndarray) -> np.ndarray:
@@ -390,7 +397,7 @@ def softmax(a: Tensor, temperature: float = 1.0) -> Tensor:
         inner = (g * out).sum(axis=-1, keepdims=True)
         return ((g - inner) * out * inv_t,)
 
-    return _node(out, "softmax", (a,), vjp)
+    return node(out, "softmax", (a,), vjp)
 
 
 def _axes(op: str, a: Tensor, axis: int | None) -> tuple[int, ...]:
@@ -410,7 +417,7 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     def vjp(g: np.ndarray):
         return (np.broadcast_to(np.expand_dims(g.reshape(out.shape), ax), a.shape),)
 
-    return _node(out, "sum", (a,), vjp)
+    return node(out, "sum", (a,), vjp)
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -422,7 +429,7 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     def vjp(g: np.ndarray):
         return (np.broadcast_to(np.expand_dims(g.reshape(out.shape) / n, ax), a.shape),)
 
-    return _node(out, "mean", (a,), vjp)
+    return node(out, "mean", (a,), vjp)
 
 
 def reduce_max(a: Tensor, axis: int | None = None) -> Tensor:
@@ -439,7 +446,7 @@ def reduce_max(a: Tensor, axis: int | None = None) -> Tensor:
         np.put_along_axis(grad, idx, np.expand_dims(g.reshape(out.shape), ax), axis=ax)
         return (grad.reshape(a.shape),)
 
-    return _node(out, "max", (a,), vjp)
+    return node(out, "max", (a,), vjp)
 
 
 def expand(a: Tensor, axis: int, reps: int) -> Tensor:
@@ -450,7 +457,7 @@ def expand(a: Tensor, axis: int, reps: int) -> Tensor:
     if not 0 <= axis <= a.data.ndim:
         raise ValueError(f"expand: axis {axis} invalid for shape {a.shape}")
     out = np.repeat(np.expand_dims(a.data, axis), reps, axis=axis)
-    return _node(out, "expand", (a,), lambda g: (g.sum(axis=axis),))
+    return node(out, "expand", (a,), lambda g: (g.sum(axis=axis),))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .datasets import D, as_arrays, canonical_kind, generate, read_csv, write_cs
 from .errors import CsvFormatError, JsonlFormatError, ModelFormatError, NumericError, TextFormatError
 from .explain import ALL_METHODS, Explanations, read_jsonl, write_jsonl
 from .files import open_text, parse_blocks
-from .metrics import post_hoc_accuracy, write_ranks_csv
+from .metrics import accuracy, post_hoc_accuracy, write_ranks_csv
 from .networks import load_model, save_model
 from .pipeline import RunConfig, explain_dataset, posthoc_for, ranks_for, run_benchmark, run_oracle_suite, write_json
 from .rng import substream
@@ -164,14 +164,12 @@ def cmd_train_model(args, cmd: argparse.ArgumentParser) -> int:
     x, _, y, _ = as_arrays(read_csv(args.data))
     if cfg.epochs == 0:
         print("warning: --epochs 0 emits an untrained checkpoint", file=sys.stderr)
-    x_val = y_val = None
-    if args.val_data is not None:
-        x_val, _, y_val, _ = as_arrays(read_csv(args.val_data))
-    clf, report = train_classifier(x, y, cfg, x_val=x_val, y_val=y_val)
+    val = None if args.val_data is None else as_arrays(read_csv(args.val_data))  # read, and checked, before training
+    clf, report = train_classifier(x, y, cfg)
+    note = "" if val is None else f", val accuracy {accuracy(clf, val[0], val[2]):.4f}"
     save_model(clf, args.out_model)
     if args.out_curve is not None:
         write_curve_csv(report.curve, args.out_curve)
-    note = f", val accuracy {report.val_accuracy:.4f}" if report.val_accuracy is not None else ""
     print(f"wrote classifier to {args.out_model} ({cfg.epochs} epochs{note})")
     return 0
 

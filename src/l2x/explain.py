@@ -10,10 +10,11 @@ running its layers forward and backward over plain arrays without a tape
 * taylor ranks by the signed product input * gradient, and taylor-abs by
   its magnitude.
 
-Every method scores an (n, d) batch with one call, which runs the
-networks over blocks of ``files.BLOCK_ROWS`` rows so that memory
-stays bounded whatever n; :func:`explain_l2x` explains a single row
-through the same kernel, as a batch of one.
+:func:`explain_dataset` is the one way a method explains rows: it checks
+an (n, d) batch, scores it with one call, which runs the networks over
+blocks of ``files.BLOCK_ROWS`` rows so that memory stays bounded
+whatever n, and keeps each row's top k.  :func:`explain_l2x` is that
+function on a single row, as a batch of one.
 
 One method's explanations of n rows are one :class:`Explanations`
 record of columns: ids (n,), scores (n, d), selected (n, k) and ns (n,).
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from operator import itemgetter
 
@@ -46,7 +47,7 @@ __all__ = [
     "Explanation",
     "Explanations",
     "input_gradient",
-    "method_scores",
+    "explain_dataset",
     "explain_l2x",
     "write_jsonl",
     "read_jsonl",
@@ -131,25 +132,52 @@ def _block_gradient(classifier, x: np.ndarray) -> np.ndarray:
     return ad.dense_backward(onehot, weights[::2], kept, [None] * len(weights), need_input=True)
 
 
-def method_scores(method: str, x: np.ndarray, explainer=None, classifier=None) -> np.ndarray:
-    """(n, d) scores of ``method`` for every row of ``x``."""
+def explain_dataset(
+    method: str,
+    x: np.ndarray,
+    k: int,
+    explainer=None,
+    classifier=None,
+    threads: int = 1,
+) -> Explanations:
+    """Explain every row of finite ``x`` with ``method`` as one record; ids are row positions.
+
+    Every method scores all rows in one batched pass and selects with one
+    top-k call; each row's ns is the total amortized over rows.  l2x
+    needs the explainer and no classifier evaluation; the baselines need
+    the classifier (:func:`input_gradient`).  ``threads`` has no effect;
+    it stays because the bench harness (``bench/workloads.py``) passes it
+    and stays the same across the commits it compares.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected (n, d) inputs, got shape {x.shape}")
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("need at least one sample")
+    check_finite(x)
+    t0 = time.perf_counter_ns()
     check_method(method)
     if method == "l2x":
         if explainer is None:
             raise ValueError("method 'l2x' requires an explainer")
-        return explainer.scores(x)
-    if classifier is None:
+        scores = explainer.scores(x)
+    elif classifier is None:
         raise ValueError(f"method {method!r} requires a classifier")
-    grad = input_gradient(classifier, x)
-    if method == "saliency":
-        return np.abs(grad)
-    if method == "taylor-abs":
-        return np.abs(x * grad)
-    return x * grad
+    elif method == "saliency":
+        scores = np.abs(input_gradient(classifier, x))
+    else:
+        scores = x * input_gradient(classifier, x)
+        if method == "taylor-abs":
+            scores = np.abs(scores)
+    selected = hard_top_k(scores, k)
+    per_sample = (time.perf_counter_ns() - t0) // n
+    return Explanations(method, np.arange(n, dtype=np.int64), scores, selected,
+                        np.full(n, per_sample, dtype=np.int64))
 
 
 def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
-    """Score one (d,) row with the trained explainer, as a batch of one, and keep the top k.
+    """:func:`explain_dataset` of l2x on the (d,) row ``x`` as a batch of one, as a row view with ``sample_id``.
 
     A non-finite value in the row raises ValueError naming its column.  No
     classifier evaluation.
@@ -157,11 +185,7 @@ def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a single (d,) sample, got shape {x.shape}")
-    check_finite(x[None, :])
-    t0 = time.perf_counter_ns()
-    scores = explainer.scores(x[None, :])[0]
-    selected = hard_top_k(scores, k)
-    return Explanation(sample_id, "l2x", scores, selected, time.perf_counter_ns() - t0)
+    return replace(explain_dataset("l2x", x[None, :], k, explainer=explainer)[0], sample_id=sample_id)
 
 
 _TYPES = {"id": int, "method": str, "scores": list, "selected": list, "ns": int}
@@ -207,9 +231,9 @@ def write_jsonl(explanations, path) -> None:
                 fh.write(_format_block(record, slice(i, i + block)))
 
 
-def _all(values, kind: type) -> bool:
-    """Whether every value is exactly of ``kind`` (so no bool passes for an int)."""
-    return set(map(type, values)) <= {kind}
+def _all(values, *kinds: type) -> bool:
+    """Whether every value is exactly of one of ``kinds`` (so no bool passes for an int)."""
+    return set(map(type, values)) <= set(kinds)
 
 
 def _int64(column: list, key: str) -> np.ndarray:
@@ -246,18 +270,19 @@ def _decode(block: list[str], shape: tuple[int, int] | None):
     width, size = shape or (len(scores[0]), len(selected[0]))
     if set(map(len, scores)) != {width}:
         raise ValueError(f"scores width differs from the first record's {width}")
+    numbers = _all(chain.from_iterable(scores), int, float)  # no bool, string, null or nested array
     try:
-        scores = np.array(scores)
-    except ValueError:  # a nested array among the scores
+        scores = np.array(scores, dtype=np.float64) if numbers else None
+    except OverflowError:  # an integer beyond the float64 range
         scores = None
-    if scores is None or scores.ndim != 2 or scores.dtype.kind not in "bif":
+    if scores is None:
         raise ValueError("'scores' holds a non-number")
     if not _all(chain.from_iterable(selected), int):
         raise ValueError("'selected' holds a non-integer")
     selected = index_sets(selected, width, "'selected'")
     if selected.shape[1] != size:
         raise ValueError(f"'selected' size differs from the first record's {size}")
-    columns = (_int64(ids, "id"), scores.astype(np.float64, copy=False), selected, _int64(ns, "ns"))
+    columns = (_int64(ids, "id"), scores, selected, _int64(ns, "ns"))
     names = {name: code for code, name in enumerate(dict.fromkeys(methods))}
     code = np.fromiter(map(names.__getitem__, methods), np.intp, len(methods))
     parts = [Explanations(name, *(column[code == c] for column in columns)) for name, c in names.items()]
@@ -269,7 +294,8 @@ def read_jsonl(path) -> dict[str, Explanations]:
 
     The file is read a block of lines at a time; blank lines are skipped.
     A line that is not UTF-8 or not valid JSON, a record with a missing or
-    mistyped key or an id or ns outside the signed 64-bit range, scores
+    mistyped key (a score that is not a JSON number, a boolean among
+    them) or an id or ns outside the signed 64-bit range, scores
     whose width differs from the first record's, or a selection that is
     empty, whose size differs from the first record's, that holds an
     index outside the scores or that repeats an index raise

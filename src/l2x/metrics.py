@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import atomic_open, float_rows
+from .networks import is_int
 
 __all__ = [
     "MedianRankReport",
@@ -29,6 +30,7 @@ __all__ = [
     "ranks_of",
     "median_rank",
     "post_hoc_accuracy",
+    "accuracy",
     "check_finite",
     "index_sets",
     "write_ranks_csv",
@@ -53,21 +55,18 @@ def index_sets(rows, d: int, what: str) -> np.ndarray:
     """Truth sets or selections, one per sample, as an (n, t) int64 array of distinct indices in [0, d).
 
     ValueError names (as ``what``) the first set that breaks a rule, in
-    this order: a size other than the first set's, empty, an index
-    outside [0, d) or past int64, a repeated index (t(t-1)/2 column
+    this order: a size other than the first set's, empty, an index that
+    is not an integer (a bool or a float is not, whatever its value), an
+    index outside [0, d) or past int64, a repeated index (t(t-1)/2 column
     compares, no sort).
     """
     try:
-        out = np.asarray(rows, dtype=np.int64)
-    except (ValueError, OverflowError):  # ragged, or an index beyond int64
-        sets = [list(map(int, s)) for s in rows]
-        for s in sets:
-            if len(s) != len(sets[0]):
-                raise ValueError(f"{what} {s} differs in size from the first, {sets[0]}") from None
-        for s in sets:
-            if not all(0 <= i < d for i in s):
-                raise ValueError(f"{what} {s} holds an index outside [0, {d})") from None
-        raise
+        out = np.asarray(rows)
+    except ValueError:  # ragged
+        out = None
+    if out is None or out.ndim == 2 and out.size and out.dtype.kind != "i":
+        out = _python_sets(rows, d, what)  # ragged, not integers, or past int64 (which numpy reads as floats)
+    out = out.astype(np.int64, copy=False)
     if out.ndim != 2 or len(out) == 0:
         raise ValueError(f"need one {what} per sample, got an array of shape {out.shape}")
     n, t = out.shape
@@ -83,6 +82,27 @@ def index_sets(rows, d: int, what: str) -> np.ndarray:
     if repeats.any():
         raise ValueError(f"{what} {out[repeats.argmax()].tolist()} repeats an index")
     return out
+
+
+def _python_sets(rows, d: int, what: str) -> np.ndarray:
+    """:func:`index_sets`' size, integer and range rules, one set at a time, on sets numpy reads as no int array."""
+    sets = [[i.item() if isinstance(i, np.generic) else i for i in s] for s in rows]
+    for s in sets:
+        if len(s) != len(sets[0]):
+            raise ValueError(f"{what} {s} differs in size from the first, {sets[0]}")
+    for s in sets:
+        if not all(map(is_int, s)):
+            raise ValueError(f"{what} {s} holds an index that is not an integer")
+    for s in sets:
+        if not all(0 <= i < d for i in s):
+            raise ValueError(f"{what} {s} holds an index outside [0, {d})")
+    return np.array(sets, dtype=np.int64)
+
+
+def accuracy(classifier, x: np.ndarray, y) -> float:
+    """Fraction of the rows of ``x`` whose argmax class under ``classifier`` is their label in ``y``."""
+    pred = classifier.predict_proba(np.asarray(x, dtype=np.float64)).argmax(axis=1)
+    return float((pred == np.asarray(y, dtype=int)).mean())
 
 
 def check_finite(x: np.ndarray) -> None:

@@ -20,13 +20,15 @@ for inference, which runs ``files.BLOCK_ROWS`` rows at a time
 (:func:`map_blocks`) so that its activations stay near the cache size
 whatever the number of rows.  A network holds its parameters in one flat
 float64 ``buffer``, in the order of ``MlpSpec.layout()``, and ``params``
-names views of it; :meth:`MlpSpec.split` alone works out where each
+names views of it; :meth:`MlpSpec.ends` alone works out where each
 tensor lies, for the buffer, the training gradient block and the
-checkpoint payload.  Both paths compute in float64 by default, with
-identical arithmetic.  The training loops and the gradient baselines
-(``explain``) run neither: they call the same layer loop and its
-backward kernel, ``autodiff.dense_backward``, over plain arrays (the
-training step in float32, mixed precision; see ``training``).
+checkpoint payload, which :func:`deserialize` checks against it before
+it allocates anything of the claimed size.  Both paths compute in
+float64 by default, with identical arithmetic.  The training loops and
+the gradient baselines (``explain``) run neither: they call the same
+layer loop and its backward kernel, ``autodiff.dense_backward``, over
+plain arrays (the training step in float32, mixed precision; see
+``training``).
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
@@ -40,8 +42,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -132,20 +135,22 @@ class MlpSpec:
             layout += [(f"w{i}", (fan_in, fan_out)), (f"b{i}", (fan_out,))]
         return layout
 
+    def ends(self) -> list[int]:
+        """Where each tensor of :meth:`layout` ends in a flat buffer, in entries: the one offset rule."""
+        return list(accumulate(math.prod(shape) for _, shape in self.layout()))
+
     @property
     def size(self) -> int:
         """The number of parameters, the length of a flat buffer holding them all."""
-        return sum(math.prod(shape) for _, shape in self.layout())
+        return self.ends()[-1]
 
     def split(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Views of a flat array of :attr:`size` entries, one per tensor of :meth:`layout`: the one offset rule."""
-        if flat.shape != (self.size,):
-            raise ValueError(f"expected a flat array of {self.size} entries, got shape {flat.shape}")
-        views, start = {}, 0
-        for name, shape in self.layout():
-            views[name] = flat[start : start + math.prod(shape)].reshape(shape)
-            start += views[name].size
-        return views
+        """Views of a flat array of :attr:`size` entries, one per tensor of :meth:`layout`, cut at :meth:`ends`."""
+        ends = self.ends()
+        if flat.shape != (ends[-1],):
+            raise ValueError(f"expected a flat array of {ends[-1]} entries, got shape {flat.shape}")
+        return {name: flat[start:end].reshape(shape)
+                for (name, shape), start, end in zip(self.layout(), [0, *ends], ends)}
 
     def to_dict(self) -> dict:
         return {**asdict(self), "activation": ACTIVATION}
@@ -315,13 +320,13 @@ def deserialize(payload: bytes) -> Mlp:
         raise ModelFormatError(f"tensor list does not match the architecture's {layout}", offset=12)
 
     # the tensor region in one piece; a fault names the first tensor that holds one
-    start, size, names = 12 + header_len, spec.size, [name for name, _ in layout]
+    start, ends, names = 12 + header_len, spec.ends(), [name for name, _ in layout]
+    size = ends[-1]
     present = min(size, (len(payload) - start) // 8)
     values = np.frombuffer(payload, dtype="<f8", count=present, offset=start)
-    last = [int(view.flat[-1]) for view in spec.split(np.arange(size)).values()]  # each tensor's last entry
-    whole = bisect_left(last, present)  # the tensors read in full
+    whole = bisect_right(ends, present)  # the tensors read in full
     bad = np.flatnonzero(~np.isfinite(values))
-    at = bisect_left(last, bad[0]) if bad.size else len(names)  # the first tensor holding a non-finite value
+    at = bisect_right(ends, bad[0]) if bad.size else len(names)  # the first tensor holding a non-finite value
     if at < whole:
         raise ModelFormatError(f"tensor {names[at]!r} holds a non-finite value", offset=start + 8 * int(bad[0]))
     if whole < len(names):

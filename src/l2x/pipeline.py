@@ -13,6 +13,10 @@ writes the artifact set:
 * ``summary.json`` the deterministic metric roll-up,
 * ``timings.json`` wall-clock figures.
 
+Explaining rows is ``explain.explain_dataset``, re-exported here for the
+callers that reach it through this module; held-out accuracy is
+``metrics.accuracy``, whether the classifier was trained or loaded.
+
 Wall-clock measurements vary between identically-seeded runs: all of
 ``timings.json``, both curves' ``wall_ms`` column and the ``ns`` field
 of every explanation record.  Everything else is byte-stable.
@@ -28,13 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import DEFAULT_SIN_COEFF, D, as_arrays, canonical_kind, generate, k_for
-from .explain import Explanations, check_method, method_scores, write_jsonl
+from .explain import Explanations, check_method, explain_dataset, write_jsonl  # explain_dataset re-exported
 from .files import atomic_open
-from .metrics import MedianRankReport, PostHocReport, check_finite, median_rank, post_hoc_accuracy, write_ranks_csv
+from .metrics import MedianRankReport, PostHocReport, accuracy, median_rank, post_hoc_accuracy, write_ranks_csv
 from .networks import is_int, load_model, save_model
 from .oracle import brute_force_best_subset, exact_conditional, jensen_gap, random_binary_joint
 from .rng import substream
-from .sampling import hard_top_k
 from .training import TrainConfig, train_classifier, train_l2x, write_curve_csv
 
 __all__ = [
@@ -79,37 +82,6 @@ class RunConfig(TrainConfig):
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise ValueError(f"methods must name at least one method, each once; got {self.methods}")
         super().__post_init__()
-
-
-def explain_dataset(
-    method: str,
-    x: np.ndarray,
-    k: int,
-    explainer=None,
-    classifier=None,
-    threads: int = 1,
-) -> Explanations:
-    """Explain every row of finite ``x`` as one record; ids are row positions.
-
-    Every method scores all rows in one batched pass and selects with one
-    top-k call; each row's ns is the total amortized over rows.
-    ``threads`` has no effect; it stays because the bench harness
-    (``bench/workloads.py``) passes it and stays the same across the
-    commits it compares.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected (n, d) inputs, got shape {x.shape}")
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("need at least one sample")
-    check_finite(x)
-    t0 = time.perf_counter_ns()
-    scores = method_scores(method, x, explainer, classifier)
-    selected = hard_top_k(scores, k)
-    per_sample = (time.perf_counter_ns() - t0) // n
-    return Explanations(method, np.arange(n, dtype=np.int64), scores, selected,
-                        np.full(n, per_sample, dtype=np.int64))
 
 
 def _id_order(ids: np.ndarray, n: int):
@@ -172,20 +144,19 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
         clf = load_model(out / "model.l2x", kind="classifier")
         explainer = load_model(out / "explainer.l2x", kind="explainer")
         variational = load_model(out / "variational.l2x", kind="variational")
-        pred = clf.predict_proba(x_va).argmax(axis=1)
-        summary["classifier"] = {"val_accuracy": float((pred == y_va).mean())}
+        summary["classifier"] = {"val_accuracy": accuracy(clf, x_va, y_va)}
         timings["train_model_ms"] = None
         timings["train_l2x_ms"] = None
     else:
         t0 = time.perf_counter()
-        clf, clf_report = train_classifier(x_tr, y_tr, config, x_val=x_va, y_val=y_va)
+        clf, clf_report = train_classifier(x_tr, y_tr, config)
+        summary["classifier"] = {
+            "val_accuracy": accuracy(clf, x_va, y_va),
+            "final_loss": clf_report.curve[-1].objective if clf_report.curve else None,
+        }
         timings["train_model_ms"] = (time.perf_counter() - t0) * 1e3
         save_model(clf, out / "model.l2x")
         write_curve_csv(clf_report.curve, out / "model_curve.csv")
-        summary["classifier"] = {
-            "val_accuracy": clf_report.val_accuracy,
-            "final_loss": clf_report.curve[-1].objective if clf_report.curve else None,
-        }
 
         t0 = time.perf_counter()
         explainer, variational, l2x_report = train_l2x(x_tr, clf, config)

@@ -8,9 +8,10 @@ log-weights.  Low temperatures sharpen V toward an exact k-hot vector;
 the training default is 0.1 and is never annealed.  k, the number of
 noise rows, must lie in [1, d]; a temperature <= 0 is rejected.
 
-The mask of a batch is one tape node (:func:`batched_relaxed_mask`),
-with the values and gradients of the autodiff op chain it replaces,
-``reduce_max(softmax(add(expand(scores), noise)))``, bit for bit.
+The mask of a batch is one tape node (:func:`batched_relaxed_mask`,
+built by ``autodiff.node``), with the values and gradients of the
+autodiff op chain it replaces, ``reduce_max(softmax(add(expand(scores),
+noise)))``, bit for bit.
 """
 
 from __future__ import annotations
@@ -164,9 +165,7 @@ def batched_relaxed_mask(log_weights: Tensor, noise: np.ndarray, temperature: fl
         grad *= inv_t
         return (grad.sum(axis=axis),)
 
-    rg = log_weights.requires_grad
-    return Tensor(mask.reshape(log_weights.shape), requires_grad=rg, op="relaxed_mask",
-                  parents=(log_weights,), vjp=vjp if rg else None)
+    return ad.node(mask.reshape(log_weights.shape), "relaxed_mask", (log_weights,), vjp)
 
 
 def hard_top_k(scores, k: int):

@@ -21,12 +21,12 @@ over arrays it keeps from step to step, and runs them backward once
 flat float64 block laid out like the buffer (``MlpSpec.split``).  The
 heads, the relaxed mask and the log-likelihood are the taped nodes
 (``autodiff.softmax``, ``sampling.batched_relaxed_mask``,
-:func:`_log_likelihood`), whose vjps the step calls directly, in
-reverse; they, the gradient blocks and RMSprop stay float64, and so do
-checkpoints.  Both loops run one softmax-head step (:func:`_head_step`),
-the selector's on the variational net.  :func:`l2x_objective` builds the
-same objective as one taped graph: the reference the steps are checked
-against.
+:func:`_log_likelihood`, each made by ``autodiff.node``), whose vjps
+the step calls directly, in reverse; they, the gradient blocks and
+RMSprop stay float64, and so do checkpoints.  Both loops run one
+softmax-head step (:func:`_head_step`), the selector's on the
+variational net.  :func:`l2x_objective` builds the same objective as one
+taped graph: the reference the steps are checked against.
 """
 
 from __future__ import annotations
@@ -167,7 +167,6 @@ class EpochStat:
 @dataclass
 class TrainReport:
     curve: list[EpochStat]
-    val_accuracy: float | None = None
 
 
 def _log_likelihood(target: np.ndarray, probs: Tensor) -> Tensor:
@@ -192,8 +191,7 @@ def _log_likelihood(target: np.ndarray, probs: Tensor) -> Tensor:
         return (grad,)
 
     value = (target * np.log(clamped)).sum(axis=(1,)).mean(axis=(0,))
-    return Tensor(value, requires_grad=probs.requires_grad, op="log_likelihood", parents=(probs,),
-                  vjp=vjp if probs.requires_grad else None)
+    return ad.node(value, "log_likelihood", (probs,), vjp)
 
 
 def l2x_objective(
@@ -265,7 +263,10 @@ class _Pass:
     (``MlpSpec.split``), which :meth:`backward` fills.  The float32
     weights, the cast input, each layer's output and relu mask, the cast
     incoming gradient and the float32 weight gradients are reused from
-    step to step; a smaller batch uses their leading rows.
+    step to step; a smaller batch uses their leading rows.  Fresh arrays
+    per step, or the step run through ``autodiff.dense`` nodes, give the
+    same bytes but cost many times the page faults and measurably more
+    time (ROADMAP.md, item 4).
     """
 
     def __init__(self, net: Mlp, rows: int):
@@ -377,10 +378,8 @@ def train_classifier(
     x: np.ndarray,
     y: np.ndarray,
     config: TrainConfig,
-    x_val: np.ndarray | None = None,
-    y_val: np.ndarray | None = None,
 ) -> tuple[Mlp, TrainReport]:
-    """Cross-entropy training on hard labels, each 0 or 1; optional held-out accuracy."""
+    """Cross-entropy training on hard labels, each 0 or 1 (held-out accuracy is ``metrics.accuracy``)."""
     x = _features(x)
     y = np.asarray(y)
     if y.shape != (x.shape[0],):
@@ -402,13 +401,7 @@ def train_classifier(
         opt.step([(net.block, net.grads)])
         return -value
 
-    curve = _epochs(config, n, [clf], step)
-
-    val_accuracy = None
-    if x_val is not None and y_val is not None:
-        pred = clf.predict_proba(np.asarray(x_val, dtype=np.float64)).argmax(axis=1)
-        val_accuracy = float((pred == np.asarray(y_val, dtype=int)).mean())
-    return clf, TrainReport(curve=curve, val_accuracy=val_accuracy)
+    return clf, TrainReport(curve=_epochs(config, n, [clf], step))
 
 
 def train_l2x(

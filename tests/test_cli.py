@@ -659,6 +659,11 @@ MALFORMED = [
         "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl",
                                       lambda lines: [_with(line, selected=[]) for line in lines]),
         "--model", w / "model.l2x", "--out-ranks", t / "r.csv", "--out-posthoc", t / "p.json"], 4, 1),
+    ("jsonl-boolean-score", lambda w, t: [
+        "evaluate", "--data", w / "valid.csv",
+        "--explanations", _edit_lines(w / "valid_l2x.jsonl", t / "bad.jsonl", _replace_line(
+            1, lambda old: _with(old, scores=[True, False, *json.loads(old)["scores"][2:]]))),
+        "--out-ranks", t / "r.csv"], 4, 1),
     ("non-utf8-jsonl", lambda w, t: [
         "evaluate", "--data", w / "valid.csv",
         "--explanations", _edit_bytes(w / "valid_l2x.jsonl", t / "bad.jsonl", _bad_byte(6)),

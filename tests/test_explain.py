@@ -106,7 +106,7 @@ class TestExplainSaliency:
         assert e.selected == (0, 2)
         assert e.method == "saliency"
         batch = np.random.default_rng(1).uniform(-1, 1, size=(40, 4))
-        scores = ex.method_scores("saliency", batch, classifier=clf)
+        scores = explain_dataset("saliency", batch, 2, classifier=clf).scores
         np.testing.assert_allclose(scores, np.abs(w[:, clf.predict_proba(batch).argmax(axis=1)].T), atol=1e-12)
 
     def test_ignored_feature_scores_zero(self):
@@ -131,7 +131,7 @@ class TestExplainSaliency:
         rng = np.random.default_rng(7)
         clf = build_classifier(5, 3, rng, hidden=(8, 8, 8))
         xs = rng.normal(size=(3, 5))
-        batched = ex.method_scores("saliency", xs, classifier=clf)
+        batched = explain_dataset("saliency", xs, 2, classifier=clf).scores
 
         def logit(v, cls):
             h = v[None, :]
@@ -164,7 +164,7 @@ class TestExplainTaylor:
         np.testing.assert_allclose(e.scores, x * w[:, cls], atol=1e-12)
         assert e.method == "taylor"
         batch = np.random.default_rng(3).uniform(-5, 5, size=(40, 3))
-        scores = ex.method_scores("taylor", batch, classifier=clf)
+        scores = explain_dataset("taylor", batch, 2, classifier=clf).scores
         np.testing.assert_allclose(scores, batch * w[:, clf.predict_proba(batch).argmax(axis=1)].T, atol=1e-12)
 
     def test_absolute_variant(self):
@@ -176,8 +176,8 @@ class TestExplainTaylor:
         np.testing.assert_allclose(unsigned.scores, np.abs(signed.scores))
         assert unsigned.method == "taylor-abs"
         batch = np.random.default_rng(4).uniform(-5, 5, size=(20, 3))
-        np.testing.assert_array_equal(ex.method_scores("taylor-abs", batch, classifier=clf),
-                                      np.abs(ex.method_scores("taylor", batch, classifier=clf)))
+        np.testing.assert_array_equal(explain_dataset("taylor-abs", batch, 2, classifier=clf).scores,
+                                      np.abs(explain_dataset("taylor", batch, 2, classifier=clf).scores))
 
     def test_zero_input_ties_break_to_lowest_indices(self):
         clf = build_classifier(6, 2, np.random.default_rng(8), hidden=(5, 5, 5))

@@ -355,7 +355,12 @@ class TestIndexSets:
         ([(0, 1), (1, 2**63)], r"\[1, 9223372036854775808\] holds an index outside"),
         ([(2, 2), (0, 9)], r"\[0, 9\] holds an index outside"),
         ([(0, 1), (3, 3)], r"\[3, 3\] repeats an index"),
-    ], ids=["ragged", "empty", "past-d", "negative", "past-int64", "range-before-repeat", "repeated"])
+        ([(0, 1), (0.9, 1.9)], r"\[0.9, 1.9\] holds an index that is not an integer"),
+        ([(True, False)], r"\[True, False\] holds an index that is not an integer"),
+        (np.array([[0.0, 1.0]]), r"\[0.0, 1.0\] holds an index that is not an integer"),
+        ([(0, 1), (2.0, 9)], r"\[2.0, 9\] holds an index that is not an integer"),
+    ], ids=["ragged", "empty", "past-d", "negative", "past-int64", "range-before-repeat", "repeated",
+            "float", "bool", "float-array", "type-before-range"])
     def test_first_broken_rule_names_its_set(self, rows, message):
         with pytest.raises(ValueError, match=f"truth set {message}"):
             mt.index_sets(rows, 4, "truth set")
@@ -413,6 +418,11 @@ class TestMedianRank:
             mt.median_rank([np.zeros(4), np.zeros(4)], [(), ()], d=4)
         with pytest.raises(ValueError, match=r"truth set \[1, 1\] repeats an index"):  # not counted twice
             mt.median_rank([np.zeros(4), np.zeros(4)], [(0, 1), (1, 1)], d=4)
+
+    def test_non_integer_truth_set_rejected(self):
+        # truncated, [0.9, 1.9] would score the truth {0, 1}
+        with pytest.raises(ValueError, match=r"truth set \[0.9, 1.9\] holds an index that is not an integer"):
+            mt.median_rank([np.arange(10.0)], [[0.9, 1.9]], d=10)
 
 
 class FixedClassifier:
@@ -484,6 +494,11 @@ class TestPostHocAccuracy:
         # every input fully masked: an accuracy that says nothing of any selection
         with pytest.raises(ValueError, match=r"selection \[\] is empty"):
             mt.post_hoc_accuracy(FixedClassifier(), np.ones((3, 4)), np.zeros((3, 0), np.int64))
+
+    def test_boolean_selection_rejected(self):
+        # read as indices, [[True, False]] would keep feature 1 and then feature 0
+        with pytest.raises(ValueError, match=r"selection \[True, False\] holds an index that is not an integer"):
+            mt.post_hoc_accuracy(FixedClassifier(), np.ones((1, 4)), np.array([[True, False]]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_rejected(self, value):

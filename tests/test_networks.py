@@ -407,6 +407,23 @@ class TestSerialization:
             nw.deserialize(blob[: len(blob) - 100])
         assert exc.value.offset == len(blob) - 100
 
+    def test_refusing_a_claimed_size_allocates_nothing_of_it(self):
+        # a 320-byte checkpoint claiming 4,028,002 parameters once cost a 32.2 MB offset table before the refusal
+        spec = nw.MlpSpec((10, 2000, 2000, 2), "softmax")
+        header = json.dumps({"kind": "classifier", "spec": spec.to_dict(),
+                             "tensors": [{"name": name, "shape": list(shape)} for name, shape in spec.layout()]},
+                            sort_keys=True, separators=(",", ":")).encode()
+        blob = b"L2XM" + (1).to_bytes(4, "little") + len(header).to_bytes(4, "little") + header
+        blob += bytes(320 - len(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match="truncated payload for tensor 'w0'") as exc:
+                nw.deserialize(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.offset == 320 and peak < 2**20
+
     def test_corrupt_header(self):
         blob = bytearray(nw.serialize(small_classifier()))
         blob[14] = 0xFF
