@@ -10,17 +10,15 @@ through an MLP's layers is one node, :func:`dense`, bit for bit the
 chain of per-layer ``relu(add_bias(matmul(h, w), b))`` ops it replaces;
 the per-op functions stay as the reference it is checked against.
 Every node is made by :func:`node`, which alone decides whether it keeps
-its vjp.  Nodes built outside this module through it (the relaxed subset
-mask in ``sampling``, the training log-likelihood) follow the same
-contract: a one-argument vjp, and no array handed out or kept that a
-later call overwrites.
+its vjp.
 
 Who may reuse an array: a node's value and every gradient a vjp returns
 are fresh arrays that nothing else writes, and the arrays a node keeps
-for its vjp are its own.  The plain-array kernels under :func:`dense`,
-``dense_array`` and ``dense_backward``, also serve without a node the
-training step (``training``), over arrays it owns and reuses from step
-to step, and the gradient baselines (``explain``), in fresh arrays.
+for its vjp are its own.  The plain-array kernels under :func:`dense`
+(``dense_array``, ``dense_backward``) and :func:`softmax`
+(``softmax_array``, ``softmax_vjp``) also serve without a node the
+training step (``training``), over arrays it owns, and the gradient
+baselines (``explain``), in fresh arrays.
 
 Deliberate conventions:
 
@@ -157,7 +155,7 @@ def _binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
 
 
 def node(out: np.ndarray, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    """The tape node ``op`` of value ``out``: every op here, and every node built outside this module, is made by it.
+    """The tape node ``op`` of value ``out``: every op here is made by it.
 
     The node needs a gradient, and keeps ``vjp``, only when a parent
     needs one; otherwise it keeps no vjp, so a backward pass never calls
@@ -385,6 +383,15 @@ def softmax_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def softmax_vjp(g: np.ndarray, out: np.ndarray, inv_t: float = 1.0) -> np.ndarray:
+    """The vjp of a softmax at temperature ``1 / inv_t`` with output ``out``, written over ``g`` (the caller's)."""
+    inner = np.multiply(g, out).sum(axis=-1, keepdims=True)
+    g -= inner
+    g *= out
+    g *= inv_t
+    return g
+
+
 def softmax(a: Tensor, temperature: float = 1.0) -> Tensor:
     """Temperature softmax over the last axis, computed with max-subtraction."""
     a = _as_tensor(a)
@@ -392,12 +399,7 @@ def softmax(a: Tensor, temperature: float = 1.0) -> Tensor:
         raise ValueError(f"softmax: temperature must be positive, got {temperature}")
     out = softmax_array(a.data / temperature)
     inv_t = 1.0 / temperature
-
-    def vjp(g: np.ndarray):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return ((g - inner) * out * inv_t,)
-
-    return node(out, "softmax", (a,), vjp)
+    return node(out, "softmax", (a,), lambda g: (softmax_vjp(g.copy(), out, inv_t),))
 
 
 def _axes(op: str, a: Tensor, axis: int | None) -> tuple[int, ...]:

@@ -8,14 +8,14 @@ log-weights.  Low temperatures sharpen V toward an exact k-hot vector;
 the training default is 0.1 and is never annealed.  k, the number of
 noise rows, must lie in [1, d]; a temperature <= 0 is rejected.
 
-The mask of a batch is one tape node (:func:`batched_relaxed_mask`,
-built by ``autodiff.node``), with the values and gradients of the
-autodiff op chain it replaces, ``reduce_max(softmax(add(expand(scores),
-noise)))``, bit for bit.
+On the tape the mask is an autodiff op chain (:func:`relaxed_mask_graph`).
+Training runs the plain-array kernel :func:`batched_relaxed_mask`
+instead, with the chain's values and gradients bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +30,7 @@ __all__ = [
     "gumbel_from_uniform",
     "concrete_vector",
     "relaxed_subset_mask",
+    "relaxed_mask_graph",
     "batched_relaxed_mask",
     "hard_top_k",
 ]
@@ -118,32 +119,41 @@ def relaxed_subset_mask(log_weights: Tensor, noise: GumbelNoise, temperature: fl
     (d,), k = log_weights.shape, noise.values.shape[0]
     if not 1 <= k <= d:
         raise ValueError(f"k must satisfy 1 <= k <= d={d}, got {k}")
-    return RelaxedMask(V=batched_relaxed_mask(log_weights, noise.values, temperature))
+    return RelaxedMask(V=relaxed_mask_graph(log_weights, noise.values, temperature))
 
 
-def batched_relaxed_mask(log_weights: Tensor, noise: np.ndarray, temperature: float) -> Tensor:
-    """The relaxed subset mask of every score row in a (..., d) array of scores, as one node.
+def relaxed_mask_graph(scores: Tensor, noise: np.ndarray, temperature: float) -> Tensor:
+    """The relaxed subset mask of (..., d) scores, taped: the reference for :func:`batched_relaxed_mask`.
+
+    ``reduce_max(softmax(add(expand(scores), noise), temperature))`` over the k rows of the (..., k, d) ``noise``.
+    """
+    axis = scores.data.ndim - 1
+    tiled = ad.expand(scores, axis, noise.shape[axis])
+    return ad.reduce_max(ad.softmax(ad.add(tiled, ad.constant(noise)), temperature), axis)
+
+
+def batched_relaxed_mask(scores: np.ndarray, noise: np.ndarray, temperature: float) -> tuple[np.ndarray, Callable]:
+    """The relaxed subset mask of every score row in a (..., d) float64 array, and its vjp.
 
     ``noise`` has shape (..., k, d): k independent Gumbel rows per score
-    row, left as is.  Each score row is perturbed by each of its noise
-    rows, softmaxed at ``temperature`` and max-reduced over the k samples,
-    so row b of a (B, d) batch equals the mask of row b alone, bit for
-    bit.  Values and gradients are those of the op chain ``reduce_max(
-    softmax(add(expand(log_weights), noise), temperature))``, bit for
-    bit: the softmax is the op's own kernel, run in place on the perturbed
-    scores; the max and the first argmax over the k samples are taken by
-    an exact loop; the vjp routes each mask entry's gradient to the
-    lowest-index sample attaining the max by ``np.put_along_axis``; and
-    every sum is numpy's same call.
+    row, left as is.  Row b of a (B, d) batch equals the mask of row b
+    alone, bit for bit.  Returns the mask and ``vjp(g)``, which maps the
+    mask's gradient ``g`` (left as is) to a fresh gradient of the scores,
+    both bit for bit those of :func:`relaxed_mask_graph`: the softmax and
+    its vjp are the op's kernels, run in place; the max and the first
+    argmax over the k samples are taken by an exact loop; the vjp routes
+    each mask entry's gradient to the lowest-index sample attaining the
+    max.  Scaled scores that overflow (a tiny temperature) give a NaN
+    mask, which the caller checks.
     """
-    *lead, d = log_weights.shape
+    *lead, d = scores.shape
     axis = len(lead)
     if noise.ndim != axis + 2 or noise.shape[:axis] != tuple(lead) or noise.shape[-1] != d:
         raise ValueError(f"noise must have shape {(*lead, 'k', d)}, got {noise.shape}")
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     k = noise.shape[axis]
-    concrete = np.add(np.expand_dims(log_weights.data, axis), noise)
+    concrete = np.add(np.expand_dims(scores, axis), noise)
     concrete /= temperature
     ad.softmax_array(concrete)
     rows = concrete.reshape(-1, k, d)
@@ -155,17 +165,12 @@ def batched_relaxed_mask(log_weights: Tensor, noise: np.ndarray, temperature: fl
         np.maximum(mask, rows[:, j], out=mask)
     inv_t = 1.0 / temperature
 
-    def vjp(g: np.ndarray):
+    def vjp(g: np.ndarray) -> np.ndarray:
         grad = np.zeros(rows.shape)
         np.put_along_axis(grad, first[:, None, :], g.reshape(-1, 1, d), axis=1)
-        grad = grad.reshape(concrete.shape)
-        inner = np.multiply(grad, concrete).sum(axis=-1, keepdims=True)
-        grad -= inner
-        grad *= concrete
-        grad *= inv_t
-        return (grad.sum(axis=axis),)
+        return ad.softmax_vjp(grad.reshape(concrete.shape), concrete, inv_t).sum(axis=axis)
 
-    return ad.node(mask.reshape(log_weights.shape), "relaxed_mask", (log_weights,), vjp)
+    return mask.reshape(scores.shape), vjp
 
 
 def hard_top_k(scores, k: int):

@@ -19,14 +19,14 @@ to ``TRAIN_DTYPE`` (float32), runs the layers (``autodiff.dense_array``)
 over arrays it keeps from step to step, and runs them backward once
 (``autodiff.dense_backward``), writing the network's gradient into one
 flat float64 block laid out like the buffer (``MlpSpec.split``).  The
-heads, the relaxed mask and the log-likelihood are the taped nodes
-(``autodiff.softmax``, ``sampling.batched_relaxed_mask``,
-:func:`_log_likelihood`, each made by ``autodiff.node``), whose vjps
-the step calls directly, in reverse; they, the gradient blocks and
-RMSprop stay float64, and so do checkpoints.  Both loops run one
-softmax-head step (:func:`_head_step`), the selector's on the
-variational net.  :func:`l2x_objective` builds the same objective as one
-taped graph: the reference the steps are checked against.
+softmax head, the relaxed mask and the log-likelihood are array kernels
+(``autodiff.softmax_array`` and ``softmax_vjp``,
+``sampling.batched_relaxed_mask``, :func:`_log_likelihood`), called in
+order and then in reverse; they, the gradient blocks and RMSprop stay
+float64, and so do checkpoints.  Both loops run one softmax-head step
+(:func:`_head_step`), the selector's on the variational net.
+:func:`l2x_objective` tapes the same objective from autodiff ops: the
+reference the steps are checked against.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import NumericError
 from .files import atomic_open
 from .networks import Mlp, build_classifier, build_explainer, build_variational, is_int
 from .rng import substream
-from .sampling import batched_relaxed_mask, gumbel_from_uniform
+from .sampling import batched_relaxed_mask, gumbel_from_uniform, relaxed_mask_graph
 
 __all__ = [
     "RmsProp",
@@ -169,29 +169,20 @@ class TrainReport:
     curve: list[EpochStat]
 
 
-def _log_likelihood(target: np.ndarray, probs: Tensor) -> Tensor:
-    """Batch mean of sum_y target_y * log max(probs_y, PROB_CLAMP), the quantity both loops train on, as one node.
+def _log_likelihood(target: np.ndarray, probs: np.ndarray) -> tuple[float, np.ndarray]:
+    """Batch mean of sum_y target_y * log max(probs_y, PROB_CLAMP), the quantity both loops train on, and a gradient.
 
-    The classifier minimizes its negation against one-hot labels; the
-    selector maximizes it against the classifier's probabilities.  Value
-    and gradient are those of the op chain ``reduce_mean(reduce_sum(mul(
-    target, log(maximum(probs, PROB_CLAMP))), 1))``, bit for bit: the
-    same numpy calls in the same order, ties at the floor going to
-    ``probs``.  ``probs`` must be finite.
+    The classifier maximizes it against one-hot labels; the selector
+    against the classifier's probabilities.  The gradient, of its negation
+    with respect to ``probs``, is a fresh array.  Both are bit for bit
+    those of the op chain :func:`l2x_objective` tapes, ties at the floor
+    going to ``probs``.  ``probs`` must be finite.
     """
-    target = np.asarray(target, dtype=np.float64)
-    clamped = np.maximum(probs.data, PROB_CLAMP)
-    above = probs.data >= PROB_CLAMP
-    n = clamped.shape[0]
-
-    def vjp(g: np.ndarray):
-        grad = target * (g.reshape(()) / n)
-        grad /= clamped
-        grad *= above
-        return (grad,)
-
-    value = (target * np.log(clamped)).sum(axis=(1,)).mean(axis=(0,))
-    return ad.node(value, "log_likelihood", (probs,), vjp)
+    clamped = np.maximum(probs, PROB_CLAMP)
+    grad = target * (-1.0 / len(probs))
+    grad /= clamped
+    grad *= probs >= PROB_CLAMP
+    return float((target * np.log(clamped)).sum(axis=(1,)).mean(axis=(0,))), grad
 
 
 def l2x_objective(
@@ -227,11 +218,12 @@ def l2x_objective(
     scores = explainer.forward_tensor(ad.constant(x))
     if not np.all(np.isfinite(scores.data)):
         raise NumericError("explainer scores became non-finite")
-    v = batched_relaxed_mask(scores, noise, temperature)
+    v = relaxed_mask_graph(scores, noise, temperature)
     q = variational.forward_tensor(ad.mul(v, ad.constant(x)))
     if not np.all(np.isfinite(q.data)):
         raise NumericError("variational output became non-finite")
-    root = _log_likelihood(pm, q)
+    floor = ad.constant(np.full(q.shape, PROB_CLAMP))
+    root = ad.reduce_mean(ad.reduce_sum(ad.mul(ad.constant(pm), ad.log(ad.maximum(q, floor))), 1))
     return ObjectiveEstimate(value=root.item(), root=root)
 
 
@@ -312,36 +304,36 @@ def _head_step(net: _Pass, x: np.ndarray, target: np.ndarray,
     The gradient of the log-likelihood's negation goes to ``net.grads``;
     the input's is returned if ``need_input``, else None.
     """
-    probs = ad.softmax(ad.parameter(net.forward(x)))
-    if not np.all(np.isfinite(probs.data)):
+    probs = ad.softmax_array(net.forward(x))
+    if not np.all(np.isfinite(probs)):
         raise NumericError(f"{net.net.kind} output became non-finite")
-    ll = _log_likelihood(target, probs)
-    value = ll.item()
+    value, g = _log_likelihood(target, probs)
     if not -math.inf < value <= 0.0:
         raise NumericError(f"{net.net.kind} log-likelihood became {value}")
-    (g,) = ll._vjp(np.array(-1.0))
-    (g,) = probs._vjp(g)
-    return value, net.backward(g, need_input)
+    return value, net.backward(ad.softmax_vjp(g, probs), need_input)
 
 
 def _selector_step(explainer: _Pass, variational: _Pass, x: np.ndarray, pm: np.ndarray, noise: np.ndarray,
                    temperature: float, warmup: bool) -> float:
     """:func:`l2x_objective`'s value on the batch ``x``; the gradient of its negation goes to the passes' ``grads``.
 
-    In ``warmup`` the scores enter the mask as a constant, so no
-    gradient is computed for the mask, the masked input or the
-    explainer, whose ``grads`` keep what they held.
+    In ``warmup`` no gradient is computed for the mask, the masked input
+    or the explainer, whose ``grads`` keep what they held.  A non-finite
+    mask (from a tiny temperature) is refused, without numpy's warnings,
+    before the variational net runs.
     """
     if not np.all(np.isfinite(pm)):
         raise NumericError("classifier probabilities are non-finite")
     scores = explainer.forward(x)
     if not np.all(np.isfinite(scores)):
         raise NumericError("explainer scores became non-finite")
-    v = batched_relaxed_mask(Tensor(scores, requires_grad=not warmup), noise, temperature)
-    value, g = _head_step(variational, v.data * x, pm, need_input=not warmup)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, mask_vjp = batched_relaxed_mask(scores, noise, temperature)
+    if not np.all(np.isfinite(v)):
+        raise NumericError(f"relaxed mask became non-finite (temperature {temperature!r})")
+    value, g = _head_step(variational, v * x, pm, need_input=not warmup)
     if not warmup:
-        (g,) = v._vjp(g * x)
-        explainer.backward(g)
+        explainer.backward(mask_vjp(g * x))
     return value
 
 
@@ -367,9 +359,9 @@ def _epochs(config: TrainConfig, n: int, nets: list[Mlp], step) -> list[EpochSta
                 raise NumericError(f"{e} at step {step_index}") from None
             step_index += 1
         for net in nets:
-            for name, t in net.params.items():
-                if not np.isfinite(t.data).all():
-                    raise NumericError(f"parameter {net.kind}.{name} became non-finite in epoch {epoch}")
+            if not np.isfinite(net.buffer).all():
+                name = next(name for name, view in net.spec.split(net.buffer).items() if not np.isfinite(view).all())
+                raise NumericError(f"parameter {net.kind}.{name} became non-finite in epoch {epoch}")
         curve.append(EpochStat(epoch, float(np.mean(values)), (time.perf_counter() - t0) * 1e3))
     return curve
 

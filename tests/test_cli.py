@@ -5,7 +5,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,6 +133,20 @@ class TestFeatureOverflowingTheTrainingDtype:
         assert run("benchmark", "--dataset", "xor", "--out-dir", out, "--all", *BENCH_ARGS) == 3
         assert "feature value -1e+39 (row 2, column 0) overflows float32" in capsys.readouterr().err
         assert not (out / "model.l2x").exists()
+
+
+def test_tiny_temperature_exits_3_naming_the_mask_without_numpy_warnings(workdir, tmp_path):
+    # in a child process, where numpy's warnings print to stderr instead of raising
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["train-explainer", "--data", workdir / "train.csv", "--model", workdir / "model.l2x",
+            "--out-explainer", tmp_path / "e.l2x", "--out-variational", tmp_path / "v.l2x",
+            "--epochs", 1, "--batch-size", 100, "--explainer-hidden", "8,8", "--variational-hidden", "8,8,8",
+            "--temperature", "1e-310"]
+    result = subprocess.run([sys.executable, "-W", "default", "-m", "l2x", *map(str, argv)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 3, result.stderr
+    assert result.stderr == "numeric failure: relaxed mask became non-finite (temperature 1e-310) at step 0\n"
+    assert not list(tmp_path.glob("*.l2x"))
 
 
 class TestExplain:

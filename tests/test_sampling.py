@@ -207,12 +207,12 @@ class TestBatchedMask:
         b, k, d = 7, 3, 5
         scores = rng.normal(size=(b, d))
         noise = sp.gumbel_from_uniform(rng.uniform(size=(b, k, d)))
-        batched = sp.batched_relaxed_mask(ad.constant(scores), noise, temperature=0.1)
+        batched, _ = sp.batched_relaxed_mask(scores, noise, temperature=0.1)
         for i in range(b):
             single = sp.relaxed_subset_mask(
                 ad.constant(scores[i]), sp.GumbelNoise(noise[i]), temperature=0.1
             )
-            np.testing.assert_array_equal(batched.data[i], single.V.data)
+            assert batched[i].tobytes() == single.V.data.tobytes()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(32)
@@ -220,31 +220,35 @@ class TestBatchedMask:
         params = ad.ParameterSet()
         scores = params.add("s", rng.normal(size=(4, 5)))
 
-        def f():
-            return ad.reduce_sum(sp.batched_relaxed_mask(scores, noise, temperature=0.1))
+        def f():  # the kernel's value and vjp as one node
+            v, vjp = sp.batched_relaxed_mask(scores.data, noise, temperature=0.1)
+            return ad.reduce_sum(ad.node(v, "relaxed_mask", (scores,), lambda g: (vjp(g),)))
 
         report = ad.finite_diff_check(f, params, step=1e-6)
         assert report.max_rel_error < 1e-4
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="noise"):
-            sp.batched_relaxed_mask(ad.constant(np.zeros((2, 4))), np.zeros((3, 1, 4)), 0.1)
+            sp.batched_relaxed_mask(np.zeros((2, 4)), np.zeros((3, 1, 4)), 0.1)
         with pytest.raises(ValueError, match="temperature"):
-            sp.batched_relaxed_mask(ad.constant(np.zeros((2, 4))), np.zeros((2, 1, 4)), 0.0)
+            sp.batched_relaxed_mask(np.zeros((2, 4)), np.zeros((2, 1, 4)), 0.0)
 
     @staticmethod
-    def _value_and_grad(scores, noise, temperature, fused):
-        """The mask and the gradient of a weighted sum of it, from the node or from the op chain."""
+    def _value_and_grad(scores, noise, temperature, how):
+        """The mask and the gradient of a weighted sum of it: from the kernel, the op chain or ``relaxed_mask_graph``."""
+        upstream = np.random.default_rng(scores.size).normal(size=scores.shape)
+        if how == "kernel":
+            v, vjp = sp.batched_relaxed_mask(scores, noise, temperature)
+            return v, vjp(upstream)
         params = ad.ParameterSet()
         lw = params.add("s", scores)
-        if fused:
-            v = sp.batched_relaxed_mask(lw, noise, temperature)
+        if how == "graph":
+            v = sp.relaxed_mask_graph(lw, noise, temperature)
         else:
             axis = scores.ndim - 1
             tiled = ad.expand(lw, axis=axis, reps=noise.shape[axis])
             concrete = ad.softmax(ad.add(tiled, ad.constant(noise)), temperature=temperature)
             v = ad.reduce_max(concrete, axis=axis)
-        upstream = np.random.default_rng(scores.size).normal(size=scores.shape)
         grads = ad.backward(ad.reduce_sum(ad.mul(v, ad.constant(upstream))), params)
         return v.data, grads["s"]
 
@@ -257,9 +261,11 @@ class TestBatchedMask:
         rng = np.random.default_rng([k, d])
         scores = rng.normal(size=(d,) if rows is None else (rows, d))
         noise = sp.gumbel_from_uniform(rng.uniform(size=(*scores.shape[:-1], k, d)))
-        (v, g), (ref_v, ref_g) = (self._value_and_grad(scores, noise, temperature, f) for f in (True, False))
-        assert v.tobytes() == ref_v.tobytes()
-        assert g.tobytes() == ref_g.tobytes()
+        ref_v, ref_g = self._value_and_grad(scores, noise, temperature, "chain")
+        for how in ("kernel", "graph"):
+            v, g = self._value_and_grad(scores, noise, temperature, how)
+            assert v.tobytes() == ref_v.tobytes(), how
+            assert g.tobytes() == ref_g.tobytes(), how
 
     def test_exact_ties_between_rows_go_to_the_lowest_index(self):
         # at temperature 1 and zero scores, a row of 0s and -1000s softmaxes exactly
@@ -267,23 +273,22 @@ class TestBatchedMask:
         noise = np.full((2, 3, 4), -1000.0)
         noise[:, 0, [0, 1]] = noise[:, 1, [0, 2]] = noise[:, 2, [1, 3]] = 0.0
         scores = np.zeros((2, 4))
-        (v, g), (ref_v, ref_g) = (self._value_and_grad(scores, noise, 1.0, f) for f in (True, False))
+        (v, g), (ref_v, ref_g) = (self._value_and_grad(scores, noise, 1.0, how) for how in ("kernel", "chain"))
         concrete = np.where(noise == 0.0, 0.5, 0.0)
         np.testing.assert_array_equal(v, concrete.max(axis=1))
         assert v.tobytes() == ref_v.tobytes() and g.tobytes() == ref_g.tobytes()
         # the gradient depends on which tied row wins: with the rows reordered it changes
-        _, g_swapped = self._value_and_grad(scores, noise[:, ::-1].copy(), 1.0, True)
+        _, g_swapped = self._value_and_grad(scores, noise[:, ::-1].copy(), 1.0, "kernel")
         assert g.tobytes() != g_swapped.tobytes()
-        _, ref_swapped = self._value_and_grad(scores, noise[:, ::-1].copy(), 1.0, False)
+        _, ref_swapped = self._value_and_grad(scores, noise[:, ::-1].copy(), 1.0, "chain")
         assert g_swapped.tobytes() == ref_swapped.tobytes()
 
     def test_vjp_leaves_its_incoming_gradient_and_earlier_results_alone(self):
         rng = np.random.default_rng(33)
-        node = sp.batched_relaxed_mask(ad.parameter(rng.normal(size=(5, 6))),
-                                       sp.gumbel_from_uniform(rng.uniform(size=(5, 3, 6))), 0.1)
-        g = rng.normal(size=node.shape)
+        v, vjp = sp.batched_relaxed_mask(rng.normal(size=(5, 6)), sp.gumbel_from_uniform(rng.uniform(size=(5, 3, 6))), 0.1)
+        g = rng.normal(size=v.shape)
         g_before = g.copy()
-        (first,), (second,) = node._vjp(g), node._vjp(g)
+        first, second = vjp(g), vjp(g)
         assert g.tobytes() == g_before.tobytes() and first.tobytes() == second.tobytes()
         assert not np.shares_memory(first, second)
 

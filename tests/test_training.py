@@ -18,7 +18,7 @@ from l2x.errors import NumericError
 from l2x.metrics import accuracy
 from l2x.networks import build_classifier, build_explainer, build_variational
 from l2x.pipeline import RunConfig
-from l2x.sampling import batched_relaxed_mask, gumbel_from_uniform
+from l2x.sampling import batched_relaxed_mask, gumbel_from_uniform, relaxed_mask_graph
 
 
 def tiny_setup(seed=0, d=4, c=2, b=3, k=2):
@@ -230,7 +230,7 @@ class TestWarmupBackward:
             return wrapped
 
         monkeypatch.setattr(ex, "forward_tensor", recording("scores", ex.forward_tensor))
-        monkeypatch.setattr(tr, "batched_relaxed_mask", recording("mask", tr.batched_relaxed_mask))
+        monkeypatch.setattr(tr, "relaxed_mask_graph", recording("mask", tr.relaxed_mask_graph))
         root = tr.l2x_objective(x, clf, ex, var, noise, temperature=0.5, k=2).root
 
         calls: set[int] = set()  # ids of the nodes whose vjp ran
@@ -256,13 +256,19 @@ class TestWarmupBackward:
             assert g.tobytes() == full[name].tobytes(), name
 
 
+def _log_likelihood_chain(target: np.ndarray, q) -> ad.Tensor:
+    """The clamped log-likelihood both loops train on, as the op chain ``l2x_objective`` tapes."""
+    floor = ad.constant(np.full(q.shape, tr.PROB_CLAMP))
+    return ad.reduce_mean(ad.reduce_sum(ad.mul(ad.constant(target), ad.log(ad.maximum(q, floor))), axis=1))
+
+
 def _flat(grads: dict, params: ad.ParameterSet) -> bytes:
     """The gradients ``ad.backward`` returned for ``params``, laid out like the step's gradient blocks."""
     return b"".join(grads[name].tobytes() for name in params)
 
 
 class TestTrainingStep:
-    """Each explicit training step against ``ad.backward`` of the taped float32 graph it replaces, bit for bit.
+    """Each explicit training step against ``ad.backward`` of the taped float32 graph of autodiff ops, bit for bit.
 
     The passes hold arrays for 10 rows; a second step on a partial batch
     runs in the leading rows of the arrays a full batch used, over
@@ -279,7 +285,7 @@ class TestTrainingStep:
         for b in sizes:
             x = rng.normal(size=(b, 5))
             target = np.eye(2)[rng.integers(0, 2, size=b)]
-            loss = ad.neg(tr._log_likelihood(target, clf.forward_tensor(ad.constant(x), tr.TRAIN_DTYPE)))
+            loss = ad.neg(_log_likelihood_chain(target, clf.forward_tensor(ad.constant(x), tr.TRAIN_DTYPE)))
             taped = _flat(ad.backward(loss, clf.params), clf.params)
             value, g = tr._head_step(net, x, target)
             assert -value == loss.item() and g is None
@@ -298,11 +304,16 @@ class TestTrainingStep:
         if not warmup:
             active.merge("explainer", ex.params)
         active.merge("variational", var.params)
-        masks, calls = [], []
+        masks, calls = [], []  # per mask: how many times its vjp ran
 
         def mask(*args):
-            masks.append(batched_relaxed_mask(*args))
-            return masks[-1]
+            v, vjp = batched_relaxed_mask(*args)
+            masks.append(0)
+
+            def counted(g):
+                masks[-1] += 1
+                return vjp(g)
+            return v, counted
 
         def recording(net):
             backward = net.backward
@@ -317,7 +328,7 @@ class TestTrainingStep:
         for net in passes:
             monkeypatch.setattr(net, "backward", recording(net))
         opt = tr.RmsProp(0.05)
-        for b in sizes:
+        for steps, b in enumerate(sizes, 1):
             x = rng.normal(size=(b, d))
             pm = rng.dirichlet(np.ones(2), size=b)
             noise = gumbel_from_uniform(rng.uniform(size=(b, k, d)))
@@ -325,9 +336,9 @@ class TestTrainingStep:
                 scores = ad.dense(ad.constant(x), [t.data for t in ex.params.values()], tr.TRAIN_DTYPE)
             else:
                 scores = ex.forward_tensor(ad.constant(x), tr.TRAIN_DTYPE)
-            v = batched_relaxed_mask(scores, noise, temperature)
+            v = relaxed_mask_graph(scores, noise, temperature)
             q = var.forward_tensor(ad.mul(v, ad.constant(x)), tr.TRAIN_DTYPE)
-            root = ad.neg(tr._log_likelihood(pm, q))
+            root = ad.neg(_log_likelihood_chain(pm, q))
             taped = _flat(ad.backward(root, active), active)
 
             passes[0].grads[:] = np.nan  # stays so unless the step writes an explainer gradient
@@ -335,31 +346,29 @@ class TestTrainingStep:
             assert tr._selector_step(*passes, x, pm, noise, temperature, warmup) == -root.item()
             written = passes[1].grads if warmup else np.concatenate([p.grads for p in passes])
             assert written.tobytes() == taped
+            assert len(masks) == steps  # one mask per step
             if warmup:  # no explainer gradient, no mask vjp, no masked-input gradient
                 assert np.isnan(passes[0].grads).all()
-                assert masks[-1]._vjp is None
+                assert masks[-1] == 0
                 assert calls == [("variational", False, True)]
             else:
-                assert masks[-1]._vjp is not None
+                assert masks[-1] == 1
                 assert calls == [("variational", True, False), ("explainer", False, True)]
             opt.step([(p.block, p.grads) for p in (passes[1:] if warmup else passes)])
 
 
 class TestObjective:
-    def test_log_likelihood_node_matches_the_op_chain_bitwise(self):
+    def test_log_likelihood_kernel_matches_the_op_chain_bitwise(self):
         rng = np.random.default_rng(12)
         for target in (np.eye(3)[rng.integers(0, 3, size=9)], rng.dirichlet(np.ones(3), size=9)):
             probs = rng.dirichlet(np.ones(3) * 0.3, size=9)
             probs[0] = [tr.PROB_CLAMP, 1e-300, 1.0 - tr.PROB_CLAMP]  # at, and under, the floor
             probs[1, 0] = 0.0
-            fused, chain = ad.parameter(probs), ad.parameter(probs)
-            node = tr._log_likelihood(target, fused)
-            floor = ad.constant(np.full(probs.shape, tr.PROB_CLAMP))
-            ll = ad.mul(ad.constant(target), ad.log(ad.maximum(chain, floor)))
-            ref = ad.reduce_mean(ad.reduce_sum(ll, axis=1))
-            assert node.data.tobytes() == ref.data.tobytes()
-            got, want = (ad.backward(ad.neg(root), ad.ParameterSet(p=leaf))["p"]
-                         for root, leaf in ((node, fused), (ref, chain)))
+            value, got = tr._log_likelihood(target, probs)
+            chain = ad.parameter(probs)
+            ref = _log_likelihood_chain(target, chain)
+            assert np.float64(value).tobytes() == ref.data.tobytes()
+            want = ad.backward(ad.neg(ref), ad.ParameterSet(p=chain))["p"]
             assert got.tobytes() == want.tobytes()
             assert got[0, 1] == 0.0 and got[1, 0] == 0.0  # no gradient below the floor
 
@@ -668,6 +677,24 @@ class TestTrainL2x:
         with pytest.warns(RuntimeWarning, match="overflow"):
             with pytest.raises(NumericError, match="non-finite in epoch 0"):
                 tr.train_l2x(x, clf, cfg)
+
+    def test_tiny_temperature_refused_at_the_mask_before_the_variational_net(self, monkeypatch):
+        # scores / 1e-310 overflow: the mask is NaN, and numpy's warnings (errors in this suite) stay silent
+        forwarded, forward = [], tr._Pass.forward
+
+        def recording(self, x):
+            forwarded.append(self.net.kind)
+            return forward(self, x)
+
+        monkeypatch.setattr(tr._Pass, "forward", recording)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(20, 4))
+        clf = build_classifier(4, 2, rng, hidden=(4, 4, 4))
+        cfg = tr.TrainConfig(k=2, batch_size=10, epochs=1, temperature=1e-310,
+                             explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
+        with pytest.raises(NumericError, match=r"^relaxed mask became non-finite \(temperature 1e-310\) at step 0$"):
+            tr.train_l2x(x, clf, cfg)
+        assert forwarded == ["explainer"]
 
     def test_non_finite_parameter_is_named(self):
         nets = [build_explainer(3, np.random.default_rng(0), hidden=(4,)),
