@@ -124,7 +124,7 @@ def input_gradient(classifier, x: np.ndarray) -> np.ndarray:
 
 
 def _block_gradient(classifier, x: np.ndarray) -> np.ndarray:
-    weights = [t.data for t in classifier._evaluate(x)]
+    weights = classifier._evaluate(x)
     kept: list = []
     logits = ad.dense_array(x, weights, kept)
     onehot = np.zeros(logits.shape)

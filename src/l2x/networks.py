@@ -13,22 +13,22 @@ initialization, and the head its role fixes in :data:`ROLES`:
 
 A network's ``kind`` names its role.  Every network counts the rows it
 evaluates in ``eval_count``, so the classifier's explanation cost can be
-audited.  Each offers two forward paths through one layer loop,
-``autodiff.dense_array``: a taped one, where ``autodiff.dense`` records
-the whole pass through the layers as one node, and a plain ndarray one
-for inference, which runs ``files.BLOCK_ROWS`` rows at a time
-(:func:`map_blocks`) so that its activations stay near the cache size
-whatever the number of rows.  A network holds its parameters in one flat
-float64 ``buffer``, in the order of ``MlpSpec.layout()``, and ``params``
-names views of it; :meth:`MlpSpec.ends` alone works out where each
-tensor lies, for the buffer, the training gradient block and the
-checkpoint payload, which :func:`deserialize` checks against it before
-it allocates anything of the claimed size.  Both paths compute in
-float64 by default, with identical arithmetic.  The training loops and
-the gradient baselines (``explain``) run neither: they call the same
-layer loop and its backward kernel, ``autodiff.dense_backward``, over
-plain arrays (the training step in float32, mixed precision; see
-``training``).
+audited.  A network is its spec and one flat float64 ``buffer`` in the
+order of ``MlpSpec.layout()``, whose tensors ``views`` names; builders
+draw into a zero buffer and :func:`deserialize` hands over its checked
+payload.  :meth:`MlpSpec.ends` alone works out where each tensor lies,
+for the buffer, the training gradient block and the checkpoint payload,
+which :func:`deserialize` checks against it before it allocates anything
+of the claimed size.  Two forward paths run one layer loop,
+``autodiff.dense_array``: a plain ndarray one for inference, which runs
+``files.BLOCK_ROWS`` rows at a time (:func:`map_blocks`) so that its
+activations stay near the cache size whatever the number of rows, and a
+taped one, where ``autodiff.dense`` records the whole pass as one node
+over ``params``, the views' tape tensors, made on first use.  Both
+compute in float64 by default, with identical arithmetic.  Training and
+the gradient baselines (``explain``) run the same layer loop and its
+backward kernel, ``autodiff.dense_backward``, over plain arrays (see
+``training``), so no tape tensor is made outside the reference graph.
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the
@@ -44,6 +44,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -164,28 +165,15 @@ class MlpSpec:
         return cls(d["layer_widths"], d["head"])
 
 
-def init_params(spec: MlpSpec, rng: np.random.Generator) -> ParameterSet:
-    """Glorot-uniform weights, zero biases, in the order of ``spec.layout()``."""
-    params = ParameterSet()
-    for name, shape in spec.layout():
-        if name[0] == "w":
-            a = np.sqrt(6.0 / sum(shape))
-            params.add(name, rng.uniform(-a, a, size=shape))
-        else:
-            params.add(name, np.zeros(shape))
-    return params
-
-
 class Mlp:
-    """Relu MLP in the role ``kind``, one of :data:`ROLES`, over a copy of ``params`` in one flat ``buffer``.
+    """Relu MLP in the role ``kind``, one of :data:`ROLES`: ``spec`` and its own copy of the flat ``buffer``.
 
     ValueError unless ``spec`` has the role's head and, for an explainer,
-    one output per input, and unless ``params`` (a :class:`ParameterSet`)
-    holds ``spec.layout()``'s names and shapes, in order.  ``params``
-    names views of ``buffer``.  Every pass adds its rows to ``eval_count``.
+    one output per input, and unless ``buffer`` holds ``spec.size``
+    entries on one axis (``MlpSpec.split``).
     """
 
-    def __init__(self, kind: str, spec: MlpSpec, params: ParameterSet):
+    def __init__(self, kind: str, spec: MlpSpec, buffer: np.ndarray):
         head = ROLES.get(kind) if isinstance(kind, str) else None
         if head is None:
             raise ValueError(f"unknown network kind {kind!r}; expected one of {tuple(ROLES)}")
@@ -194,36 +182,36 @@ class Mlp:
         if kind == "explainer" and spec.output_width != spec.input_width:
             raise ValueError(f"explainer must emit one score per feature: "
                              f"input {spec.input_width}, output {spec.output_width}")
-        layout = spec.layout()
-        if len(params) != len(layout):
-            raise ValueError(f"expected {len(layout)} parameter tensors, got {len(params)}")
-        given = [(name, t.shape) for name, t in params.items()]
-        if given != layout:
-            raise ValueError(f"parameter tensors {given} do not match the architecture's {layout}")
         self.kind = kind
         self.spec = spec
-        self.buffer = np.concatenate([t.data.ravel() for t in params.values()])
-        self.params = ParameterSet(zip(params, map(ad.parameter, spec.split(self.buffer).values())))
+        self.buffer = np.array(buffer, dtype=np.float64)
+        self.views = spec.split(self.buffer)
         self.eval_count = 0
+
+    @cached_property
+    def params(self) -> ParameterSet:
+        """The tape's parameters: one ``ad.parameter`` over each of ``views``, made on first use and kept."""
+        return ParameterSet(zip(self.views, map(ad.parameter, self.views.values())))
 
     def reset_eval_count(self) -> None:
         self.eval_count = 0
 
-    def _evaluate(self, x) -> list:
-        """Check a (batch, d) input and count its rows; the parameters in layout order (w0, b0, w1, ...)."""
+    def _evaluate(self, x) -> list[np.ndarray]:
+        """Check a (batch, d) input and count its rows; the views in layout order (w0, b0, w1, ...)."""
         if len(x.shape) != 2:
             raise ValueError(f"expected (batch, d) input, got shape {x.shape}")
         if x.shape[1] != self.spec.input_width:
             raise ValueError(f"{self.kind} expects input width {self.spec.input_width}, got {x.shape[1]}")
         self.eval_count += x.shape[0]
-        return list(self.params.values())
+        return list(self.views.values())
 
     def logits_tensor(self, x: Tensor, dtype=np.float64) -> Tensor:
         """Taped pass through the layers over a (batch, d) input, before the head: one node.
 
         ``dtype`` is the node's compute dtype (see ``autodiff.dense``).
         """
-        return ad.dense(x, self._evaluate(x), dtype)
+        self._evaluate(x)
+        return ad.dense(x, list(self.params.values()), dtype)
 
     def forward_tensor(self, x: Tensor, dtype=np.float64) -> Tensor:
         """Taped forward pass over a (batch, d) input; the head is float64 whatever ``dtype``."""
@@ -239,7 +227,7 @@ class Mlp:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         rows = x[None, :] if single else x
-        weights = [t.data for t in self._evaluate(rows)]
+        weights = self._evaluate(rows)
         softmax = self.spec.head == "softmax"
 
         def block(part):
@@ -257,8 +245,14 @@ class Mlp:
 
 
 def _build(kind: str, widths: tuple[int, ...], rng: np.random.Generator) -> Mlp:
+    """Glorot-uniform weights drawn in layout order, zero biases."""
     spec = MlpSpec(widths, ROLES[kind])
-    return Mlp(kind, spec, init_params(spec, rng))
+    buffer = np.zeros(spec.size)
+    for name, view in spec.split(buffer).items():
+        if name[0] == "w":
+            a = np.sqrt(6.0 / sum(view.shape))
+            view[...] = rng.uniform(-a, a, size=view.shape)
+    return Mlp(kind, spec, buffer)
 
 
 def build_classifier(d: int, n_classes: int, rng: np.random.Generator, hidden: tuple[int, ...]) -> Mlp:
@@ -334,7 +328,7 @@ def deserialize(payload: bytes) -> Mlp:
     if start + 8 * size != len(payload):
         raise ModelFormatError("trailing bytes after final tensor", offset=start + 8 * size)
     try:
-        return Mlp(kind, spec, ParameterSet(zip(names, map(ad.parameter, spec.split(values).values()))))
+        return Mlp(kind, spec, values)
     except ValueError as e:
         raise ModelFormatError(str(e), offset=12) from None
 

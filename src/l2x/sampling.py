@@ -6,7 +6,8 @@ soft k-hot mask that multiplies the input.  Because softmax is
 shift-invariant, raw explainer scores act directly as unnormalized
 log-weights.  Low temperatures sharpen V toward an exact k-hot vector;
 the training default is 0.1 and is never annealed.  k, the number of
-noise rows, must lie in [1, d]; a temperature <= 0 is rejected.
+noise rows, must lie in [1, d]; a temperature <= 0 is rejected, and one
+that overflows the scaled scores is a :class:`NumericError` (:func:`_concrete`).
 
 On the tape the mask is an autodiff op chain (:func:`relaxed_mask_graph`).
 Training runs the plain-array kernel :func:`batched_relaxed_mask`
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import NumericError
 
 __all__ = [
     "GumbelNoise",
@@ -95,6 +97,15 @@ def sample_gumbel(rng: np.random.Generator | int, rows: int, cols: int) -> Gumbe
     return GumbelNoise(values=gumbel_from_uniform(u), seed=seed)
 
 
+def _concrete(softmax, z, temperature: float):
+    """``softmax(z, temperature)``, the Concrete samples; NumericError, not numpy's warnings, if any overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = softmax(z, temperature)
+    if not np.isfinite(out.data if isinstance(out, Tensor) else out).all():
+        raise NumericError(f"relaxed mask became non-finite (temperature {temperature!r})")
+    return out
+
+
 def concrete_vector(log_weights: Tensor, gumbel_row, temperature: float) -> Tensor:
     """One Concrete sample: softmax((log_weights + G) / temperature).
 
@@ -104,7 +115,7 @@ def concrete_vector(log_weights: Tensor, gumbel_row, temperature: float) -> Tens
     g = gumbel_row.data if isinstance(gumbel_row, Tensor) else np.asarray(gumbel_row, dtype=np.float64)
     if g.shape != log_weights.shape:
         raise ValueError(f"gumbel row shape {g.shape} does not match log_weights {log_weights.shape}")
-    return ad.softmax(ad.add(log_weights, ad.constant(g)), temperature=temperature)
+    return _concrete(ad.softmax, ad.add(log_weights, ad.constant(g)), temperature)
 
 
 def relaxed_subset_mask(log_weights: Tensor, noise: GumbelNoise, temperature: float) -> RelaxedMask:
@@ -129,7 +140,7 @@ def relaxed_mask_graph(scores: Tensor, noise: np.ndarray, temperature: float) ->
     """
     axis = scores.data.ndim - 1
     tiled = ad.expand(scores, axis, noise.shape[axis])
-    return ad.reduce_max(ad.softmax(ad.add(tiled, ad.constant(noise)), temperature), axis)
+    return ad.reduce_max(_concrete(ad.softmax, ad.add(tiled, ad.constant(noise)), temperature), axis)
 
 
 def batched_relaxed_mask(scores: np.ndarray, noise: np.ndarray, temperature: float) -> tuple[np.ndarray, Callable]:
@@ -143,8 +154,7 @@ def batched_relaxed_mask(scores: np.ndarray, noise: np.ndarray, temperature: flo
     its vjp are the op's kernels, run in place; the max and the first
     argmax over the k samples are taken by an exact loop; the vjp routes
     each mask entry's gradient to the lowest-index sample attaining the
-    max.  Scaled scores that overflow (a tiny temperature) give a NaN
-    mask, which the caller checks.
+    max.
     """
     *lead, d = scores.shape
     axis = len(lead)
@@ -153,9 +163,8 @@ def batched_relaxed_mask(scores: np.ndarray, noise: np.ndarray, temperature: flo
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     k = noise.shape[axis]
-    concrete = np.add(np.expand_dims(scores, axis), noise)
-    concrete /= temperature
-    ad.softmax_array(concrete)
+    concrete = _concrete(lambda z, t: ad.softmax_array(np.divide(z, t, out=z)),
+                         np.add(np.expand_dims(scores, axis), noise), temperature)
     rows = concrete.reshape(-1, k, d)
     mask = rows[:, 0].copy()
     first = np.zeros(mask.shape, dtype=np.intp)  # lowest sample index attaining the max

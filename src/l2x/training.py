@@ -318,19 +318,14 @@ def _selector_step(explainer: _Pass, variational: _Pass, x: np.ndarray, pm: np.n
     """:func:`l2x_objective`'s value on the batch ``x``; the gradient of its negation goes to the passes' ``grads``.
 
     In ``warmup`` no gradient is computed for the mask, the masked input
-    or the explainer, whose ``grads`` keep what they held.  A non-finite
-    mask (from a tiny temperature) is refused, without numpy's warnings,
-    before the variational net runs.
+    or the explainer, whose ``grads`` keep what they held.
     """
     if not np.all(np.isfinite(pm)):
         raise NumericError("classifier probabilities are non-finite")
     scores = explainer.forward(x)
     if not np.all(np.isfinite(scores)):
         raise NumericError("explainer scores became non-finite")
-    with np.errstate(over="ignore", invalid="ignore"):
-        v, mask_vjp = batched_relaxed_mask(scores, noise, temperature)
-    if not np.all(np.isfinite(v)):
-        raise NumericError(f"relaxed mask became non-finite (temperature {temperature!r})")
+    v, mask_vjp = batched_relaxed_mask(scores, noise, temperature)
     value, g = _head_step(variational, v * x, pm, need_input=not warmup)
     if not warmup:
         explainer.backward(mask_vjp(g * x))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from l2x import cli, pipeline
+from l2x import autodiff, cli, pipeline
 from l2x.datasets import read_csv
 from l2x.explain import read_jsonl
 from l2x.networks import load_model
@@ -147,6 +147,27 @@ def test_tiny_temperature_exits_3_naming_the_mask_without_numpy_warnings(workdir
     assert result.returncode == 3, result.stderr
     assert result.stderr == "numeric failure: relaxed mask became non-finite (temperature 1e-310) at step 0\n"
     assert not list(tmp_path.glob("*.l2x"))
+
+
+def test_no_command_makes_a_tape_tensor(tmp_path, monkeypatch):
+    # networks are built, trained, loaded and run as flat buffers; only the reference graph wraps them
+    made, parameter = [], autodiff.parameter
+    monkeypatch.setattr(autodiff, "parameter", lambda data: made.append(1) or parameter(data))
+    data, model, ex = tmp_path / "d.csv", tmp_path / "m.l2x", tmp_path / "e.l2x"
+    assert run("generate", "--dataset", "xor", "--n", 200, "--seed", 7, "--out", data) == 0
+    assert run("train-model", "--data", data, "--out-model", model, "--epochs", 1, "--batch-size", 100,
+               "--hidden", "8,8,8", "--val-data", data) == 0
+    assert run("train-explainer", "--data", data, "--model", model, "--out-explainer", ex,
+               "--out-variational", tmp_path / "v.l2x", "--epochs", 1, "--batch-size", 100,
+               "--explainer-hidden", "8,8", "--variational-hidden", "8,8,8") == 0
+    outs = [tmp_path / f"{method}.jsonl" for method in ("l2x", "saliency", "taylor", "taylor-abs")]
+    for out in outs:
+        assert run("explain", "--data", data, "--method", out.stem, "--explainer", ex, "--model", model,
+                   "--out", out) == 0
+    assert run("evaluate", "--data", data, "--explanations", *outs, "--model", model,
+               "--out-ranks", tmp_path / "r.csv", "--out-posthoc", tmp_path / "p.json") == 0
+    assert run("benchmark", "--dataset", "xor", "--out-dir", tmp_path / "run", "--all", *BENCH_ARGS) == 0
+    assert made == []
 
 
 class TestExplain:

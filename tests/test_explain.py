@@ -12,7 +12,7 @@ from l2x import autodiff as ad
 from l2x import explain as ex
 from l2x import files
 from l2x.errors import JsonlFormatError
-from l2x.networks import BLOCK_ROWS, Mlp, MlpSpec, build_classifier, build_explainer, init_params
+from l2x.networks import BLOCK_ROWS, Mlp, MlpSpec, build_classifier, build_explainer
 from l2x.pipeline import explain_dataset, posthoc_for, ranks_for
 
 
@@ -25,12 +25,8 @@ def linear_classifier(w):
     w = np.asarray(w, dtype=np.float64)
     d, c = w.shape
     spec = MlpSpec((d, d, c), head="softmax")
-    params = init_params(spec, np.random.default_rng(0))
-    params["w0"].data[...] = np.eye(d)
-    params["b0"].data[...] = 1000.0
-    params["w1"].data[...] = w
-    params["b1"].data[...] = -1000.0 * w.sum(axis=0)
-    return Mlp("classifier", spec, params)
+    buffer = np.concatenate([np.eye(d).ravel(), np.full(d, 1000.0), w.ravel(), -1000.0 * w.sum(axis=0)])
+    return Mlp("classifier", spec, buffer)
 
 
 def one_row(method, clf, x, k):

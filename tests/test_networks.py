@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from l2x import autodiff as ad
+from l2x import datasets, training
 from l2x import networks as nw
-from l2x import training
 from l2x.errors import ModelFormatError, ModelVersionError
+from l2x.explain import ALL_METHODS
+from l2x.pipeline import explain_dataset, posthoc_for
 
 
 def small_classifier(seed=0, d=4, c=3):
@@ -58,20 +60,26 @@ class TestMlpSpec:
 
 class TestInitialization:
     def test_glorot_bounds_and_zero_bias(self):
-        spec = nw.MlpSpec((30, 20, 5), head="softmax")
-        params = nw.init_params(spec, np.random.default_rng(1))
+        net = nw.build_classifier(30, 5, np.random.default_rng(1), hidden=(20,))
         a0 = np.sqrt(6.0 / (30 + 20))
-        w0 = params["w0"].data
+        w0 = net.views["w0"]
         assert w0.shape == (30, 20)
         assert np.all(np.abs(w0) < a0)
-        np.testing.assert_array_equal(params["b0"].data, np.zeros(20))
+        np.testing.assert_array_equal(net.views["b0"], np.zeros(20))
+        np.testing.assert_array_equal(net.views["b1"], np.zeros(5))
 
     def test_seeded_init_is_reproducible(self):
-        spec = nw.MlpSpec((6, 9, 2), head="softmax")
-        p1 = nw.init_params(spec, np.random.default_rng(7))
-        p2 = nw.init_params(spec, np.random.default_rng(7))
-        for name in p1.names():
-            np.testing.assert_array_equal(p1[name].data, p2[name].data)
+        for build in BUILDERS.values():
+            p1, p2 = build(np.random.default_rng(7), (9,)), build(np.random.default_rng(7), (9,))
+            assert p1.buffer.tobytes() == p2.buffer.tobytes()
+
+    def test_weights_are_drawn_in_layout_order(self):
+        net = nw.build_variational(6, 2, np.random.default_rng(7), hidden=(9, 4))
+        rng = np.random.default_rng(7)
+        for name, shape in net.spec.layout():
+            if name[0] == "w":
+                a = np.sqrt(6.0 / sum(shape))
+                assert net.views[name].tobytes() == rng.uniform(-a, a, size=shape).tobytes(), name
 
 
 class TestForward:
@@ -171,46 +179,40 @@ class TestForward:
     def test_role_head_contracts(self):
         spec_lin = nw.MlpSpec((4, 8, 3), head="linear")
         with pytest.raises(ValueError, match="classifier requires a softmax head"):
-            nw.Mlp("classifier", spec_lin, nw.init_params(spec_lin, np.random.default_rng(0)))
+            nw.Mlp("classifier", spec_lin, np.zeros(spec_lin.size))
         with pytest.raises(ValueError, match="variational requires a softmax head"):
-            nw.Mlp("variational", spec_lin, nw.init_params(spec_lin, np.random.default_rng(0)))
+            nw.Mlp("variational", spec_lin, np.zeros(spec_lin.size))
         spec_sm = nw.MlpSpec((4, 8, 4), head="softmax")
         with pytest.raises(ValueError, match="explainer requires a linear head"):
-            nw.Mlp("explainer", spec_sm, nw.init_params(spec_sm, np.random.default_rng(0)))
+            nw.Mlp("explainer", spec_sm, np.zeros(spec_sm.size))
         spec_bad = nw.MlpSpec((4, 8, 3), head="linear")
         with pytest.raises(ValueError, match="score per feature"):
-            nw.Mlp("explainer", spec_bad, nw.init_params(spec_bad, np.random.default_rng(0)))
+            nw.Mlp("explainer", spec_bad, np.zeros(spec_bad.size))
 
     @pytest.mark.parametrize("kind", ["mlp", "Classifier", "", None, ["classifier"]])
     def test_unknown_kind_rejected(self, kind):
         spec = nw.MlpSpec((4, 8, 3), head="softmax")
         with pytest.raises(ValueError, match="unknown network kind"):
-            nw.Mlp(kind, spec, nw.init_params(spec, np.random.default_rng(0)))
+            nw.Mlp(kind, spec, np.zeros(spec.size))
 
-    def test_parameter_count_checked(self):
-        spec = nw.MlpSpec((4, 8, 3), head="softmax")
-        params = nw.init_params(nw.MlpSpec((4, 8, 8, 3), head="softmax"), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="expected 4 parameter tensors, got 6"):
-            nw.Mlp("classifier", spec, params)
-
-    @pytest.mark.parametrize("names, shapes", [
-        (("w0", "b0", "w1", "b1"), ((4, 10), (4,), (2, 4), (2,))),
-        (("a", "b", "c", "d"), ((10, 4), (4,), (4, 2), (2,))),
-        (("w1", "b1", "w0", "b0"), ((4, 2), (2,), (10, 4), (4,))),
-    ], ids=["wrong-shapes", "wrong-names", "wrong-order"])
-    def test_parameters_other_than_the_layout_rejected(self, names, shapes):
+    @pytest.mark.parametrize("shape", [(66,), (68,), (1, 67), (67, 1), ()],
+                             ids=["short", "long", "row", "column", "scalar"])
+    def test_buffer_of_another_length_or_rank_rejected(self, shape):
         # such a network would be saved, and its checkpoint then rejected by load_model
-        params = ad.ParameterSet(zip(names, map(ad.parameter, map(np.zeros, shapes))))
-        with pytest.raises(ValueError, match="do not match the architecture's"):
-            nw.Mlp("classifier", nw.MlpSpec((10, 4, 2), "softmax"), params)
+        spec = nw.MlpSpec((4, 8, 3), head="softmax")
+        assert spec.size == 67
+        with pytest.raises(ValueError, match="expected a flat array of 67 entries"):
+            nw.Mlp("classifier", spec, np.zeros(shape))
 
     def test_parameters_are_copied_into_the_buffer(self):
         spec = nw.MlpSpec((4, 8, 3), head="softmax")
-        params = nw.init_params(spec, np.random.default_rng(0))
-        net = nw.Mlp("classifier", spec, params)
-        assert net.buffer.tobytes() == b"".join(t.data.tobytes() for t in params.values())
-        params["w0"].data[...] = 0.0  # the network keeps its own copy
-        assert net.params["w0"].data.any()
+        given = np.random.default_rng(0).normal(size=spec.size)
+        net = nw.Mlp("classifier", spec, given)
+        assert net.buffer.tobytes() == given.tobytes() and net.buffer.dtype == np.float64
+        assert [(name, view.shape) for name, view in net.views.items()] == spec.layout()
+        assert all(view.base is net.buffer for view in net.views.values())
+        given[...] = 0.0  # the network keeps its own copy
+        assert net.views["w0"].any()
 
     @pytest.mark.parametrize("role", ["classifier", "explainer", "variational"])
     def test_build_returns_an_mlp_of_its_role(self, role):
@@ -236,6 +238,40 @@ class TestForward:
         assert net.eval_count == 19
         net.reset_eval_count()
         assert net.eval_count == 0
+
+
+class TestTapeTensors:
+    """``Mlp.params`` is made only when the tape asks, then kept, over the network's own buffer."""
+
+    def test_train_save_load_and_explain_make_no_tape_tensor(self, tmp_path):
+        x, _, y, _ = datasets.as_arrays(datasets.generate("xor", 240, 3))
+        cfg = training.TrainConfig(k=2, batch_size=80, epochs=2, warmup_epochs=1, seed=2, classifier_hidden=(8, 8),
+                                   explainer_hidden=(6,), variational_hidden=(6, 6))
+        clf, _ = training.train_classifier(x, y, cfg)
+        ex, var, _ = training.train_l2x(x, clf, cfg)
+        loaded = []
+        for net in (clf, ex, var):
+            nw.save_model(net, tmp_path / f"{net.kind}.l2x")
+            loaded.append(nw.load_model(tmp_path / f"{net.kind}.l2x", kind=net.kind))
+        for explainer, classifier in ((ex, clf), loaded[1::-1]):
+            for method in ALL_METHODS:
+                explanations = explain_dataset(method, x[:50], 2, explainer=explainer, classifier=classifier)
+                posthoc_for(classifier, x[:50], explanations)
+        for net in (clf, ex, var, *loaded):
+            assert "params" not in vars(net), net.kind
+
+    def test_params_are_made_once_over_the_buffer(self):
+        net = small_classifier(4)
+        x = np.random.default_rng(5).normal(size=(6, 4))
+        before = net.forward(x)
+        params = net.params
+        assert vars(net)["params"] is params and net.params is params
+        assert params.names() == list(net.views) and all(t.requires_grad for t in params.values())
+        assert all(np.shares_memory(t.data, net.buffer) for t in params.values())
+        params["w0"].data[...] = 0.0  # a write through a tape tensor is a write to the network
+        assert not net.views["w0"].any()
+        assert net.forward(x).tobytes() != before.tobytes()
+        assert net.forward(x).tobytes() == nw.Mlp(net.kind, net.spec, net.buffer).forward(x).tobytes()
 
 
 def one_pass(net, x):

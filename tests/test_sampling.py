@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from l2x import autodiff as ad
 from l2x import sampling as sp
+from l2x.errors import NumericError
 
 
 class TestGumbelNoise:
@@ -291,6 +293,25 @@ class TestBatchedMask:
         first, second = vjp(g), vjp(g)
         assert g.tobytes() == g_before.tobytes() and first.tobytes() == second.tobytes()
         assert not np.shares_memory(first, second)
+
+
+TINY_ENTRY_POINTS = {
+    "batched_relaxed_mask": lambda s, g: sp.batched_relaxed_mask(s, g, 1e-310),
+    "relaxed_mask_graph": lambda s, g: sp.relaxed_mask_graph(ad.parameter(s), g, 1e-310),
+    "relaxed_subset_mask": lambda s, g: sp.relaxed_subset_mask(ad.parameter(s[0]), sp.GumbelNoise(g[0]), 1e-310),
+    "concrete_vector": lambda s, g: sp.concrete_vector(ad.parameter(s[0]), g[0, 0], 1e-310),
+}
+
+
+@pytest.mark.parametrize("entry", TINY_ENTRY_POINTS)
+def test_tiny_temperature_is_a_numeric_error_without_numpy_warnings(entry):
+    # (scores + noise) / 1e-310 overflows; every entry point refuses the NaN samples in one place
+    rng = np.random.default_rng(40)
+    scores, noise = rng.normal(size=(3, 5)), sp.gumbel_from_uniform(rng.uniform(size=(3, 2, 5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^relaxed mask became non-finite \(temperature 1e-310\)$"):
+            TINY_ENTRY_POINTS[entry](scores, noise)
 
 
 class TestHardTopK:

@@ -7,6 +7,7 @@ import itertools
 import math
 import tracemalloc
 import types
+import warnings
 import weakref
 
 import numpy as np
@@ -371,6 +372,13 @@ class TestObjective:
             want = ad.backward(ad.neg(ref), ad.ParameterSet(p=chain))["p"]
             assert got.tobytes() == want.tobytes()
             assert got[0, 1] == 0.0 and got[1, 0] == 0.0  # no gradient below the floor
+
+    def test_tiny_temperature_refused_at_the_mask_without_numpy_warnings(self):
+        clf, ex, var, x, noise = tiny_setup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^relaxed mask became non-finite \(temperature 1e-310\)$"):
+                tr.l2x_objective(x, clf, ex, var, noise, temperature=1e-310, k=2)
 
     def test_uniform_variational_head_gives_log_c_exactly(self):
         clf, ex, var, x, noise = tiny_setup()
