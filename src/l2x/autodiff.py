@@ -5,26 +5,25 @@ The graph is built define-by-run: every operation returns a new
 vector-Jacobian product for its backward rule.  A fresh graph is built
 per forward pass; :func:`backward` traverses it once in reverse
 topological order, visiting only the nodes that lead to the parameters
-asked for, and returns one gradient per parameter.  A whole pass
-through an MLP's layers is one node, :func:`dense`, bit for bit the
-chain of per-layer ``relu(add_bias(matmul(h, w), b))`` ops it replaces;
-the per-op functions stay as the reference it is checked against.
-Every node is made by :func:`node`, which alone decides whether it keeps
-its vjp.
+asked for, and returns one gradient per parameter.  An MLP's pass is
+taped as the chain ``relu(add_bias(matmul(h, w), b))`` per layer
+(``networks.Mlp.logits_tensor``).  Every node is made by :func:`node`,
+which alone decides whether it keeps its vjp.
 
 Who may reuse an array: a node's value and every gradient a vjp returns
 are fresh arrays that nothing else writes, and the arrays a node keeps
-for its vjp are its own.  The plain-array kernels under :func:`dense`
-(``dense_array``, ``dense_backward``) and :func:`softmax`
-(``softmax_array``, ``softmax_vjp``) also serve without a node the
-training step (``training``), over arrays it owns, and the gradient
-baselines (``explain``), in fresh arrays.
+for its vjp are its own.  Plain-array kernels, which are not ops, serve
+without a node the training step (``training``), over arrays it owns,
+and the gradient baselines (``explain``), in fresh arrays: the layers
+(``dense_array``, ``dense_backward``), bit for bit the per-layer chain
+in float64, and the softmax (``softmax_array``, ``softmax_vjp``), which
+the :func:`softmax` op wraps.
 
 Deliberate conventions:
 
-* every tensor and every gradient is float64.  Only :func:`dense` may
-  compute in float32 inside its node (mixed precision: float32 matmuls
-  over float64 master weights), and it still takes and returns float64,
+* every tensor and every gradient is float64; only the layer kernels
+  also run in float32, for training (mixed precision: float32 matmuls
+  over float64 master weights, whose bias gradients stay float64),
 * no implicit broadcasting (the one exception is :func:`add_bias`, which
   adds a row vector to a matrix),
 * ``relu'(0) = 0``,
@@ -57,7 +56,6 @@ __all__ = [
     "neg",
     "absolute",
     "add_bias",
-    "dense",
     "softmax",
     "reduce_sum",
     "reduce_mean",
@@ -316,56 +314,16 @@ def dense_backward(g: np.ndarray, weights, kept: list, grads: list, need_input: 
 
 
 def cast_array(a: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
-    """A float64 array in ``dtype``; in float32 a copy, in ``out`` if given, with every would-be subnormal set to zero.
+    """A copy of a float64 array in the float32 ``dtype``, in ``out`` if given, with every would-be subnormal set to zero.
 
     Masked inputs and the gradients reaching the explainer through the
     relaxed mask hold many values below float32's smallest normal, and
     subnormal operands slow a matmul many times over.
     """
-    if dtype == np.float64:
-        return a
     out = np.empty(a.shape, dtype) if out is None else out
     np.copyto(out, a, casting="same_kind")
     np.copyto(out, 0.0, where=np.abs(out) < np.finfo(dtype).tiny)
     return out
-
-
-def dense(h: Tensor, params, dtype=np.float64) -> Tensor:
-    """A relu MLP as one node: ``params`` = (w0, b0, w1, b1, ...), relu after every layer but the last.
-
-    In float64, bit for bit the chain ``relu(add_bias(matmul(h, w0),
-    b0))``, ..., ``add_bias(matmul(., wL), bL)``.  With ``dtype`` float32
-    the node casts the input and the parameter values once per call, runs
-    the layers and the vjp's matmuls in float32 and keeps its activations
-    in float32, but takes and returns float64: its value, the incoming
-    gradient and every gradient it returns.  Input and incoming-gradient
-    values below float32's smallest normal become zero in the cast.  Bias
-    gradients are summed in float64.  The vjp is :func:`dense_backward`
-    over the node's own arrays.  It computes nothing, and returns None,
-    for a parent that needed no gradient when the node was built: a
-    network's input, or weights that entered as constants.
-    """
-    h, params, dtype = _as_tensor(h), tuple(map(_as_tensor, params)), np.dtype(dtype)
-    shapes = [p.shape for p in params]
-    width = h.shape[1] if h.data.ndim == 2 else -1
-    ok = len(shapes) >= 2 and len(shapes) % 2 == 0
-    for w, b in zip(shapes[::2], shapes[1::2]):
-        ok = ok and len(w) == 2 and w[0] == width and b == w[1:]
-        width = w[-1] if w else -1
-    if not ok:
-        raise ValueError(f"dense: expects (m, k) through layers (k, n) + (n,), ..., got {h.shape} through {shapes}")
-    values = [p.data.astype(dtype, copy=False) for p in params]
-    need, need_h = [p.requires_grad for p in params], h.requires_grad
-    kept: list = []
-    out = dense_array(cast_array(h.data, dtype), values, kept)
-
-    def vjp(g: np.ndarray):
-        grads = [np.empty(v.shape, np.float64 if i % 2 else dtype) if n else None
-                 for i, (v, n) in enumerate(zip(values, need))]
-        g = dense_backward(cast_array(g, dtype), values[::2], kept, grads, need_h)
-        return tuple(None if a is None else a.astype(np.float64, copy=False) for a in (g, *grads))
-
-    return node(out.astype(np.float64, copy=False), "dense", (h, *params), vjp)
 
 
 def softmax_array(z: np.ndarray) -> np.ndarray:

@@ -146,8 +146,9 @@ def explain_dataset(
     top-k call; each row's ns is the total amortized over rows.  l2x
     needs the explainer and no classifier evaluation; the baselines need
     the classifier (:func:`input_gradient`).  ``threads`` has no effect;
-    it stays because the bench harness (``bench/workloads.py``) passes it
-    and stays the same across the commits it compares.
+    it stays because two callers that stay fixed pass it: the bench
+    harness (``bench/workloads.py``), the same across the commits it
+    compares, and gate C09 (``tests/test_acceptance.py``).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:

@@ -19,14 +19,16 @@ draw into a zero buffer and :func:`deserialize` hands over its checked
 payload.  :meth:`MlpSpec.ends` alone works out where each tensor lies,
 for the buffer, the training gradient block and the checkpoint payload,
 which :func:`deserialize` checks against it before it allocates anything
-of the claimed size.  Two forward paths run one layer loop,
-``autodiff.dense_array``: a plain ndarray one for inference, which runs
-``files.BLOCK_ROWS`` rows at a time (:func:`map_blocks`) so that its
-activations stay near the cache size whatever the number of rows, and a
-taped one, where ``autodiff.dense`` records the whole pass as one node
-over ``params``, the views' tape tensors, made on first use.  Both
-compute in float64 by default, with identical arithmetic.  Training and
-the gradient baselines (``explain``) run the same layer loop and its
+of the claimed size; :meth:`MlpSpec.first_non_finite` alone finds the
+first tensor holding a non-finite value, for :func:`serialize`,
+:func:`deserialize` and the training loops.  The forward pass for
+inference runs the layer loop ``autodiff.dense_array`` over
+``files.BLOCK_ROWS`` rows at a time (:func:`map_blocks`), so that its
+activations stay near the cache size whatever the number of rows.  The
+taped pass records the per-op chain ``relu(add_bias(matmul(h, w), b))``
+per layer over ``params``, the views' tape tensors, made on first use;
+both compute in float64, with identical arithmetic.  Training and the
+gradient baselines (``explain``) run the same layer loop and its
 backward kernel, ``autodiff.dense_backward``, over plain arrays (see
 ``training``), so no tape tensor is made outside the reference graph.
 
@@ -153,6 +155,17 @@ class MlpSpec:
         return {name: flat[start:end].reshape(shape)
                 for (name, shape), start, end in zip(self.layout(), [0, *ends], ends)}
 
+    def first_non_finite(self, flat: np.ndarray) -> tuple[str, int] | None:
+        """The name of the first tensor of :meth:`layout` holding a non-finite value in ``flat``, and that value's index.
+
+        ``flat`` is a buffer's leading entries, possibly all of them; None
+        if every one is finite.
+        """
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if not bad.size:
+            return None
+        return self.layout()[bisect_right(self.ends(), bad[0])][0], int(bad[0])
+
     def to_dict(self) -> dict:
         return {**asdict(self), "activation": ACTIVATION}
 
@@ -205,17 +218,23 @@ class Mlp:
         self.eval_count += x.shape[0]
         return list(self.views.values())
 
-    def logits_tensor(self, x: Tensor, dtype=np.float64) -> Tensor:
-        """Taped pass through the layers over a (batch, d) input, before the head: one node.
+    def logits_tensor(self, x: Tensor) -> Tensor:
+        """Taped pass through the layers over a (batch, d) input, before the head.
 
-        ``dtype`` is the node's compute dtype (see ``autodiff.dense``).
+        Each layer is ``add_bias(matmul(h, w), b)`` over ``params``, with a
+        ``relu`` after every layer but the last: bit for bit
+        ``autodiff.dense_array``, values and gradients alike.
         """
         self._evaluate(x)
-        return ad.dense(x, list(self.params.values()), dtype)
+        params = list(self.params.values())
+        h = ad.add_bias(ad.matmul(x, params[0]), params[1])
+        for w, b in zip(params[2::2], params[3::2]):
+            h = ad.add_bias(ad.matmul(ad.relu(h), w), b)
+        return h
 
-    def forward_tensor(self, x: Tensor, dtype=np.float64) -> Tensor:
-        """Taped forward pass over a (batch, d) input; the head is float64 whatever ``dtype``."""
-        h = self.logits_tensor(x, dtype)
+    def forward_tensor(self, x: Tensor) -> Tensor:
+        """Taped forward pass over a (batch, d) input."""
+        h = self.logits_tensor(x)
         return ad.softmax(h) if self.spec.head == "softmax" else h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -272,7 +291,14 @@ def build_variational(d: int, n_classes: int, rng: np.random.Generator, hidden: 
 # ---------------------------------------------------------------------------
 
 def serialize(net: Mlp) -> bytes:
-    """Self-describing byte encoding; round-trips parameters bit for bit."""
+    """Self-describing byte encoding; round-trips parameters bit for bit.
+
+    ValueError, naming the tensor, for a network holding a non-finite
+    value, which :func:`deserialize` would refuse.
+    """
+    bad = net.spec.first_non_finite(net.buffer)
+    if bad is not None:
+        raise ValueError(f"{net.kind} tensor {bad[0]!r} holds a non-finite value; a checkpoint must be finite")
     tensors = [{"name": name, "shape": list(shape)} for name, shape in net.spec.layout()]
     header = {"kind": net.kind, "spec": net.spec.to_dict(), "tensors": tensors}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -314,17 +340,16 @@ def deserialize(payload: bytes) -> Mlp:
         raise ModelFormatError(f"tensor list does not match the architecture's {layout}", offset=12)
 
     # the tensor region in one piece; a fault names the first tensor that holds one
-    start, ends, names = 12 + header_len, spec.ends(), [name for name, _ in layout]
+    start, ends = 12 + header_len, spec.ends()
     size = ends[-1]
     present = min(size, (len(payload) - start) // 8)
     values = np.frombuffer(payload, dtype="<f8", count=present, offset=start)
     whole = bisect_right(ends, present)  # the tensors read in full
-    bad = np.flatnonzero(~np.isfinite(values))
-    at = bisect_right(ends, bad[0]) if bad.size else len(names)  # the first tensor holding a non-finite value
-    if at < whole:
-        raise ModelFormatError(f"tensor {names[at]!r} holds a non-finite value", offset=start + 8 * int(bad[0]))
-    if whole < len(names):
-        raise ModelFormatError(f"truncated payload for tensor {names[whole]!r}", offset=len(payload))
+    bad = spec.first_non_finite(values[: [0, *ends][whole]])
+    if bad is not None:
+        raise ModelFormatError(f"tensor {bad[0]!r} holds a non-finite value", offset=start + 8 * bad[1])
+    if whole < len(layout):
+        raise ModelFormatError(f"truncated payload for tensor {layout[whole][0]!r}", offset=len(payload))
     if start + 8 * size != len(payload):
         raise ModelFormatError("trailing bytes after final tensor", offset=start + 8 * size)
     try:
@@ -334,8 +359,9 @@ def deserialize(payload: bytes) -> Mlp:
 
 
 def save_model(net: Mlp, path) -> None:
+    payload = serialize(net)
     with atomic_open(path, "wb") as fh:
-        fh.write(serialize(net))
+        fh.write(payload)
 
 
 def load_model(path, kind: str | None = None) -> Mlp:

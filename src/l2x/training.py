@@ -256,9 +256,8 @@ class _Pass:
     weights, the cast input, each layer's output and relu mask, the cast
     incoming gradient and the float32 weight gradients are reused from
     step to step; a smaller batch uses their leading rows.  Fresh arrays
-    per step, or the step run through ``autodiff.dense`` nodes, give the
-    same bytes but cost many times the page faults and measurably more
-    time (ROADMAP.md, item 4).
+    per step give the same bytes but cost many times the page faults and
+    measurably more time (CHANGES.md, the cheaper-training-steps change).
     """
 
     def __init__(self, net: Mlp, rows: int):
@@ -354,9 +353,9 @@ def _epochs(config: TrainConfig, n: int, nets: list[Mlp], step) -> list[EpochSta
                 raise NumericError(f"{e} at step {step_index}") from None
             step_index += 1
         for net in nets:
-            if not np.isfinite(net.buffer).all():
-                name = next(name for name, view in net.spec.split(net.buffer).items() if not np.isfinite(view).all())
-                raise NumericError(f"parameter {net.kind}.{name} became non-finite in epoch {epoch}")
+            bad = net.spec.first_non_finite(net.buffer)
+            if bad is not None:
+                raise NumericError(f"parameter {net.kind}.{bad[0]} became non-finite in epoch {epoch}")
         curve.append(EpochStat(epoch, float(np.mean(values)), (time.perf_counter() - t0) * 1e3))
     return curve
 

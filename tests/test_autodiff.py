@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import time
 
 import numpy as np
@@ -277,8 +276,8 @@ def _layers(seed, widths=(5, 4), batch=6):
     return h, params
 
 
-def _unfused(h, params):
-    """The per-op chain the fused node replaces: matmul, add_bias and relu, layer by layer."""
+def _chain(h, params):
+    """The taped per-op chain of a relu MLP: matmul, add_bias and relu, layer by layer."""
     n = len(params) // 2
     for i in range(n):
         h = ad.add_bias(ad.matmul(h, params[2 * i]), params[2 * i + 1])
@@ -287,17 +286,39 @@ def _unfused(h, params):
     return h
 
 
-def _value_and_grads(h, params, fused, taped_h, upstream, dtype=np.float64):
+def _chain_value_and_grads(h, params, taped_h, upstream):
+    """The chain's value and the ``backward`` gradients of its dot with ``upstream``: h (if taped), p0, p1, ..."""
     taped = ad.ParameterSet()
     hh = taped.add("h", h) if taped_h else ad.constant(h)
     layer_params = [taped.add(f"p{i}", p) for i, p in enumerate(params)]
-    out = ad.dense(hh, layer_params, dtype) if fused else _unfused(hh, layer_params)
+    out = _chain(hh, layer_params)
     root = ad.reduce_sum(ad.mul(out, ad.constant(upstream)))
     return out.data, ad.backward(root, taped)
 
 
+def _kernel_value_and_grads(h, params, need_input, upstream, dtype=np.float64):
+    """``dense_array``, then ``dense_backward`` from ``upstream``, in ``dtype``; in float64, named as the chain's.
+
+    In float32 the input and ``upstream`` are cast by ``cast_array`` and
+    the parameters by ``astype``, as the training step casts them.
+    """
+    cast = (lambda a: a) if dtype == np.float64 else (lambda a: ad.cast_array(a, dtype))
+    values = [p.astype(dtype) for p in params]
+    kept: list = []
+    out = ad.dense_array(cast(h), values, kept)
+    grads = [np.empty(p.shape, np.float64 if i % 2 else dtype) for i, p in enumerate(params)]
+    g_h = ad.dense_backward(cast(upstream), values[::2], kept, grads, need_input)
+    named = {"h": g_h} if need_input else {}
+    named.update((f"p{i}", g) for i, g in enumerate(grads))
+    return out.astype(np.float64), {name: g.astype(np.float64) for name, g in named.items()}
+
+
 class TestDense:
-    """The fused network node against the per-layer ops it replaces, bit for bit."""
+    """The layer kernels, ``dense_array`` and ``dense_backward``, against the per-op chain, bit for bit.
+
+    A "node" here is one pass of the kernels, forward and backward, as
+    the training step and the gradient baselines run them.
+    """
 
     @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
     @pytest.mark.parametrize("taped_h", [True, False], ids=["taped-h", "constant-h"])
@@ -306,9 +327,8 @@ class TestDense:
         for seed in range(5):
             h, params = _layers(seed, widths)
             upstream = np.random.default_rng(50 + seed).normal(size=(6, widths[-1]))
-            (out, grads), (ref_out, ref_grads) = (
-                _value_and_grads(h, params, fused, taped_h, upstream) for fused in (True, False)
-            )
+            out, grads = _kernel_value_and_grads(h, params, taped_h, upstream)
+            ref_out, ref_grads = _chain_value_and_grads(h, params, taped_h, upstream)
             assert out.tobytes() == ref_out.tobytes()
             assert grads.keys() == ref_grads.keys()
             assert len(grads) == len(params) + taped_h
@@ -320,9 +340,8 @@ class TestDense:
     def test_widths_and_batches_match_unfused_ops_bitwise(self, widths, batch):
         h, params = _layers(batch, widths, batch)
         upstream = np.random.default_rng(batch).normal(size=(batch, widths[-1]))
-        (out, grads), (ref_out, ref_grads) = (
-            _value_and_grads(h, params, fused, True, upstream) for fused in (True, False)
-        )
+        out, grads = _kernel_value_and_grads(h, params, True, upstream)
+        ref_out, ref_grads = _chain_value_and_grads(h, params, True, upstream)
         assert out.tobytes() == ref_out.tobytes()
         for name in ref_grads:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
@@ -331,42 +350,46 @@ class TestDense:
         h, params = _layers(4, (5, 6, 6, 3))
         kept = []
         out = ad.dense_array(h, params, kept)
-        hidden = ad.relu(ad.add_bias(ad.matmul(ad.constant(h), ad.constant(params[0])), ad.constant(params[1])))
+        pre = ad.add_bias(ad.matmul(ad.constant(h), ad.constant(params[0])), ad.constant(params[1]))
+        hidden = ad.relu(pre)
         assert kept[1][0].tobytes() == hidden.data.tobytes()  # the sign of every zero too
         zeros = np.signbit(hidden.data[hidden.data == 0.0])
         assert zeros.any() and not zeros.all()  # relu of a negative is -0.0, of +0.0 is +0.0
+        assert pre.data[0, 0] == 0.0 and not kept[0][1][0, 0]  # relu'(0) = 0
         assert not kept[0][1][:, -1].any()  # the dead unit's mask
         assert kept[2][1] is None and out.shape == (6, 3)
         assert [k[0].shape for k in kept] == [(6, 5), (6, 6), (6, 6)]
 
     def test_plain_array_kernel_is_the_node_value(self):
+        # the pass that keeps nothing, as inference runs it, against one that keeps each layer for the backward
         h, params = _layers(1, (5, 4, 4, 3))
-        node = ad.dense(ad.constant(h), list(map(ad.parameter, params)))
-        assert ad.dense_array(h, params).tobytes() == node.data.tobytes()
+        chain = _chain(ad.constant(h), list(map(ad.parameter, params)))
+        assert ad.dense_array(h, params).tobytes() == ad.dense_array(h, params, []).tobytes() == chain.data.tobytes()
 
     def test_constant_input_gets_no_gradient(self):
         h, params = _layers(2, (5, 4, 3))
-        node = ad.dense(ad.constant(h), list(map(ad.parameter, params)))
-        g_h, *g_params = node._vjp(np.ones(node.shape))
-        assert g_h is None and [g.shape for g in g_params] == [p.shape for p in params]
+        kept = []
+        ad.dense_array(h, params, kept)
+        grads = [np.full(p.shape, np.nan) for p in params]
+        assert ad.dense_backward(np.ones((6, 3)), params[::2], kept, grads, need_input=False) is None
+        assert all(np.isfinite(g).all() for g in grads)
 
     def test_vjp_leaves_its_incoming_gradient_and_earlier_results_alone(self):
         h, params = _layers(3, (5, 4, 4, 3))
-        node = ad.dense(ad.parameter(h), list(map(ad.parameter, params)))
-        g = np.random.default_rng(3).normal(size=node.shape)
+        kept = []
+        ad.dense_array(h, params, kept)
+        kept_before = [(a.tobytes(), m.tobytes() if m is not None else None) for a, m in kept]
+        g = np.random.default_rng(3).normal(size=(6, 3))
         g_before = g.copy()
-        first = node._vjp(g)
-        first_bytes = [a.tobytes() for a in first]
-        second = node._vjp(g)
+        results = []
+        for _ in range(2):
+            grads = [np.empty(p.shape) for p in params]
+            results.append([ad.dense_backward(g, params[::2], kept, grads, True), *grads])
+        first, second = results
         assert g.tobytes() == g_before.tobytes()
-        assert [a.tobytes() for a in first] == first_bytes == [a.tobytes() for a in second]
+        assert [(a.tobytes(), m.tobytes() if m is not None else None) for a, m in kept] == kept_before
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
         assert not any(np.shares_memory(a, b) for a, b in zip(first, second))
-
-    def test_shape_contract(self):
-        h, (w, b) = _layers(3)
-        for args in ((h, [w.T, b]), (h, [w, b[:3]]), (h[0], [w, b]), (h, [w, b[None, :]]), (h, [w]), (h, [])):
-            with pytest.raises(ValueError, match="dense"):
-                ad.dense(ad.constant(args[0]), list(map(ad.constant, args[1])))
 
     def test_gradients_match_central_differences(self):
         for seed in range(5):
@@ -378,7 +401,7 @@ class TestDense:
             w2, b2 = ad.constant(rng.normal(size=(5, 2))), ad.constant(rng.normal(size=(2,)))
 
             def f():
-                y = ad.dense(h, [w, b, w2, b2])
+                y = _chain(h, [w, b, w2, b2])
                 return ad.reduce_sum(ad.mul(y, y))
 
             report = ad.finite_diff_check(f, params)
@@ -393,30 +416,32 @@ class TestDense:
         tol = 64 * np.finfo(np.float32).eps
         h, params = _layers(batch, widths, batch)
         upstream = np.random.default_rng(batch).normal(size=(batch, widths[-1]))
-        (out32, grads32), (out64, grads64) = (
-            _value_and_grads(h, params, True, True, upstream, dtype) for dtype in (np.float32, np.float64)
-        )
+        out32, grads32 = _kernel_value_and_grads(h, params, True, upstream, np.float32)
+        out64, grads64 = _chain_value_and_grads(h, params, True, upstream)
         assert np.abs(out32 - out64).max() <= tol * np.abs(out64).max()
         assert grads32.keys() == grads64.keys() and len(grads64) == len(params) + 1
         for name, ref in grads64.items():
             assert np.abs(grads32[name] - ref).max() <= tol * np.abs(ref).max(), name
 
     def test_float32_node_takes_and_returns_float64_and_keeps_float32(self):
+        # float64 values cast in, float32 activations and weight gradients, float64 bias sums
         h, params = _layers(5, (5, 4, 4, 3))
-        node = ad.dense(ad.parameter(h), list(map(ad.parameter, params)), np.float32)
-        kept = inspect.getclosurevars(node._vjp).nonlocals["kept"]
+        values = [p.astype(np.float32) for p in params]
+        kept = []
+        out = ad.dense_array(ad.cast_array(h, np.float32), values, kept)
+        assert out.dtype == np.float32
         assert [a.dtype for a, _ in kept] == [np.float32] * 3
         assert [m is None or m.dtype == bool for _, m in kept] == [True] * 3
-        assert node.data.dtype == np.float64
-        g = np.random.default_rng(5).normal(size=node.shape)
-        g_before = g.copy()
-        grads = node._vjp(g)
-        assert g.tobytes() == g_before.tobytes()
-        assert [a.dtype for a in grads] == [np.float64] * (len(params) + 1)
-        assert [a.shape for a in grads] == [h.shape] + [p.shape for p in params]
+        g = ad.cast_array(np.random.default_rng(5).normal(size=out.shape), np.float32)
+        grads = [np.empty(p.shape, np.float64 if i % 2 else np.float32) for i, p in enumerate(params)]
+        g_h = ad.dense_backward(g.copy(), values[::2], kept, grads, True)
+        assert g_h.dtype == np.float32
+        assert [a.dtype for a in grads] == [np.float32, np.float64] * 3
+        # the last layer's bias gradient is the incoming gradient's column sums, taken in float64
+        assert grads[-1].tobytes() == g.sum(axis=0, dtype=np.float64).tobytes()
 
     def test_float32_cast_flushes_would_be_subnormals_to_zero(self):
-        # normal in float64 but subnormal in float32 (below about 1.18e-38): the node
+        # normal in float64 but subnormal in float32 (below about 1.18e-38): the cast
         # treats such inputs and incoming gradients as zeros; 2e-38 is normal and kept
         h, params = _layers(7, (5, 4, 4, 3))
         g = np.random.default_rng(7).normal(size=(6, 3))
@@ -424,46 +449,27 @@ class TestDense:
         small_h[1, 2], small_h[3, 0], small_g[2, 1] = 1e-40, -1.1e-38, 5e-42
         zero_h[1, 2] = zero_h[3, 0] = zero_g[2, 1] = 0.0
         small_h[5, 1] = zero_h[5, 1] = 2e-38
-        small, zero = (ad.dense(ad.parameter(x), list(map(ad.parameter, params)), np.float32)
-                       for x in (small_h, zero_h))
-        assert small.data.tobytes() == zero.data.tobytes()
-        assert [a.tobytes() for a in small._vjp(small_g)] == [a.tobytes() for a in zero._vjp(zero_g)]
-        kept = inspect.getclosurevars(small._vjp).nonlocals["kept"]
-        assert kept[0][0][1, 2] == kept[0][0][3, 0] == 0.0 and kept[0][0][5, 1] == np.float32(2e-38)
+        small, zero = (_kernel_value_and_grads(x, params, True, up, np.float32)
+                       for x, up in ((small_h, small_g), (zero_h, zero_g)))
+        assert small[0].tobytes() == zero[0].tobytes()
+        assert [a.tobytes() for a in small[1].values()] == [a.tobytes() for a in zero[1].values()]
+        cast = ad.cast_array(small_h, np.float32)
+        assert cast[1, 2] == cast[3, 0] == 0.0 and cast[5, 1] == np.float32(2e-38)
         assert small_h[1, 2] == 1e-40 and small_g[2, 1] == 5e-42  # the caller's arrays are left alone
-
-    @pytest.mark.parametrize("first", [0, 1], ids=["first-built-first", "second-built-first"])
-    def test_two_live_float32_nodes_on_one_network_stay_independent(self, first):
-        h, params = _layers(8, (5, 4, 4, 3))
-        inputs = [h, h[::-1] * 2.0]
-        upstream = [np.random.default_rng(80 + i).normal(size=(6, 3)) for i in range(2)]
-
-        def node(x, weights):
-            return ad.dense(ad.parameter(x), weights, np.float32)
-
-        alone = []
-        for x, g in zip(inputs, upstream):
-            n = node(x, list(map(ad.parameter, params)))
-            alone.append([n.data.tobytes()] + [a.tobytes() for a in n._vjp(g)])
-        weights = list(map(ad.parameter, params))  # one network
-        nodes = [node(x, weights) for x in inputs]
-        got = [None, None]
-        for i in (first, 1 - first):
-            got[i] = [nodes[i].data.tobytes()] + [a.tobytes() for a in nodes[i]._vjp(upstream[i])]
-        assert got == alone
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_constant_weights_get_no_gradient_and_change_nothing_else(self, dtype):
         h, params = _layers(6, (5, 4, 4, 3))
         g = np.random.default_rng(6).normal(size=(6, 3))
-        taped = ad.dense(ad.parameter(h), list(map(ad.parameter, params)), dtype)
-        frozen = ad.dense(ad.parameter(h), list(map(ad.constant, params)), dtype)
-        assert frozen.data.tobytes() == taped.data.tobytes()
-        g_h, *g_params = frozen._vjp(g)
-        assert g_params == [None] * len(params)
-        assert g_h.tobytes() == taped._vjp(g)[0].tobytes()
-        # frozen weights and a constant input: nothing to differentiate, no vjp
-        assert ad.dense(ad.constant(h), list(map(ad.constant, params)), dtype)._vjp is None
+        _, taped = _kernel_value_and_grads(h, params, True, g, dtype)
+        cast = (lambda a: a) if dtype == np.float64 else (lambda a: ad.cast_array(a, dtype))
+        values = [p.astype(dtype) for p in params]
+        kept = []
+        ad.dense_array(cast(h), values, kept)
+        g_h = ad.dense_backward(cast(g), values[::2], kept, [None] * len(params), True)
+        assert g_h.astype(np.float64).tobytes() == taped["h"].tobytes()
+        # frozen weights and a constant input on the tape: nothing to differentiate, no vjp
+        assert _chain(ad.constant(h), list(map(ad.constant, params)))._vjp is None
 
 
 class TestFiniteDifferenceAgreement:

@@ -70,7 +70,7 @@ def test_every_function_the_tracer_wraps_as_an_op_returns_a_tensor(spans):
     # the op wrapper reads the tag of what it returns (``out.op``): a plain-array
     # kernel exported from autodiff would fail every traced run
     wrapped = [name for name in ad.__all__ if inspect.isfunction(getattr(ad, name)) and name not in spans._NOT_OPS]
-    assert "dense" in wrapped and "softmax" in wrapped
+    assert "matmul" in wrapped and "softmax" in wrapped
     for name in wrapped:
         assert typing.get_type_hints(getattr(ad, name)).get("return") is ad.Tensor, name
 
@@ -115,7 +115,7 @@ def test_traced_run_gives_the_untraced_results(spans):
     assert traced == untraced
     assert metrics["pipeline.stage_s.explain"] > 0.0
     assert metrics["explain.method_s.saliency"] > 0.0
-    assert tracer.nodes["dense"] > 0 and tracer.bwd_s["dense"] > 0.0
+    assert tracer.nodes["matmul"] > 0 and tracer.bwd_s["matmul"] > 0.0
 
 
 @pytest.fixture

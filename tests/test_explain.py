@@ -220,7 +220,9 @@ def one_tape(clf, x):
     """Input gradients from one tape over every row, every weight on it as a parameter.
 
     The reference for ``input_gradient``, which runs the layers' kernels
-    over a block of rows at a time and forms no weight gradient.
+    over a block of rows at a time and forms no weight gradient; the tape
+    runs the per-op chain (``matmul``, ``add_bias``, ``relu``), not those
+    kernels.
     """
     leaf = ad.ParameterSet()
     logits = clf.logits_tensor(leaf.add("x", x))
@@ -268,7 +270,7 @@ class TestBatchedExplanations:
             raise AssertionError("the gradient baselines build no graph")
 
         monkeypatch.setattr(ad, "dense_backward", recorded)
-        monkeypatch.setattr(ad, "dense", forbidden)
+        monkeypatch.setattr(ad, "node", forbidden)  # every taped op makes its node here
         monkeypatch.setattr(ad, "backward", forbidden)
         clf.reset_eval_count()
         assert ex.input_gradient(clf, x).tobytes() == ref.tobytes()

@@ -52,6 +52,16 @@ class TestMlpSpec:
             with pytest.raises(ValueError, match="flat array of 26 entries"):
                 spec.split(bad)
 
+    def test_first_non_finite_names_the_tensor_of_the_first_bad_entry(self):
+        spec = nw.MlpSpec((3, 4, 2), head="softmax")  # w0 [0, 12), b0 [12, 16), w1 [16, 24), b1 [24, 26)
+        flat = np.zeros(spec.size)
+        assert spec.first_non_finite(flat) is None
+        flat[[25, 17]] = np.inf, np.nan
+        assert spec.first_non_finite(flat) == ("w1", 17)
+        flat[15] = -np.inf
+        assert spec.first_non_finite(flat) == ("b0", 15)
+        assert spec.first_non_finite(flat[:15]) is None  # a buffer's leading entries
+
     def test_dict_round_trip(self):
         spec = nw.MlpSpec((10, 200, 200, 10), head="linear")
         assert spec.to_dict() == {"layer_widths": (10, 200, 200, 10), "head": "linear", "activation": "relu"}
@@ -398,6 +408,20 @@ class TestSerialization:
         again = nw.load_model(path)
         x = np.random.default_rng(22).normal(size=(3, 4))
         np.testing.assert_array_equal(again.forward(x), net.forward(x))
+
+    @pytest.mark.parametrize("at, name", [(0, "w0"), (66, "b1")])
+    def test_non_finite_network_is_refused_and_no_file_is_written(self, tmp_path, at, name):
+        # load_model refuses such a file, so save_model must not write it
+        buffer = np.zeros(67)
+        buffer[at:] = np.nan
+        net = nw.Mlp("classifier", nw.MlpSpec((4, 8, 3), "softmax"), buffer)
+        message = rf"^classifier tensor '{name}' holds a non-finite value; a checkpoint must be finite$"
+        with pytest.raises(ValueError, match=message):
+            nw.serialize(net)
+        path = tmp_path / "model.l2x"
+        with pytest.raises(ValueError, match=message):
+            nw.save_model(net, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_load_checks_kind(self, tmp_path):
         path = tmp_path / "model.l2x"

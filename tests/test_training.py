@@ -263,17 +263,39 @@ def _log_likelihood_chain(target: np.ndarray, q) -> ad.Tensor:
     return ad.reduce_mean(ad.reduce_sum(ad.mul(ad.constant(target), ad.log(ad.maximum(q, floor))), axis=1))
 
 
+def _dense32(h: ad.Tensor, params: list) -> ad.Tensor:
+    """A taped float32 node over the layers ``params`` = (w0, b0, w1, b1, ...): the training step's bitwise reference.
+
+    It casts the input and parameter values once, runs ``dense_array`` and,
+    as its vjp, ``dense_backward`` in float32 over its own arrays, and takes
+    and returns float64; bias gradients are summed in float64.  A parent
+    that needed no gradient gets None.
+    """
+    values = [p.data.astype(tr.TRAIN_DTYPE) for p in params]
+    kept: list = []
+    out = ad.dense_array(ad.cast_array(h.data, tr.TRAIN_DTYPE), values, kept)
+
+    def vjp(g):
+        grads = [np.empty(v.shape, np.float64 if i % 2 else tr.TRAIN_DTYPE) if p.requires_grad else None
+                 for i, (v, p) in enumerate(zip(values, params))]
+        g = ad.dense_backward(ad.cast_array(g, tr.TRAIN_DTYPE), values[::2], kept, grads, h.requires_grad)
+        return tuple(None if a is None else a.astype(np.float64) for a in (g, *grads))
+
+    return ad.node(out.astype(np.float64), "dense32", (h, *params), vjp)
+
+
 def _flat(grads: dict, params: ad.ParameterSet) -> bytes:
     """The gradients ``ad.backward`` returned for ``params``, laid out like the step's gradient blocks."""
     return b"".join(grads[name].tobytes() for name in params)
 
 
 class TestTrainingStep:
-    """Each explicit training step against ``ad.backward`` of the taped float32 graph of autodiff ops, bit for bit.
+    """Each explicit training step against ``ad.backward`` of a taped graph, bit for bit.
 
-    The passes hold arrays for 10 rows; a second step on a partial batch
-    runs in the leading rows of the arrays a full batch used, over
-    weights the optimizer has stepped.
+    The graph is the autodiff ops, with each network's layers as one
+    float32 node (:func:`_dense32`).  The passes hold arrays for 10 rows;
+    a second step on a partial batch runs in the leading rows of the
+    arrays a full batch used, over weights the optimizer has stepped.
     """
 
     ROWS = 10
@@ -286,7 +308,8 @@ class TestTrainingStep:
         for b in sizes:
             x = rng.normal(size=(b, 5))
             target = np.eye(2)[rng.integers(0, 2, size=b)]
-            loss = ad.neg(_log_likelihood_chain(target, clf.forward_tensor(ad.constant(x), tr.TRAIN_DTYPE)))
+            probs = ad.softmax(_dense32(ad.constant(x), list(clf.params.values())))
+            loss = ad.neg(_log_likelihood_chain(target, probs))
             taped = _flat(ad.backward(loss, clf.params), clf.params)
             value, g = tr._head_step(net, x, target)
             assert -value == loss.item() and g is None
@@ -333,12 +356,12 @@ class TestTrainingStep:
             x = rng.normal(size=(b, d))
             pm = rng.dirichlet(np.ones(2), size=b)
             noise = gumbel_from_uniform(rng.uniform(size=(b, k, d)))
+            weights = list(ex.params.values())
             if warmup:  # the explainer's weights on the tape as constants
-                scores = ad.dense(ad.constant(x), [t.data for t in ex.params.values()], tr.TRAIN_DTYPE)
-            else:
-                scores = ex.forward_tensor(ad.constant(x), tr.TRAIN_DTYPE)
+                weights = [ad.constant(t.data) for t in weights]
+            scores = _dense32(ad.constant(x), weights)
             v = relaxed_mask_graph(scores, noise, temperature)
-            q = var.forward_tensor(ad.mul(v, ad.constant(x)), tr.TRAIN_DTYPE)
+            q = ad.softmax(_dense32(ad.mul(v, ad.constant(x)), list(var.params.values())))
             root = ad.neg(_log_likelihood_chain(pm, q))
             taped = _flat(ad.backward(root, active), active)
 

@@ -13,9 +13,13 @@ prints ``<sha256>  <run>/<file>`` for every artifact that same-seed runs
 write byte for byte: checkpoints, CSVs, ``ranks.csv``, ``posthoc.json``,
 ``summary.json``, explanation JSONL with each record's ``ns`` dropped,
 training curves without their ``wall_ms`` column, and each CLI command's
-stdout.  ``timings.json`` varies by design and is left out.  Two trees
-write the same bytes when ``diff`` finds their outputs equal.  Without
-WORKDIR the runs go to a temporary directory, removed at the end.
+stdout.  ``timings.json`` varies by design and is left out.  It then
+prints ``<sha256>  objective/<case>/<what>`` for the taped reference
+graph, which no run builds: ``l2x_objective``'s value and each
+``ad.backward`` gradient over the explainer and variational parameters,
+for a few fixed seeds and widths (one net 200 wide).  Two trees write
+the same bytes when ``diff`` finds their outputs equal.  Without WORKDIR
+the runs go to a temporary directory, removed at the end.
 """
 
 from __future__ import annotations
@@ -33,9 +37,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from l2x import autodiff as ad
 from l2x import cli
 from l2x.explain import ALL_METHODS
+from l2x.networks import build_classifier, build_explainer, build_variational
 from l2x.pipeline import RunConfig, run_benchmark
+from l2x.sampling import gumbel_from_uniform
+from l2x.training import l2x_objective
 
 WIDE_64 = {"classifier_hidden": (64, 64), "explainer_hidden": (64, 64), "variational_hidden": (64, 64)}
 
@@ -48,6 +58,13 @@ CONFIGS = {
     "nonlinear_additive_3k": {"dataset": "nonlinear_additive", "n_train": 3000, "n_valid": 400,
                               "methods": ALL_METHODS},
     "switch_2500": {"dataset": "switch", "n_train": 2500, "n_valid": 400, "batch_size": 1000},
+}
+
+# case name -> (seed, hidden widths of all three networks, batch rows, k, temperature); d = 10, two classes
+OBJECTIVES = {
+    "narrow": (0, (6, 6, 6), 3, 2, 0.5),
+    "wide_64": (1, (64, 64), 33, 4, 0.1),
+    "wide_200": (2, (200, 200, 200), 257, 5, 0.1),
 }
 
 TRAIN = ["--epochs", "3", "--seed", "5"]
@@ -113,6 +130,23 @@ def _chain(root: Path, directory: Path) -> list[str]:
     return lines + _digests(root, directory)
 
 
+def _objective_digests() -> list[str]:
+    """The digests of each :data:`OBJECTIVES` case's taped objective value and ``backward`` gradients."""
+    lines = []
+    for case, (seed, hidden, rows, k, temperature) in OBJECTIVES.items():
+        rng = np.random.default_rng(seed)
+        nets = build_classifier(10, 2, rng, hidden), build_explainer(10, rng, hidden), build_variational(10, 2, rng, hidden)
+        x = rng.normal(size=(rows, 10))
+        noise = gumbel_from_uniform(rng.uniform(size=(rows, k, 10)))
+        root = l2x_objective(x, *nets, noise, temperature, k).root
+        params = ad.ParameterSet()
+        params.merge("explainer", nets[1].params)
+        params.merge("variational", nets[2].params)
+        arrays = {"value": root.data, **ad.backward(root, params)}
+        lines += [f"{hashlib.sha256(a.tobytes()).hexdigest()}  objective/{case}/{what}" for what, a in arrays.items()]
+    return lines
+
+
 def main(argv: list[str]) -> int:
     with contextlib.ExitStack() as stack:
         root = Path(argv[0]) if argv else Path(stack.enter_context(tempfile.TemporaryDirectory()))
@@ -121,6 +155,7 @@ def main(argv: list[str]) -> int:
             run_benchmark(RunConfig(**fields), root / name)
             lines += _digests(root, root / name)
         lines += _chain(root, root / "cli")
+    lines += _objective_digests()
     print("\n".join(lines))
     return 0
 
