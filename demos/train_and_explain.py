@@ -39,11 +39,10 @@ def main():
     posthoc = posthoc_for(clf, x_va, explanations)
     print(f"post-hoc accuracy on selected features: {posthoc.accuracy:.4f}")
 
-    sample = x_va[0]
-    scores = explainer.scores(sample)
+    sample, first = x_va[0], explanations[0]
     print(f"first sample: x0*x1 = {sample[0] * sample[1]:+.3f}")
-    print(f"  scores: {np.array2string(scores, precision=2)}")
-    print(f"  selected: {explanations[0].selected}")
+    print(f"  scores: {np.array2string(first.scores, precision=2)}")
+    print(f"  selected: {first.selected}")
 
 
 if __name__ == "__main__":

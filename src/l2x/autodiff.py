@@ -4,8 +4,8 @@ The graph is built define-by-run: every operation returns a new
 :class:`Tensor` that records its inputs and a closure computing the
 vector-Jacobian product for its backward rule.  A fresh graph is built
 per forward pass; :func:`backward` traverses it once in reverse
-topological order, visiting only the nodes that lead to the parameters
-asked for, and returns one gradient per parameter.  An MLP's pass is
+topological order, visiting every node that needs a gradient, and
+returns one gradient per parameter asked for.  An MLP's pass is
 taped as the chain ``relu(add_bias(matmul(h, w), b))`` per layer
 (``networks.Mlp.logits_tensor``).  Every node is made by :func:`node`,
 which alone decides whether it keeps its vjp.
@@ -313,19 +313,6 @@ def dense_backward(g: np.ndarray, weights, kept: list, grads: list, need_input: 
     return g
 
 
-def cast_array(a: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
-    """A copy of a float64 array in the float32 ``dtype``, in ``out`` if given, with every would-be subnormal set to zero.
-
-    Masked inputs and the gradients reaching the explainer through the
-    relaxed mask hold many values below float32's smallest normal, and
-    subnormal operands slow a matmul many times over.
-    """
-    out = np.empty(a.shape, dtype) if out is None else out
-    np.copyto(out, a, casting="same_kind")
-    np.copyto(out, 0.0, where=np.abs(out) < np.finfo(dtype).tiny)
-    return out
-
-
 def softmax_array(z: np.ndarray) -> np.ndarray:
     """Softmax of a plain float64 array over the last axis, computed with max-subtraction, in place: ``z`` is returned.
 
@@ -425,8 +412,8 @@ def expand(a: Tensor, axis: int, reps: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _topo_order(root: Tensor, targets: set[int]) -> list[Tensor]:
-    """Nodes on a path from a leaf in ``targets`` (ids) to ``root``, parents first."""
+def _topo_order(root: Tensor) -> list[Tensor]:
+    """``root`` and every node under it that needs a gradient, parents first."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -442,38 +429,37 @@ def _topo_order(root: Tensor, targets: set[int]) -> list[Tensor]:
         for p in node.parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
-    leads = set(targets)
-    for node in order:
-        if any(id(p) in leads for p in node.parents):
-            leads.add(id(node))
-    return [node for node in order if id(node) in leads]
+    return order
 
 
 def backward(root: Tensor, params: ParameterSet) -> dict[str, np.ndarray]:
     """Gradient of a scalar root with respect to each of ``params``, by name.
 
-    One reverse sweep visits only the nodes that lead to one of the
-    parameters; a parameter the root does not depend on gets zeros.
+    One reverse sweep visits every node that needs a gradient, whether or
+    not it leads to one of ``params``; a parameter the root does not
+    depend on gets zeros.
     """
     if root.data.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.shape}")
 
-    order = _topo_order(root, {id(t) for t in params.values()})
-    needed = {id(node) for node in order}
     # a leaf's gradient stays here; every other node's is dropped once used
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(root.data)}
-    for node in reversed(order):
+    for node in reversed(_topo_order(root)):
         if node._vjp is None:
             continue
         g = grads.pop(id(node), None)
         if g is None:
             continue
         for p, pg in zip(node.parents, node._vjp(g)):
-            if id(p) not in needed:
+            if not p.requires_grad:
                 continue
             acc = grads.get(id(p))
             grads[id(p)] = pg if acc is None else acc + pg
     return {name: grads[id(t)] if id(t) in grads else np.zeros_like(t.data) for name, t in params.items()}
+
+
+# relative disagreement of one-sided slopes above which finite_diff_check takes a coordinate for a kink
+KINK_TOL = 1e-2
 
 
 @dataclass
@@ -498,7 +484,6 @@ def finite_diff_check(
     f: Callable[[], Tensor],
     params: ParameterSet,
     step: float = 1e-6,
-    kink_tol: float = 1e-2,
 ) -> FiniteDiffReport:
     """Compare ``backward`` gradients of ``f()`` against central differences.
 
@@ -506,7 +491,7 @@ def finite_diff_check(
     re-evaluated with each parameter coordinate perturbed by ``±step``.
     Relative error uses the denominator ``max(1e-8, |analytic| + |numeric|)``.
     Coordinates where the one-sided slopes disagree by more than
-    ``kink_tol`` (relative) sit on a non-differentiable point and are
+    :data:`KINK_TOL` (relative) sit on a non-differentiable point and are
     excluded rather than failed; coordinates where analytic and numeric
     derivative are both below the roundoff resolution of the quotient
     are reported as unresolved rather than failed.
@@ -534,7 +519,7 @@ def finite_diff_check(
 
             d_plus = (f_plus - f0) / step
             d_minus = (f0 - f_minus) / step
-            if abs(d_plus - d_minus) > kink_tol * (abs(d_plus) + abs(d_minus) + 1.0):
+            if abs(d_plus - d_minus) > KINK_TOL * (abs(d_plus) + abs(d_minus) + 1.0):
                 report.excluded.append((name, i))
                 continue
 

@@ -249,7 +249,7 @@ def cmd_evaluate(args, cmd: argparse.ArgumentParser) -> int:
         print(line + f" (optimal {report.optimal_median})")
     write_ranks_csv(ranks, label, args.out_ranks)
     if args.out_posthoc is not None:
-        accuracy["truth"] = post_hoc_accuracy(classifier, x, truths, method="truth").accuracy
+        accuracy["truth"] = post_hoc_accuracy(classifier, x, truths).accuracy
         write_json({"dataset": label, "accuracy": accuracy}, args.out_posthoc)
     return 0
 

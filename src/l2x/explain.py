@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
@@ -37,7 +37,7 @@ from . import autodiff as ad
 from . import files
 from .errors import JsonlFormatError
 from .files import atomic_open, float_rows, open_text, parse_blocks
-from .metrics import check_finite, index_sets
+from .metrics import check_samples, index_sets
 from .networks import map_blocks
 from .sampling import hard_top_k
 
@@ -102,7 +102,9 @@ class Explanations:
 
     @classmethod
     def concatenate(cls, parts) -> "Explanations":
-        """The rows of several records of one method, in order; ValueError if their widths differ."""
+        """The rows of one or more records of one method, in order; ValueError for none or differing widths."""
+        if not parts:
+            raise ValueError("no explanations to concatenate")
         if len(parts) == 1:
             return parts[0]
         columns = ((part.ids, part.scores, part.selected, part.ns) for part in parts)
@@ -150,13 +152,8 @@ def explain_dataset(
     harness (``bench/workloads.py``), the same across the commits it
     compares, and gate C09 (``tests/test_acceptance.py``).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected (n, d) inputs, got shape {x.shape}")
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("need at least one sample")
-    check_finite(x)
+    x = check_samples(x)
+    n = len(x)
     t0 = time.perf_counter_ns()
     check_method(method)
     if method == "l2x":
@@ -177,8 +174,8 @@ def explain_dataset(
                         np.full(n, per_sample, dtype=np.int64))
 
 
-def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
-    """:func:`explain_dataset` of l2x on the (d,) row ``x`` as a batch of one, as a row view with ``sample_id``.
+def explain_l2x(explainer, x, k: int) -> Explanation:
+    """:func:`explain_dataset` of l2x on the (d,) row ``x`` as a batch of one, as a row view (``sample_id`` 0).
 
     A non-finite value in the row raises ValueError naming its column.  No
     classifier evaluation.
@@ -186,7 +183,7 @@ def explain_l2x(explainer, x, k: int, sample_id: int = 0) -> Explanation:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a single (d,) sample, got shape {x.shape}")
-    return replace(explain_dataset("l2x", x[None, :], k, explainer=explainer)[0], sample_id=sample_id)
+    return explain_dataset("l2x", x[None, :], k, explainer=explainer)[0]
 
 
 _TYPES = {"id": int, "method": str, "scores": list, "selected": list, "ns": int}

@@ -31,7 +31,7 @@ __all__ = [
     "median_rank",
     "post_hoc_accuracy",
     "accuracy",
-    "check_finite",
+    "check_samples",
     "index_sets",
     "write_ranks_csv",
 ]
@@ -100,17 +100,30 @@ def _python_sets(rows, d: int, what: str) -> np.ndarray:
 
 
 def accuracy(classifier, x: np.ndarray, y) -> float:
-    """Fraction of the rows of ``x`` whose argmax class under ``classifier`` is their label in ``y``."""
-    pred = classifier.predict_proba(np.asarray(x, dtype=np.float64)).argmax(axis=1)
-    return float((pred == np.asarray(y, dtype=int)).mean())
+    """Fraction of the rows of ``x`` whose argmax class under ``classifier`` is their label in ``y``.
+
+    ValueError unless ``x`` passes :func:`check_samples` and ``y`` holds n
+    integer labels.
+    """
+    x = check_samples(x)
+    y = np.asarray(y)
+    if y.shape != (len(x),) or y.dtype.kind not in "iu":
+        raise ValueError(f"labels must be {len(x)} integers, got {y.dtype} array of shape {y.shape}")
+    return float((classifier.predict_proba(x).argmax(axis=1) == y).mean())
 
 
-def check_finite(x: np.ndarray) -> None:
-    """ValueError naming the row and column of the first non-finite value of an (n, d) array, if any."""
+def check_samples(x) -> np.ndarray:
+    """``x`` as float64; ValueError unless it is a nonempty (n, d) matrix, naming the cell of a non-finite value."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"x must be (n, d), got shape {x.shape}")
+    if len(x) == 0:
+        raise ValueError("need at least one sample")
     bad = np.argwhere(~np.isfinite(x))
     if bad.size:
         row, col = bad[0]
         raise ValueError(f"non-finite feature value {float(x[row, col])!r} (row {row}, column {col})")
+    return x
 
 
 @dataclass(frozen=True)
@@ -120,7 +133,6 @@ class MedianRankReport:
     per_sample: np.ndarray
     summary: dict
     optimal_median: float
-    d: int
 
 
 def median_rank(scores, truths, d: int) -> MedianRankReport:
@@ -149,7 +161,7 @@ def median_rank(scores, truths, d: int) -> MedianRankReport:
         "q3": float(q3),
         "max": float(per_sample.max()),
     }
-    return MedianRankReport(per_sample=per_sample, summary=summary, optimal_median=(truth.shape[1] + 1) / 2.0, d=d)
+    return MedianRankReport(per_sample=per_sample, summary=summary, optimal_median=(truth.shape[1] + 1) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -157,27 +169,19 @@ class PostHocReport:
     """Fraction of samples where masked and full predictions agree."""
 
     accuracy: float
-    n: int
-    k: int
-    method: str
 
 
-def post_hoc_accuracy(classifier, x: np.ndarray, selections, method: str = "") -> PostHocReport:
+def post_hoc_accuracy(classifier, x: np.ndarray, selections) -> PostHocReport:
     """Agreement of argmax predictions on masked vs full inputs.
 
     ``selections`` is (n, k): one selected-index set per row of ``x``
     (see :func:`index_sets`); the complement of each is zeroed before the
     masked prediction.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"x must be (n, d), got shape {x.shape}")
+    x = check_samples(x)
     n, d = x.shape
     if len(selections) != n:
         raise ValueError(f"{len(selections)} selections for {n} samples")
-    if n == 0:
-        raise ValueError("need at least one sample")
-    check_finite(x)
     sel = index_sets(selections, d, "selection")
 
     rows = np.arange(n)[:, None]
@@ -187,7 +191,7 @@ def post_hoc_accuracy(classifier, x: np.ndarray, selections, method: str = "") -
     full_pred = np.argmax(classifier.predict_proba(x), axis=1)
     masked_pred = np.argmax(classifier.predict_proba(masked), axis=1)
     matches = int((full_pred == masked_pred).sum())
-    return PostHocReport(accuracy=matches / n, n=n, k=sel.shape[1], method=method)
+    return PostHocReport(accuracy=matches / n)
 
 
 def _csv_field(text) -> str:

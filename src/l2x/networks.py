@@ -238,23 +238,20 @@ class Mlp:
         return ad.softmax(h) if self.spec.head == "softmax" else h
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free forward pass; accepts (batch, d) or a single (d,) row.
+        """Tape-free forward pass over a (batch, d) input.
 
         Runs :func:`map_blocks`: beyond one block, a row's matrix products
         may round differently from those of one pass over every row.
         """
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        rows = x[None, :] if single else x
-        weights = self._evaluate(rows)
+        weights = self._evaluate(x)
         softmax = self.spec.head == "softmax"
 
         def block(part):
             h = ad.dense_array(part, weights)
             return ad.softmax_array(h) if softmax else h
 
-        out = map_blocks(block, rows)
-        return out[0] if single else out
+        return map_blocks(block, x)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

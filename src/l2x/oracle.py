@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 
+# the most size-k subsets brute_force_best_subset enumerates: every C(d, k) for d <= 15 (at most 6,435)
+MAX_SUBSETS = 10_000
+
+
 def entropy(p: np.ndarray) -> float:
     """Shannon entropy in nats; 0 log 0 = 0."""
     p = np.asarray(p, dtype=np.float64)
@@ -170,23 +174,22 @@ class BruteForceResult:
     rule_value: float = 0.0
 
 
-def brute_force_best_subset(
-    joint: DiscreteJoint, k: int, max_subsets: int = 10_000
-) -> BruteForceResult:
+def brute_force_best_subset(joint: DiscreteJoint, k: int) -> BruteForceResult:
     """Enumerate all size-k subsets; cross-check the per-x optimality rule.
 
     Verifies internally, per positive-mass atom, that the subset
     minimizing expected code length is the one maximizing that atom's
     contribution to the information objective (they differ by a constant
     in S), and that the per-x rule's aggregate value is at least the best
-    fixed subset's mutual information.
+    fixed subset's mutual information.  More than :data:`MAX_SUBSETS`
+    subsets raise ValueError before any work.
     """
     d = joint.d
     if not 1 <= k <= d:
         raise ValueError(f"k must satisfy 1 <= k <= d={d}, got {k}")
     n_subsets = math.comb(d, k)
-    if n_subsets > max_subsets:
-        raise ValueError(f"resource cap: C({d},{k}) = {n_subsets} subsets exceeds limit {max_subsets}")
+    if n_subsets > MAX_SUBSETS:
+        raise ValueError(f"resource cap: C({d},{k}) = {n_subsets} subsets exceeds limit {MAX_SUBSETS}")
 
     px = joint.px
     pyx = joint.py_given_x

@@ -77,6 +77,8 @@ class RunConfig(TrainConfig):
         for name in ("n_train", "n_valid"):
             if not is_int(getattr(self, name)) or getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer, got {getattr(self, name)!r}")
+        if isinstance(self.sin_coeff, bool):
+            raise ValueError(f"sin_coeff must be a number, got {self.sin_coeff!r}")
         for m in self.methods:
             check_method(m)
         if not self.methods or len(set(self.methods)) != len(self.methods):
@@ -101,7 +103,7 @@ def ranks_for(explanations: Explanations, truths, d: int) -> MedianRankReport:
 def posthoc_for(classifier, x: np.ndarray, explanations: Explanations) -> PostHocReport:
     """Post-hoc accuracy of one method's selections against the classifier, aligned by id."""
     order = _id_order(explanations.ids, x.shape[0])
-    return post_hoc_accuracy(classifier, x, explanations.selected[order], method=explanations.method)
+    return post_hoc_accuracy(classifier, x, explanations.selected[order])
 
 
 def write_json(payload: dict, path) -> None:
@@ -186,7 +188,7 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
         post_hoc[method] = posthoc_for(clf, x_va, explanations).accuracy
 
     # reference: masking down to the generator's true features
-    post_hoc["truth"] = post_hoc_accuracy(clf, x_va, truths, method="truth").accuracy
+    post_hoc["truth"] = post_hoc_accuracy(clf, x_va, truths).accuracy
     summary["post_hoc"] = post_hoc
 
     write_ranks_csv(ranks, kind, out / "ranks.csv")

@@ -44,14 +44,9 @@ _U_HI = 1.0 - 1e-12
 
 @dataclass(frozen=True)
 class GumbelNoise:
-    """A rows x cols matrix of standard Gumbel draws.
-
-    ``seed`` records the integer seed when one was supplied, so the exact
-    noise can be regenerated later.
-    """
+    """A rows x cols matrix of standard Gumbel draws, all finite."""
 
     values: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.values)):
@@ -89,12 +84,9 @@ def sample_gumbel(rng: np.random.Generator | int, rows: int, cols: int) -> Gumbe
     if rows < 1 or cols < 1:
         raise ValueError(f"noise shape must be positive, got ({rows}, {cols})")
     if isinstance(rng, (int, np.integer)):
-        seed: int | None = int(rng)
-        rng = np.random.default_rng(seed)
-    else:
-        seed = None
+        rng = np.random.default_rng(int(rng))
     u = rng.uniform(0.0, 1.0, size=(rows, cols))
-    return GumbelNoise(values=gumbel_from_uniform(u), seed=seed)
+    return GumbelNoise(values=gumbel_from_uniform(u))
 
 
 def _concrete(softmax, z, temperature: float):
@@ -106,13 +98,13 @@ def _concrete(softmax, z, temperature: float):
     return out
 
 
-def concrete_vector(log_weights: Tensor, gumbel_row, temperature: float) -> Tensor:
+def concrete_vector(log_weights: Tensor, gumbel_row: np.ndarray, temperature: float) -> Tensor:
     """One Concrete sample: softmax((log_weights + G) / temperature).
 
     Differentiable with respect to ``log_weights``; the noise enters as a
     constant.  The result lies in the simplex interior.
     """
-    g = gumbel_row.data if isinstance(gumbel_row, Tensor) else np.asarray(gumbel_row, dtype=np.float64)
+    g = np.asarray(gumbel_row, dtype=np.float64)
     if g.shape != log_weights.shape:
         raise ValueError(f"gumbel row shape {g.shape} does not match log_weights {log_weights.shape}")
     return _concrete(ad.softmax, ad.add(log_weights, ad.constant(g)), temperature)
@@ -182,13 +174,13 @@ def batched_relaxed_mask(scores: np.ndarray, noise: np.ndarray, temperature: flo
     return mask.reshape(scores.shape), vjp
 
 
-def hard_top_k(scores, k: int):
+def hard_top_k(scores: np.ndarray, k: int):
     """Indices of the k largest scores, ascending; ties go to lower indices.
 
     A (d,) vector gives a tuple of ints.  An (n, d) matrix gives an (n, k)
     int array whose row i is the selection for score row i.
     """
-    s = scores.data if isinstance(scores, Tensor) else np.asarray(scores, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
     if s.ndim not in (1, 2):
         raise ValueError(f"scores must be a vector or a matrix, got shape {s.shape}")
     if not 1 <= k <= s.shape[-1]:

@@ -15,10 +15,11 @@ constants, so no gradient reaches it and its weights never change.
 Both loops train in mixed precision, one explicit step per batch.  A
 :class:`_Pass` per network, owned by the training call, casts the
 network's flat float64 parameter buffer (``Mlp.buffer``) and the batch
-to ``TRAIN_DTYPE`` (float32), runs the layers (``autodiff.dense_array``)
-over arrays it keeps from step to step, and runs them backward once
-(``autodiff.dense_backward``), writing the network's gradient into one
-flat float64 block laid out like the buffer (``MlpSpec.split``).  The
+(:func:`cast_array`) to ``TRAIN_DTYPE`` (float32), runs the layers
+(``autodiff.dense_array``) over arrays it keeps from step to step, and
+runs them backward once (``autodiff.dense_backward``), writing the
+network's gradient into one flat float64 block laid out like the buffer
+(``MlpSpec.split``).  The
 softmax head, the relaxed mask and the log-likelihood are array kernels
 (``autodiff.softmax_array`` and ``softmax_vjp``,
 ``sampling.batched_relaxed_mask``, :func:`_log_likelihood`), called in
@@ -64,6 +65,18 @@ DECAY = 0.9
 EPSILON = 1e-7
 # compute dtype of the network passes in both training loops
 TRAIN_DTYPE = np.float32
+
+
+def cast_array(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a``, a float64 array, copied into ``out``, a ``TRAIN_DTYPE`` array, with every would-be subnormal set to zero.
+
+    Masked inputs and the gradients reaching the explainer through the
+    relaxed mask hold many values below float32's smallest normal, and
+    subnormal operands slow a matmul many times over.
+    """
+    np.copyto(out, a, casting="same_kind")
+    np.copyto(out, 0.0, where=np.abs(out) < np.finfo(TRAIN_DTYPE).tiny)
+    return out
 
 
 class RmsProp:
@@ -112,7 +125,8 @@ class RmsProp:
 class TrainConfig:
     """Knobs and network widths for both training loops; ``RunConfig`` extends it, and the CLI takes its defaults.
 
-    Counts, the seed and widths must be integers (numpy integers too).
+    Counts, the seed and widths must be integers (numpy integers too);
+    the learning rate and temperature must be numbers, not booleans.
     """
 
     k: int
@@ -133,8 +147,11 @@ class TrainConfig:
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
         for name in ("learning_rate", "temperature", "batch_size"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool):  # for batch_size is_int has refused it already
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         # zero epochs is allowed: it yields an untrained network
         for name in ("epochs", "warmup_epochs", "seed"):
             if getattr(self, name) < 0:
@@ -284,12 +301,12 @@ class _Pass:
         b = len(x)
         self.kept = []
         arrays = [(out[:b], None if mask is None else mask[:b]) for out, mask in self.layers]
-        h = ad.dense_array(ad.cast_array(x, TRAIN_DTYPE, self.x[:b]), self.weights, self.kept, arrays)
+        h = ad.dense_array(cast_array(x, self.x[:b]), self.weights, self.kept, arrays)
         return h.astype(np.float64)
 
     def backward(self, g: np.ndarray, need_input: bool = False) -> np.ndarray | None:
         """Fill ``grads`` from the float64 gradient of the last forward output; the input's, if ``need_input``."""
-        g = ad.dense_backward(ad.cast_array(g, TRAIN_DTYPE, self.g[: len(g)]), self.weights[::2], self.kept,
+        g = ad.dense_backward(cast_array(g, self.g[: len(g)]), self.weights[::2], self.kept,
                               self.targets, need_input, overwrite=True)
         for view, grad in zip(self.weight_grads, self.targets[::2]):
             np.copyto(view, grad)

@@ -177,7 +177,7 @@ def test_returned_arrays_survive_later_calls(request, trace):
     explainer = networks.build_explainer(datasets.D, rng, hidden=(8, 8))
 
     def calls(rows):
-        out = [classifier.forward(x[rows]), explainer.forward(x[rows]), classifier.forward(x[rows][0])]
+        out = [classifier.forward(x[rows]), explainer.forward(x[rows]), classifier.forward(x[rows][:1])]
         for method in ("l2x", "saliency", "taylor"):
             record = pipeline.explain_dataset(method, x[rows], k, explainer=explainer, classifier=classifier)
             out += [record.scores, record.selected]

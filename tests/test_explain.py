@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -39,8 +40,8 @@ class TestExplainL2x:
         rng = np.random.default_rng(0)
         explainer = build_explainer(6, rng, hidden=(8, 8))
         x = rng.normal(size=6)
-        e = ex.explain_l2x(explainer, x, k=2, sample_id=7)
-        assert e.sample_id == 7 and e.method == "l2x"
+        e = ex.explain_l2x(explainer, x, k=2)
+        assert e.sample_id == 0 and e.method == "l2x"
         assert len(e.selected) == 2
         order = np.argsort(-e.scores, kind="stable")
         assert set(e.selected) == set(int(i) for i in order[:2])
@@ -97,7 +98,7 @@ class TestExplainSaliency:
         clf = linear_classifier(w)
         x = np.array([0.1, 0.2, 0.3, 0.4])
         e = one_row("saliency", clf, x, k=2)
-        cls = int(np.argmax(clf.predict_proba(x)))
+        cls = int(np.argmax(clf.predict_proba(x[None, :])))
         np.testing.assert_allclose(e.scores, np.abs(w[:, cls]), atol=1e-12)
         assert e.selected == (0, 2)
         assert e.method == "saliency"
@@ -141,7 +142,7 @@ class TestExplainSaliency:
         for x, row_scores in zip(xs, batched):
             scores = one_row("saliency", clf, x, k=2).scores
             np.testing.assert_allclose(row_scores, scores, rtol=0, atol=1e-12)
-            cls = int(np.argmax(clf.predict_proba(x)))
+            cls = int(np.argmax(clf.predict_proba(x[None, :])))
             for i in range(5):
                 up, down = x.copy(), x.copy()
                 up[i] += step
@@ -156,7 +157,7 @@ class TestExplainTaylor:
         clf = linear_classifier(w)
         x = np.array([1.0, -2.0, 4.0])
         e = one_row("taylor", clf, x, k=2)
-        cls = int(np.argmax(clf.predict_proba(x)))
+        cls = int(np.argmax(clf.predict_proba(x[None, :])))
         np.testing.assert_allclose(e.scores, x * w[:, cls], atol=1e-12)
         assert e.method == "taylor"
         batch = np.random.default_rng(3).uniform(-5, 5, size=(40, 3))
@@ -324,7 +325,7 @@ class TestBatchedExplanations:
         explainer = build_explainer(10, rng, hidden=(16, 16))
         x = rng.normal(size=(300, 10))
         for i, e in enumerate(explain_dataset("l2x", x, 3, explainer=explainer)):
-            one = ex.explain_l2x(explainer, x[i], 3, sample_id=i)
+            one = ex.explain_l2x(explainer, x[i], 3)
             assert e.sample_id == i and e.selected == one.selected
             np.testing.assert_allclose(e.scores, one.scores, rtol=0, atol=1e-12)
 
@@ -418,6 +419,11 @@ class TestRecord:
         with pytest.raises(ValueError):
             ex.Explanations.concatenate([record, other])
 
+    def test_concatenate_of_no_records_refused(self):
+        # it used to raise IndexError from parts[0]
+        with pytest.raises(ValueError, match="no explanations to concatenate"):
+            ex.Explanations.concatenate([])
+
 
 class TestIdAlignment:
     """Ranks and post-hoc accuracy of a record do not depend on its row order."""
@@ -474,7 +480,7 @@ class TestJsonl:
     def test_record_schema(self, tmp_path):
         explainer = build_explainer(3, np.random.default_rng(11), hidden=(4, 4))
         path = tmp_path / "one.jsonl"
-        ex.write_jsonl(record_of([ex.explain_l2x(explainer, np.ones(3), 2, sample_id=9)]), path)
+        ex.write_jsonl(record_of([dataclasses.replace(ex.explain_l2x(explainer, np.ones(3), 2), sample_id=9)]), path)
         record = json.loads(path.read_text().strip())
         assert list(record) == ["id", "method", "scores", "selected", "ns"]
         assert record["id"] == 9 and len(record["scores"]) == 3 and len(record["selected"]) == 2

@@ -217,9 +217,11 @@ class TestBruteForce:
                 assert res.per_x_subsets[i] == subsets[int(np.argmin(codes))]
 
     def test_resource_cap(self):
-        j = small_joint(0, d=6, c=2)
-        with pytest.raises(ValueError, match="resource cap"):
-            oc.brute_force_best_subset(j, 3, max_subsets=5)
+        # C(16, 8) = 12,870 subsets; refused before any is enumerated
+        j = small_joint(0, d=16, c=2)
+        with pytest.raises(ValueError, match=r"resource cap: C\(16,8\) = 12870 subsets exceeds limit 10000"):
+            oc.brute_force_best_subset(j, 8)
+        assert oc.MAX_SUBSETS == 10_000 >= math.comb(15, 7)  # every d the oracle suite allows fits
 
 
 class TestJensenGap:
@@ -439,13 +441,47 @@ class FixedClassifier:
         return np.stack([1.0 - p1, p1], axis=1)
 
 
+class TestAccuracy:
+    def test_fraction_of_rows_whose_argmax_is_the_label(self):
+        x = np.array([[1.0], [-1.0], [2.0], [-2.0], [3.0]])  # FixedClassifier predicts class 1 where x0 > 0
+        assert mt.accuracy(FixedClassifier(), x, [1, 0, 1, 1, 0]) == 0.6
+        assert mt.accuracy(FixedClassifier(), x, np.array([1, 0, 1, 0, 1], dtype=np.int8)) == 1.0
+
+    @pytest.mark.parametrize("y, message", [
+        ([0], r"labels must be 5 integers, got int64 array of shape \(1,\)"),
+        ([0, 1, 0, 1], "labels must be 5 integers"),
+        ([[0, 1, 0, 1, 0]], "labels must be 5 integers"),
+        ([0.7, 1.0, 0.0, 1.0, 0.0], "labels must be 5 integers, got float64"),
+        ([True, False, True, False, True], "labels must be 5 integers, got bool"),
+    ], ids=["one-label", "too-few", "nested", "fraction", "bool"])
+    def test_labels_must_be_n_integers(self, y, message):
+        # one label used to broadcast (0.4 here) and 0.7 to read as 0
+        x = np.array([[1.0], [-1.0], [2.0], [-2.0], [3.0]])
+        with pytest.raises(ValueError, match=message):
+            mt.accuracy(FixedClassifier(), x, y)
+
+    def test_empty_input_refused_without_warnings(self):
+        # it used to return NaN with two RuntimeWarnings
+        with pytest.raises(ValueError, match="need at least one sample"):
+            mt.accuracy(FixedClassifier(), np.zeros((0, 3)), np.zeros(0, dtype=int))
+
+    def test_non_finite_feature_refused(self):
+        x = np.zeros((5, 3))
+        x[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite feature value nan \(row 2, column 1\)"):
+            mt.accuracy(FixedClassifier(), x, np.zeros(5, dtype=int))
+
+    def test_a_single_row_is_not_a_matrix(self):
+        with pytest.raises(ValueError, match=r"x must be \(n, d\), got shape \(5,\)"):
+            mt.accuracy(FixedClassifier(), np.zeros(5), [0])
+
+
 class TestPostHocAccuracy:
     def test_full_selection_is_perfect(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 4))
-        report = mt.post_hoc_accuracy(FixedClassifier(), x, [(0, 1, 2, 3)] * 50, method="all")
-        assert report.accuracy == 1.0
-        assert report.n == 50 and report.k == 4 and report.method == "all"
+        report = mt.post_hoc_accuracy(FixedClassifier(), x, [(0, 1, 2, 3)] * 50)
+        assert report == mt.PostHocReport(accuracy=1.0)
 
     def test_constant_classifier_is_perfect(self):
         rng = np.random.default_rng(4)
@@ -475,7 +511,7 @@ class TestPostHocAccuracy:
             masked[i, row] = x[i, row]
         agree = (clf.predict_proba(masked).argmax(axis=1) == clf.predict_proba(x).argmax(axis=1))
         report = mt.post_hoc_accuracy(clf, x, sel)
-        assert report.accuracy == agree.mean() and report.k == 2
+        assert report.accuracy == agree.mean()
 
     def test_misalignment_rejected(self):
         with pytest.raises(ValueError, match="selections"):

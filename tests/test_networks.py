@@ -112,7 +112,7 @@ class TestForward:
         ex = nw.build_explainer(5, np.random.default_rng(0), hidden=(6, 6))
         for _, t in ex.params.items():
             t.data[...] = 0.0
-        np.testing.assert_array_equal(ex.scores(np.ones(5)), np.zeros(5))
+        np.testing.assert_array_equal(ex.scores(np.ones((2, 5))), np.zeros((2, 5)))
 
     def test_forward_paths_agree(self):
         clf = small_classifier(3)
@@ -143,14 +143,6 @@ class TestForward:
         taped = ad.softmax(logits).data if net.spec.head == "softmax" else logits.data
         assert net.forward(x).tobytes() == taped.tobytes()
 
-    def test_single_row_convenience(self):
-        clf = small_classifier(5)
-        x = np.random.default_rng(6).normal(size=4)
-        row = clf.forward(x)
-        batch = clf.forward(x[None, :])
-        assert row.shape == (3,)
-        np.testing.assert_array_equal(row, batch[0])
-
     def test_deterministic_scores(self):
         ex = nw.build_explainer(4, np.random.default_rng(8), hidden=(7, 7))
         x = np.random.default_rng(9).normal(size=(5, 4))
@@ -165,7 +157,7 @@ class TestForward:
         clf = small_classifier()
         assert clf.eval_count == 0
         clf.predict_proba(np.ones((6, 4)))
-        clf.predict_proba(np.ones(4))
+        clf.predict_proba(np.ones((1, 4)))
         assert clf.eval_count == 7
         clf.forward_tensor(ad.constant(np.ones((2, 4))))
         assert clf.eval_count == 9
@@ -237,7 +229,7 @@ class TestForward:
         x = np.random.default_rng(2).normal(size=(7, 10))
         net.forward(x)
         assert net.eval_count == 7
-        net.forward(x[0])
+        net.forward(x[:1])
         assert net.eval_count == 8
         net.forward_tensor(ad.constant(x[:3]))
         assert net.eval_count == 11
@@ -334,7 +326,9 @@ class TestBlockedForward:
         with pytest.raises(ValueError, match="width"):
             clf.forward(np.empty((0, 9)))
         x = np.random.default_rng(25).normal(size=(nw.BLOCK_ROWS + 3, 10))
-        assert clf.forward(x[7]).tobytes() == clf.forward(x[7:8])[0].tobytes()
+        with pytest.raises(ValueError, match=r"expected \(batch, d\) input, got shape \(10,\)"):
+            clf.forward(x[7])  # a single row is a batch of one, x[7:8]
+        assert clf.eval_count == 0
         for rows in (2, nw.BLOCK_ROWS + 3):
             with pytest.raises(ValueError, match=rf"expected \(batch, d\) input, got shape \({rows}, 1, 10\)"):
                 clf.forward(x[:rows, None, :])

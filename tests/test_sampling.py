@@ -43,13 +43,9 @@ class TestGumbelNoise:
     def test_same_seed_reproduces_exactly(self):
         a = sp.sample_gumbel(123, 4, 6)
         b = sp.sample_gumbel(123, 4, 6)
-        assert a.seed == b.seed == 123
         np.testing.assert_array_equal(a.values, b.values)
-
-    def test_generator_input_leaves_seed_unset(self):
-        noise = sp.sample_gumbel(np.random.default_rng(5), 2, 3)
-        assert noise.seed is None
-        assert noise.values.shape == (2, 3)
+        # an integer seed draws what a generator seeded with it draws
+        assert a.values.tobytes() == sp.sample_gumbel(np.random.default_rng(123), 4, 6).values.tobytes()
 
     def test_empirical_mean_is_euler_mascheroni(self):
         noise = sp.sample_gumbel(np.random.default_rng(2024), 1000, 1000)
@@ -324,9 +320,6 @@ class TestHardTopK:
 
     def test_k_equals_d(self):
         assert sp.hard_top_k(np.array([3.0, 1.0, 2.0]), 3) == (0, 1, 2)
-
-    def test_accepts_tensor_input(self):
-        assert sp.hard_top_k(ad.constant([0.0, 5.0, 1.0]), 1) == (1,)
 
     def test_k_out_of_range(self):
         for k in (0, 4):

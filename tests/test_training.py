@@ -173,6 +173,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             tr.TrainConfig(k=2, **{name: value})
 
+    @pytest.mark.parametrize("name", ["learning_rate", "temperature", "sin_coeff"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_refused_for_the_float_settings(self, name, value):
+        # True used to train at rate 1.0 and be recorded as "learning_rate": true in summary.json
+        config = RunConfig if name == "sin_coeff" else tr.TrainConfig
+        kwargs = {"dataset": "xor"} if name == "sin_coeff" else {"k": 2}
+        with pytest.raises(ValueError, match=f"{name} must be a number, got {value}"):
+            config(**kwargs, **{name: value})
+        if name != "sin_coeff":
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                RunConfig(dataset="xor", **{name: value})
+
     def test_run_config_is_a_train_config_with_the_same_training_fields(self):
         train_fields = {f.name: f.default for f in dataclasses.fields(tr.TrainConfig)}
         run_fields = {f.name: f.default for f in dataclasses.fields(RunConfig)}
@@ -200,59 +212,19 @@ class TestTrainConfig:
         assert report.curve == []
 
 
-def _graph(root) -> list:
-    """Every node of the graph under ``root``."""
-    nodes, seen, stack = [], set(), [root]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node.parents)
-    return nodes
-
-
-def _recorded(vjp, key, calls: set):
-    def recorded(g):
-        calls.add(key)
-        return vjp(g)
-    return recorded
-
-
 class TestWarmupBackward:
-    def test_runs_no_explainer_or_relaxation_vjp_and_matches_full_backward(self, monkeypatch):
+    def test_variational_gradients_match_full_backward(self):
+        # the warmup step's reference: the variational net's gradients alone, bit for bit those of a joint backward
         clf, ex, var, x, noise = tiny_setup(seed=4, b=5)
-        made = {}
-
-        def recording(name, fn):
-            def wrapped(*args, **kwargs):
-                made[name] = fn(*args, **kwargs)
-                return made[name]
-            return wrapped
-
-        monkeypatch.setattr(ex, "forward_tensor", recording("scores", ex.forward_tensor))
-        monkeypatch.setattr(tr, "relaxed_mask_graph", recording("mask", tr.relaxed_mask_graph))
         root = tr.l2x_objective(x, clf, ex, var, noise, temperature=0.5, k=2).root
-
-        calls: set[int] = set()  # ids of the nodes whose vjp ran
-        for node in _graph(root):
-            if node._vjp is not None:
-                node._vjp = _recorded(node._vjp, id(node), calls)
-        selector_side = {id(node) for node in _graph(made["mask"])}
-        assert {id(made["scores"]), id(made["mask"])} <= selector_side
-
         variational_only = ad.ParameterSet()
         variational_only.merge("variational", var.params)
         warm = ad.backward(root, variational_only)
-        assert calls and not selector_side & calls
-
         joint = ad.ParameterSet()
         joint.merge("explainer", ex.params)
         joint.merge("variational", var.params)
-        calls.clear()
         full = ad.backward(root, joint)
-        assert selector_side & calls
-        assert warm.keys() == set(variational_only.names())
+        assert list(warm) == variational_only.names()
         for name, g in warm.items():
             assert g.tobytes() == full[name].tobytes(), name
 
@@ -273,12 +245,13 @@ def _dense32(h: ad.Tensor, params: list) -> ad.Tensor:
     """
     values = [p.data.astype(tr.TRAIN_DTYPE) for p in params]
     kept: list = []
-    out = ad.dense_array(ad.cast_array(h.data, tr.TRAIN_DTYPE), values, kept)
+    out = ad.dense_array(tr.cast_array(h.data, np.empty(h.shape, tr.TRAIN_DTYPE)), values, kept)
 
     def vjp(g):
         grads = [np.empty(v.shape, np.float64 if i % 2 else tr.TRAIN_DTYPE) if p.requires_grad else None
                  for i, (v, p) in enumerate(zip(values, params))]
-        g = ad.dense_backward(ad.cast_array(g, tr.TRAIN_DTYPE), values[::2], kept, grads, h.requires_grad)
+        g = ad.dense_backward(tr.cast_array(g, np.empty(g.shape, tr.TRAIN_DTYPE)), values[::2], kept, grads,
+                              h.requires_grad)
         return tuple(None if a is None else a.astype(np.float64) for a in (g, *grads))
 
     return ad.node(out.astype(np.float64), "dense32", (h, *params), vjp)

@@ -17,9 +17,10 @@ stdout.  ``timings.json`` varies by design and is left out.  It then
 prints ``<sha256>  objective/<case>/<what>`` for the taped reference
 graph, which no run builds: ``l2x_objective``'s value and each
 ``ad.backward`` gradient over the explainer and variational parameters,
-for a few fixed seeds and widths (one net 200 wide).  Two trees write
-the same bytes when ``diff`` finds their outputs equal.  Without WORKDIR
-the runs go to a temporary directory, removed at the end.
+then over the variational parameters alone, for a few fixed seeds and
+widths (one net 200 wide).  Two trees write the same bytes when ``diff``
+finds their outputs equal.  Without WORKDIR the runs go to a temporary
+directory, removed at the end.
 """
 
 from __future__ import annotations
@@ -131,7 +132,11 @@ def _chain(root: Path, directory: Path) -> list[str]:
 
 
 def _objective_digests() -> list[str]:
-    """The digests of each :data:`OBJECTIVES` case's taped objective value and ``backward`` gradients."""
+    """The digests of each :data:`OBJECTIVES` case's taped objective value and ``backward`` gradients.
+
+    The gradients are taken twice: over both selector networks, then over
+    the variational net alone.
+    """
     lines = []
     for case, (seed, hidden, rows, k, temperature) in OBJECTIVES.items():
         rng = np.random.default_rng(seed)
@@ -139,10 +144,13 @@ def _objective_digests() -> list[str]:
         x = rng.normal(size=(rows, 10))
         noise = gumbel_from_uniform(rng.uniform(size=(rows, k, 10)))
         root = l2x_objective(x, *nets, noise, temperature, k).root
-        params = ad.ParameterSet()
-        params.merge("explainer", nets[1].params)
-        params.merge("variational", nets[2].params)
-        arrays = {"value": root.data, **ad.backward(root, params)}
+        variational = ad.ParameterSet()
+        variational.merge("variational", nets[2].params)
+        joint = ad.ParameterSet()
+        joint.merge("explainer", nets[1].params)
+        joint.merge("variational", nets[2].params)
+        arrays = {"value": root.data, **ad.backward(root, joint),
+                  **{f"variational_only/{name}": g for name, g in ad.backward(root, variational).items()}}
         lines += [f"{hashlib.sha256(a.tobytes()).hexdigest()}  objective/{case}/{what}" for what, a in arrays.items()]
     return lines
 
