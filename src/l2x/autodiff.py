@@ -17,7 +17,9 @@ without a node the training step (``training``), over arrays it owns,
 and the gradient baselines (``explain``), in fresh arrays: the layers
 (``dense_array``, ``dense_backward``), bit for bit the per-layer chain
 in float64, and the softmax (``softmax_array``, ``softmax_vjp``), which
-the :func:`softmax` op wraps.
+the :func:`softmax` op wraps.  The training step repeats
+``dense_backward``'s arithmetic in its own layer loop, which hands the
+weight gradients to a second thread.
 
 Deliberate conventions:
 
@@ -288,8 +290,7 @@ def dense_array(h: np.ndarray, params, kept: list | None = None, arrays=None) ->
     return h
 
 
-def dense_backward(g: np.ndarray, weights, kept: list, grads: list, need_input: bool,
-                   overwrite: bool = False) -> np.ndarray | None:
+def dense_backward(g: np.ndarray, weights, kept: list, grads: list, need_input: bool) -> np.ndarray | None:
     """The vjp of one :func:`dense_array` pass over plain arrays: ``kept`` is its list, ``weights`` its (w0, w1, ...).
 
     ``g`` is the gradient of the pass's output, in the compute dtype.
@@ -298,8 +299,9 @@ def dense_backward(g: np.ndarray, weights, kept: list, grads: list, need_input: 
     in the compute dtype, a bias's summed in float64.  Each hidden
     layer's relu mask is applied in place to a gradient this call
     produced, never to ``g``.  Returns the input's gradient if
-    ``need_input``, else None; with ``overwrite`` each layer's input
-    gradient is written over its kept input, which nothing reads again.
+    ``need_input``, else None.  The training step runs the same
+    arithmetic in its own loop (``training._Pass.backward``), which
+    places each layer's products on two threads.
     """
     for i in reversed(range(len(kept))):
         hd, mask = kept[i]
@@ -309,7 +311,7 @@ def dense_backward(g: np.ndarray, weights, kept: list, grads: list, need_input: 
             g.sum(axis=0, dtype=np.float64, out=grads[2 * i + 1])
         if grads[2 * i] is not None:
             np.matmul(hd.T, g, out=grads[2 * i])
-        g = np.matmul(g, weights[i].T, out=hd if overwrite else None) if i or need_input else None
+        g = np.matmul(g, weights[i].T) if i or need_input else None
     return g
 
 

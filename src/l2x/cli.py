@@ -219,11 +219,13 @@ def cmd_evaluate(args, cmd: argparse.ArgumentParser) -> int:
     classifier = load_model(args.model, kind="classifier") if args.model is not None else None
 
     parts: dict[str, list] = {}
+    files: dict[str, list] = {}  # method -> the files holding its explanations
     for path in args.explanations:
         for method, record in read_jsonl(path).items():
             if record.scores.shape[1] != D:
                 raise JsonlFormatError(f"{path} holds scores of width {record.scores.shape[1]}; the dataset has d={D}")
             parts.setdefault(method, []).append(record)
+            files.setdefault(method, []).append(str(path))
     if not parts:
         cmd.error("no explanations given")
 
@@ -236,10 +238,10 @@ def cmd_evaluate(args, cmd: argparse.ArgumentParser) -> int:
             raise JsonlFormatError(f"the {method} explanations select unequal numbers of features") from None
         try:
             report = ranks_for(record, truths, d=D)
-        except ValueError:  # widths and truths are checked above, so the ids miss or repeat rows
+        except ValueError as e:  # widths and truths are checked above: the ids or the scores are at fault
             raise JsonlFormatError(
-                f"the ids of the {method} explanations do not cover "
-                f"the {len(truths)} rows of {args.data} exactly once"
+                f"the {method} explanations in {', '.join(files[method])} cannot be ranked "
+                f"against the {len(truths)} rows of {args.data}: {e}"
             ) from None
         ranks[method] = report.per_sample
         line = f"{method}: summary median rank {report.summary['median']:.2f}"

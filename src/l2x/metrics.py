@@ -138,9 +138,10 @@ class MedianRankReport:
 def median_rank(scores, truths, d: int) -> MedianRankReport:
     """Score feature rankings against known true features.
 
-    ``scores``: (n, d), one score row per sample.  ``truths``: (n, t), the
-    matching ground-truth index sets (see :func:`index_sets`); the
-    optimal per-sample value (t+1)/2 is reported alongside.
+    ``scores``: (n, d), one finite score row per sample.  ``truths``: (n,
+    t), the matching ground-truth index sets (see :func:`index_sets`); the
+    optimal per-sample value (t+1)/2 is reported alongside.  A NaN or
+    infinite score is refused, naming its row: it has no rank.
     """
     if len(scores) != len(truths):
         raise ValueError(f"{len(scores)} score vectors vs {len(truths)} truth sets")
@@ -150,6 +151,10 @@ def median_rank(scores, truths, d: int) -> MedianRankReport:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] != d:
         raise ValueError(f"scores have shape {scores.shape}, expected ({len(truth)}, {d})")
+    bad = np.argwhere(~np.isfinite(scores))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"non-finite score {float(scores[row, col])!r} (row {row}, column {col})")
     per_sample = np.median(np.take_along_axis(ranks_of(scores), truth, axis=1), axis=1)
 
     q1, med, q3 = np.percentile(per_sample, [25.0, 50.0, 75.0])

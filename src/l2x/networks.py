@@ -28,9 +28,11 @@ activations stay near the cache size whatever the number of rows.  The
 taped pass records the per-op chain ``relu(add_bias(matmul(h, w), b))``
 per layer over ``params``, the views' tape tensors, made on first use;
 both compute in float64, with identical arithmetic.  Training and the
-gradient baselines (``explain``) run the same layer loop and its
-backward kernel, ``autodiff.dense_backward``, over plain arrays (see
-``training``), so no tape tensor is made outside the reference graph.
+gradient baselines (``explain``) run the same layer loop over plain
+arrays, and its backward: the baselines through
+``autodiff.dense_backward``, training through the same arithmetic in
+its own loop (see ``training``); so no tape tensor is made outside the
+reference graph.
 
 Serialized form: magic ``L2XM``, u32 format version, u32 header length,
 a JSON header naming the kind / architecture / tensor layout, then the

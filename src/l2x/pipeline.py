@@ -11,7 +11,10 @@ writes the artifact set:
 * ``ranks.csv`` per-sample median ranks in long format,
 * ``posthoc.json`` masked-input fidelity per method,
 * ``summary.json`` the deterministic metric roll-up,
-* ``timings.json`` wall-clock figures.
+* ``timings.json`` wall-clock figures, and how they were taken: the
+  CPUs the process could use, the thread count of the OpenBLAS under
+  numpy (null where none is found) and the jobs each training call's
+  worker thread ran (0: it did not run; null: training was skipped).
 
 Explaining rows is ``explain.explain_dataset``, re-exported here for the
 callers that reach it through this module; held-out accuracy is
@@ -38,7 +41,7 @@ from .metrics import MedianRankReport, PostHocReport, accuracy, median_rank, pos
 from .networks import is_int, load_model, save_model
 from .oracle import brute_force_best_subset, exact_conditional, jensen_gap, random_binary_joint
 from .rng import substream
-from .training import TrainConfig, train_classifier, train_l2x, write_curve_csv
+from .training import TrainConfig, allowed_cpus, blas_threads, train_classifier, train_l2x, write_curve_csv
 
 __all__ = [
     "RunConfig",
@@ -128,7 +131,7 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
     x_tr, _, y_tr, _ = as_arrays(train)
     x_va, _, y_va, truths = as_arrays(valid)
 
-    timings: dict = {"n_valid": config.n_valid, "explain": {}}
+    timings: dict = {"n_valid": config.n_valid, "explain": {}, "cpus": allowed_cpus(), "blas_threads": blas_threads()}
     summary: dict = {
         "dataset": kind,
         "k": k,
@@ -149,6 +152,7 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
         summary["classifier"] = {"val_accuracy": accuracy(clf, x_va, y_va)}
         timings["train_model_ms"] = None
         timings["train_l2x_ms"] = None
+        timings["train_model_worker_jobs"] = timings["train_l2x_worker_jobs"] = None
     else:
         t0 = time.perf_counter()
         clf, clf_report = train_classifier(x_tr, y_tr, config)
@@ -157,12 +161,14 @@ def run_benchmark(config: RunConfig, out_dir, reuse: bool = False) -> dict:
             "final_loss": clf_report.curve[-1].objective if clf_report.curve else None,
         }
         timings["train_model_ms"] = (time.perf_counter() - t0) * 1e3
+        timings["train_model_worker_jobs"] = clf_report.worker_jobs
         save_model(clf, out / "model.l2x")
         write_curve_csv(clf_report.curve, out / "model_curve.csv")
 
         t0 = time.perf_counter()
         explainer, variational, l2x_report = train_l2x(x_tr, clf, config)
         timings["train_l2x_ms"] = (time.perf_counter() - t0) * 1e3
+        timings["train_l2x_worker_jobs"] = l2x_report.worker_jobs
         save_model(explainer, out / "explainer.l2x")
         save_model(variational, out / "variational.l2x")
         write_curve_csv(l2x_report.curve, out / "l2x_curve.csv")

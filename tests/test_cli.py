@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from l2x import autodiff, cli, pipeline
+from l2x import autodiff, cli, pipeline, training
 from l2x.datasets import read_csv
 from l2x.explain import read_jsonl
 from l2x.networks import load_model
@@ -258,6 +258,22 @@ class TestBenchmark:
         assert len(rows) == 180  # 3 methods x 60 samples
         assert all(len(r) == 3 and r[1] == "xor" and 1.0 <= float(r[2]) <= 10.0 for r in rows)
 
+    @pytest.mark.parametrize("worker", [False, True], ids=["one-thread", "worker"])
+    def test_timings_record_how_they_were_taken(self, tmp_path, monkeypatch, worker):
+        cpus, blas = training.allowed_cpus(), training.blas_threads()
+        if worker:  # as on two CPUs under a one-thread OpenBLAS, with these 8-wide networks above the gate
+            monkeypatch.setattr(training, "allowed_cpus", lambda: 2)
+            monkeypatch.setattr(training, "blas_threads", lambda: 1)
+            monkeypatch.setattr(training, "WORKER_MIN_MACS", 1)
+        else:
+            monkeypatch.setattr(training, "allowed_cpus", lambda: 1)
+        out = tmp_path / "run"
+        assert run("benchmark", "--dataset", "xor", "--out-dir", out, "--all", "--methods", "l2x", *BENCH_ARGS) == 0
+        timings = json.loads((out / "timings.json").read_text())
+        assert timings["cpus"] == cpus >= 1 and timings["blas_threads"] == blas
+        jobs = timings["train_model_worker_jobs"], timings["train_l2x_worker_jobs"]
+        assert all(isinstance(n, int) and (n > 0) == worker for n in jobs), jobs
+
     def test_reuse_skips_training(self, tmp_path):
         out = tmp_path / "run"
         assert run("benchmark", "--dataset", "xor", "--out-dir", out, "--all", *BENCH_ARGS) == 0
@@ -266,6 +282,7 @@ class TestBenchmark:
         assert (out / "model.l2x").read_bytes() == before
         timings = json.loads((out / "timings.json").read_text())
         assert timings["train_model_ms"] is None
+        assert timings["train_model_worker_jobs"] is timings["train_l2x_worker_jobs"] is None
 
     def test_warmup_epochs_reach_the_run(self, tmp_path):
         out = tmp_path / "run"
@@ -865,6 +882,20 @@ def malformed_workdir(workdir) -> Path:
         assert run("explain", "--data", workdir / "valid.csv", "--method", "l2x",
                    "--explainer", workdir / "ex.l2x", "--out", workdir / "valid_l2x.jsonl") == 0
     return workdir
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_evaluate_refuses_a_non_finite_score_naming_the_file(malformed_workdir, tmp_path, capsys, value):
+    # json reads NaN and Infinity as floats, and the JSONL round trip keeps them; evaluate cannot rank them
+    good, bad = malformed_workdir / "valid_l2x.jsonl", tmp_path / "bad.jsonl"
+    _edit_lines(good, bad, _replace_line(3, lambda old: _with(old, scores=[value, *json.loads(old)["scores"][1:]])))
+    row = json.loads(bad.read_text().splitlines()[2])["id"]
+    assert run("evaluate", "--data", malformed_workdir / "valid.csv", "--explanations", bad,
+               "--out-ranks", tmp_path / "r.csv") == 4
+    err = capsys.readouterr().err
+    assert f"bad input file: the l2x explanations in {bad} cannot be ranked" in err
+    assert f"non-finite score {value!r} (row {row}, column 0)" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.filterwarnings("error")  # a malformed input is refused before numpy can warn about it

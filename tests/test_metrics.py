@@ -421,6 +421,13 @@ class TestMedianRank:
         with pytest.raises(ValueError, match=r"truth set \[1, 1\] repeats an index"):  # not counted twice
             mt.median_rank([np.zeros(4), np.zeros(4)], [(0, 1), (1, 1)], d=4)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_refused_naming_the_row(self, value):
+        # a NaN used to sort last and rank: [NaN, 1.0, 2.0, 0.5] against truth (0, 1) gave 3.0
+        scores = np.array([[4.0, 3.0, 2.0, 1.0], [value, 1.0, 2.0, 0.5]])
+        with pytest.raises(ValueError, match=rf"^non-finite score {value!r} \(row 1, column 0\)$"):
+            mt.median_rank(scores, [(0, 1), (0, 1)], d=4)
+
     def test_non_integer_truth_set_rejected(self):
         # truncated, [0.9, 1.9] would score the truth {0, 1}
         with pytest.raises(ValueError, match=r"truth set \[0.9, 1.9\] holds an index that is not an integer"):

@@ -5,6 +5,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 import types
 import warnings
@@ -30,6 +35,26 @@ def tiny_setup(seed=0, d=4, c=2, b=3, k=2):
     x = rng.normal(size=(b, d))
     noise = gumbel_from_uniform(rng.uniform(size=(b, k, d)))
     return clf, ex, var, x, noise
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs and a one-thread OpenBLAS, whatever the host.
+
+    A training call with a product of ``WORKER_MIN_MACS`` or more then runs the worker.
+    """
+    monkeypatch.setattr(tr, "allowed_cpus", lambda: 2)
+    monkeypatch.setattr(tr, "blas_threads", lambda: 1)
+
+
+@pytest.fixture
+def slow_jobs(monkeypatch):
+    """Each weight-gradient job and RMSprop update starts 2 ms late: a thread that fails to wait for one runs ahead."""
+    for owner, name in ((tr._Pass, "_layer_gradient"), (tr.RmsProp, "_update")):
+        def late(self, *args, _original=getattr(owner, name)):
+            time.sleep(0.002)
+            return _original(self, *args)
+        monkeypatch.setattr(owner, name, late)
 
 
 class TestRmsProp:
@@ -85,7 +110,7 @@ class TestRmsProp:
     def test_network_buffers_step_like_their_tensors_and_keep_state_across_sets(self):
         rng = np.random.default_rng(4)
         nets = build_explainer(3, rng, hidden=(4,)), build_variational(3, 2, rng, hidden=(5,))
-        blocks = {net.kind: tr._Pass(net, 1).block for net in nets}
+        blocks = {net.kind: net.buffer for net in nets}  # the block a training pass steps
         lr, rho, eps = 0.01, tr.DECAY, tr.EPSILON
         opt = tr.RmsProp(lr)
         ref = {(net.kind, name): t.data.copy() for net in nets for name, t in net.params.items()}
@@ -108,6 +133,22 @@ class TestRmsProp:
                 expected = np.concatenate([a.reshape(-1) for (k, _), a in acc.items() if k == kind])
                 assert opt.accumulator(blocks[kind]).tobytes() == expected.tobytes(), kind
 
+    def test_halves_on_the_worker_step_like_the_whole_block_bitwise(self, monkeypatch, two_cpus, slow_jobs):
+        monkeypatch.setattr(tr, "WORKER_MIN_MACS", 1)
+        rng = np.random.default_rng(9)
+        blocks = [rng.normal(size=n) for n in (1, 2, 7, 1001)]
+        whole = [b.copy() for b in blocks]
+        split, plain = tr.RmsProp(0.01), tr.RmsProp(0.01)
+        with tr._Worker(1, [build_classifier(2, 2, rng, hidden=(2,))]) as worker:
+            for _ in range(3):
+                grads = [rng.normal(size=b.shape) for b in blocks]
+                plain.step(list(zip(whole, [g.copy() for g in grads])))
+                split.step(list(zip(blocks, grads)), worker)
+                for a, b in zip(blocks, whole):  # complete when the step returns
+                    assert a.tobytes() == b.tobytes()
+                    assert split.accumulator(a).tobytes() == plain.accumulator(b).tobytes()
+        assert worker.threaded and worker.jobs == 3 * len(blocks)  # one second half per block and step
+
     def test_shape_mismatch_raises(self):
         p, q = np.zeros(3), np.zeros(3)
         with pytest.raises(ValueError, match="shape"):
@@ -118,6 +159,76 @@ class TestRmsProp:
         for learning_rate in (0.0, -0.001, math.nan, math.inf):
             with pytest.raises(ValueError, match="learning_rate must be positive"):
                 tr.RmsProp(learning_rate)
+
+
+class TestWorker:
+    @pytest.mark.parametrize("width, threaded", [(200, True), (96, True), (80, False), (64, False)])
+    def test_runs_a_thread_from_the_gate_up(self, two_cpus, width, threaded):
+        # at 1000 rows: 96 * 96 * 1000 multiply-adds reach WORKER_MIN_MACS, 80 * 80 * 1000 do not
+        net = build_variational(10, 2, np.random.default_rng(0), hidden=(width, width))
+        with tr._Worker(1000, [net]) as worker:
+            assert worker.threaded == threaded
+            assert (worker._thread is not None and worker._thread.is_alive()) == threaded
+
+    @pytest.mark.parametrize("cpus, blas", [(1, 1), (2, 2), (2, None)], ids=["one-cpu", "threaded-blas", "no-openblas"])
+    def test_runs_no_thread_without_two_cpus_and_a_one_thread_openblas(self, monkeypatch, cpus, blas):
+        monkeypatch.setattr(tr, "allowed_cpus", lambda: cpus)
+        monkeypatch.setattr(tr, "blas_threads", lambda: blas)
+        net = build_variational(10, 2, np.random.default_rng(0), hidden=(200, 200))
+        with tr._Worker(1000, [net]) as worker:
+            assert not worker.threaded and worker._thread is None and worker.spare.size == 0
+
+    def test_a_job_error_is_raised_by_wait_and_the_thread_is_joined(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(tr, "WORKER_MIN_MACS", 1)
+        done = []
+        with pytest.raises(ZeroDivisionError):
+            with tr._Worker(1, [build_classifier(2, 2, np.random.default_rng(0), hidden=(2,))]) as worker:
+                worker.submit(lambda: 1 / 0)
+                worker.submit(done.append, "later job")  # still runs
+                worker.wait()
+        assert done == ["later job"]
+        assert not worker._thread.is_alive()
+
+    def test_wait_sees_every_job_under_fast_thread_switching(self, monkeypatch, two_cpus):
+        # four callers, each with its own worker: eight threads on at most a few cores
+        monkeypatch.setattr(tr, "WORKER_MIN_MACS", 1)
+        net = build_classifier(2, 2, np.random.default_rng(0), hidden=(2,))
+        failures: list[str] = []
+
+        def drive():
+            with tr._Worker(1, [net]) as worker:
+                done: list[int] = []
+                for n in range(1, 301):
+                    ticket = worker.submit(done.append, n)
+                    if n % 7 == 0:
+                        worker.wait(ticket)
+                        if done != list(range(1, n + 1)):
+                            failures.append(f"job {n}: {len(done)} jobs had run")
+                worker.wait()
+                if done != list(range(1, 301)):
+                    failures.append(f"{len(done)} of 300 jobs had run at the end")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=drive) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert not failures, failures
+
+    def test_blas_threads_reads_the_openblas_setting(self):
+        # asked of the library numpy loaded, in a fresh process that pins one thread
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+        code = "from l2x import training; print(training.blas_threads())"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() in ("1", "None")  # None: no OpenBLAS under numpy
+        if "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] and sys.platform == "linux":
+            assert out.stdout.strip() == "1"
 
 
 class TestTrainConfig:
@@ -269,34 +380,47 @@ class TestTrainingStep:
     float32 node (:func:`_dense32`).  The passes hold arrays for 10 rows;
     a second step on a partial batch runs in the leading rows of the
     arrays a full batch used, over weights the optimizer has stepped.
+    The ``worker`` case holds 300 rows for wider networks, whose products
+    reach ``WORKER_MIN_MACS``: the training worker computes the weight
+    gradients and half of each optimizer step, each job late
+    (:func:`slow_jobs`), so an array written before its reader ran
+    shows in the bits.
     """
 
-    ROWS = 10
+    # case -> (rows the passes hold, batch sizes of two steps)
+    SIZES = {"full": (10, (10, 10)), "partial": (10, (10, 7)), "worker": (300, (300, 211))}
 
-    @pytest.mark.parametrize("sizes", [(10, 10), (10, 7)], ids=["full", "partial"])
-    def test_classifier_step_matches_the_tape(self, sizes):
+    @pytest.mark.parametrize("case", list(SIZES))
+    def test_classifier_step_matches_the_tape(self, two_cpus, slow_jobs, case):
+        rows, sizes = self.SIZES[case]
         rng = np.random.default_rng(30)
-        clf = build_classifier(5, 2, rng, hidden=(6, 7, 6))
-        net, opt = tr._Pass(clf, self.ROWS), tr.RmsProp(0.05)
-        for b in sizes:
-            x = rng.normal(size=(b, 5))
-            target = np.eye(2)[rng.integers(0, 2, size=b)]
-            probs = ad.softmax(_dense32(ad.constant(x), list(clf.params.values())))
-            loss = ad.neg(_log_likelihood_chain(target, probs))
-            taped = _flat(ad.backward(loss, clf.params), clf.params)
-            value, g = tr._head_step(net, x, target)
-            assert -value == loss.item() and g is None
-            assert net.grads.tobytes() == taped
-            opt.step([(net.block, net.grads)])
+        clf = build_classifier(5, 2, rng, hidden=(192, 224, 160) if case == "worker" else (6, 7, 6))
+        opt = tr.RmsProp(0.05)
+        with tr._Worker(rows, [clf]) as worker:
+            net = tr._Pass(clf, rows, worker)
+            for b in sizes:
+                x = rng.normal(size=(b, 5))
+                target = np.eye(2)[rng.integers(0, 2, size=b)]
+                probs = ad.softmax(_dense32(ad.constant(x), list(clf.params.values())))
+                loss = ad.neg(_log_likelihood_chain(target, probs))
+                taped = _flat(ad.backward(loss, clf.params), clf.params)
+                value, g = tr._head_step(net, x, target)
+                worker.wait()
+                assert -value == loss.item() and g is None
+                assert net.grads.tobytes() == taped
+                opt.step([(net.block, net.grads)], worker)
+        assert worker.threaded == (case == "worker")
+        assert (worker.jobs > 0) == worker.threaded
 
-    @pytest.mark.parametrize("sizes", [(10, 10), (10, 7)], ids=["full", "partial"])
+    @pytest.mark.parametrize("case", list(SIZES))
     @pytest.mark.parametrize("warmup", [True, False], ids=["warmup", "joint"])
-    def test_selector_step_matches_the_tape(self, monkeypatch, sizes, warmup):
+    def test_selector_step_matches_the_tape(self, monkeypatch, two_cpus, slow_jobs, case, warmup):
+        rows, sizes = self.SIZES[case]
         d, k, temperature = 6, 2, 0.5
         rng = np.random.default_rng(31)
-        ex = build_explainer(d, rng, hidden=(7, 5))
-        var = build_variational(d, 2, rng, hidden=(6, 8, 6))
-        passes = tr._Pass(ex, self.ROWS), tr._Pass(var, self.ROWS)
+        wide = case == "worker"
+        ex = build_explainer(d, rng, hidden=(160, 224) if wide else (7, 5))
+        var = build_variational(d, 2, rng, hidden=(224, 192, 224) if wide else (6, 8, 6))
         active = ad.ParameterSet()
         if not warmup:
             active.merge("explainer", ex.params)
@@ -322,36 +446,41 @@ class TestTrainingStep:
             return recorded
 
         monkeypatch.setattr(tr, "batched_relaxed_mask", mask)
-        for net in passes:
-            monkeypatch.setattr(net, "backward", recording(net))
         opt = tr.RmsProp(0.05)
-        for steps, b in enumerate(sizes, 1):
-            x = rng.normal(size=(b, d))
-            pm = rng.dirichlet(np.ones(2), size=b)
-            noise = gumbel_from_uniform(rng.uniform(size=(b, k, d)))
-            weights = list(ex.params.values())
-            if warmup:  # the explainer's weights on the tape as constants
-                weights = [ad.constant(t.data) for t in weights]
-            scores = _dense32(ad.constant(x), weights)
-            v = relaxed_mask_graph(scores, noise, temperature)
-            q = ad.softmax(_dense32(ad.mul(v, ad.constant(x)), list(var.params.values())))
-            root = ad.neg(_log_likelihood_chain(pm, q))
-            taped = _flat(ad.backward(root, active), active)
+        with tr._Worker(rows, [ex, var]) as worker:
+            passes = tr._Pass(ex, rows, worker), tr._Pass(var, rows, worker)
+            for net in passes:
+                monkeypatch.setattr(net, "backward", recording(net))
+            for steps, b in enumerate(sizes, 1):
+                x = rng.normal(size=(b, d))
+                pm = rng.dirichlet(np.ones(2), size=b)
+                noise = gumbel_from_uniform(rng.uniform(size=(b, k, d)))
+                weights = list(ex.params.values())
+                if warmup:  # the explainer's weights on the tape as constants
+                    weights = [ad.constant(t.data) for t in weights]
+                scores = _dense32(ad.constant(x), weights)
+                v = relaxed_mask_graph(scores, noise, temperature)
+                q = ad.softmax(_dense32(ad.mul(v, ad.constant(x)), list(var.params.values())))
+                root = ad.neg(_log_likelihood_chain(pm, q))
+                taped = _flat(ad.backward(root, active), active)
 
-            passes[0].grads[:] = np.nan  # stays so unless the step writes an explainer gradient
-            calls.clear()
-            assert tr._selector_step(*passes, x, pm, noise, temperature, warmup) == -root.item()
-            written = passes[1].grads if warmup else np.concatenate([p.grads for p in passes])
-            assert written.tobytes() == taped
-            assert len(masks) == steps  # one mask per step
-            if warmup:  # no explainer gradient, no mask vjp, no masked-input gradient
-                assert np.isnan(passes[0].grads).all()
-                assert masks[-1] == 0
-                assert calls == [("variational", False, True)]
-            else:
-                assert masks[-1] == 1
-                assert calls == [("variational", True, False), ("explainer", False, True)]
-            opt.step([(p.block, p.grads) for p in (passes[1:] if warmup else passes)])
+                passes[0].grads[:] = np.nan  # stays so unless the step writes an explainer gradient
+                calls.clear()
+                assert tr._selector_step(*passes, x, pm, noise, temperature, warmup) == -root.item()
+                worker.wait()
+                written = passes[1].grads if warmup else np.concatenate([p.grads for p in passes])
+                assert written.tobytes() == taped
+                assert len(masks) == steps  # one mask per step
+                if warmup:  # no explainer gradient, no mask vjp, no masked-input gradient
+                    assert np.isnan(passes[0].grads).all()
+                    assert masks[-1] == 0
+                    assert calls == [("variational", False, True)]
+                else:
+                    assert masks[-1] == 1
+                    assert calls == [("variational", True, False), ("explainer", False, True)]
+                opt.step([(p.block, p.grads) for p in (passes[1:] if warmup else passes)], worker)
+        assert worker.threaded == wide
+        assert (worker.jobs > 0) == wide
 
 
 class TestObjective:
@@ -712,10 +841,14 @@ class TestTrainL2x:
         with pytest.raises(NumericError, match="parameter variational.b0 became non-finite in epoch 0"):
             tr._epochs(cfg, 10, nets, step)
 
-    def test_steady_state_step_allocates_no_layer_sized_array(self, monkeypatch):
-        # tracemalloc counts numpy's buffers.  Each step must reuse the float32 layer
-        # outputs, relu masks and vjp scratch: the traced peak of a step, after the
-        # first, rises less than one (batch, hidden) float32 array above its start
+    @staticmethod
+    def _step_growth(monkeypatch) -> tuple[list[int], int, tr.TrainReport]:
+        """The traced peak of each step after the first above its start, the bound, and the report.
+
+        tracemalloc counts numpy's buffers, on every thread.  Each step must
+        reuse the float32 layer outputs, the shared relu mask and the vjp
+        scratch: the peak rises less than one (batch, hidden) float32 array.
+        """
         batch, hidden = 256, 512
         x = np.random.default_rng(0).normal(size=(6 * batch, 10))
         clf = build_classifier(10, 2, np.random.default_rng(1), hidden=(8,))
@@ -731,39 +864,112 @@ class TestTrainL2x:
         monkeypatch.setattr(tr, "_batch_noise", marking)
         tracemalloc.start()
         try:
-            tr.train_l2x(x, clf, cfg)
+            *_, report = tr.train_l2x(x, clf, cfg)
         finally:
             tracemalloc.stop()
         assert len(marks) == 6
         growth = [peak - start for (start, _), (_, peak) in zip(marks[1:], marks[2:])]
-        assert max(growth) < batch * hidden * 4, growth
+        return growth, batch * hidden * 4, report
 
-    @pytest.mark.parametrize("loop", ["classifier", "selector"])
-    def test_training_buffers_are_gone_once_the_call_returns(self, monkeypatch, loop):
-        made, init, batch_noise = [], tr._Pass.__init__, tr._batch_noise
+    def test_steady_state_step_allocates_no_layer_sized_array(self, monkeypatch):
+        monkeypatch.setattr(tr, "allowed_cpus", lambda: 1)
+        growth, bound, report = self._step_growth(monkeypatch)
+        assert max(growth) < bound, growth
+        assert report.worker_jobs == 0
+
+    def test_steady_state_step_with_the_worker_allocates_no_layer_sized_array(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(tr, "WORKER_MIN_MACS", 1)  # the one-hidden-layer networks are below the gate
+        growth, bound, report = self._step_growth(monkeypatch)
+        assert max(growth) < bound, growth
+        assert report.worker_jobs > 0
+
+    @pytest.mark.parametrize("loop, worker", [("classifier", False), ("selector", False),
+                                              ("classifier", True), ("selector", True)],
+                             ids=["classifier", "selector", "classifier-worker", "selector-worker"])
+    def test_training_buffers_are_gone_once_the_call_returns(self, monkeypatch, two_cpus, loop, worker):
+        made, init, batch_noise, enter = [], tr._Pass.__init__, tr._batch_noise, tr._Worker.__enter__
+        workers = []
 
         def recording(self, *args):
             init(self, *args)
-            layers = [a for pair in self.layers for a in pair]
-            arrays = [self.grads, self.x, self.g, *self.weights, *self.targets[::2], *layers]
-            made.extend(weakref.ref(a) for a in arrays if a is not None)
+            arrays = [self.grads, self.x, self.g, *self.weights, *self.layers]
+            made.extend(weakref.ref(a) for a in arrays)
+
+        def entering(self):
+            workers.append(self)
+            made.extend(weakref.ref(a) for a in (self.spare, self.mask, self.weight_scratch))
+            return enter(self)
 
         def noise(rng, out):
             made.append(weakref.ref(out.base))
             return batch_noise(rng, out)
 
         monkeypatch.setattr(tr._Pass, "__init__", recording)
+        monkeypatch.setattr(tr._Worker, "__enter__", entering)
         monkeypatch.setattr(tr, "_batch_noise", noise)
+        if worker:  # these 8-wide networks are far below the gate
+            monkeypatch.setattr(tr, "WORKER_MIN_MACS", 1)
+        else:
+            monkeypatch.setattr(tr, "allowed_cpus", lambda: 1)
         rng = np.random.default_rng(6)
         x = rng.normal(size=(40, 6))
         clf = build_classifier(6, 2, rng, hidden=(8, 8))
         cfg = tr.TrainConfig(k=2, batch_size=20, epochs=2, warmup_epochs=1, seed=0,
                              classifier_hidden=(8, 8), explainer_hidden=(8, 8), variational_hidden=(8, 8))
         if loop == "classifier":
-            tr.train_classifier(x, (x[:, 0] > 0).astype(int), cfg)
+            _, report = tr.train_classifier(x, (x[:, 0] > 0).astype(int), cfg)
         else:
-            tr.train_l2x(x, clf, cfg)
+            *_, report = tr.train_l2x(x, clf, cfg)
+        assert [w.threaded for w in workers] == [worker]
+        assert (report.worker_jobs > 0) == worker
+        thread = workers.pop()._thread
         assert made and all(ref() is None for ref in made)
+        assert thread is None or not thread.is_alive()
+
+    @pytest.mark.parametrize("loop", ["classifier", "selector"])
+    def test_the_worker_changes_no_bit(self, monkeypatch, two_cpus, slow_jobs, loop):
+        # both loops, their joins and waits included, against the same training on one CPU
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(50, 6))
+        clf = build_classifier(6, 2, rng, hidden=(9, 7))
+        cfg = tr.TrainConfig(k=2, batch_size=20, epochs=3, warmup_epochs=1, seed=3, classifier_hidden=(9, 7, 8),
+                             explainer_hidden=(7, 9), variational_hidden=(8, 9, 7))
+        runs = []
+        for cpus, gate in ((1, tr.WORKER_MIN_MACS), (2, 1)):
+            monkeypatch.setattr(tr, "allowed_cpus", lambda: cpus)
+            monkeypatch.setattr(tr, "WORKER_MIN_MACS", gate)
+            if loop == "classifier":
+                net, report = tr.train_classifier(x, (x[:, 1] > 0).astype(int), cfg)
+                nets = [net]
+            else:
+                *nets, report = tr.train_l2x(x, clf, cfg)
+            curve = [e.objective for e in report.curve]
+            runs.append(([net.buffer.tobytes() for net in nets], curve, report.worker_jobs))
+        (one, one_curve, none), (two, two_curve, jobs) = runs
+        assert none == 0 and jobs > 0
+        assert one == two and one_curve == two_curve
+
+    def test_numeric_error_mid_step_leaves_no_worker_thread(self, monkeypatch, two_cpus):
+        # the worker thread starts with the call; the refusal at step 0 must still join it
+        workers, enter = [], tr._Worker.__enter__
+
+        def entering(self):
+            workers.append(self)
+            return enter(self)
+
+        monkeypatch.setattr(tr._Worker, "__enter__", entering)
+        monkeypatch.setattr(tr, "WORKER_MIN_MACS", 1)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(20, 4))
+        clf = build_classifier(4, 2, rng, hidden=(4, 4, 4))
+        cfg = tr.TrainConfig(k=2, batch_size=10, epochs=1, temperature=1e-310,
+                             explainer_hidden=(4, 4), variational_hidden=(4, 4, 4))
+        with pytest.raises(NumericError, match=r"relaxed mask became non-finite .* at step 0$"):
+            tr.train_l2x(x, clf, cfg)
+        (worker,) = workers
+        assert worker.threaded and worker._thread.ident is not None  # it was started
+        assert not worker._thread.is_alive()
+        assert all(t.name != worker._thread.name for t in threading.enumerate())
 
     def test_non_finite_objective_aborts_with_step(self):
         # a NaN feature is refused before any step; a classifier that emits NaN is caught inside one
